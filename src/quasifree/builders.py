@@ -89,12 +89,6 @@ def squeeze(r: float, n_modes: int = 1, mode: int = 1) -> BlockOperator:
     return BlockOperator(m, space)
 
 
-def from_matrix(matrix: np.ndarray, n_modes_in: int,
-                n_modes_out: int) -> BlockOperator:
-    return BlockOperator(np.asarray(matrix, dtype=complex),
-                         SelfDualSpace(n_modes_in), SelfDualSpace(n_modes_out))
-
-
 def build(name: str, params: dict) -> BlockOperator:
     """CLI-facing registry; raises MalformedInput on unknown names/params."""
     try:

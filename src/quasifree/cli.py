@@ -29,7 +29,6 @@ from .errors import (
     NotInSemigroup,
     QuasifreeError,
     ShapeMismatch,
-    UnstableIndex,
     WindowTooSmall,
 )
 from .fock import (
@@ -57,6 +56,11 @@ from .sectors import (
     oracle_compare,
     sector_table,
 )
+
+# The report writes the statistics dimension 2^N of N species (the circle's
+# index is 1) as an exact integer; this cap keeps it far below Python's
+# 4300-digit limit on converting an int to text.
+MAX_GAUGE_N = 1024
 
 INPUT_ERRORS = (MalformedInput, CapExceeded, WindowTooSmall, ShapeMismatch,
                 NotChargeDiagonal, NotGaugeCompatible, LevelOutOfRange)
@@ -374,6 +378,10 @@ def _parse_cutoffs(text: str) -> tuple:
 
 def cmd_dirac(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
+    if not 1 <= args.gauge_n <= MAX_GAUGE_N:
+        raise MalformedInput(
+            f"--gauge-n must be between 1 and {MAX_GAUGE_N}, "
+            f"got {args.gauge_n}")
     # The localization residual decays like 1/W; the 1e-3 gate is calibrated
     # at W = 512, so the default tolerance scales with the largest cutoff.
     loc_tol = (args.tol if args.tol is not None
@@ -397,13 +405,8 @@ def cmd_dirac(args) -> int:
         }
     payload["window_diagnostics"] = per_cutoff
 
-    counts = {}
-    for build in builds[-2:]:
-        svals = np.linalg.svd(build.matrix, compute_uv=False)
-        counts[build.window.w] = int(np.sum(svals < 0.5))
-    if len(set(counts.values())) != 1:
-        raise UnstableIndex(f"cokernel count varies with cutoff: {counts}")
-    index_value = next(iter(set(counts.values())))
+    record = dirac.index_estimate(builds=builds[-2:])
+    counts, index_value = record.counts, record.value
     payload["index"] = {"counts": {str(k): v for k, v in counts.items()},
                         "value": index_value}
 
@@ -418,14 +421,19 @@ def cmd_dirac(args) -> int:
     payload["hs_control"] = {"slope": control.slopes["plus"],
                              "verdict": control.verdicts["plus"]}
 
-    loc = dirac.prop_loc_check(builds[-1], tol=loc_tol)
+    # One check per build; only the largest window's residual is gated.
+    locs = []
+    for build in builds:
+        tol = loc_tol if build is builds[-1] else 1.0
+        locs.append(dirac.prop_loc_check(build, tol=tol)["complement"])
+    loc = locs[-1]
     payload["localization"] = {
         "component": "complement",
-        "tau": loc["complement"]["tau"],
-        "residual": comparison(loc["complement"]["residual"], loc_tol),
+        "tau": loc["tau"],
+        "residual": comparison(loc["residual"], loc_tol),
         "residual_by_cutoff": {
-            str(b.window.w): float(dirac.prop_loc_check(
-                b, tol=1.0)["complement"]["residual"]) for b in builds},
+            str(b.window.w): float(c["residual"])
+            for b, c in zip(builds, locs)},
     }
 
     species = dirac.assemble_species(args.gauge_n, index_value)
@@ -438,8 +446,8 @@ def cmd_dirac(args) -> int:
         f"HS commutator verdicts: plus={study.verdicts['plus']}, "
         f"minus={study.verdicts['minus']} "
         f"(control: {control.verdicts['plus']})",
-        f"localization: tau = {loc['complement']['tau']:.6f}, residual "
-        f"{loc['complement']['residual']:.3e} <= {loc_tol:.1e}",
+        f"localization: tau = {loc['tau']:.6f}, residual "
+        f"{loc['residual']:.3e} <= {loc_tol:.1e}",
         f"species assembly: half-index V = {species['half_index']}, "
         f"statistics dimension = {species['statistics_dimension']}",
     ]

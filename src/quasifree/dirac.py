@@ -18,6 +18,13 @@ functions supported off A, and has one cokernel direction (index 1).  All
 continuum objects enter only through the analytic overlap table; everything
 else is finite linear algebra on the mode window |n| <= W.
 
+On the window, v is the identity plus a low-rank update, v = 1 + A B* with
+A = U - L and B = L (columns f_{m+1} and f_m).  Every quantity reported here
+(index, seam and probe defects, nested Hilbert-Schmidt norms, localization)
+comes from these (2W+1) x m_loc factors in O(W m_loc^2) work; the dense
+(2W+1)^2 matrix is built only on request (`DiracBuild.dense`), as the tests'
+oracle and for the `dirac-v` builder.
+
 Truncating the m-sum leaves an exact seam: the pair (f_{m_loc-1}, f_{m_loc})
 is mapped onto the single direction f_{m_loc}, so the full operator-norm
 defect ||v*v - 1|| stays O(1) no matter the window.  Isometry quality is
@@ -153,34 +160,61 @@ class CircleWindow:
     def f_column(self, m: int) -> np.ndarray:
         return self.f_table[:, m + self.m_loc]
 
-    def hardy_plus_diag(self) -> np.ndarray:
-        return (np.arange(-self.w, self.w + 1) >= 0).astype(float)
-
-    def hardy_minus_diag(self) -> np.ndarray:
-        return 1.0 - self.hardy_plus_diag()
-
 
 @dataclass(frozen=True)
 class DiracBuild:
+    """The window isometry V = 1 + A B*, held as its dim x rank factors.
+
+    build_v sets A = U - L and B = L, where the columns of L are f_m and
+    those of U are f_{m+1} for start_m <= m < m_loc, and records all 2W+1
+    singular values of V (None for factors assembled by hand).  Nothing of
+    size dim x dim is stored: V acts through `apply` / `apply_adjoint`, and
+    `dense` materializes it only for the tests' oracle and the `dirac-v`
+    builder.
+    """
+
     window: CircleWindow
-    matrix: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
     start_m: int
     diagnostics: dict
+    singular_values: np.ndarray | None = field(default=None, repr=False)
+
+    # B* x is computed as conj(B^T conj(x)): B^T is a view, so the dim x rank
+    # factor is never copied, only x and the rank-sized product.
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """V x = x + A (B* x), for a vector or the columns of a matrix."""
+        return x + self.a @ (self.b.T @ x.conj()).conj()
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """V* x = x + B (A* x)."""
+        return x + self.b @ (self.a.T @ x.conj()).conj()
+
+    def dense(self) -> np.ndarray:
+        return (np.eye(self.window.dim, dtype=complex)
+                + self.a @ self.b.conj().T)
 
 
 def build_v(w: int, m_loc: int | None = None, start_m: int = 0) -> DiracBuild:
-    """Window matrix of the localized shift isometry, with diagnostics.
+    """Window factors of the localized shift isometry, with diagnostics.
 
     start_m = 1 gives the robustness variant whose sum omits the m = 0 term
     (f_0 is then fixed); the index is unchanged.
     """
     window = CircleWindow.create(w, m_loc)
     m_loc = window.m_loc
-    lower = window.f_table[:, window.m_loc + start_m:
-                           window.m_loc + m_loc]      # f_m, start_m <= m < m_loc
-    upper = window.f_table[:, window.m_loc + start_m + 1:
-                           window.m_loc + m_loc + 1]  # f_{m+1}
-    matrix = np.eye(window.dim, dtype=complex) + (upper - lower) @ lower.conj().T
+    frame = window.f_table[:, m_loc + start_m:]  # F = [f_start ... f_m_loc]
+    lower, upper = frame[:, :-1], frame[:, 1:]
+    # F = Q R spans both factors, so V = Q M Q* + (1 - Q Q*) with the small
+    # core M = 1 + (R[:, 1:] - R[:, :-1]) R[:, :-1]*: V has the singular
+    # values of M plus ones, and ||V*V - 1|| = max |s^2 - 1| over them.
+    r = np.linalg.qr(frame, mode="r")
+    core = np.eye(r.shape[0]) + (r[:, 1:] - r[:, :-1]) @ r[:, :-1].conj().T
+    svals = np.linalg.svd(core, compute_uv=False)
+    ones = np.ones(window.dim - svals.size)
+    build = DiracBuild(window, upper - lower, lower, start_m, {},
+                       np.concatenate([svals, ones]))
 
     norms2 = np.einsum("ij,ij->j", window.f_table.conj(),
                        window.f_table).real
@@ -188,18 +222,19 @@ def build_v(w: int, m_loc: int | None = None, start_m: int = 0) -> DiracBuild:
     gram = window.f_table.conj().T @ window.f_table
     gram_offid = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
-    probes = [window.f_column(m) for m in range(-(m_loc // 2), m_loc // 2 + 1)]
-    probes += [complement_probe(w, k) for k in range(-8, 9)]
-    vhv = matrix.conj().T @ matrix
-    probe_defect = max(
-        float(np.linalg.norm(vhv @ p - p)) / float(np.linalg.norm(p))
-        for p in probes)
-    full_defect = float(np.linalg.norm(vhv - np.eye(window.dim), ord=2))
+    probes = np.column_stack(
+        [window.f_table[:, m_loc - m_loc // 2: m_loc + m_loc // 2 + 1]]
+        + [complement_probe(w, k) for k in range(-8, 9)])
+    defects = build.apply_adjoint(build.apply(probes)) - probes
+    probe_defect = float(np.max(np.linalg.norm(defects, axis=0)
+                                / np.linalg.norm(probes, axis=0)))
+    full_defect = float(np.max(np.abs(svals ** 2 - 1.0)))
 
-    shift_overlaps = [
-        complex(np.vdot(window.f_column(m + 1), matrix @ window.f_column(m)))
-        for m in range(0, m_loc // 2)]
-    diagnostics = {
+    # f_0 ... f_{m_loc/2}
+    local = window.f_table[:, m_loc: m_loc + m_loc // 2 + 1]
+    shift_overlaps = np.einsum("ij,ij->j", local[:, 1:].conj(),
+                               build.apply(local[:, :-1]))
+    build.diagnostics.update({
         "w": w,
         "m_loc": m_loc,
         "start_m": start_m,
@@ -208,10 +243,9 @@ def build_v(w: int, m_loc: int | None = None, start_m: int = 0) -> DiracBuild:
         "gram_off_identity": gram_offid,
         "probe_isometry_defect": probe_defect,
         "seam_full_defect": full_defect,
-        "shift_overlap_min": float(min(z.real for z in shift_overlaps))
-        if shift_overlaps else None,
-    }
-    return DiracBuild(window, matrix, start_m, diagnostics)
+        "shift_overlap_min": float(np.min(shift_overlaps.real)),
+    })
+    return build
 
 
 @dataclass(frozen=True)
@@ -223,12 +257,18 @@ class IndexRecord:
 
 
 def index_estimate(cutoffs=(256, 512), m_loc: int | None = None,
-                   start_m: int = 0, threshold: float = 0.5) -> IndexRecord:
-    """Cokernel count of the window matrix, required stable across cutoffs."""
+                   start_m: int = 0, threshold: float = 0.5,
+                   builds=None) -> IndexRecord:
+    """Cokernel count of the window isometry, required stable across cutoffs.
+
+    builds, when given, are used instead of building one per cutoff.
+    """
+    if builds is None:
+        builds = [build_v(w, m_loc, start_m=start_m) for w in cutoffs]
     counts, smallest, gaps = {}, {}, {}
-    for w in cutoffs:
-        build = build_v(w, m_loc, start_m=start_m)
-        svals = np.linalg.svd(build.matrix, compute_uv=False)
+    for build in builds:
+        w = build.window.w
+        svals = build.singular_values
         below = np.sort(svals[svals < threshold])
         counts[w] = int(below.size)
         smallest[w] = float(svals.min())
@@ -240,15 +280,17 @@ def index_estimate(cutoffs=(256, 512), m_loc: int | None = None,
     return IndexRecord(counts, values[0], smallest, gaps)
 
 
-def _nested_partial_hs(comm: np.ndarray, w_max: int, cutoffs) -> list[float]:
-    ns = np.arange(-w_max, w_max + 1)
-    sums = []
-    sq = np.abs(comm) ** 2
-    for w in cutoffs:
-        mask = (np.abs(ns) <= w)
-        sub = sq[np.ix_(mask, mask)]
-        sums.append(math.sqrt(math.fsum(sub.ravel(order="C").tolist())))
-    return sums
+def _exact_weighted_sum(weights, values) -> float:
+    """Correctly rounded sum of weights[i] * values[i] for integer weights.
+
+    Equal to math.fsum over the multiset with values[i] repeated weights[i]
+    times, at the cost of one term per value: floats are dyadic rationals,
+    so the sum is exact in integers and one true division rounds it.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    num = sum(c * n * (den // d) for c, (n, d) in zip(weights, ratios))
+    return num / den
 
 
 def _trend_verdict(cutoffs, partial_norms) -> tuple[str, float, list[float]]:
@@ -282,9 +324,15 @@ def hs_commutator_study(cutoffs=DEFAULT_CUTOFFS,
                         build: DiracBuild | None = None) -> HsStudy:
     """Nested partial HS norms of the Hardy-projection commutators.
 
-    One matrix is built at the largest cutoff; partial sums over nested
+    One build is made at the largest cutoff; partial sums over nested
     windows are the partial sums of one fixed doubly-infinite array, so they
     increase and their increments must decay summably for an HS operator.
+
+    With theta the projection onto n >= 0 and V = 1 + A B*, the commutator
+    [theta, V] = theta A B* (1 - theta) - (1 - theta) A B* theta has two
+    blocks, and ||X Y*||_F^2 = tr(X*X . Y*Y) on the window's rows gives each
+    block's norm from rank x rank Gram matrices.  The minus commutator is
+    [1 - theta, V] = -[theta, V], so both signs share one computation.
     """
     cutoffs = tuple(sorted(cutoffs))
     w_max = cutoffs[-1]
@@ -292,17 +340,22 @@ def hs_commutator_study(cutoffs=DEFAULT_CUTOFFS,
         build = build_v(w_max)
     elif build.window.w != w_max:
         raise WindowTooSmall("supplied build does not match the largest cutoff")
-    theta = build.window.hardy_plus_diag()
-    partials, increments, slopes, verdicts = {}, {}, {}, {}
-    for tag, diag in (("plus", theta), ("minus", 1.0 - theta)):
-        comm = diag[:, None] * build.matrix - build.matrix * diag[None, :]
-        sums = _nested_partial_hs(comm, w_max, cutoffs)
-        verdict, slope, incs = _trend_verdict(cutoffs, sums)
-        partials[tag] = sums
-        increments[tag] = incs
-        slopes[tag] = slope
-        verdicts[tag] = verdict
-    return HsStudy(cutoffs, partials, increments, slopes, verdicts)
+
+    def gram(x: np.ndarray, rows: slice) -> np.ndarray:
+        return x[rows].conj().T @ x[rows]
+
+    sums = []
+    for w in cutoffs:
+        # rows of the modes 0 <= n <= w and -w <= n < 0
+        pos, neg = slice(w_max, w_max + w + 1), slice(w_max - w, w_max)
+        square = (np.vdot(gram(build.b, neg), gram(build.a, pos))
+                  + np.vdot(gram(build.b, pos), gram(build.a, neg))).real
+        sums.append(math.sqrt(square))
+    verdict, slope, incs = _trend_verdict(cutoffs, sums)
+    tags = ("plus", "minus")
+    return HsStudy(cutoffs, dict.fromkeys(tags, sums),
+                   dict.fromkeys(tags, incs), dict.fromkeys(tags, slope),
+                   dict.fromkeys(tags, verdict))
 
 
 def jump_symbol_control_study(cutoffs=DEFAULT_CUTOFFS) -> HsStudy:
@@ -310,16 +363,19 @@ def jump_symbol_control_study(cutoffs=DEFAULT_CUTOFFS) -> HsStudy:
 
     Multiplication by the unimodular symbol with a jump and half-integer
     winding has Fourier coefficients sinc(1/2 - d); its Hardy commutator is
-    log-divergent in the HS norm, so the detector must flag it.
+    log-divergent in the HS norm, so the detector must flag it.  The symbol
+    is Toeplitz, so the commutator's squared entries depend on d = i - j
+    alone: sinc(1/2 - d)^2 where i and j lie on opposite sides of n = 0,
+    which min(|d|, 2w + 1 - |d|) pairs of the window |n| <= w do.
     """
     cutoffs = tuple(sorted(cutoffs))
-    w_max = cutoffs[-1]
-    ns = np.arange(-w_max, w_max + 1)
-    d = ns[:, None] - ns[None, :]
-    symbol = np.sinc(0.5 - d)
-    theta = (ns >= 0).astype(float)
-    comm = theta[:, None] * symbol - symbol * theta[None, :]
-    sums = _nested_partial_hs(comm, w_max, cutoffs)
+    d = np.arange(1, 2 * cutoffs[-1] + 1)
+    squares = (np.concatenate([np.sinc(0.5 - d), np.sinc(0.5 + d)])
+               ** 2).tolist()
+    sums = []
+    for w in cutoffs:
+        pairs = np.maximum(np.minimum(d, 2 * w + 1 - d), 0).tolist()
+        sums.append(math.sqrt(_exact_weighted_sum(pairs + pairs, squares)))
     verdict, slope, incs = _trend_verdict(cutoffs, sums)
     return HsStudy(cutoffs, {"plus": sums}, {"plus": incs}, {"plus": slope},
                    {"plus": verdict})
@@ -339,13 +395,14 @@ def prop_loc_check(build: DiracBuild, components: dict | None = None,
                                      for k in range(-8, 9)]}
     out = {}
     for label, probes in components.items():
+        images = build.apply(np.column_stack(probes)).T
         overlap_sum = 0.0j
-        for g in probes:
-            overlap_sum += np.vdot(g, build.matrix @ g)
+        for g, vg in zip(probes, images):
+            overlap_sum += np.vdot(g, vg)
         tau = overlap_sum / abs(overlap_sum) if abs(overlap_sum) else 1.0 + 0j
         residual = max(
-            float(np.linalg.norm(build.matrix @ g - tau * g))
-            / float(np.linalg.norm(g)) for g in probes)
+            float(np.linalg.norm(vg - tau * g)) / float(np.linalg.norm(g))
+            for g, vg in zip(probes, images))
         if residual > tol:
             raise NoCommonPhase(
                 f"component {label!r}: best phase leaves residual "
@@ -380,6 +437,7 @@ def dirac_v_member(w: int, m_loc: int | None = None) -> BlockOperator:
     build = build_v(w, m_loc)
     space = SelfDualSpace(build.window.dim)
     full = np.zeros((2 * space.n_modes, 2 * space.n_modes), dtype=complex)
-    full[:space.n_modes, :space.n_modes] = build.matrix
-    full[space.n_modes:, space.n_modes:] = np.conj(build.matrix)
+    matrix = build.dense()
+    full[:space.n_modes, :space.n_modes] = matrix
+    full[space.n_modes:, space.n_modes:] = np.conj(matrix)
     return BlockOperator(full, space, space)

@@ -137,9 +137,6 @@ class FermiFock:
         return sp.csr_matrix((vals, (op.row, op.col)),
                              shape=op.shape)
 
-    def theta_matrix(self) -> np.ndarray:
-        return np.diag(self._theta_diag)
-
     def gamma(self, u11: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
         """Second quantization of a P1-commuting gauge unitary (dense).
 

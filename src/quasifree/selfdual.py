@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrthonormalityFailure, ShapeMismatch
+from .errors import OrthonormalityFailure, ShapeMismatch
 
 DEFAULT_TOL = 1e-10
 
@@ -305,9 +305,3 @@ class Subspace:
         resid = vec - self.projector() @ vec
         return float(np.linalg.norm(resid)) <= tol * max(
             1.0, float(np.linalg.norm(vec)))
-
-
-def require_same_space(a: SelfDualSpace, b: SelfDualSpace) -> None:
-    if a.n_modes != b.n_modes:
-        raise DimensionMismatch(
-            f"spaces with {a.n_modes} and {b.n_modes} modes")

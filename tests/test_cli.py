@@ -243,6 +243,24 @@ class TestDirac:
     def test_bad_cutoff_token_exit_2(self):
         assert cli.main(["dirac", "--cutoffs", "32,fast"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3", "100000"])
+    def test_gauge_n_out_of_range_exit_2(self, n, capsys):
+        assert cli.main(["dirac", "--cutoffs", "16,32", f"--gauge-n={n}"]) == 2
+        assert "--gauge-n" in capsys.readouterr().err
+
+    def test_window_2048_index_and_hs_verdicts(self, tmp_path):
+        # Two cutoffs give the trend detector a single increment, which it
+        # reports as inconclusive, so 512 joins the windows of interest.
+        out = str(tmp_path / "r.json")
+        assert cli.main(["dirac", "--cutoffs", "512,1024,2048",
+                         "--gauge-n", "1", "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "ok"
+        assert data["index"]["value"] == 1
+        assert data["index"]["counts"] == {"1024": 1, "2048": 1}
+        assert data["hs_study"]["verdicts"] == {
+            "plus": "consistent-with-HS", "minus": "consistent-with-HS"}
+
 
 class TestDeterminism:
 

@@ -82,9 +82,9 @@ def test_probe_isometry_defect_decreases_seam_constant():
 def test_shift_action_on_local_modes():
     build = dirac.build_v(128)
     f2, f3 = build.window.f_column(2), build.window.f_column(3)
-    assert np.linalg.norm(build.matrix @ f2 - f3) < 1e-2
+    assert np.linalg.norm(build.apply(f2) - f3) < 1e-2
     fm1 = build.window.f_column(-1)
-    assert np.linalg.norm(build.matrix @ fm1 - fm1) < 1e-2
+    assert np.linalg.norm(build.apply(fm1) - fm1) < 1e-2
     assert build.diagnostics["shift_overlap_min"] > 0.997
 
 
@@ -128,9 +128,13 @@ def test_prop_loc_phase_and_control():
     assert report["complement"]["tau"] == pytest.approx(1.0, abs=1e-3)
     assert report["complement"]["residual"] < 2e-3
 
-    # a global phase factors straight into tau
-    phased = dirac.DiracBuild(build.window, np.exp(1j * math.pi / 3)
-                              * build.matrix, 0, build.diagnostics)
+    # a global phase factors straight into tau:
+    # e^{i mu} (1 + A B*) = 1 + [(e^{i mu} - 1) 1, e^{i mu} A] [1, B]*
+    phase = np.exp(1j * math.pi / 3)
+    eye = np.eye(build.window.dim)
+    phased = dirac.DiracBuild(build.window,
+                              np.hstack([(phase - 1) * eye, phase * build.a]),
+                              np.hstack([eye, build.b]), 0, build.diagnostics)
     report = dirac.prop_loc_check(phased, tol=5e-3)
     assert report["complement"]["tau"] == pytest.approx(
         np.exp(1j * math.pi / 3), abs=1e-3)
@@ -142,8 +146,13 @@ def test_prop_loc_phase_and_control():
     mu = 0.7
     rot[i1, i1] = rot[i2, i2] = math.cos(mu)
     rot[i1, i2], rot[i2, i1] = -math.sin(mu), math.sin(mu)
-    broken = dirac.DiracBuild(build.window, rot @ build.matrix, 0,
-                              build.diagnostics)
+    # rot (1 + A B*) = 1 + [(rot - 1) on its two columns, rot A] [e_i, B]*
+    cols = [i1, i2]
+    broken = dirac.DiracBuild(
+        build.window, np.hstack([(rot - np.eye(build.window.dim))[:, cols],
+                                 rot @ build.a]),
+        np.hstack([np.eye(build.window.dim)[:, cols], build.b]), 0,
+        build.diagnostics)
     with pytest.raises(NoCommonPhase):
         dirac.prop_loc_check(broken, tol=5e-3)
 
@@ -172,4 +181,71 @@ def test_dirac_v_member_builder():
     assert member.selfdual_defect() < 1e-12
     # the particle block is the window matrix itself
     build = dirac.build_v(32, 8)
-    assert np.array_equal(member.block(1, 1), build.matrix)
+    assert np.array_equal(member.block(1, 1), build.dense())
+
+
+def _dense_partial_hs(comm, w_max, cutoffs):
+    ns = np.arange(-w_max, w_max + 1)
+    sq = np.abs(comm) ** 2
+    sums = []
+    for w in cutoffs:
+        mask = np.abs(ns) <= w
+        sums.append(math.sqrt(math.fsum(sq[np.ix_(mask, mask)].ravel())))
+    return sums
+
+
+def _rel(x, y):
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+@pytest.mark.parametrize("start_m", [0, 1])
+@pytest.mark.parametrize("w", [64, 128, 256, 512])
+def test_factored_build_matches_dense_oracle(w, start_m):
+    build = dirac.build_v(w, start_m=start_m)
+    window, diag = build.window, build.diagnostics
+    m_loc = window.m_loc
+    matrix = build.dense()
+    eye = np.eye(window.dim)
+
+    svals = np.sort(np.linalg.svd(matrix, compute_uv=False))
+    assert np.max(np.abs(svals - np.sort(build.singular_values))) < 1e-12
+    vhv = matrix.conj().T @ matrix
+    assert _rel(diag["seam_full_defect"],
+                np.linalg.norm(vhv - eye, ord=2)) < 1e-12
+
+    probes = [window.f_column(m) for m in range(-(m_loc // 2), m_loc // 2 + 1)]
+    probes += [dirac.complement_probe(w, k) for k in range(-8, 9)]
+    probe_defect = max(np.linalg.norm(vhv @ p - p) / np.linalg.norm(p)
+                       for p in probes)
+    assert _rel(diag["probe_isometry_defect"], probe_defect) < 1e-12
+    shift_min = min(
+        np.vdot(window.f_column(m + 1), matrix @ window.f_column(m)).real
+        for m in range(m_loc // 2))
+    # overlaps of unit vectors; with start_m = 1 the minimum is the
+    # near-zero <f_1, f_0>, so the error is measured against the unit scale
+    assert abs(diag["shift_overlap_min"] - shift_min) < 1e-12
+
+    cutoffs = (w // 8, w // 4, w // 2, w)
+    study = dirac.hs_commutator_study(cutoffs, build=build)
+    theta = (np.arange(-w, w + 1) >= 0).astype(float)
+    for tag, diag_theta in (("plus", theta), ("minus", 1.0 - theta)):
+        comm = diag_theta[:, None] * matrix - matrix * diag_theta[None, :]
+        dense = _dense_partial_hs(comm, w, cutoffs)
+        for got, want in zip(study.partial_norms[tag], dense):
+            assert _rel(got, want) < 1e-12
+
+    ns = np.arange(-w, w + 1)
+    symbol = np.sinc(0.5 - (ns[:, None] - ns[None, :]))
+    comm = theta[:, None] * symbol - symbol * theta[None, :]
+    control = dirac.jump_symbol_control_study(cutoffs)
+    assert control.partial_norms["plus"] == _dense_partial_hs(comm, w, cutoffs)
+
+    loc = dirac.prop_loc_check(build, tol=1.0)["complement"]
+    g = np.column_stack([dirac.complement_probe(w, k) for k in range(-8, 9)])
+    vg = matrix @ g
+    overlap = np.sum(np.conj(g) * vg)
+    tau = overlap / abs(overlap)
+    residual = np.max(np.linalg.norm(vg - tau * g, axis=0)
+                      / np.linalg.norm(g, axis=0))
+    assert abs(loc["tau"] - tau) < 1e-10
+    assert abs(loc["residual"] - residual) < 1e-10
