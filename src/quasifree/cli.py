@@ -1,7 +1,8 @@
 """Command line front end: analyze, oracle, and dirac pipelines.
 
 Exit codes: 0 success, 2 malformed input or cap exceeded, 3 operator not in
-the semigroup, 4 numerical failure (an invariant self-check failed).  Reports
+the semigroup, 4 numerical failure (an invariant self-check failed, or an
+oracle comparison did: its report then has status "fail").  Reports
 are canonical JSON (sorted keys, fixed indent), so identical inputs, seed and
 version produce byte-identical files; --threads only bounds parallelism and
 never changes output bytes.
@@ -47,7 +48,9 @@ from .report import (
     SCHEMA_VERSION,
     canonical_json,
     comparison,
+    failed_comparisons,
     load_model,
+    relation,
 )
 from .sectors import (
     GaugeAction,
@@ -61,6 +64,10 @@ from .sectors import (
 # index is 1) as an exact integer; this cap keeps it far below Python's
 # 4300-digit limit on converting an int to text.
 MAX_GAUGE_N = 1024
+
+# Largest max |U P U* - P| at which a gauge element counts as leaving the
+# representing vacuum's basis projection P invariant.
+GAUGE_LEAK_TOL = 1e-9
 
 INPUT_ERRORS = (MalformedInput, CapExceeded, WindowTooSmall, ShapeMismatch,
                 NotChargeDiagonal, NotGaugeCompatible, LevelOutOfRange)
@@ -200,8 +207,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _default_gauge(v, p_full: np.ndarray, tol: float = 1e-9
-                   ) -> tuple[GaugeAction, int]:
+def _vacuum_leak(u11: np.ndarray, space, p_full: np.ndarray) -> float:
+    """max |U P U* - P| for the self-dual extension U of a gauge unitary."""
+    u_full = extend_gauge(u11, space)
+    return float(np.max(np.abs(u_full @ p_full @ u_full.conj().T - p_full)))
+
+
+def _default_gauge(v, p_full: np.ndarray) -> tuple[GaugeAction, int]:
     """All-ones U(1) when it preserves the vacuum projection, else trivial.
 
     The charge comparison only makes sense for gauge elements that leave the
@@ -211,18 +223,38 @@ def _default_gauge(v, p_full: np.ndarray, tol: float = 1e-9
     """
     n = v.codomain.n_modes
     u11 = np.diag(np.exp(0.9j * np.ones(n)))
-    u_full = extend_gauge(u11, v.codomain)
-    leak = float(np.max(np.abs(u_full @ p_full @ u_full.conj().T - p_full)))
-    if leak <= tol:
+    if _vacuum_leak(u11, v.codomain, p_full) <= GAUGE_LEAK_TOL:
         return GaugeAction("u1", n, charges=(1,) * n), 20
     return GaugeAction("custom", n,
                        unitaries=(np.eye(n, dtype=complex),)), 1
+
+
+def _oracle_gauge(args, model, v, p_full: np.ndarray) -> tuple:
+    """(gauge, samples, elements) for the charge comparison.
+
+    Every sampled element must leave the vacuum's basis projection invariant,
+    or the comparison has no meaning: NotGaugeCompatible otherwise.
+    """
+    if model.gauge is not None:
+        gauge, samples = model.gauge, model.gauge_samples
+    else:
+        gauge, samples = _default_gauge(v, p_full)
+    elements = gauge.elements(samples=samples,
+                              seed=_effective_seed(args, model))
+    for element in elements:
+        leak = _vacuum_leak(element.u11, v.codomain, p_full)
+        if leak > GAUGE_LEAK_TOL:
+            raise NotGaugeCompatible(
+                f"gauge element {element.label} does not preserve the vacuum: "
+                f"max |U P U* - P| = {leak:.3e} > {GAUGE_LEAK_TOL:.0e}")
+    return gauge, samples, elements
 
 
 def _car_oracle(args, model, payload, lines) -> None:
     tol = args.tol if args.tol is not None else 1e-10
     v = model.operator
     data = car_charge_data(v, tol=tol)
+    gauge, _, elements = _oracle_gauge(args, model, v, data.p)
     fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
@@ -239,14 +271,9 @@ def _car_oracle(args, model, payload, lines) -> None:
     }
     lines.append(
         f"implementers: {len(imp.psis)} (expected {2 ** (data.index // 2)}), "
-        f"implementation residual {imp.implementation_residual:.3e} <= 1e-10")
+        f"implementation residual {imp.implementation_residual:.3e} "
+        f"{relation(payload['implementers']['implementation'])} 1e-10")
 
-    if model.gauge is not None:
-        gauge, samples = model.gauge, model.gauge_samples
-    else:
-        gauge, samples = _default_gauge(v, data.p)
-    seed = _effective_seed(args, model)
-    elements = gauge.elements(samples=samples, seed=seed)
     space = v.codomain
 
     def theorem_deviation(element) -> float:
@@ -268,7 +295,8 @@ def _car_oracle(args, model, payload, lines) -> None:
         "max_block_deviation": comparison(worst, 1e-8),
     }
     lines.append(
-        f"charge theorem: max blockwise deviation {worst:.3e} <= 1e-8 "
+        f"charge theorem: max blockwise deviation {worst:.3e} "
+        f"{relation(payload['charge_theorem']['max_block_deviation'])} 1e-8 "
         f"over {len(elements)} gauge elements")
 
 
@@ -284,6 +312,7 @@ def _ccr_oracle(args, model, payload, lines) -> None:
     tol = args.tol if args.tol is not None else 1e-10
     v = model.operator
     data = ccr_charge_data(v, tol=tol)
+    gauge, samples, elements = _oracle_gauge(args, model, v, data.p)
     cutoff = args.bose_cutoff
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
@@ -309,18 +338,13 @@ def _ccr_oracle(args, model, payload, lines) -> None:
         "gram_defect_cutoff_limited": float(iso),
     }
     lines.append(
-        f"implementer probe: intertwining {inter:.3e} <= 1e-6 + tail "
+        f"implementer probe: intertwining {inter:.3e} "
+        f"{relation(payload['implementer_probe']['intertwining'])} 1e-6 + tail "
         f"{tail:.3e}")
 
-    if model.gauge is not None:
-        gauge, samples = model.gauge, model.gauge_samples
-    else:
-        gauge, samples = _default_gauge(v, data.p)
-    seed = _effective_seed(args, model)
     table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
-                         data.k_frame, gauge, samples=samples, seed=seed,
-                         l_max=l_max)
-    elements = gauge.elements(samples=samples, seed=seed)
+                         data.k_frame, gauge, samples=samples,
+                         seed=_effective_seed(args, model), l_max=l_max)
 
     def element_blocks(element) -> dict:
         gamma_vec = _bose_gamma_vector(fock_c, element.u11)
@@ -340,10 +364,8 @@ def _ccr_oracle(args, model, payload, lines) -> None:
     }
     lines.append(
         f"charge theorem (traces): max deviation {compare['max_deviation']:.3e}"
-        f" <= 1e-6 + tail bound {tail:.3e}")
-    if not compare["passed"]:
-        raise QuasifreeError(
-            f"bosonic charge comparison failed at {compare['worst_at']}")
+        f" {relation(payload['charge_theorem']['max_trace_deviation'])}"
+        f" 1e-6 + tail bound {tail:.3e}")
 
 
 def cmd_oracle(args) -> int:
@@ -359,8 +381,13 @@ def cmd_oracle(args) -> int:
         _car_oracle(args, model, payload, lines)
     else:
         _ccr_oracle(args, model, payload, lines)
-    payload["status"] = "ok"
+    failed = failed_comparisons(payload)
+    payload["status"] = "fail" if failed else "ok"
     _emit(payload, args, lines)
+    if failed:
+        print(f"error (numerical): failed comparisons: {', '.join(failed)}",
+              file=sys.stderr)
+        return 4
     return 0
 
 
@@ -447,7 +474,8 @@ def cmd_dirac(args) -> int:
         f"minus={study.verdicts['minus']} "
         f"(control: {control.verdicts['plus']})",
         f"localization: tau = {loc['tau']:.6f}, residual "
-        f"{loc['residual']:.3e} <= {loc_tol:.1e}",
+        f"{loc['residual']:.3e} "
+        f"{relation(payload['localization']['residual'])} {loc_tol:.1e}",
         f"species assembly: half-index V = {species['half_index']}, "
         f"statistics dimension = {species['statistics_dimension']}",
     ]

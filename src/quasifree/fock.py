@@ -72,34 +72,12 @@ def ccr_multi_indices(k_dim: int, l_max: int) -> list[tuple[int, ...]]:
     return out
 
 
-class FermiFock:
-    """Fermionic Fock space on n modes with memoized operator tables."""
+class _FockSpace:
+    """Field operators shared by both statistics.
 
-    def __init__(self, n_modes: int, dim_cap: int = FERMI_DIM_CAP):
-        dim = 2 ** n_modes
-        if dim > dim_cap:
-            raise CapExceeded(
-                f"fermionic dimension 2^{n_modes} = {dim} exceeds cap {dim_cap}")
-        self.n_modes = n_modes
-        self.dim = dim
-        self._creation = [self._build_creation(i) for i in range(n_modes)]
-        self._annihilation = [m.conj().T.tocsr() for m in self._creation]
-        parity = np.array([(-1.0) ** bin(s).count("1") for s in range(dim)])
-        self._parity_diag = parity
-        self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
-
-    def _build_creation(self, i: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        bit = 1 << i
-        below = bit - 1
-        for s in range(self.dim):
-            if s & bit:
-                continue
-            sign = -1.0 if bin(s & below).count("1") % 2 else 1.0
-            rows.append(s | bit)
-            cols.append(s)
-            vals.append(sign)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+    Subclasses set n_modes, dim and the per-mode sparse tables _creation and
+    _annihilation; the vacuum is basis state 0.
+    """
 
     def creation(self, mode: int) -> sp.csr_matrix:
         return self._creation[mode - 1]
@@ -111,10 +89,6 @@ class FermiFock:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
         return v
-
-    def parity(self) -> np.ndarray:
-        """Gamma(-1) as a diagonal vector."""
-        return self._parity_diag
 
     def pi(self, space: SelfDualSpace, f: np.ndarray) -> sp.csr_matrix:
         """Self-dual field pi(f) = a*(P1 f) + a(P1 Jf)."""
@@ -129,6 +103,47 @@ class FermiFock:
                 op = op + complex(f[n + i]) * self._annihilation[i]
         return op
 
+
+class FermiFock(_FockSpace):
+    """Fermionic Fock space on n modes with memoized operator tables."""
+
+    def __init__(self, n_modes: int, dim_cap: int = FERMI_DIM_CAP):
+        dim = 2 ** n_modes
+        if dim > dim_cap:
+            raise CapExceeded(
+                f"fermionic dimension 2^{n_modes} = {dim} exceeds cap {dim_cap}")
+        self.n_modes = n_modes
+        self.dim = dim
+        self._creation = [self._build_creation(i) for i in range(n_modes)]
+        self._annihilation = [m.conj().T.tocsr() for m in self._creation]
+        parity = np.array([(-1.0) ** bin(s).count("1") for s in range(dim)])
+        self._parity_diag = parity
+        self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
+        # Basis states of each particle number l, in the lexicographic order
+        # of their mode subsets (the row order of compound_matrix).
+        self._level_states = [
+            np.array([sum(1 << i for i in comb) for comb in
+                      itertools.combinations(range(n_modes), level)],
+                     dtype=np.intp)
+            for level in range(n_modes + 1)]
+
+    def _build_creation(self, i: int) -> sp.csr_matrix:
+        rows, cols, vals = [], [], []
+        bit = 1 << i
+        below = bit - 1
+        for s in range(self.dim):
+            if s & bit:
+                continue
+            sign = -1.0 if bin(s & below).count("1") % 2 else 1.0
+            rows.append(s | bit)
+            cols.append(s)
+            vals.append(sign)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+
+    def parity(self) -> np.ndarray:
+        """Gamma(-1) as a diagonal vector."""
+        return self._parity_diag
+
     def psi(self, space: SelfDualSpace, f: np.ndarray) -> sp.csr_matrix:
         """Twisted field theta pi(f) theta*."""
         op = self.pi(space, f).tocoo()
@@ -141,7 +156,8 @@ class FermiFock:
         """Second quantization of a P1-commuting gauge unitary (dense).
 
         Built from exterior powers: <S'|Gamma(U)|S> = det u11[S', S] for
-        |S'| = |S|, zero otherwise.
+        |S'| = |S|, zero otherwise, so the block of particle number l is the
+        compound matrix of u11 at level l.
         """
         n = self.n_modes
         if u11.shape != (n, n):
@@ -152,24 +168,12 @@ class FermiFock:
             raise CapExceeded(
                 f"Gamma on dimension {self.dim} exceeds cap {GAMMA_DIM_CAP}")
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        by_count: dict[int, list[int]] = {}
-        for s in range(self.dim):
-            by_count.setdefault(bin(s).count("1"), []).append(s)
-        for count, states in by_count.items():
-            if count == 0:
-                out[0, 0] = 1.0
-                continue
-            supports = {s: [i for i in range(n) if s & (1 << i)]
-                        for s in states}
-            for s_col in states:
-                cols = supports[s_col]
-                sub = u11[:, cols]
-                for s_row in states:
-                    out[s_row, s_col] = np.linalg.det(sub[supports[s_row], :])
+        for level, states in enumerate(self._level_states):
+            out[np.ix_(states, states)] = compound_matrix(u11, level)
         return out
 
 
-class BoseFock:
+class BoseFock(_FockSpace):
     """Truncated bosonic Fock space: per-mode occupation cutoff M."""
 
     def __init__(self, n_modes: int, cutoff: int, dim_cap: int = BOSE_DIM_CAP):
@@ -209,29 +213,6 @@ class BoseFock:
                 cols.append(s)
                 vals.append(math.sqrt(m + 1.0))
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-
-    def creation(self, mode: int) -> sp.csr_matrix:
-        return self._creation[mode - 1]
-
-    def annihilation(self, mode: int) -> sp.csr_matrix:
-        return self._annihilation[mode - 1]
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    def pi(self, space: SelfDualSpace, f: np.ndarray) -> sp.csr_matrix:
-        if space.n_modes != self.n_modes:
-            raise CapExceeded("space does not match this Fock space")
-        n = self.n_modes
-        op = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for i in range(n):
-            if f[i] != 0:
-                op = op + complex(f[i]) * self._creation[i]
-            if f[n + i] != 0:
-                op = op + complex(f[n + i]) * self._annihilation[i]
-        return op
 
     def gamma_phases(self, phases: np.ndarray) -> np.ndarray:
         """Diagonal Gamma(U) for U = diag(e^{i phases}) on the modes."""
@@ -497,16 +478,19 @@ def charge_rep_blocks(omega_alphas: list[np.ndarray],
 
 
 def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
-    """Exterior-power (compound) matrix in lexicographic combination order."""
-    n = matrix.shape[0]
+    """Exterior-power (compound) matrix in lexicographic combination order.
+
+    All C(n, level)^2 minors are gathered into one stack and evaluated by a
+    single batched determinant; LAPACK factors each minor exactly as a
+    scalar det call would.
+    """
     if level == 0:
         return np.ones((1, 1), dtype=complex)
-    combs = list(itertools.combinations(range(n), level))
-    out = np.zeros((len(combs), len(combs)), dtype=complex)
-    for a, rows in enumerate(combs):
-        for b, cols in enumerate(combs):
-            out[a, b] = np.linalg.det(matrix[np.ix_(rows, cols)])
-    return out
+    combs = np.array(
+        list(itertools.combinations(range(matrix.shape[0]), level)),
+        dtype=np.intp).reshape(-1, level)
+    minors = matrix[combs[:, None, :, None], combs[None, :, None, :]]
+    return np.linalg.det(minors).astype(complex)
 
 
 def span_invariance_residual(vectors: list[np.ndarray],

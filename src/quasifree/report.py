@@ -68,6 +68,25 @@ def comparison(value: float, tolerance: float) -> dict:
             "pass": bool(value <= tolerance)}
 
 
+def relation(cmp: dict) -> str:
+    """The summary-line relation of a comparison: '<=' if it passed, else '>'."""
+    return "<=" if cmp["pass"] else ">"
+
+
+def failed_comparisons(payload, path: str = "") -> list[str]:
+    """Dotted paths of every {"value", "tolerance", "pass"} leaf that failed."""
+    if isinstance(payload, dict):
+        if set(payload) == {"value", "tolerance", "pass"}:
+            return [] if payload["pass"] else [path]
+        return [hit for key, value in payload.items()
+                for hit in failed_comparisons(
+                    value, f"{path}.{key}" if path else str(key))]
+    if isinstance(payload, (list, tuple)):
+        return [hit for i, value in enumerate(payload)
+                for hit in failed_comparisons(value, f"{path}[{i}]")]
+    return []
+
+
 def jsonify(obj):
     """Recursively convert numpy/complex/dataclass values to JSON types."""
     if isinstance(obj, dict):
@@ -139,6 +158,8 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
                              unitaries=tuple(mats))
     else:
         raise MalformedInput(f"unknown gauge group {group!r}")
+    if samples < 1:
+        raise MalformedInput(f"gauge samples must be at least 1, got {samples}")
     return action, samples, seed
 
 
@@ -185,8 +206,11 @@ def load_model(path: str) -> ModelFile:
     if "gauge" in raw:
         if not isinstance(raw["gauge"], dict):
             raise MalformedInput("gauge block must be an object")
-        gauge, samples, seed = _parse_gauge(raw["gauge"],
-                                            operator.codomain.n_modes)
+        try:
+            gauge, samples, seed = _parse_gauge(raw["gauge"],
+                                                operator.codomain.n_modes)
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad gauge block: {exc}") from exc
 
     return ModelFile(
         label=str(raw.get("label", "model")),

@@ -73,6 +73,11 @@ class GaugeAction:
                     f"species {self.species} does not divide {self.n_modes} modes")
         if self.kind == "custom" and not self.unitaries:
             raise MalformedInput("custom action needs at least one unitary")
+        for u in self.unitaries:
+            if np.shape(u) != (self.n_modes, self.n_modes):
+                raise MalformedInput(
+                    f"custom unitary shape {np.shape(u)} != "
+                    f"({self.n_modes}, {self.n_modes})")
         if self.kind not in ("u1", "un", "sun", "z2", "custom"):
             raise MalformedInput(f"unknown gauge kind {self.kind!r}")
 

@@ -8,6 +8,7 @@ import pytest
 
 from quasifree import builders, cli, report
 from quasifree.errors import MalformedInput
+from quasifree.fock import compound_matrix
 
 
 def write_model(tmp_path, name, payload):
@@ -35,6 +36,15 @@ class TestReportHelpers:
         c = report.comparison(3e-9, 1e-8)
         assert c == {"value": 3e-9, "tolerance": 1e-8, "pass": True}
         assert report.comparison(2e-8, 1e-8)["pass"] is False
+
+    def test_failed_comparisons_paths(self):
+        payload = {"a": report.comparison(1.0, 0.5),
+                   "b": {"c": [report.comparison(0.0, 1.0),
+                               report.comparison(2.0, 1.0)]},
+                   "d": report.comparison(0.1, 0.5), "e": 3}
+        assert report.failed_comparisons(payload) == ["a", "b.c[1]"]
+        assert report.relation(payload["a"]) == ">"
+        assert report.relation(payload["d"]) == "<="
 
     def test_jsonify_infinity_and_complex(self):
         out = report.jsonify({"d": math.inf, "z": 1 - 2j})
@@ -169,6 +179,26 @@ class TestAnalyze:
         assert cli.main(["analyze", "--input",
                          str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("samples", [0, -2, "many"])
+    def test_gauge_samples_not_a_count_exit_2(self, tmp_path, capsys,
+                                              samples):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 2}},
+            "gauge": {"group": "u1", "charges": [1, 1, 1],
+                      "samples": samples}})
+        assert cli.main(["analyze", "--input", path]) == 2
+        assert "gauge" in capsys.readouterr().err
+
+    def test_custom_unitary_wrong_shape_exit_2(self, tmp_path, capsys):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 2}},
+            "gauge": {"group": "custom", "unitaries": [
+                report.complex_array_payload(np.eye(2))]}})
+        assert cli.main(["analyze", "--input", path]) == 2
+        assert "shape" in capsys.readouterr().err
+
     def test_nonmember_exit_3_with_report(self, tmp_path):
         half = 0.5 * np.eye(4)
         path = write_model(tmp_path, "m.json", {
@@ -213,6 +243,43 @@ class TestOracle:
         cmp = data["charge_theorem"]["max_trace_deviation"]
         assert cmp["pass"] is True
         assert cmp["tolerance"] == pytest.approx(1e-6 + data["vacuum"]["tail"])
+
+    @pytest.mark.parametrize("model", [
+        # U(2) on the species index mixes the pairs of a Bogoliubov rotation.
+        {"algebra": "car",
+         "isometry": {"builder": "bogoliubov",
+                      "params": {"theta": 0.7, "n_modes": 6}},
+         "gauge": {"group": "un", "species": 2, "seed": 3}},
+        # A U(1) phase rotates the two-mode pairing of a squeeze.
+        {"algebra": "ccr",
+         "isometry": {"builder": "squeeze", "params": {"r": 0.5}},
+         "gauge": {"group": "u1", "charges": [1], "samples": 4}},
+    ], ids=["car-bogoliubov-un", "ccr-squeeze-u1"])
+    def test_gauge_breaking_the_vacuum_exit_2(self, tmp_path, capsys, model):
+        path = write_model(tmp_path, "m.json", model)
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", path, "--report",
+                         str(out)]) == 2
+        assert "does not preserve the vacuum" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_comparison_sets_fail_and_exit_4(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def doubled(matrix, level):
+            return 2.0 * compound_matrix(matrix, level)
+
+        monkeypatch.setattr(cli, "compound_matrix", doubled)
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", shift_car_model(tmp_path),
+                         "--report", out]) == 4
+        captured = capsys.readouterr()
+        assert "max blockwise deviation" in captured.out
+        assert "> 1e-8" in captured.out
+        assert "charge_theorem.max_block_deviation" in captured.err
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "fail"
+        assert data["charge_theorem"]["max_block_deviation"]["pass"] is False
+        assert data["implementers"]["implementation"]["pass"] is True
 
     def test_fock_cap_exit_2(self, tmp_path):
         code = cli.main(["oracle", "--input",

@@ -1,11 +1,13 @@
 """Fermionic Fock oracle: operator algebra, vacua, implementers, charges."""
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from quasifree import builders
+from quasifree import builders, cli
 from quasifree.car import car_charge_data
 from quasifree.errors import CapExceeded, ImplementationDefect
 from quasifree.fock import (
@@ -275,3 +277,71 @@ def test_implementer_invariance_residual():
 def test_multi_index_enumeration():
     assert car_multi_indices(2) == [(), (0,), (1,), (0, 1)]
     assert len(car_multi_indices(4)) == 16
+
+
+def scalar_compound(matrix, level):
+    """Compound matrix with one scalar det call per minor."""
+    combs = list(itertools.combinations(range(matrix.shape[0]), level))
+    out = np.zeros((len(combs), len(combs)), dtype=complex)
+    for a, rows in enumerate(combs):
+        for b, cols in enumerate(combs):
+            out[a, b] = np.linalg.det(matrix[np.ix_(rows, cols)])
+    return out
+
+
+def scalar_gamma(u11):
+    """<S'|Gamma(U)|S> = det u11[S', S] for |S'| = |S|, entry by entry."""
+    n = u11.shape[0]
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    out[0, 0] = 1.0
+    for s_row in range(1, 2 ** n):
+        rows = [i for i in range(n) if s_row >> i & 1]
+        for s_col in range(1, 2 ** n):
+            cols = [i for i in range(n) if s_col >> i & 1]
+            if len(rows) == len(cols):
+                out[s_row, s_col] = np.linalg.det(u11[np.ix_(rows, cols)])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compound_matrix_equals_scalar_minors(n):
+    rng = np.random.default_rng(100 + n)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for matrix in (z, z.real.copy()):
+        for level in range(n + 1):
+            got = compound_matrix(matrix, level)
+            assert got.dtype == complex
+            assert np.array_equal(got, scalar_compound(matrix, level))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gamma_equals_scalar_determinants(n):
+    rng = np.random.default_rng(200 + n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)))
+    fock = FermiFock(n)
+    counts = np.array([bin(s).count("1") for s in range(fock.dim)])
+    off_level = counts[:, None] != counts[None, :]
+    for u11 in (q, phases):
+        gamma = fock.gamma(u11)
+        assert np.array_equal(gamma, scalar_gamma(u11))
+        assert not np.any(gamma[off_level])
+
+
+def test_oracle_report_independent_of_threads(tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "label": "shift-3-4x2", "algebra": "car",
+        "isometry": {"builder": "shift", "params": {
+            "n_sites_in": 3, "steps": 1, "species": 2}},
+        "gauge": {"group": "un", "species": 2, "samples": 6, "seed": 17}}),
+        encoding="utf-8")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        assert cli.main(["oracle", "--input", str(model), "--report", str(out),
+                         "--threads", threads]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    data = json.loads(reports[0])
+    assert data["charge_theorem"]["max_block_deviation"]["pass"] is True
