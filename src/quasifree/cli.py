@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 malformed input or cap exceeded, 3 operator not in
 the semigroup, 4 numerical failure (an invariant self-check failed, or an
-oracle comparison did: its report then has status "fail").  Reports
+oracle or dirac comparison did: its report then has status "fail").  Reports
 are canonical JSON (sorted keys, fixed indent), so identical inputs, seed and
 version produce byte-identical files; --threads only bounds parallelism and
 never changes output bytes.
@@ -28,6 +28,7 @@ from .errors import (
     NotChargeDiagonal,
     NotGaugeCompatible,
     NotInSemigroup,
+    NotInvariant,
     QuasifreeError,
     ShapeMismatch,
     WindowTooSmall,
@@ -90,6 +91,22 @@ def _emit(payload: dict, args, summary_lines: list) -> None:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"report written to {args.report}")
+
+
+def _emit_verdict(payload: dict, args, summary_lines: list) -> int:
+    """Set status from the report's comparisons, emit, return the exit code.
+
+    Any {"value", "tolerance", "pass"} leaf with pass false makes the status
+    "fail" and the exit code 4, and its path is printed on stderr.
+    """
+    failed = failed_comparisons(payload)
+    payload["status"] = "fail" if failed else "ok"
+    _emit(payload, args, summary_lines)
+    if failed:
+        print(f"error (numerical): failed comparisons: {', '.join(failed)}",
+              file=sys.stderr)
+        return 4
+    return 0
 
 
 def _base_payload(command: str, args, model=None) -> dict:
@@ -186,9 +203,13 @@ def cmd_analyze(args) -> int:
     if model.gauge is not None:
         h_frame = data.h.frame if algebra == "car" else np.zeros(
             (v.codomain.dim, 0))
-        table = sector_table(algebra, v.codomain, h_frame, k_frame,
-                             model.gauge, samples=model.gauge_samples,
-                             seed=seed)
+        try:
+            table = sector_table(algebra, v.codomain, h_frame, k_frame,
+                                 model.gauge, samples=model.gauge_samples,
+                                 seed=seed)
+        except NotInvariant as exc:
+            raise NotGaugeCompatible(
+                f"gauge does not preserve the charge spaces: {exc}") from exc
         payload["sector_table"] = _sector_payload(table)
 
     payload["status"] = "ok"
@@ -381,14 +402,7 @@ def cmd_oracle(args) -> int:
         _car_oracle(args, model, payload, lines)
     else:
         _ccr_oracle(args, model, payload, lines)
-    failed = failed_comparisons(payload)
-    payload["status"] = "fail" if failed else "ok"
-    _emit(payload, args, lines)
-    if failed:
-        print(f"error (numerical): failed comparisons: {', '.join(failed)}",
-              file=sys.stderr)
-        return 4
-    return 0
+    return _emit_verdict(payload, args, lines)
 
 
 def _parse_cutoffs(text: str) -> tuple:
@@ -465,7 +479,6 @@ def cmd_dirac(args) -> int:
 
     species = dirac.assemble_species(args.gauge_n, index_value)
     payload["species_assembly"] = species
-    payload["status"] = "ok"
 
     lines = [
         f"index estimate: {index_value} "
@@ -479,8 +492,7 @@ def cmd_dirac(args) -> int:
         f"species assembly: half-index V = {species['half_index']}, "
         f"statistics dimension = {species['statistics_dimension']}",
     ]
-    _emit(payload, args, lines)
-    return 0
+    return _emit_verdict(payload, args, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,15 @@ vectors Omega_alpha apply twisted fields over the k frame (strictly
 increasing multi-indices, CAR) or polar isometries of pi(g_j) (non-decreasing
 multi-indices, CCR; the monomial route is kept as a cross-check and its
 proportionality constant is reported, not assumed).
+
+The bosonic polar isometries are mode-local.  pi(g) acts only on the modes S
+where g[i] or g[n + i] is nonzero, and on the truncated space it equals
+pi_S(g|S) (x) 1, so its SVD is that of the (M+1)^|S| square factor tensored
+with 1.  The polar factor W_S (x) 1 is the unique one on (ker pi(g))^perp;
+the kernel holds only states at the cutoff, and there the completion is the
+one LAPACK gives for W_S, extended by 1 on the other modes.  The
+(M+1)^n square matrix is never formed.  The bosonic implementer applies its
+fields as sparse matrices on the probe window only.
 """
 
 from __future__ import annotations
@@ -185,17 +194,12 @@ class BoseFock(_FockSpace):
         self.cutoff = cutoff
         self.dim = dim
         self._radix = cutoff + 1
-        self._occupations = np.array(
-            [self._decode(s) for s in range(dim)], dtype=int)
+        # State s has occupation (s // radix^i) % radix in mode i.
+        self._occupations = (np.arange(dim)[:, None]
+                             // self._radix ** np.arange(n_modes)
+                             % self._radix)
         self._creation = [self._build_creation(i) for i in range(n_modes)]
         self._annihilation = [m.conj().T.tocsr() for m in self._creation]
-
-    def _decode(self, state: int) -> list[int]:
-        occ = []
-        for _ in range(self.n_modes):
-            occ.append(state % self._radix)
-            state //= self._radix
-        return occ
 
     def state_index(self, occupation) -> int:
         idx = 0
@@ -204,15 +208,11 @@ class BoseFock(_FockSpace):
         return idx
 
     def _build_creation(self, i: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        step = self._radix ** i
-        for s in range(self.dim):
-            m = self._occupations[s, i]
-            if m < self.cutoff:
-                rows.append(s + step)
-                cols.append(s)
-                vals.append(math.sqrt(m + 1.0))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        occ = self._occupations[:, i]
+        cols = np.flatnonzero(occ < self.cutoff)
+        vals = np.sqrt(occ[cols] + 1.0)
+        return sp.csr_matrix((vals, (cols + self._radix ** i, cols)),
+                             shape=(self.dim, self.dim))
 
     def gamma_phases(self, phases: np.ndarray) -> np.ndarray:
         """Diagonal Gamma(U) for U = diag(e^{i phases}) on the modes."""
@@ -291,9 +291,45 @@ def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray,
 
 
 def polar_isometry(matrix: np.ndarray) -> np.ndarray:
-    """Unitary polar factor via SVD (deterministic completion on kernels)."""
+    """Unitary polar factor U Vh of a dense square matrix via its SVD.
+
+    The factor is unique on (ker matrix)^perp; on the kernel it is the
+    completion LAPACK's singular vectors give, deterministic for a given
+    input.  omega_alphas_bose calls this on the modes a charge vector
+    touches only (see _mode_local_polar).
+    """
     u, _, vh = np.linalg.svd(matrix)
     return u @ vh
+
+
+def _mode_local_polar(fock: BoseFock, g: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Polar factor of pi(g) on the modes S where g is nonzero.
+
+    pi(g) = pi_S(g|S) (x) 1 on the truncated space, so its SVD is that of the
+    (M+1)^|S| square factor tensored with 1.  Returns the tensor axes of S
+    in a state vector reshaped to (M+1,)*n (C order: axis k is mode n-1-k)
+    and W_S; W_S (x) 1 is the polar factor with the kernel completion taken
+    mode by mode.
+    """
+    n = fock.n_modes
+    modes = [i for i in range(n) if g[i] != 0 or g[n + i] != 0]
+    local = BoseFock(len(modes), fock.cutoff, dim_cap=fock.dim)
+    g_local = np.concatenate([g[modes], g[[n + i for i in modes]]])
+    w = polar_isometry(local.pi(SelfDualSpace(len(modes)), g_local).toarray())
+    # Ascending axes are descending modes, as in the local C order.
+    return np.array([n - 1 - i for i in reversed(modes)], dtype=np.intp), w
+
+
+def _apply_on_axes(fock: BoseFock, axes: np.ndarray, matrix: np.ndarray,
+                   vec: np.ndarray) -> np.ndarray:
+    """(matrix on the given tensor axes) (x) 1, applied to a state vector."""
+    front = range(len(axes))
+    tensor = np.moveaxis(vec.reshape((fock._radix,) * fock.n_modes),
+                         axes, front)
+    shape = tensor.shape
+    out = matrix @ tensor.reshape(matrix.shape[1], -1)
+    return np.moveaxis(out.reshape(shape), front, axes).reshape(-1)
 
 
 def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
@@ -330,15 +366,14 @@ def omega_alphas_bose(fock: BoseFock, space: SelfDualSpace,
     """
     k_dim = k_frame.shape[1]
     alphas = ccr_multi_indices(k_dim, l_max)
-    isoms = [polar_isometry(fock.pi(space, k_frame[:, j]).toarray())
-             for j in range(k_dim)]
+    isoms = [_mode_local_polar(fock, k_frame[:, j]) for j in range(k_dim)]
     pis = [fock.pi(space, k_frame[:, j]) for j in range(k_dim)]
     pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
     vectors, records = [], []
     for alpha in alphas:
         vec = omega_p.copy()
         for j in reversed(alpha):
-            vec = isoms[j] @ vec
+            vec = _apply_on_axes(fock, *isoms[j], vec)
         vectors.append(vec)
         raw = pair.copy()
         for j in reversed(alpha):
@@ -440,13 +475,18 @@ def bose_implementer(v: BlockOperator, fock_dom: BoseFock, fock_cod: BoseFock,
 
     low_d = fock_dom.occupation_projector_diag(occ_probe)
     low_c = fock_cod.occupation_projector_diag(occ_probe)
+    rows, cols = np.flatnonzero(low_c), np.flatnonzero(low_d)
+    psi_rows, psi_cols = psi[rows], psi[:, cols]
     inter = 0.0
     for idx in range(v.domain.dim):
         f = np.zeros(v.domain.dim, dtype=complex)
         f[idx] = 1.0
-        pi_d = fock_dom.pi(v.domain, f).toarray()
-        pi_c = fock_cod.pi(v.codomain, v.matrix @ f).toarray()
-        gap = (psi @ pi_d - pi_c @ psi) * low_c[:, None] * low_d[None, :]
+        # The fields stay sparse and only the probe window is formed.
+        # pi_d has at most one entry per row and column, so psi @ pi_d is
+        # exact either way; pi_c @ psi sums only its nonzero terms.
+        pi_d = fock_dom.pi(v.domain, f)[:, cols]
+        pi_c = fock_cod.pi(v.codomain, v.matrix @ f)[rows]
+        gap = psi_rows @ pi_d - pi_c @ psi_cols
         inter = max(inter, float(np.max(np.abs(gap))))
     gram = psi.conj().T @ psi - np.eye(fock_dom.dim)
     gram = gram * low_d[None, :] * low_d[:, None]

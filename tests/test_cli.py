@@ -2,13 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from quasifree import builders, cli, report
 from quasifree.errors import MalformedInput
-from quasifree.fock import compound_matrix
+from quasifree.fock import BOSE_DIM_CAP, compound_matrix
 
 
 def write_model(tmp_path, name, payload):
@@ -199,6 +200,17 @@ class TestAnalyze:
         assert cli.main(["analyze", "--input", path]) == 2
         assert "shape" in capsys.readouterr().err
 
+    def test_gauge_moving_the_charge_space_exit_2(self, tmp_path, capsys):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "flip", "params": {"n_modes": 4}},
+            "gauge": {"group": "sun", "species": 2}})
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", "--input", path, "--report",
+                         str(out)]) == 2
+        assert "error (input)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonmember_exit_3_with_report(self, tmp_path):
         half = 0.5 * np.eye(4)
         path = write_model(tmp_path, "m.json", {
@@ -281,6 +293,26 @@ class TestOracle:
         assert data["charge_theorem"]["max_block_deviation"]["pass"] is False
         assert data["implementers"]["implementation"]["pass"] is True
 
+    def test_ccr_shift_at_the_bosonic_cap(self, tmp_path):
+        # Shift 3 -> 4 at the default cutoff 8: Fock dimension 9^4 = 6561.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 3}}})
+        out = str(tmp_path / "r.json")
+        start = time.perf_counter()
+        assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+        assert time.perf_counter() - start < 10.0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert (data["caps"]["bose_cutoff"] + 1) ** 4 == BOSE_DIM_CAP
+        assert data["status"] == "ok"
+        routes = data["vacuum"]["route_cross_check"]["constants"]
+        assert [len(r["alpha"]) for r in routes] == list(range(6))
+        for route in routes:
+            level = len(route["alpha"])
+            assert route["constant"]["re"] == pytest.approx(
+                math.sqrt(math.factorial(level)), abs=1e-12)
+            assert abs(route["constant"]["im"]) < 1e-12
+
     def test_fock_cap_exit_2(self, tmp_path):
         code = cli.main(["oracle", "--input",
                          shift_car_model(tmp_path, gauge=False),
@@ -303,6 +335,17 @@ class TestDirac:
         assert set(data["window_diagnostics"]) == {"16", "32", "64"}
         for diag in data["window_diagnostics"].values():
             assert diag["row_normalization"]["pass"] is True
+
+    def test_failed_window_diagnostic_sets_fail_and_exit_4(self, tmp_path,
+                                                           capsys):
+        out = str(tmp_path / "r.json")
+        assert cli.main(["dirac", "--cutoffs", "8,16", "--report", out]) == 4
+        assert ("window_diagnostics.8.gram_off_identity"
+                in capsys.readouterr().err)
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "fail"
+        assert data["window_diagnostics"]["8"]["gram_off_identity"][
+            "pass"] is False
 
     def test_out_of_order_cutoffs_exit_2(self):
         assert cli.main(["dirac", "--cutoffs", "64,32"]) == 2

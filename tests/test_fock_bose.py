@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from quasifree import builders
 from quasifree.ccr import ccr_charge_data
 from quasifree.errors import CapExceeded, CutoffTooSmall
 from quasifree.fock import (
     BoseFock,
+    _apply_on_axes,
+    _exp_apply,
+    _mode_local_polar,
+    _pair_exponent,
     bose_implementer,
     ccr_multi_indices,
     charge_rep_blocks,
@@ -165,3 +170,148 @@ def test_bose_charge_blocks_are_gauge_phases():
 def test_ccr_multi_indices():
     assert ccr_multi_indices(2, 2) == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
     assert len(ccr_multi_indices(1, 5)) == 6
+
+
+# --- mode-local polar isometries and sparse implementer fields -------------
+
+def _dense_omega_alphas(fock, space, omega_p, k_frame, l_max, t_block):
+    """The dense route: polar factor of pi(g) on the whole Fock space."""
+    isoms = [polar_isometry(fock.pi(space, k_frame[:, j]).toarray())
+             for j in range(k_frame.shape[1])]
+    pis = [fock.pi(space, k_frame[:, j]) for j in range(k_frame.shape[1])]
+    pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
+    vectors, records = [], []
+    for alpha in ccr_multi_indices(k_frame.shape[1], l_max):
+        vec = omega_p.copy()
+        raw = pair.copy()
+        for j in reversed(alpha):
+            vec = isoms[j] @ vec
+            raw = pis[j] @ raw
+        const = complex(np.vdot(vec, raw))
+        defect = float(np.linalg.norm(raw - const * vec)
+                       / np.linalg.norm(raw))
+        vectors.append(vec)
+        records.append({"alpha": alpha, "constant": const,
+                        "angular_defect": defect})
+    return vectors, records
+
+
+def _dense_bose_implementer(v, fock_dom, fock_cod, omega_alpha, occ_probe):
+    """Implementer columns and residuals from dense field matrices."""
+    pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i])
+            for i in range(fock_dom.n_modes)]
+    psi = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
+    psi[:, 0] = omega_alpha
+    for s in range(1, fock_dom.dim):
+        occ = fock_dom._occupations[s]
+        i = int(np.argmax(occ > 0))
+        psi[:, s] = (pi_v[i] @ psi[:, s - fock_dom._radix ** i]
+                     / math.sqrt(occ[i]))
+    low_d = fock_dom.occupation_projector_diag(occ_probe)
+    low_c = fock_cod.occupation_projector_diag(occ_probe)
+    inter = 0.0
+    for idx in range(v.domain.dim):
+        f = np.zeros(v.domain.dim, dtype=complex)
+        f[idx] = 1.0
+        pi_d = fock_dom.pi(v.domain, f).toarray()
+        pi_c = fock_cod.pi(v.codomain, v.matrix @ f).toarray()
+        gap = (psi @ pi_d - pi_c @ psi) * low_c[:, None] * low_d[None, :]
+        inter = max(inter, float(np.max(np.abs(gap))))
+    gram = (psi.conj().T @ psi - np.eye(fock_dom.dim)) * low_d[None, :] \
+        * low_d[:, None]
+    return psi, inter, float(np.max(np.abs(gram)))
+
+
+def _charge_vector(n, creation=(), annihilation=()):
+    g = np.zeros(2 * n, dtype=complex)
+    for mode, coef in creation:
+        g[mode] = coef
+    for mode, coef in annihilation:
+        g[n + mode] = coef
+    return g
+
+
+@pytest.mark.parametrize("g", [
+    _charge_vector(3, creation=[(0, 1.0)]),
+    _charge_vector(3, creation=[(1, 0.6 - 0.8j)]),
+    _charge_vector(3, creation=[(0, 0.3 + 0.4j)], annihilation=[(2, -0.7)]),
+    _charge_vector(3, creation=[(0, 0.5), (2, 1j)],
+                   annihilation=[(0, 0.2 - 0.1j), (1, 0.9)]),
+], ids=["mode0", "mode1", "modes02-both-parts", "all-modes"])
+def test_mode_local_polar_matches_dense_factor(g):
+    fock = BoseFock(3, 3)
+    space = SelfDualSpace(3)
+    pi = fock.pi(space, g).toarray()
+    dense = polar_isometry(pi)
+    axes, local = _mode_local_polar(fock, g)
+    _, sing, vh = np.linalg.svd(pi)
+    row_space = vh[sing > 1e-10 * sing[0]].conj().T
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+        y = _apply_on_axes(fock, axes, local, x)
+        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12
+        # The polar factor is unique on (ker pi(g))^perp.
+        x_perp = row_space @ (row_space.conj().T @ x)
+        gap = _apply_on_axes(fock, axes, local, x_perp) - dense @ x_perp
+        assert np.max(np.abs(gap)) < 1e-12
+
+
+def test_omega_alphas_bose_bit_equal_to_dense_route():
+    v = builders.shift(1)
+    data = ccr_charge_data(v)
+    fock = BoseFock(2, 6)
+    omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
+    alphas, omegas, records = omega_alphas_bose(
+        fock, v.codomain, omega_p, data.k_frame, l_max=5, t_block=data.t)
+    ref_vectors, ref_records = _dense_omega_alphas(
+        fock, v.codomain, omega_p, data.k_frame, 5, data.t)
+    assert alphas == ccr_multi_indices(1, 5)
+    for vec, ref in zip(omegas, ref_vectors):
+        assert np.array_equal(vec, ref)
+    assert records == ref_records
+
+
+@pytest.mark.parametrize("v", [
+    builders.shift(1),
+    builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1),
+], ids=["shift", "squeeze-shift"])
+def test_bose_implementer_matches_dense_products(v):
+    data = ccr_charge_data(v)
+    fock_d = BoseFock(v.domain.n_modes, 6)
+    fock_c = BoseFock(v.codomain.n_modes, 6)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
+                                       occ_probe=2)
+    ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
+        v, fock_d, fock_c, omega_p, occ_probe=2)
+    assert np.array_equal(psi, ref_psi)
+    assert abs(inter - ref_inter) <= 1e-14
+    assert iso == ref_iso
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 6), (2, 3), (3, 5)])
+def test_bose_tables_match_loop_reference(n_modes, cutoff):
+    fock = BoseFock(n_modes, cutoff)
+    radix = cutoff + 1
+    occupations = np.array([[(s // radix ** i) % radix
+                             for i in range(n_modes)]
+                            for s in range(fock.dim)], dtype=int)
+    assert fock._occupations.dtype == occupations.dtype
+    assert np.array_equal(fock._occupations, occupations)
+    for i in range(n_modes):
+        rows, cols, vals = [], [], []
+        for s in range(fock.dim):
+            m = occupations[s, i]
+            if m < cutoff:
+                rows.append(s + radix ** i)
+                cols.append(s)
+                vals.append(math.sqrt(m + 1.0))
+        ref = sp.csr_matrix((vals, (rows, cols)), shape=(fock.dim, fock.dim))
+        for table, ref_table in ((fock.creation(i + 1), ref),
+                                 (fock.annihilation(i + 1),
+                                  ref.conj().T.tocsr())):
+            assert np.array_equal(table.indptr, ref_table.indptr)
+            assert np.array_equal(table.indices, ref_table.indices)
+            assert table.data.dtype == ref_table.data.dtype
+            assert np.array_equal(table.data, ref_table.data)
