@@ -15,31 +15,29 @@ The statistics dimension of the associated sector is 2^{IND(V)/2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
-    IndexMismatch,
     NonzeroIndex,
     NotChargeDiagonal,
-    NotInSemigroup,
-    OddIndex,
     RecoveryMismatch,
 )
 from .selfdual import (
     BlockOperator,
+    Membership,
     SelfDualSpace,
     Subspace,
+    cokernel_basis,
     hs_norm,
     kernel_basis,
-    cokernel_basis,
     orthonormal_range,
     orthoprojection,
     pinv_on_range,
-    rank_tolerance,
+    semigroup_membership,
 )
 
 ISO_TOL = 1e-10
@@ -47,62 +45,9 @@ CHECK_TOL = 1e-10
 RECOVERY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CarMembership:
-    """Outcome of the semigroup membership test."""
-
-    is_member: bool
-    isometry_defect: float
-    selfdual_defect: float
-    hs_defect: float
-    index: int | None
-    failures: tuple[str, ...] = ()
-
-
-def structural_index(v: BlockOperator) -> int:
-    return 2 * (v.codomain.n_modes - v.domain.n_modes)
-
-
-def car_membership(v: BlockOperator, tol: float = ISO_TOL,
-                   declared_index: int | None = None) -> CarMembership:
-    """Classify V against the fermionic semigroup at this truncation."""
-    iso = v.isometry_defect()
-    sd = v.selfdual_defect()
-    hs = hs_norm(v.p1_commutator())
-    failures = []
-    if iso > tol:
-        failures.append(f"isometry defect {iso:.3e} > {tol:.1e}")
-    if sd > tol:
-        failures.append(f"selfdual defect {sd:.3e} > {tol:.1e}")
-    index: int | None = None
-    if not failures:
-        index = _checked_index(v, declared_index)
-    return CarMembership(not failures, iso, sd, hs, index, tuple(failures))
-
-
-def _checked_index(v: BlockOperator, declared_index: int | None) -> int:
-    """Structural index 2(n_out - n_in) cross-checked by an SVD kernel count."""
-    structural = structural_index(v)
-    sigma = np.linalg.svd(v.matrix, compute_uv=False)
-    tol = rank_tolerance(v.matrix)
-    svd_count = int(v.codomain.dim - np.sum(sigma > tol))
-    if svd_count % 2 != 0:
-        raise OddIndex(f"dim ker V* = {svd_count} is odd")
-    if svd_count != structural:
-        raise IndexMismatch(
-            f"SVD kernel count {svd_count} != structural index {structural}")
-    if declared_index is not None and declared_index != structural:
-        raise IndexMismatch(
-            f"declared index {declared_index} != structural {structural}")
-    return structural
-
-
-def require_car_member(v: BlockOperator, tol: float = ISO_TOL,
-                       declared_index: int | None = None) -> CarMembership:
-    rec = car_membership(v, tol, declared_index)
-    if not rec.is_member:
-        raise NotInSemigroup("; ".join(rec.failures))
-    return rec
+def car_membership(v: BlockOperator, tol: float = ISO_TOL) -> Membership:
+    """Classify V against the fermionic semigroup (V* V = 1)."""
+    return semigroup_membership(v, v.adjoint().matrix, "isometry", tol)
 
 
 def compute_h(v: BlockOperator, tol: float | None = None) -> Subspace:
@@ -201,12 +146,12 @@ def compute_p(h: Subspace, t: np.ndarray,
 
 
 def compute_k(v: BlockOperator, p: np.ndarray,
-              index: int, tol: float | None = None) -> Subspace:
-    """k = P(ker V*); its dimension must equal IND(V)/2."""
-    ker_vstar = kernel_basis(v.adjoint().matrix, tol)
-    if ker_vstar.shape[1] == 0:
+              ker_vstar: np.ndarray) -> Subspace:
+    """k = P(ker V*); its dimension must equal IND(V)/2 = dim ker V* / 2."""
+    index = ker_vstar.shape[1]
+    if index == 0:
         return Subspace.empty(v.codomain)
-    frame = orthonormal_range(p @ ker_vstar, tol)
+    frame = orthonormal_range(p @ ker_vstar)
     k = Subspace(v.codomain, frame)
     if k.dim != index // 2:
         raise DimensionMismatch(
@@ -224,111 +169,35 @@ class CarChargeData:
     """Everything the charge analysis derives from a semigroup member."""
 
     v: BlockOperator
-    membership: CarMembership
+    membership: Membership
     h: Subspace
     t: np.ndarray
     p: np.ndarray
     k: Subspace
     index: int
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def statistics_dimension(self) -> int:
         return statistics_dimension(self.index)
 
 
-def car_charge_data(v: BlockOperator, tol: float = ISO_TOL,
-                    declared_index: int | None = None) -> CarChargeData:
+def car_charge_data(v: BlockOperator, tol: float = ISO_TOL) -> CarChargeData:
     """Full pipeline: membership, h, T, P, k, with all self-checks."""
-    membership = require_car_member(v, tol, declared_index)
-    assert membership.index is not None
+    membership = car_membership(v, tol).require()
     h = compute_h(v)
     t = compute_t(v, h)
     p = compute_p(h, t)
-    k = compute_k(v, p, membership.index)
-    diagnostics = {
-        "isometry_defect": membership.isometry_defect,
-        "selfdual_defect": membership.selfdual_defect,
-        "hs_defect": membership.hs_defect,
-        "t_norm": float(np.linalg.norm(t, 2)) if t.size else 0.0,
-        "t_antisymmetry": hs_norm(t + t.T),
-    }
-    return CarChargeData(v, membership, h, t, p, k, membership.index,
-                         diagnostics)
+    k = compute_k(v, p, membership.cokernel)
+    return CarChargeData(v, membership, h, t, p, k, membership.index)
 
 
-def z2_index(v: BlockOperator, tol: float | None = None) -> int:
+def z2_index(v: BlockOperator) -> int:
     """(-1)^{dim ker V11}; defined only when IND V = 0."""
-    rec = require_car_member(v)
+    rec = car_membership(v).require()
     if rec.index != 0:
         raise NonzeroIndex(f"Z2 index needs IND V = 0, got {rec.index}")
-    dim_ker = kernel_basis(v.block(1, 1), tol).shape[1]
+    dim_ker = kernel_basis(v.block(1, 1)).shape[1]
     return -1 if dim_ker % 2 else 1
-
-
-@dataclass(frozen=True)
-class U1ChargeRecord:
-    """Kernel-count index of the charge-+ block plus the det_h audit.
-
-    At a square truncation the kernel-count difference is forced to zero
-    (square matrices have equal kernel and cokernel dimensions), so the record
-    carries the independently computed charge of h under the grading and flags
-    which sign convention, if any, relates the two.  `gauge_commutes` reports
-    whether V actually intertwines the U(1) action; when it does not, the
-    index and the h-charge measure different things and no convention applies.
-    """
-
-    kernel_index: int
-    h_charge: int
-    h_charge_residual: float
-    matches_plus: bool
-    matches_minus: bool
-    gauge_commutes: bool
-    commutator_norm: float
-
-
-def u1_charge(v: BlockOperator, charges: np.ndarray,
-              charge_data: CarChargeData | None = None,
-              tol: float = CHECK_TOL) -> U1ChargeRecord:
-    """U(1) charge data for a square member whose V11 is grading-diagonal."""
-    rec = require_car_member(v)
-    if rec.index != 0:
-        raise NonzeroIndex(f"u1 charge needs IND V = 0, got {rec.index}")
-    q = np.asarray(charges, dtype=int)
-    n = v.codomain.n_modes
-    if q.shape != (n,) or not np.all(np.abs(q) == 1):
-        raise NotChargeDiagonal("charges must be +-1 per mode")
-    v11 = v.block(1, 1)
-    grading = np.diag(q.astype(float))
-    offdiag = hs_norm(v11 @ grading - grading @ v11)
-    if offdiag > tol * max(1.0, hs_norm(v11)):
-        raise NotChargeDiagonal(
-            f"V11 grading commutator {offdiag:.3e} exceeds {tol:.1e}")
-
-    plus = np.where(q == 1)[0]
-    vpp = v11[np.ix_(plus, plus)]
-    dim_ker = kernel_basis(vpp).shape[1]
-    dim_coker = cokernel_basis(vpp).shape[1]
-    kernel_index = dim_coker - dim_ker
-
-    if charge_data is None:
-        charge_data = car_charge_data(v)
-    hf = charge_data.h.frame[:n]
-    raw = float(np.real(np.trace(hf.conj().T @ grading @ hf)))
-    h_charge = int(round(raw))
-    residual = abs(raw - h_charge)
-
-    q_ext = np.diag(np.concatenate([q, -q]).astype(float))
-    comm = hs_norm(v.matrix @ q_ext - q_ext @ v.matrix)
-    return U1ChargeRecord(
-        kernel_index=kernel_index,
-        h_charge=h_charge,
-        h_charge_residual=residual,
-        matches_plus=kernel_index == h_charge,
-        matches_minus=kernel_index == -h_charge,
-        gauge_commutes=comm <= tol * max(1.0, hs_norm(v.matrix)),
-        commutator_norm=comm,
-    )
 
 
 def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:

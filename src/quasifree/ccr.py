@@ -13,7 +13,7 @@ statistics dimension 1 (IND V = 0) or infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +21,19 @@ from .errors import (
     AntisymmetryViolation,
     DegenerateForm,
     DimensionMismatch,
-    IndexMismatch,
     NormBoundViolation,
-    NotInSemigroup,
-    OddIndex,
     OrthonormalityFailure,
 )
 from .selfdual import (
     BlockOperator,
+    Membership,
     SelfDualSpace,
-    Subspace,
     conjugate_matrix,
     hs_norm,
     kernel_basis,
     orthoprojection,
     pinv_on_range,
-    rank_tolerance,
+    semigroup_membership,
 )
 
 ISO_TOL = 1e-10
@@ -44,64 +41,22 @@ CHECK_TOL = 1e-10
 NORM_MARGIN = 1e-8
 
 
-@dataclass(frozen=True)
-class CcrMembership:
-    is_member: bool
-    kappa_isometry_defect: float
-    selfdual_defect: float
-    hs_defect: float
-    index: int | None
-    failures: tuple[str, ...] = ()
+def ccr_membership(v: BlockOperator, tol: float = ISO_TOL) -> Membership:
+    """Classify V against the bosonic semigroup (V+ V = 1)."""
+    return semigroup_membership(v, v.kappa_adjoint().matrix, "kappa isometry",
+                                tol)
 
 
-def ccr_membership(v: BlockOperator, tol: float = ISO_TOL,
-                   declared_index: int | None = None) -> CcrMembership:
-    """Classify V against the bosonic semigroup at this truncation."""
-    iso = v.kappa_isometry_defect()
-    sd = v.selfdual_defect()
-    hs = hs_norm(v.p1_commutator())
-    failures = []
-    if iso > tol:
-        failures.append(f"kappa isometry defect {iso:.3e} > {tol:.1e}")
-    if sd > tol:
-        failures.append(f"selfdual defect {sd:.3e} > {tol:.1e}")
-    index: int | None = None
-    if not failures:
-        structural = 2 * (v.codomain.n_modes - v.domain.n_modes)
-        kplus = v.kappa_adjoint().matrix
-        count = kernel_basis(kplus, rank_tolerance(kplus)).shape[1]
-        if count % 2 != 0:
-            raise OddIndex(f"dim ker V+ = {count} is odd")
-        if count != structural:
-            raise IndexMismatch(
-                f"kernel count {count} != structural index {structural}")
-        if declared_index is not None and declared_index != structural:
-            raise IndexMismatch(
-                f"declared index {declared_index} != structural {structural}")
-        index = structural
-    return CcrMembership(not failures, iso, sd, hs, index, tuple(failures))
-
-
-def require_ccr_member(v: BlockOperator, tol: float = ISO_TOL,
-                       declared_index: int | None = None) -> CcrMembership:
-    rec = ccr_membership(v, tol, declared_index)
-    if not rec.is_member:
-        raise NotInSemigroup("; ".join(rec.failures))
-    return rec
-
-
-def compute_defect_projection(v: BlockOperator,
-                              tol: float | None = None,
+def compute_defect_projection(v: BlockOperator, ker: np.ndarray,
                               check_tol: float = CHECK_TOL
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triple (E-kernel frame, A = ECE, p = A_+^{-1} C) on the codomain.
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (A = ECE, p = A_+^{-1} C) on the codomain, E = [ker V+].
 
-    A is hermitian and must split as A = A_+ - conj(A_+) with A_+ conj(A_+) = 0
+    ``ker`` is the kernel frame of V+ (``Membership.cokernel``).  A is
+    hermitian and must split as A = A_+ - conj(A_+) with A_+ conj(A_+) = 0
     (checked, not assumed); degenerate directions raise DegenerateForm.
     """
     space = v.codomain
-    kplus = v.kappa_adjoint().matrix
-    ker = kernel_basis(kplus, tol)
     c = space.charge_conjugation()
     e = orthoprojection(ker)
     a = e @ c @ e
@@ -121,7 +76,7 @@ def compute_defect_projection(v: BlockOperator,
         raise DegenerateForm(
             f"A != A+ - conj(A+) (defect {split:.3e}, cross {cross:.3e})")
     p_op = pinv_on_range(a_plus) @ c
-    return ker, a, p_op
+    return a, p_op
 
 
 def compute_projection(v: BlockOperator, p_op: np.ndarray,
@@ -192,12 +147,13 @@ def kappa_orthonormal_frame(space: SelfDualSpace, vectors: np.ndarray,
     return np.zeros((space.dim, 0), dtype=complex)
 
 
-def compute_k(v: BlockOperator, p: np.ndarray, ker_vplus: np.ndarray,
-              index: int) -> np.ndarray:
+def compute_k(v: BlockOperator, p: np.ndarray,
+              ker_vplus: np.ndarray) -> np.ndarray:
     """k = P(ker V+) with a kappa-orthonormal frame; dim k = IND V / 2."""
     if ker_vplus.shape[1] == 0:
         return np.zeros((v.codomain.dim, 0), dtype=complex)
-    return kappa_orthonormal_frame(v.codomain, p @ ker_vplus, index // 2)
+    return kappa_orthonormal_frame(v.codomain, p @ ker_vplus,
+                                   ker_vplus.shape[1] // 2)
 
 
 def statistics_dimension(index: int) -> float:
@@ -208,14 +164,13 @@ def statistics_dimension(index: int) -> float:
 @dataclass(frozen=True)
 class CcrChargeData:
     v: BlockOperator
-    membership: CcrMembership
+    membership: Membership
     a: np.ndarray
     p_defect: np.ndarray
     p: np.ndarray
     t: np.ndarray
     k_frame: np.ndarray
     index: int
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def statistics_dimension(self) -> float:
@@ -226,21 +181,12 @@ class CcrChargeData:
         return self.k_frame.shape[1]
 
 
-def ccr_charge_data(v: BlockOperator, tol: float = ISO_TOL,
-                    declared_index: int | None = None) -> CcrChargeData:
+def ccr_charge_data(v: BlockOperator, tol: float = ISO_TOL) -> CcrChargeData:
     """Full bosonic pipeline with all self-checks."""
-    membership = require_ccr_member(v, tol, declared_index)
-    assert membership.index is not None
-    ker, a, p_op = compute_defect_projection(v)
+    membership = ccr_membership(v, tol).require()
+    a, p_op = compute_defect_projection(v, membership.cokernel)
     p = compute_projection(v, p_op)
     t = compute_t(p, v.codomain)
-    k_frame = compute_k(v, p, ker, membership.index)
-    diagnostics = {
-        "kappa_isometry_defect": membership.kappa_isometry_defect,
-        "selfdual_defect": membership.selfdual_defect,
-        "hs_defect": membership.hs_defect,
-        "t_norm": float(np.linalg.norm(t, 2)) if t.size else 0.0,
-        "t_symmetry": hs_norm(t - t.T),
-    }
+    k_frame = compute_k(v, p, membership.cokernel)
     return CcrChargeData(v, membership, a, p_op, p, t, k_frame,
-                         membership.index, diagnostics)
+                         membership.index)

@@ -24,7 +24,6 @@ from .errors import (
     CapExceeded,
     LevelOutOfRange,
     MalformedInput,
-    NonzeroIndex,
     NotChargeDiagonal,
     NotGaugeCompatible,
     NotInSemigroup,
@@ -122,12 +121,9 @@ def _base_payload(command: str, args, model=None) -> dict:
 
 
 def _membership_payload(mem, tol: float) -> dict:
-    iso = getattr(mem, "isometry_defect", None)
-    if iso is None:
-        iso = mem.kappa_isometry_defect
     return {
         "is_member": mem.is_member,
-        "isometry_defect": comparison(iso, tol),
+        "isometry_defect": comparison(mem.isometry_defect, tol),
         "selfdual_defect": comparison(mem.selfdual_defect, tol),
         "hs_defect": float(mem.hs_defect),
         "index": mem.index,
@@ -194,10 +190,7 @@ def cmd_analyze(args) -> int:
         "hs_defect": float(mem.hs_defect),
     }
     if algebra == "car" and data.index == 0:
-        try:
-            charge["z2_index"] = z2_index(v, tol=tol)
-        except NonzeroIndex:
-            pass
+        charge["z2_index"] = z2_index(v)
     payload["charge_data"] = charge
 
     if model.gauge is not None:
@@ -333,12 +326,16 @@ def _ccr_oracle(args, model, payload, lines) -> None:
     tol = args.tol if args.tol is not None else 1e-10
     v = model.operator
     data = ccr_charge_data(v, tol=tol)
-    gauge, samples, elements = _oracle_gauge(args, model, v, data.p)
+    l_max = 5 if data.k_dim else 0
     cutoff = args.bose_cutoff
+    if cutoff < l_max:
+        raise MalformedInput(
+            f"--bose-cutoff must be at least {l_max}, the highest charge "
+            f"level checked, got {cutoff}")
+    gauge, samples, elements = _oracle_gauge(args, model, v, data.p)
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
-    l_max = 5 if data.k_frame.shape[1] else 0
     alphas, omegas, routes = omega_alphas_bose(
         fock_c, v.codomain, omega_p, data.k_frame, l_max, data.t)
     route_defect = max((r["angular_defect"] for r in routes), default=0.0)

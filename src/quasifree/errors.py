@@ -18,7 +18,7 @@ class NotInSemigroup(QuasifreeError):
 
 
 class IndexMismatch(QuasifreeError):
-    """Structural index and SVD kernel count disagree at the truncation."""
+    """Structural index and kernel count of the adjoint disagree."""
 
 
 class AntisymmetryViolation(QuasifreeError):
@@ -34,7 +34,7 @@ class DimensionMismatch(QuasifreeError):
 
 
 class OddIndex(QuasifreeError):
-    """dim ker V* came out odd, which the self-dual structure forbids."""
+    """dim ker V* or V+ came out odd, which self-duality forbids."""
 
 
 class NonzeroIndex(QuasifreeError):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -401,7 +401,6 @@ class ImplementerSet:
     isometry_residual: float
     completeness_residual: float | None
     implementation_residual: float | None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def car_implementers(v: BlockOperator, fock_dom: FermiFock,

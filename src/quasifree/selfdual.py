@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrthonormalityFailure, ShapeMismatch
+from .errors import (
+    IndexMismatch,
+    NotInSemigroup,
+    OddIndex,
+    OrthonormalityFailure,
+    ShapeMismatch,
+)
 
 DEFAULT_TOL = 1e-10
 
@@ -129,9 +135,6 @@ class SelfDualSpace:
         n = self.n_modes
         return np.diag(np.concatenate([np.ones(n), np.zeros(n)])).astype(complex)
 
-    def p2(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) - self.p1()
-
     def charge_conjugation(self) -> np.ndarray:
         """C = P1 - P2, the fundamental symmetry of the kappa form."""
         n = self.n_modes
@@ -236,14 +239,6 @@ class BlockOperator:
         """HS distance between A and its J-conjugate (0 for semigroup members)."""
         return hs_norm(self.matrix - self.conjugate().matrix)
 
-    def isometry_defect(self) -> float:
-        return hs_norm(self.matrix.conj().T @ self.matrix
-                       - np.eye(self.domain.dim))
-
-    def kappa_isometry_defect(self) -> float:
-        return hs_norm(self.kappa_adjoint().matrix @ self.matrix
-                       - np.eye(self.domain.dim))
-
     def p1_commutator(self) -> np.ndarray:
         """P1(codomain) V - V P1(domain) as a matrix."""
         return self.codomain.p1() @ self.matrix - self.matrix @ self.domain.p1()
@@ -254,6 +249,60 @@ class BlockOperator:
             self.block(1, 1), self.block(1, 2), self.block(2, 1),
             self.block(2, 2), self.domain, self.codomain)
         return float(np.max(np.abs(glued.matrix - self.matrix)))
+
+
+@dataclass(frozen=True)
+class Membership:
+    """Outcome of a semigroup membership test, for either statistics.
+
+    ``cokernel`` is the kernel frame of the adjoint (V* for CAR, V+ for CCR),
+    the space the charge is built on; its column count is ``index``.  Both
+    are None when V is not a member.
+    """
+
+    is_member: bool
+    isometry_defect: float
+    selfdual_defect: float
+    hs_defect: float
+    index: int | None
+    cokernel: np.ndarray | None = field(default=None, repr=False)
+    failures: tuple[str, ...] = ()
+
+    def require(self) -> "Membership":
+        """This record, or NotInSemigroup naming every failed condition."""
+        if not self.is_member:
+            raise NotInSemigroup("; ".join(self.failures))
+        return self
+
+
+def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
+                         tol: float) -> Membership:
+    """Classify V against the semigroup whose isometry law is adjoint V = 1.
+
+    ``law`` names that law in the failure text: "isometry" for V* V = 1,
+    "kappa isometry" for V+ V = 1.  For a member the index is dim ker of the
+    adjoint, counted once from its kernel frame with the default rank rule;
+    it must equal the structural value 2(n_out - n_in).
+    """
+    iso = hs_norm(adjoint @ v.matrix - np.eye(v.domain.dim))
+    sd = v.selfdual_defect()
+    hs = hs_norm(v.p1_commutator())
+    failures = []
+    if iso > tol:
+        failures.append(f"{law} defect {iso:.3e} > {tol:.1e}")
+    if sd > tol:
+        failures.append(f"selfdual defect {sd:.3e} > {tol:.1e}")
+    if failures:
+        return Membership(False, iso, sd, hs, None, None, tuple(failures))
+    cokernel = kernel_basis(adjoint)
+    count = cokernel.shape[1]
+    if count % 2 != 0:
+        raise OddIndex(f"dim ker of the adjoint = {count} is odd")
+    structural = 2 * (v.codomain.n_modes - v.domain.n_modes)
+    if count != structural:
+        raise IndexMismatch(
+            f"kernel count {count} != structural index {structural}")
+    return Membership(True, iso, sd, hs, count, cokernel)
 
 
 @dataclass(frozen=True)

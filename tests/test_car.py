@@ -11,12 +11,10 @@ from quasifree.car import (
     extend_gauge,
     gauge_commutation_report,
     statistics_dimension,
-    u1_charge,
     z2_index,
 )
 from quasifree.errors import (
     NonzeroIndex,
-    NotChargeDiagonal,
     NotInSemigroup,
     RecoveryMismatch,
 )
@@ -163,7 +161,7 @@ def test_statistics_dimension_values():
     assert statistics_dimension(6) == 8
 
 
-# --- Z2 and U(1) indices ----------------------------------------------------
+# --- Z2 index ------------------------------------------------------------
 
 def test_z2_index():
     assert z2_index(builders.identity(3)) == 1
@@ -171,45 +169,6 @@ def test_z2_index():
     assert z2_index(builders.bogoliubov(0.3)) == 1
     with pytest.raises(NonzeroIndex):
         z2_index(builders.shift(3))
-
-
-def test_u1_charge_identity_and_permutation():
-    rec = u1_charge(builders.identity(3), [1, 1, 1])
-    assert rec.kernel_index == 0 and rec.h_charge == 0
-    assert rec.matches_plus and rec.matches_minus and rec.gauge_commutes
-
-    # permutation of modes 1,2
-    space = SelfDualSpace(3)
-    m = np.eye(space.dim)
-    perm = [1, 0, 2, 4, 3, 5]
-    v = BlockOperator(m[:, perm], space)
-    rec = u1_charge(v, [1, 1, 1])
-    assert rec.kernel_index == 0 and rec.h_charge == 0 and rec.gauge_commutes
-
-
-def test_u1_charge_flip_audit():
-    # square truncation forces the kernel-count index to 0; the h-charge is
-    # +1 and the flip does not commute with the U(1) action, which the audit
-    # must surface rather than hide
-    rec = u1_charge(builders.flip(3), [1, 1, 1])
-    assert rec.kernel_index == 0
-    assert rec.h_charge == 1
-    assert rec.h_charge_residual <= 1e-12
-    assert not rec.matches_plus and not rec.matches_minus
-    assert not rec.gauge_commutes
-    assert rec.commutator_norm > 1.0
-
-
-def test_u1_charge_preconditions():
-    with pytest.raises(NonzeroIndex):
-        u1_charge(builders.shift(3), [1, 1, 1, 1])
-    # rotation mixing modes of opposite charge is not grading-diagonal
-    c, s = np.cos(0.5), np.sin(0.5)
-    rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-    space = SelfDualSpace(3)
-    v = BlockOperator(extend_gauge(rot, space), space)
-    with pytest.raises(NotChargeDiagonal):
-        u1_charge(v, [1, -1, 1])
 
 
 # --- recovery and gauge propagation ----------------------------------------

@@ -21,7 +21,7 @@ def test_membership_accepts_squeeze_and_shift():
     for v in (builders.squeeze(0.5), builders.shift(3), builders.identity(2)):
         rec = ccr_membership(v)
         assert rec.is_member
-        assert rec.kappa_isometry_defect <= 1e-12
+        assert rec.isometry_defect <= 1e-12
 
 
 def test_membership_rejects_plain_isometry_that_is_not_kappa():
@@ -109,4 +109,4 @@ def test_kappa_orthonormal_frame_pivots_on_positive_directions():
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.2, 2.0])
 def test_squeeze_t_norm_stays_below_one(r):
     data = ccr_charge_data(builders.squeeze(r))
-    assert data.diagnostics["t_norm"] < 1.0 - 1e-8
+    assert np.linalg.norm(data.t, 2) < 1.0 - 1e-8

@@ -211,6 +211,18 @@ class TestAnalyze:
         assert "error (input)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_z2_index_ignores_the_membership_tolerance(self, tmp_path):
+        # --tol loosens the membership test only; ker V11 of the identity
+        # is still counted by the default rank rule, so the sign stays +1.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "identity", "params": {"n_modes": 3}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--input", path, "--tol", "2",
+                         "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["charge_data"]["z2_index"] == 1
+
     def test_nonmember_exit_3_with_report(self, tmp_path):
         half = 0.5 * np.eye(4)
         path = write_model(tmp_path, "m.json", {
@@ -312,6 +324,38 @@ class TestOracle:
             assert route["constant"]["re"] == pytest.approx(
                 math.sqrt(math.factorial(level)), abs=1e-12)
             assert abs(route["constant"]["im"]) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [-1, 0, 4])
+    def test_bose_cutoff_below_the_checked_levels_exit_2(self, tmp_path,
+                                                         capsys, cutoff):
+        # Shift 3 -> 4 has dim k = 1, so charge levels up to 5 are checked.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 3}}})
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", path, "--report", str(out),
+                         "--bose-cutoff", str(cutoff)]) == 2
+        assert "--bose-cutoff must be at least 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bose_cutoff_at_the_checked_levels(self, tmp_path):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 3}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out,
+                         "--bose-cutoff", "5"]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["charge_theorem"]["levels"] == list(range(6))
+
+    def test_negative_bose_cutoff_without_charge_exit_2(self, tmp_path,
+                                                        capsys):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "squeeze", "params": {"r": 0.5}}})
+        assert cli.main(["oracle", "--input", path,
+                         "--bose-cutoff", "-2"]) == 2
+        assert "--bose-cutoff must be at least 0" in capsys.readouterr().err
 
     def test_fock_cap_exit_2(self, tmp_path):
         code = cli.main(["oracle", "--input",
