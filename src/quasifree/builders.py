@@ -111,6 +111,6 @@ def build(name: str, params: dict) -> BlockOperator:
             m_loc = params.get("m_loc")
             return dirac.dirac_v_member(int(params["window"]),
                                         None if m_loc is None else int(m_loc))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"builder {name!r}: bad parameters: {exc}") from exc
     raise MalformedInput(f"unknown builder {name!r}")

@@ -23,11 +23,11 @@ from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
     NonzeroIndex,
-    NotChargeDiagonal,
     RecoveryMismatch,
 )
 from .selfdual import (
     BlockOperator,
+    DEFAULT_TOL,
     Membership,
     SelfDualSpace,
     Subspace,
@@ -40,33 +40,29 @@ from .selfdual import (
     semigroup_membership,
 )
 
-ISO_TOL = 1e-10
 CHECK_TOL = 1e-10
 RECOVERY_TOL = 1e-8
 
 
-def car_membership(v: BlockOperator, tol: float = ISO_TOL) -> Membership:
+def car_membership(v: BlockOperator, tol: float = DEFAULT_TOL) -> Membership:
     """Classify V against the fermionic semigroup (V* V = 1)."""
     return semigroup_membership(v, v.adjoint().matrix, "isometry", tol)
 
 
-def compute_h(v: BlockOperator, tol: float | None = None) -> Subspace:
+def compute_h(v: BlockOperator) -> Subspace:
     """h = V12(ker V22), an orthonormal frame inside K1 of the codomain."""
-    v22 = v.block(2, 2)
-    ker22 = kernel_basis(v22, tol)
+    ker22 = kernel_basis(v.block(2, 2))
     if ker22.shape[1] == 0:
         return Subspace.empty(v.codomain)
     image = v.block(1, 2) @ ker22
     nc = v.codomain.n_modes
-    frame_modes = orthonormal_range(image, tol)
+    frame_modes = orthonormal_range(image)
     frame = np.zeros((v.codomain.dim, frame_modes.shape[1]), dtype=complex)
     frame[:nc] = frame_modes
     return Subspace(v.codomain, frame)
 
 
-def compute_t(v: BlockOperator, h: Subspace | None = None,
-              tol: float | None = None,
-              check_tol: float = CHECK_TOL) -> np.ndarray:
+def compute_t(v: BlockOperator, h: Subspace | None = None) -> np.ndarray:
     """Pairing operator T: K1 -> K2 of the codomain, as an n x n block.
 
     T = V21 V11^{-1} - V22^{-1*} V12* [ker V11*], pseudo-inverses on ranges.
@@ -75,20 +71,20 @@ def compute_t(v: BlockOperator, h: Subspace | None = None,
     """
     v11, v12 = v.block(1, 1), v.block(1, 2)
     v21, v22 = v.block(2, 1), v.block(2, 2)
-    term1 = v21 @ pinv_on_range(v11, tol)
-    coker = cokernel_basis(v11, tol)
-    term2 = (pinv_on_range(v22, tol).conj().T @ v12.conj().T
+    term1 = v21 @ pinv_on_range(v11)
+    coker = cokernel_basis(v11)
+    term2 = (pinv_on_range(v22).conj().T @ v12.conj().T
              @ orthoprojection(coker))
     t = term1 - term2
     scale = max(1.0, hs_norm(t))
     anti = hs_norm(t + t.T)
-    if anti > check_tol * scale:
+    if anti > CHECK_TOL * scale:
         raise AntisymmetryViolation(
-            f"T antisymmetry defect {anti:.3e} exceeds {check_tol:.1e}")
+            f"T antisymmetry defect {anti:.3e} exceeds {CHECK_TOL:.1e}")
     if h is not None and h.dim > 0:
         nc = v.codomain.n_modes
         on_h = hs_norm(t @ h.frame[:nc])
-        if on_h > check_tol * scale:
+        if on_h > CHECK_TOL * scale:
             raise AntisymmetryViolation(
                 f"T does not annihilate h (defect {on_h:.3e})")
     return t
@@ -102,9 +98,7 @@ def full_t_matrix(t: np.ndarray, space: SelfDualSpace) -> np.ndarray:
     return full
 
 
-def compute_p(h: Subspace, t: np.ndarray,
-              check_tol: float = CHECK_TOL,
-              recovery_tol: float = RECOVERY_TOL) -> np.ndarray:
+def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
     """Basis projection P from the pair (h, T).
 
     P = (P1 + T)(P1 + T*T)^{-1}(P1 + T*) - [h] + [h*].  Self-checks: P is an
@@ -122,7 +116,7 @@ def compute_p(h: Subspace, t: np.ndarray,
     herm = hs_norm(p - p.conj().T)
     comp = hs_norm(space.swap() @ np.conj(p) @ space.swap()
                    - (np.eye(space.dim) - p))
-    if max(idem, herm, comp) > check_tol:
+    if max(idem, herm, comp) > CHECK_TOL:
         raise RecoveryMismatch(
             f"P self-check failed: idempotency {idem:.3e}, "
             f"hermiticity {herm:.3e}, complement {comp:.3e}")
@@ -136,10 +130,10 @@ def compute_p(h: Subspace, t: np.ndarray,
     if h.dim > 0:
         proj_gap = hs_norm(orthoprojection(ker_p11)
                            - orthoprojection(h.frame[:n]))
-        if proj_gap > recovery_tol:
+        if proj_gap > RECOVERY_TOL:
             raise RecoveryMismatch(f"h recovery defect {proj_gap:.3e}")
     t_back = p21 @ pinv_on_range(p11)
-    if hs_norm(t_back - t) > recovery_tol * max(1.0, hs_norm(t)):
+    if hs_norm(t_back - t) > RECOVERY_TOL * max(1.0, hs_norm(t)):
         raise RecoveryMismatch(
             f"T recovery defect {hs_norm(t_back - t):.3e}")
     return p
@@ -168,35 +162,40 @@ def statistics_dimension(index: int) -> int:
 class CarChargeData:
     """Everything the charge analysis derives from a semigroup member."""
 
-    v: BlockOperator
     membership: Membership
     h: Subspace
     t: np.ndarray
     p: np.ndarray
     k: Subspace
-    index: int
+
+    @property
+    def v(self) -> BlockOperator:
+        return self.membership.v
+
+    @property
+    def index(self) -> int:
+        return self.membership.index
 
     @property
     def statistics_dimension(self) -> int:
         return statistics_dimension(self.index)
 
 
-def car_charge_data(v: BlockOperator, tol: float = ISO_TOL) -> CarChargeData:
-    """Full pipeline: membership, h, T, P, k, with all self-checks."""
-    membership = car_membership(v, tol).require()
+def car_charge_data(membership: Membership) -> CarChargeData:
+    """h, T, P, k of a tested member (NotInSemigroup for a non-member)."""
+    v = membership.require().v
     h = compute_h(v)
     t = compute_t(v, h)
     p = compute_p(h, t)
     k = compute_k(v, p, membership.cokernel)
-    return CarChargeData(v, membership, h, t, p, k, membership.index)
+    return CarChargeData(membership, h, t, p, k)
 
 
-def z2_index(v: BlockOperator) -> int:
-    """(-1)^{dim ker V11}; defined only when IND V = 0."""
-    rec = car_membership(v).require()
-    if rec.index != 0:
-        raise NonzeroIndex(f"Z2 index needs IND V = 0, got {rec.index}")
-    dim_ker = kernel_basis(v.block(1, 1)).shape[1]
+def z2_index(data: CarChargeData) -> int:
+    """(-1)^{dim ker V11} of the tested member; defined only when IND V = 0."""
+    if data.index != 0:
+        raise NonzeroIndex(f"Z2 index needs IND V = 0, got {data.index}")
+    dim_ker = kernel_basis(data.v.block(1, 1)).shape[1]
     return -1 if dim_ker % 2 else 1
 
 
@@ -209,17 +208,6 @@ def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:
     full[:n, :n] = u11
     full[n:, n:] = np.conj(u11)
     return full
-
-
-def restrict_gauge(u11: np.ndarray, n_sub: int,
-                   tol: float = CHECK_TOL) -> np.ndarray:
-    """Compress a codomain gauge unitary to the domain mode prefix."""
-    sub = u11[:n_sub, :n_sub]
-    leak = hs_norm(u11[n_sub:, :n_sub])
-    if leak > tol * max(1.0, hs_norm(u11)):
-        raise NotChargeDiagonal(
-            f"gauge action leaks out of the domain prefix ({leak:.3e})")
-    return sub
 
 
 @dataclass(frozen=True)
@@ -239,8 +227,8 @@ def gauge_commutation_report(data: CarChargeData,
     """Measure ||[V,U]|| and the induced defects on T, P, h and k."""
     v = data.v
     u_cod = extend_gauge(u11, v.codomain)
-    u_dom = extend_gauge(restrict_gauge(u11, v.domain.n_modes, tol=np.inf),
-                         v.domain)
+    nd = v.domain.n_modes
+    u_dom = extend_gauge(u11[:nd, :nd], v.domain)
     comm_v = hs_norm(u_cod @ v.matrix - v.matrix @ u_dom)
     tf = full_t_matrix(data.t, v.codomain)
     comm_t = hs_norm(u_cod @ tf - tf @ u_cod)

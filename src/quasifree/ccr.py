@@ -26,6 +26,7 @@ from .errors import (
 )
 from .selfdual import (
     BlockOperator,
+    DEFAULT_TOL,
     Membership,
     SelfDualSpace,
     conjugate_matrix,
@@ -36,19 +37,18 @@ from .selfdual import (
     semigroup_membership,
 )
 
-ISO_TOL = 1e-10
 CHECK_TOL = 1e-10
 NORM_MARGIN = 1e-8
+KAPPA_TOL = 1e-9
 
 
-def ccr_membership(v: BlockOperator, tol: float = ISO_TOL) -> Membership:
+def ccr_membership(v: BlockOperator, tol: float = DEFAULT_TOL) -> Membership:
     """Classify V against the bosonic semigroup (V+ V = 1)."""
     return semigroup_membership(v, v.kappa_adjoint().matrix, "kappa isometry",
                                 tol)
 
 
-def compute_defect_projection(v: BlockOperator, ker: np.ndarray,
-                              check_tol: float = CHECK_TOL
+def compute_defect_projection(v: BlockOperator, ker: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
     """The pair (A = ECE, p = A_+^{-1} C) on the codomain, E = [ker V+].
 
@@ -62,7 +62,7 @@ def compute_defect_projection(v: BlockOperator, ker: np.ndarray,
     a = e @ c @ e
     a = 0.5 * (a + a.conj().T)
     eigval, eigvec = np.linalg.eigh(a)
-    thresh = check_tol * max(1.0, float(np.max(np.abs(eigval))) if eigval.size else 1.0)
+    thresh = CHECK_TOL * max(1.0, float(np.max(np.abs(eigval))) if eigval.size else 1.0)
     near_zero = int(np.sum(np.abs(eigval) <= thresh)) - (space.dim - ker.shape[1])
     if near_zero > 0:
         raise DegenerateForm(
@@ -72,15 +72,14 @@ def compute_defect_projection(v: BlockOperator, ker: np.ndarray,
     a_bar = conjugate_matrix(a_plus, space, space)
     split = hs_norm(a - (a_plus - a_bar))
     cross = hs_norm(a_plus @ a_bar)
-    if max(split, cross) > check_tol * max(1.0, hs_norm(a)):
+    if max(split, cross) > CHECK_TOL * max(1.0, hs_norm(a)):
         raise DegenerateForm(
             f"A != A+ - conj(A+) (defect {split:.3e}, cross {cross:.3e})")
     p_op = pinv_on_range(a_plus) @ c
     return a, p_op
 
 
-def compute_projection(v: BlockOperator, p_op: np.ndarray,
-                       check_tol: float = CHECK_TOL) -> np.ndarray:
+def compute_projection(v: BlockOperator, p_op: np.ndarray) -> np.ndarray:
     """P = V P1 V+ + p, checked to be a kappa-basis projection."""
     space = v.codomain
     p = v.matrix @ v.domain.p1() @ v.kappa_adjoint().matrix + p_op
@@ -89,7 +88,7 @@ def compute_projection(v: BlockOperator, p_op: np.ndarray,
     kappa_herm = hs_norm(c @ p.conj().T @ c - p)
     comp = hs_norm(conjugate_matrix(p, space, space)
                    - (np.eye(space.dim) - p))
-    if max(idem, kappa_herm, comp) > check_tol * max(1.0, hs_norm(p)):
+    if max(idem, kappa_herm, comp) > CHECK_TOL * max(1.0, hs_norm(p)):
         raise DegenerateForm(
             f"P self-check failed: idempotency {idem:.3e}, "
             f"kappa-hermiticity {kappa_herm:.3e}, complement {comp:.3e}")
@@ -97,8 +96,7 @@ def compute_projection(v: BlockOperator, p_op: np.ndarray,
 
 
 def compute_t(p: np.ndarray, space: SelfDualSpace,
-              check_tol: float = CHECK_TOL,
-              norm_margin: float = NORM_MARGIN) -> np.ndarray:
+              check_tol: float = CHECK_TOL) -> np.ndarray:
     """T = P21 P11^{-1}: symmetric block with ||T|| < 1 (admissibility)."""
     n = space.n_modes
     p11, p21 = p[:n, :n], p[n:, :n]
@@ -110,14 +108,13 @@ def compute_t(p: np.ndarray, space: SelfDualSpace,
         raise AntisymmetryViolation(
             f"T symmetry defect {sym:.3e} exceeds {check_tol:.1e}")
     norm = float(np.linalg.norm(t, 2)) if t.size else 0.0
-    if norm >= 1.0 - norm_margin:
-        raise NormBoundViolation(f"||T|| = {norm:.12f} >= 1 - {norm_margin:.0e}")
+    if norm >= 1.0 - NORM_MARGIN:
+        raise NormBoundViolation(f"||T|| = {norm:.12f} >= 1 - {NORM_MARGIN:.0e}")
     return t
 
 
 def kappa_orthonormal_frame(space: SelfDualSpace, vectors: np.ndarray,
-                            expected_dim: int,
-                            check_tol: float = 1e-9) -> np.ndarray:
+                            expected_dim: int) -> np.ndarray:
     """Gram-Schmidt for the kappa form, pivoting on the largest kappa-norm.
 
     Keeps only directions of positive kappa-norm; raises if the count differs
@@ -129,19 +126,19 @@ def kappa_orthonormal_frame(space: SelfDualSpace, vectors: np.ndarray,
     while work:
         norms = [float(np.real(np.vdot(w, c @ w))) for w in work]
         j = int(np.argmax(norms))
-        if norms[j] <= check_tol:
+        if norms[j] <= KAPPA_TOL:
             break
         g = work.pop(j) / math.sqrt(norms[j])
         frame.append(g)
         work = [w - g * np.vdot(c @ g, w) for w in work]
-        work = [w for w in work if float(np.linalg.norm(w)) > check_tol]
+        work = [w for w in work if float(np.linalg.norm(w)) > KAPPA_TOL]
     if len(frame) != expected_dim:
         raise DimensionMismatch(
             f"kappa-positive directions {len(frame)} != expected {expected_dim}")
     if frame:
         fr = np.column_stack(frame)
         gram = fr.conj().T @ c @ fr
-        if not np.allclose(gram, np.eye(len(frame)), atol=check_tol):
+        if not np.allclose(gram, np.eye(len(frame)), atol=KAPPA_TOL):
             raise OrthonormalityFailure("frame is not kappa-orthonormal")
         return fr
     return np.zeros((space.dim, 0), dtype=complex)
@@ -163,14 +160,20 @@ def statistics_dimension(index: int) -> float:
 
 @dataclass(frozen=True)
 class CcrChargeData:
-    v: BlockOperator
     membership: Membership
     a: np.ndarray
     p_defect: np.ndarray
     p: np.ndarray
     t: np.ndarray
     k_frame: np.ndarray
-    index: int
+
+    @property
+    def v(self) -> BlockOperator:
+        return self.membership.v
+
+    @property
+    def index(self) -> int:
+        return self.membership.index
 
     @property
     def statistics_dimension(self) -> float:
@@ -181,12 +184,11 @@ class CcrChargeData:
         return self.k_frame.shape[1]
 
 
-def ccr_charge_data(v: BlockOperator, tol: float = ISO_TOL) -> CcrChargeData:
-    """Full bosonic pipeline with all self-checks."""
-    membership = ccr_membership(v, tol).require()
+def ccr_charge_data(membership: Membership) -> CcrChargeData:
+    """Bosonic charge data of a tested member (NotInSemigroup otherwise)."""
+    v = membership.require().v
     a, p_op = compute_defect_projection(v, membership.cokernel)
     p = compute_projection(v, p_op)
     t = compute_t(p, v.codomain)
     k_frame = compute_k(v, p, membership.cokernel)
-    return CcrChargeData(v, membership, a, p_op, p, t, k_frame,
-                         membership.index)
+    return CcrChargeData(membership, a, p_op, p, t, k_frame)

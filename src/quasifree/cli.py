@@ -24,7 +24,6 @@ from .errors import (
     CapExceeded,
     LevelOutOfRange,
     MalformedInput,
-    NotChargeDiagonal,
     NotGaugeCompatible,
     NotInSemigroup,
     NotInvariant,
@@ -59,6 +58,7 @@ from .sectors import (
     oracle_compare,
     sector_table,
 )
+from .selfdual import DEFAULT_TOL, Membership
 
 # The report writes the statistics dimension 2^N of N species (the circle's
 # index is 1) as an exact integer; this cap keeps it far below Python's
@@ -70,7 +70,7 @@ MAX_GAUGE_N = 1024
 GAUGE_LEAK_TOL = 1e-9
 
 INPUT_ERRORS = (MalformedInput, CapExceeded, WindowTooSmall, ShapeMismatch,
-                NotChargeDiagonal, NotGaugeCompatible, LevelOutOfRange)
+                NotGaugeCompatible, LevelOutOfRange)
 
 
 def _parallel_map(fn, items, threads: int) -> list:
@@ -120,11 +120,11 @@ def _base_payload(command: str, args, model=None) -> dict:
     return payload
 
 
-def _membership_payload(mem, tol: float) -> dict:
+def _membership_payload(mem: Membership) -> dict:
     return {
         "is_member": mem.is_member,
-        "isometry_defect": comparison(mem.isometry_defect, tol),
-        "selfdual_defect": comparison(mem.selfdual_defect, tol),
+        "isometry_defect": comparison(mem.isometry_defect, mem.tol),
+        "selfdual_defect": comparison(mem.selfdual_defect, mem.tol),
         "hs_defect": float(mem.hs_defect),
         "index": mem.index,
         "failures": list(mem.failures),
@@ -145,24 +145,31 @@ def _sector_payload(table) -> dict:
 
 def _effective_seed(args, model) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise MalformedInput(f"--seed must be at least 0, got {args.seed}")
         return args.seed
     return model.gauge_seed if model.gauge is not None else 0
+
+
+def _membership(args, model, algebra: str) -> Membership:
+    """The one membership test of a command, at --tol."""
+    test = car_membership if algebra == "car" else ccr_membership
+    return test(model.operator,
+                args.tol if args.tol is not None else DEFAULT_TOL)
 
 
 def cmd_analyze(args) -> int:
     model = load_model(args.input)
     algebra = args.algebra or model.algebra
-    tol = args.tol if args.tol is not None else 1e-10
     seed = _effective_seed(args, model)
     v = model.operator
+    mem = _membership(args, model, algebra)
     payload = _base_payload("analyze", args, model)
     payload["algebra"] = algebra
     payload["seed"] = seed
-    payload["tolerances"] = {"membership": tol, "recovery": 1e-8,
+    payload["tolerances"] = {"membership": mem.tol, "recovery": 1e-8,
                              "character": 1e-9}
-
-    mem = (car_membership if algebra == "car" else ccr_membership)(v, tol=tol)
-    payload["membership"] = _membership_payload(mem, tol)
+    payload["membership"] = _membership_payload(mem)
     if not mem.is_member:
         payload["status"] = "not-in-semigroup"
         _emit(payload, args, [
@@ -171,15 +178,13 @@ def cmd_analyze(args) -> int:
         return 3
 
     if algebra == "car":
-        data = car_charge_data(v, tol=tol)
-        dim_h = data.h.dim
-        k_frame = data.k.frame
-        stat_dim = data.statistics_dimension
+        data = car_charge_data(mem)
+        h_frame, k_frame = data.h.frame, data.k.frame
     else:
-        data = ccr_charge_data(v, tol=tol)
-        dim_h = 0
-        k_frame = data.k_frame
-        stat_dim = data.statistics_dimension
+        data = ccr_charge_data(mem)
+        h_frame, k_frame = np.zeros((v.codomain.dim, 0)), data.k_frame
+    dim_h = h_frame.shape[1]
+    stat_dim = data.statistics_dimension
     t_norm = float(np.linalg.norm(data.t, ord=2)) if data.t.size else 0.0
     charge = {
         "dim_h": dim_h,
@@ -190,12 +195,10 @@ def cmd_analyze(args) -> int:
         "hs_defect": float(mem.hs_defect),
     }
     if algebra == "car" and data.index == 0:
-        charge["z2_index"] = z2_index(v)
+        charge["z2_index"] = z2_index(data)
     payload["charge_data"] = charge
 
     if model.gauge is not None:
-        h_frame = data.h.frame if algebra == "car" else np.zeros(
-            (v.codomain.dim, 0))
         try:
             table = sector_table(algebra, v.codomain, h_frame, k_frame,
                                  model.gauge, samples=model.gauge_samples,
@@ -264,10 +267,9 @@ def _oracle_gauge(args, model, v, p_full: np.ndarray) -> tuple:
     return gauge, samples, elements
 
 
-def _car_oracle(args, model, payload, lines) -> None:
-    tol = args.tol if args.tol is not None else 1e-10
-    v = model.operator
-    data = car_charge_data(v, tol=tol)
+def _car_oracle(args, model, mem, payload, lines) -> None:
+    data = car_charge_data(mem)
+    v = data.v
     gauge, _, elements = _oracle_gauge(args, model, v, data.p)
     fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
@@ -322,10 +324,9 @@ def _bose_gamma_vector(fock: BoseFock, u11: np.ndarray) -> np.ndarray:
     return fock.gamma_phases(np.angle(diag))
 
 
-def _ccr_oracle(args, model, payload, lines) -> None:
-    tol = args.tol if args.tol is not None else 1e-10
-    v = model.operator
-    data = ccr_charge_data(v, tol=tol)
+def _ccr_oracle(args, model, mem, payload, lines) -> None:
+    data = ccr_charge_data(mem)
+    v = data.v
     l_max = 5 if data.k_dim else 0
     cutoff = args.bose_cutoff
     if cutoff < l_max:
@@ -349,8 +350,10 @@ def _ccr_oracle(args, model, payload, lines) -> None:
     }
     lines.append(f"bosonic vacuum tail bound: {tail:.3e} (cutoff M = {cutoff})")
 
+    # Probe below the cutoff: states at the edge carry truncation noise only.
+    occ_probe = max(1, cutoff // 2 - 1) if cutoff > 1 else 0
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                       occ_probe=max(1, cutoff // 2 - 1))
+                                       occ_probe=occ_probe)
     payload["implementer_probe"] = {
         "intertwining": comparison(inter, 1e-6 + tail),
         "gram_defect_cutoff_limited": float(iso),
@@ -395,10 +398,8 @@ def cmd_oracle(args) -> int:
     payload["caps"] = {"fock_cap": args.fock_cap,
                        "bose_cutoff": args.bose_cutoff}
     lines = []
-    if algebra == "car":
-        _car_oracle(args, model, payload, lines)
-    else:
-        _ccr_oracle(args, model, payload, lines)
+    oracle = _car_oracle if algebra == "car" else _ccr_oracle
+    oracle(args, model, _membership(args, model, algebra), payload, lines)
     return _emit_verdict(payload, args, lines)
 
 

@@ -41,10 +41,6 @@ class NonzeroIndex(QuasifreeError):
     """Operation requires IND V = 0 (e.g. the Z2 index)."""
 
 
-class NotChargeDiagonal(QuasifreeError):
-    """V11 does not commute with the supplied charge grading."""
-
-
 class DegenerateForm(QuasifreeError):
     """The kappa form is degenerate where it must not be."""
 

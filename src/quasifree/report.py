@@ -20,7 +20,7 @@ import numpy as np
 from . import builders
 from .errors import MalformedInput
 from .sectors import GaugeAction
-from .selfdual import BlockOperator, SelfDualSpace
+from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 
 SCHEMA_VERSION = 1
 
@@ -140,6 +140,8 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
     group = block.get("group")
     samples = int(block.get("samples", 50))
     seed = int(block.get("seed", 0))
+    if seed < 0:
+        raise MalformedInput(f"gauge seed must be at least 0, got {seed}")
     if group == "u1":
         charges = block.get("charges")
         if charges is None:
@@ -156,6 +158,11 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
         mats = [parse_complex_matrix(u) for u in block.get("unitaries", [])]
         action = GaugeAction("custom", n_modes,
                              unitaries=tuple(mats))
+        for i, u in enumerate(mats):
+            defect = hs_norm(u.conj().T @ u - np.eye(n_modes))
+            if not defect <= DEFAULT_TOL:  # NaN fails too
+                raise MalformedInput(f"custom element {i} is not unitary "
+                                     f"(||U*U - 1|| = {defect:.3e})")
     else:
         raise MalformedInput(f"unknown gauge group {group!r}")
     if samples < 1:
@@ -170,7 +177,7 @@ def load_model(path: str) -> ModelFile:
             raw = json.load(handle)
     except OSError as exc:
         raise MalformedInput(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedInput("model file must be a JSON object")
@@ -183,17 +190,24 @@ def load_model(path: str) -> ModelFile:
     if not isinstance(iso, dict):
         raise MalformedInput("model needs an 'isometry' object")
     space_block = raw.get("space", {})
+    if not isinstance(space_block, dict):
+        raise MalformedInput("space block must be an object")
     if "builder" in iso:
-        operator = builders.build(str(iso["builder"]),
-                                  iso.get("params", {}))
+        params = iso.get("params", {})
+        if not isinstance(params, dict):
+            raise MalformedInput("builder params must be an object")
+        operator = builders.build(str(iso["builder"]), params)
     elif "matrix" in iso:
-        matrix = parse_complex_matrix(iso["matrix"])
-        dom = space_block.get("domain_modes")
-        cod = space_block.get("codomain_modes", dom)
-        if dom is None:
-            raise MalformedInput(
-                "explicit matrices need space.domain_modes (and codomain_modes)")
-        dom, cod = int(dom), int(cod)
+        try:
+            matrix = parse_complex_matrix(iso["matrix"])
+            dom = space_block.get("domain_modes")
+            cod = space_block.get("codomain_modes", dom)
+            if dom is None:
+                raise MalformedInput("explicit matrices need "
+                                     "space.domain_modes (and codomain_modes)")
+            dom, cod = int(dom), int(cod)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"bad explicit matrix: {exc}") from exc
         if matrix.shape != (2 * cod, 2 * dom):
             raise MalformedInput(
                 f"matrix shape {matrix.shape} inconsistent with space "
@@ -201,6 +215,8 @@ def load_model(path: str) -> ModelFile:
         operator = BlockOperator(matrix, SelfDualSpace(dom), SelfDualSpace(cod))
     else:
         raise MalformedInput("isometry needs 'builder' or 'matrix'")
+    if not np.all(np.isfinite(operator.matrix)):
+        raise MalformedInput("operator has non-finite entries")
 
     gauge, samples, seed = None, 0, 0
     if "gauge" in raw:
@@ -209,7 +225,7 @@ def load_model(path: str) -> ModelFile:
         try:
             gauge, samples, seed = _parse_gauge(raw["gauge"],
                                                 operator.codomain.n_modes)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"bad gauge block: {exc}") from exc
 
     return ModelFile(

@@ -6,9 +6,13 @@ swaps the two halves and conjugates entries; the reference basis projection
 P1 selects the first half, and J P1 J = 1 - P1.  Rectangular maps between two
 such spaces embed the smaller mode set as a prefix of the larger one.
 
-All rank decisions go through absolute singular-value thresholds, and norms
-are accumulated with `math.fsum` in a fixed order so repeated runs produce
-identical bytes in reports.
+Every rank decision follows one rule: a singular value counts as zero when it
+is at most DEFAULT_TOL * max(1, sigma_max), where sigma_max is the largest
+singular value of the same SVD that the decision is read from.  Membership
+is decided once per operator by `semigroup_membership`; its `Membership`
+record carries the operator, the index and the kernel frame of the adjoint
+to everything downstream.  Norms are accumulated with `math.fsum` in a fixed
+order so repeated runs produce identical bytes in reports.
 """
 
 from __future__ import annotations
@@ -29,12 +33,9 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 
 
-def rank_tolerance(matrix: np.ndarray, base: float = DEFAULT_TOL) -> float:
-    """Absolute singular-value threshold: base * max(1, sigma_max)."""
-    if matrix.size == 0:
-        return base
-    top = float(np.linalg.norm(matrix, 2))
-    return base * max(1.0, top)
+def _rank_threshold(sigma: np.ndarray) -> float:
+    """The rank rule: DEFAULT_TOL * max(1, sigma_max) of an SVD's sigma."""
+    return DEFAULT_TOL * max(1.0, float(sigma[0]))
 
 
 def hs_norm(matrix: np.ndarray) -> float:
@@ -52,7 +53,7 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def kernel_basis(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
+def kernel_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis via SVD, deterministically ordered.
 
     Columns are ordered by ascending singular value with a lexicographic
@@ -60,51 +61,45 @@ def kernel_basis(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
     largest entry is real positive.  Returns an (n, k) array (k may be 0).
     """
     n = matrix.shape[1]
-    if matrix.size == 0 or matrix.shape[0] == 0:
+    if matrix.size == 0:
         return np.eye(n, dtype=complex)
-    if tol is None:
-        tol = rank_tolerance(matrix)
     _, sigma, vh = np.linalg.svd(matrix)
+    tol = _rank_threshold(sigma)
     sigma = np.concatenate([sigma, np.zeros(n - len(sigma))])
-    cols = []
-    for i in range(n):
-        if sigma[i] <= tol:
-            cols.append((sigma[i], _canonical_phase(vh[i].conj())))
-    cols.sort(key=lambda sv: (round(float(sv[0]), 14),
-                              tuple(np.round(sv[1].view(float), 12).tolist())))
+    cols = sorted(((s, _canonical_phase(vh[i].conj()))
+                   for i, s in enumerate(sigma) if s <= tol),
+                  key=lambda sv: (round(float(sv[0]), 14), tuple(
+                      np.round(sv[1].view(float), 12).tolist())))
     if not cols:
         return np.zeros((n, 0), dtype=complex)
     return np.column_stack([c for _, c in cols]).astype(complex)
 
 
-def cokernel_basis(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
+def cokernel_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(matrix*), same ordering rules."""
-    return kernel_basis(matrix.conj().T, tol)
+    return kernel_basis(matrix.conj().T)
 
 
-def pinv_on_range(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, zeroing singular values <= tol."""
+def pinv_on_range(matrix: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse on the range the rank rule keeps."""
     if matrix.size == 0:
         return matrix.conj().T.copy()
-    if tol is None:
-        tol = rank_tolerance(matrix)
     u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
+    tol = _rank_threshold(sigma)
     inv = np.where(sigma > tol, 1.0 / np.where(sigma > tol, sigma, 1.0), 0.0)
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def orthonormal_range(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
+def orthonormal_range(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal frame for the column range, deterministically ordered."""
     if matrix.size == 0:
         return np.zeros((matrix.shape[0], 0), dtype=complex)
-    if tol is None:
-        tol = rank_tolerance(matrix)
     u, sigma, _ = np.linalg.svd(matrix, full_matrices=False)
-    keep = [i for i in range(len(sigma)) if sigma[i] > tol]
-    cols = [(i, _canonical_phase(u[:, i])) for i in keep]
+    cols = [_canonical_phase(u[:, i])
+            for i in np.flatnonzero(sigma > _rank_threshold(sigma))]
     if not cols:
         return np.zeros((matrix.shape[0], 0), dtype=complex)
-    return np.column_stack([c for _, c in cols]).astype(complex)
+    return np.column_stack(cols).astype(complex)
 
 
 def orthoprojection(frame: np.ndarray) -> np.ndarray:
@@ -255,11 +250,14 @@ class BlockOperator:
 class Membership:
     """Outcome of a semigroup membership test, for either statistics.
 
-    ``cokernel`` is the kernel frame of the adjoint (V* for CAR, V+ for CCR),
-    the space the charge is built on; its column count is ``index``.  Both
-    are None when V is not a member.
+    ``v`` is the operator that was classified and ``tol`` the tolerance of
+    the decision.  ``cokernel`` is the kernel frame of the adjoint (V* for
+    CAR, V+ for CCR), the space the charge is built on; its column count is
+    ``index``.  Both are None when V is not a member.
     """
 
+    v: BlockOperator = field(repr=False)
+    tol: float
     is_member: bool
     isometry_defect: float
     selfdual_defect: float
@@ -281,7 +279,7 @@ def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
 
     ``law`` names that law in the failure text: "isometry" for V* V = 1,
     "kappa isometry" for V+ V = 1.  For a member the index is dim ker of the
-    adjoint, counted once from its kernel frame with the default rank rule;
+    adjoint, counted once from its kernel frame with the rank rule;
     it must equal the structural value 2(n_out - n_in).
     """
     iso = hs_norm(adjoint @ v.matrix - np.eye(v.domain.dim))
@@ -293,7 +291,8 @@ def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
     if sd > tol:
         failures.append(f"selfdual defect {sd:.3e} > {tol:.1e}")
     if failures:
-        return Membership(False, iso, sd, hs, None, None, tuple(failures))
+        return Membership(v, tol, False, iso, sd, hs, None, None,
+                          tuple(failures))
     cokernel = kernel_basis(adjoint)
     count = cokernel.shape[1]
     if count % 2 != 0:
@@ -302,7 +301,7 @@ def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
     if count != structural:
         raise IndexMismatch(
             f"kernel count {count} != structural index {structural}")
-    return Membership(True, iso, sd, hs, count, cokernel)
+    return Membership(v, tol, True, iso, sd, hs, count, cokernel)
 
 
 @dataclass(frozen=True)
@@ -311,14 +310,13 @@ class Subspace:
 
     space: SelfDualSpace
     frame: np.ndarray
-    check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         fr = np.asarray(self.frame, dtype=complex)
         if fr.ndim != 2 or fr.shape[0] != self.space.dim:
             raise ShapeMismatch(
                 f"frame shape {fr.shape} incompatible with dim {self.space.dim}")
-        if self.check and fr.shape[1] > 0:
+        if fr.shape[1] > 0:
             gram = fr.conj().T @ fr
             if not np.allclose(gram, np.eye(fr.shape[1]), atol=1e-9):
                 raise OrthonormalityFailure(
@@ -330,11 +328,6 @@ class Subspace:
     @classmethod
     def empty(cls, space: SelfDualSpace) -> "Subspace":
         return cls(space, np.zeros((space.dim, 0), dtype=complex))
-
-    @classmethod
-    def span(cls, space: SelfDualSpace, vectors: np.ndarray,
-             tol: float | None = None) -> "Subspace":
-        return cls(space, orthonormal_range(vectors, tol))
 
     @property
     def dim(self) -> int:

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from quasifree import builders, cli, dirac
-from quasifree.car import car_charge_data, z2_index
-from quasifree.ccr import ccr_charge_data
+from quasifree.car import car_charge_data, car_membership, z2_index
+from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.fock import (
     BoseFock,
     FermiFock,
@@ -48,7 +48,7 @@ def announce(capsys, name, ok, detail):
 
 
 def fermi_pipeline(v, dim_cap=4096):
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock_d = FermiFock(v.domain.n_modes, dim_cap=dim_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=dim_cap)
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
@@ -66,11 +66,11 @@ def test_criterion_1_statistics_dimension_law(capsys):
     ]
     ok = True
     for v, want_ind, want_d in car_cases:
-        data = car_charge_data(v)
+        data = car_charge_data(car_membership(v))
         ok = ok and data.index == want_ind
         ok = ok and data.statistics_dimension == want_d
-    ccr_zero = ccr_charge_data(builders.squeeze(0.5))
-    ccr_pos = ccr_charge_data(builders.shift(1))
+    ccr_zero = ccr_charge_data(ccr_membership(builders.squeeze(0.5)))
+    ccr_pos = ccr_charge_data(ccr_membership(builders.shift(1)))
     ok = ok and ccr_zero.statistics_dimension == 1
     ok = ok and ccr_pos.statistics_dimension == math.inf
     elapsed = time.perf_counter() - start
@@ -94,7 +94,7 @@ def test_criterion_2_charge_data_recovery(capsys):
     ok = True
     for _, v in examples:
         start = time.perf_counter()
-        data = car_charge_data(v)
+        data = car_charge_data(car_membership(v))
         n = v.codomain.n_modes
         p = data.p
         p11, p21 = p[:n, :n], p[n:, :n]
@@ -177,13 +177,14 @@ def test_criterion_4_car_charge_theorem(capsys):
             v, elements, data, fock_c, alphas, omegas))
         count += len(elements)
 
-    flip_data = car_charge_data(flip)
+    flip_data = car_charge_data(car_membership(flip))
     minus = -np.eye(2, dtype=complex)
     det_sign = char_det_h(minus, flip_data.h.frame, flip.codomain)
     v11 = flip.block(1, 1)
     dim_ker_v11 = v11.shape[1] - np.linalg.matrix_rank(v11)
     ok = ok and abs(det_sign - (-1.0) ** dim_ker_v11) < 1e-12
-    ok = ok and z2_index(flip) == (-1) ** dim_ker_v11
+    ok = ok and (z2_index(car_charge_data(car_membership(flip)))
+                 == (-1) ** dim_ker_v11)
 
     elapsed = time.perf_counter() - start
     ok = ok and worst <= 1e-8 and count >= 20 and elapsed < 30.0
@@ -196,7 +197,7 @@ def test_criterion_4_car_charge_theorem(capsys):
 def test_criterion_5_ccr_charge_theorem(capsys):
     start = time.perf_counter()
     v = builders.shift(1)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     cutoff = 8
     fock = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, tail = omega_p_bose(fock, v.codomain, data.t)

@@ -59,7 +59,7 @@ def test_membership_rejects_selfdual_violation():
     assert not rec.is_member
     assert any("selfdual" in f for f in rec.failures)
     with pytest.raises(NotInSemigroup):
-        car_charge_data(BlockOperator(m, v.domain, v.codomain))
+        car_charge_data(car_membership(BlockOperator(m, v.domain, v.codomain)))
 
 
 def test_shift_index_and_hs_defect():
@@ -73,7 +73,7 @@ def test_shift_index_and_hs_defect():
 # --- charge data on the canonical examples ---------------------------------
 
 def test_shift_charge_data():
-    data = car_charge_data(builders.shift(3))
+    data = car_charge_data(car_membership(builders.shift(3)))
     assert data.h.dim == 0
     assert np.allclose(data.t, 0.0)
     assert np.allclose(data.p, data.v.codomain.p1())
@@ -86,7 +86,7 @@ def test_shift_charge_data():
 
 
 def test_doubled_shift_charge_data():
-    data = car_charge_data(builders.shift(2, species=2))
+    data = car_charge_data(car_membership(builders.shift(2, species=2)))
     assert data.index == 4
     assert data.k.dim == 2
     assert data.statistics_dimension == 4
@@ -99,7 +99,7 @@ def test_doubled_shift_charge_data():
 
 def test_flip_charge_data():
     v = builders.flip(3)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     assert data.index == 0
     assert data.k.dim == 0
     assert data.h.dim == 1
@@ -116,7 +116,7 @@ def test_flip_charge_data():
 
 def test_bogoliubov_pairing_operator():
     theta = np.pi / 6
-    data = car_charge_data(builders.bogoliubov(theta))
+    data = car_charge_data(car_membership(builders.bogoliubov(theta)))
     assert data.h.dim == 0
     assert data.index == 0
     tan = np.tan(theta)
@@ -133,7 +133,7 @@ def test_compute_t_second_term_flip_compositions():
     theta = 0.4
     f, b = builders.flip(2), builders.bogoliubov(theta)
     for v in (f @ b, b @ f):
-        data = car_charge_data(v)
+        data = car_charge_data(car_membership(v))
         assert data.h.dim == 1
         nc = v.codomain.n_modes
         assert np.allclose(data.t @ data.h.frame[:nc], 0.0, atol=1e-10)
@@ -146,7 +146,7 @@ def test_charge_pipeline_on_random_members(seed):
     v = (haar_gauge(4, seed) @ builders.bogoliubov(theta, n_modes=4)
          @ haar_gauge(4, seed + 100) @ builders.shift(3)
          @ haar_gauge(3, seed + 200))
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     assert data.index == 2
     assert data.k.dim == 1
     # P is a selfdual-complement projection (checked internally); spot check
@@ -164,11 +164,12 @@ def test_statistics_dimension_values():
 # --- Z2 index ------------------------------------------------------------
 
 def test_z2_index():
-    assert z2_index(builders.identity(3)) == 1
-    assert z2_index(builders.flip(3)) == -1
-    assert z2_index(builders.bogoliubov(0.3)) == 1
+    assert z2_index(car_charge_data(car_membership(builders.identity(3)))) == 1
+    assert z2_index(car_charge_data(car_membership(builders.flip(3)))) == -1
+    assert z2_index(car_charge_data(car_membership(
+        builders.bogoliubov(0.3)))) == 1
     with pytest.raises(NonzeroIndex):
-        z2_index(builders.shift(3))
+        z2_index(car_charge_data(car_membership(builders.shift(3))))
 
 
 # --- recovery and gauge propagation ----------------------------------------
@@ -193,7 +194,7 @@ def test_recovery_from_p_bogoliubov():
 
 
 def test_gauge_commutation_report_commuting():
-    data = car_charge_data(builders.shift(3))
+    data = car_charge_data(car_membership(builders.shift(3)))
     u = np.exp(0.7j) * np.eye(4)
     rep = gauge_commutation_report(data, u)
     assert rep.v_commutator <= 1e-12
@@ -204,7 +205,7 @@ def test_gauge_commutation_report_commuting():
 
 
 def test_gauge_commutation_report_noncommuting():
-    data = car_charge_data(builders.shift(3))
+    data = car_charge_data(car_membership(builders.shift(3)))
     mix = np.eye(4)
     c, s = np.cos(0.7), np.sin(0.7)
     mix[:2, :2] = [[c, -s], [s, c]]

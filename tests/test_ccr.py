@@ -30,12 +30,12 @@ def test_membership_rejects_plain_isometry_that_is_not_kappa():
     assert not rec.is_member
     assert any("kappa" in f for f in rec.failures)
     with pytest.raises(NotInSemigroup):
-        ccr_charge_data(builders.bogoliubov(0.4))
+        ccr_charge_data(ccr_membership(builders.bogoliubov(0.4)))
 
 
 def test_squeeze_charge_data():
     r = 0.5
-    data = ccr_charge_data(builders.squeeze(r))
+    data = ccr_charge_data(ccr_membership(builders.squeeze(r)))
     assert data.index == 0
     assert data.k_dim == 0
     assert data.statistics_dimension == 1.0
@@ -50,7 +50,7 @@ def test_squeeze_charge_data():
 
 def test_bosonic_shift_charge_data():
     v = builders.shift(3)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     assert data.index == 2
     assert data.k_dim == 1
     assert data.statistics_dimension == np.inf
@@ -70,7 +70,7 @@ def test_bosonic_shift_charge_data():
 def test_squeeze_then_shift_pipeline():
     # rotate ker V+ through a squeeze: p and P must still verify internally
     v = builders.squeeze(0.3, n_modes=4, mode=2) @ builders.shift(3)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     assert data.index == 2
     assert data.k_dim == 1
     # kappa-orthonormality of the k frame
@@ -108,5 +108,5 @@ def test_kappa_orthonormal_frame_pivots_on_positive_directions():
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.2, 2.0])
 def test_squeeze_t_norm_stays_below_one(r):
-    data = ccr_charge_data(builders.squeeze(r))
+    data = ccr_charge_data(ccr_membership(builders.squeeze(r)))
     assert np.linalg.norm(data.t, 2) < 1.0 - 1e-8

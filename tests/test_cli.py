@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from quasifree import builders, cli, report
+from quasifree import builders, car, ccr, cli, report, selfdual
 from quasifree.errors import MalformedInput
 from quasifree.fock import BOSE_DIM_CAP, compound_matrix
 
@@ -223,6 +223,21 @@ class TestAnalyze:
         data = json.loads(open(out, encoding="utf-8").read())
         assert data["charge_data"]["z2_index"] == 1
 
+    def test_loose_tol_is_the_one_membership_verdict(self, tmp_path):
+        # 0.99 * 1 passes membership at --tol 2; the Z2 index must be read
+        # off that member, not from a second test at the default tolerance.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"matrix": report.complex_array_payload(
+                0.99 * np.eye(6))},
+            "space": {"domain_modes": 3}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--input", path, "--tol", "2",
+                         "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["membership"]["is_member"] is True
+        assert data["charge_data"]["z2_index"] == 1
+
     def test_nonmember_exit_3_with_report(self, tmp_path):
         half = 0.5 * np.eye(4)
         path = write_model(tmp_path, "m.json", {
@@ -357,11 +372,50 @@ class TestOracle:
                          "--bose-cutoff", "-2"]) == 2
         assert "--bose-cutoff must be at least 0" in capsys.readouterr().err
 
+    def test_bose_cutoff_1_probes_below_the_cutoff(self, tmp_path):
+        # The implementer probe window must stay below the truncation edge.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "squeeze", "params": {"r": 0.5}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out,
+                         "--bose-cutoff", "1"]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "ok"
+        assert report.failed_comparisons(data) == []
+        assert data["implementer_probe"]["intertwining"]["pass"] is True
+
     def test_fock_cap_exit_2(self, tmp_path):
         code = cli.main(["oracle", "--input",
                          shift_car_model(tmp_path, gauge=False),
                          "--fock-cap", "8"])
         assert code == 2
+
+
+class TestOneMembershipTest:
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    @pytest.mark.parametrize("model", [
+        {"algebra": "car",
+         "isometry": {"builder": "identity", "params": {"n_modes": 3}}},
+        {"algebra": "car",
+         "isometry": {"builder": "shift", "params": {"n_sites_in": 2}}},
+        {"algebra": "ccr",
+         "isometry": {"builder": "shift", "params": {"n_sites_in": 1}}},
+    ], ids=["car-identity", "car-shift", "ccr-shift"])
+    def test_each_command_tests_membership_once(self, tmp_path, monkeypatch,
+                                                command, model):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return selfdual.semigroup_membership(*args, **kwargs)
+
+        monkeypatch.setattr(car, "semigroup_membership", counted)
+        monkeypatch.setattr(ccr, "semigroup_membership", counted)
+        path = write_model(tmp_path, "m.json", model)
+        assert cli.main([command, "--input", path]) == 0
+        assert len(calls) == 1
 
 
 class TestDirac:

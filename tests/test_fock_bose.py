@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from quasifree import builders
-from quasifree.ccr import ccr_charge_data
+from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.errors import CapExceeded, CutoffTooSmall
 from quasifree.fock import (
     BoseFock,
@@ -57,7 +57,7 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
     r = 0.5
     t = math.tanh(r)
     v = builders.squeeze(r)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(1, 16, dim_cap=32)
     omega, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-5
@@ -71,7 +71,7 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
 
 def test_cutoff_too_small_raises():
     v = builders.squeeze(1.5)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(1, 4)
     with pytest.raises(CutoffTooSmall):
         omega_p_bose(fock, v.codomain, data.t, tail_cap=1e-6)
@@ -87,7 +87,7 @@ def test_polar_isometry_of_creation_is_unilateral_shift():
 
 def test_shift_charged_vectors_and_route_constants():
     v = builders.shift(1)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
     omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-14  # t = 0, no pair content
@@ -107,7 +107,7 @@ def test_shift_charged_vectors_and_route_constants():
 
 def test_squeezed_route_cross_check():
     v = builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 8, dim_cap=81)
     omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-4
@@ -123,7 +123,7 @@ def test_shift_implementer_exact_below_cutoff():
     v = builders.shift(1)
     fock_d = BoseFock(1, 6)
     fock_c = BoseFock(2, 6)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                        occ_probe=5)
@@ -137,7 +137,7 @@ def test_shift_implementer_exact_below_cutoff():
 
 def test_squeeze_implementer_residual_tracks_tail():
     v = builders.squeeze(0.5)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     defects = []
     for cutoff in (16, 24):
         fock = BoseFock(1, cutoff, dim_cap=40)
@@ -153,7 +153,7 @@ def test_squeeze_implementer_residual_tracks_tail():
 
 def test_bose_charge_blocks_are_gauge_phases():
     v = builders.shift(1)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
     omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas, _ = omega_alphas_bose(
@@ -259,7 +259,7 @@ def test_mode_local_polar_matches_dense_factor(g):
 
 def test_omega_alphas_bose_bit_equal_to_dense_route():
     v = builders.shift(1)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
     omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas, records = omega_alphas_bose(
@@ -277,7 +277,7 @@ def test_omega_alphas_bose_bit_equal_to_dense_route():
     builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1),
 ], ids=["shift", "squeeze-shift"])
 def test_bose_implementer_matches_dense_products(v):
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     fock_d = BoseFock(v.domain.n_modes, 6)
     fock_c = BoseFock(v.codomain.n_modes, 6)
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quasifree import builders, cli
-from quasifree.car import car_charge_data
+from quasifree.car import car_charge_data, car_membership
 from quasifree.errors import CapExceeded, ImplementationDefect
 from quasifree.fock import (
     FermiFock,
@@ -121,7 +121,7 @@ def test_fock_cap():
 def test_bogoliubov_vacuum():
     theta = math.pi / 6
     v = builders.bogoliubov(theta)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock = FermiFock(2)
     omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     # overlap with the bare vacuum is cos(theta) = sqrt(3)/2
@@ -135,7 +135,7 @@ def test_bogoliubov_vacuum():
 
 def test_flip_vacuum_is_charged_one_particle():
     v = builders.flip(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock = FermiFock(1)
     omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     # psi(e1) Omega = i |{1}>
@@ -145,7 +145,7 @@ def test_flip_vacuum_is_charged_one_particle():
 
 def test_shift_implementers_explicit():
     v = builders.shift(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock_d, fock_c = FermiFock(1), FermiFock(2)
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
@@ -168,7 +168,7 @@ def test_shift_implementers_explicit():
 
 def test_bogoliubov_single_implementer_is_unitary():
     v = builders.bogoliubov(0.4)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock = FermiFock(2)
     omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
@@ -181,7 +181,7 @@ def test_bogoliubov_single_implementer_is_unitary():
 
 def test_composed_member_implementers():
     v = builders.bogoliubov(0.3, n_modes=4) @ builders.shift(1, species=2)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock_d, fock_c = FermiFock(2), FermiFock(4)
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
@@ -202,7 +202,7 @@ def test_intertwining_detects_wrong_vacuum():
 
 def test_flip_charge_matrix_is_gauge_phase():
     v = builders.flip(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock = FermiFock(1)
     omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     lam = 0.8
@@ -213,7 +213,7 @@ def test_flip_charge_matrix_is_gauge_phase():
 
 def test_shift_charge_blocks_match_determinant_formula():
     v = builders.shift(1, species=2)  # k two-dimensional
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock = FermiFock(v.codomain.n_modes)
     omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
@@ -232,7 +232,7 @@ def test_shift_charge_blocks_match_determinant_formula():
 
 def test_span_invariance_residuals():
     v = builders.shift(1, species=2)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock = FermiFock(v.codomain.n_modes)
     omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
@@ -255,7 +255,7 @@ def test_span_invariance_residuals():
 
 def test_implementer_invariance_residual():
     v = builders.shift(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     fock_d, fock_c = FermiFock(1), FermiFock(2)
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,

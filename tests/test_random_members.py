@@ -63,7 +63,7 @@ def test_random_car_members(case):
     rec = car_membership(v)
     assert rec.is_member
     assert rec.index == 2 * steps
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     assert data.k.dim == steps
 
 
@@ -74,5 +74,5 @@ def test_random_ccr_members(case):
     rec = ccr_membership(v)
     assert rec.is_member
     assert rec.index == 2 * steps
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     assert data.k_dim == steps

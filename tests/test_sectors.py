@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from quasifree import builders
-from quasifree.car import car_charge_data
-from quasifree.ccr import ccr_charge_data
+from quasifree.car import car_charge_data, car_membership
+from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.errors import (
     CharacterMismatch,
     LevelOutOfRange,
@@ -104,7 +104,7 @@ def test_haar_unitary_deterministic():
 
 def test_compressed_action_detects_leakage():
     v = builders.shift(1, species=2)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     space = v.codomain
     # rotation mixing k mode 1 with range mode 3 leaks out of k
     mu = 0.5
@@ -127,7 +127,7 @@ def test_eigenphases_schur():
 
 def test_sector_table_car_shift_u1():
     v = builders.shift(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
                          gauge, samples=64)
@@ -141,7 +141,7 @@ def test_sector_table_car_shift_u1():
 
 def test_sector_table_ccr_u1_ladder():
     v = builders.shift(1)
-    data = ccr_charge_data(v)
+    data = ccr_charge_data(ccr_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("ccr", v.codomain, np.zeros((4, 0)), data.k_frame,
                          gauge, samples=64, l_max=5)
@@ -154,7 +154,7 @@ def test_sector_table_ccr_u1_ladder():
 
 def test_sector_table_su2_period_two():
     v = builders.shift(1, species=2)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     gauge = GaugeAction("sun", 4, species=2)
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
                          gauge, samples=50, seed=3)
@@ -164,7 +164,7 @@ def test_sector_table_su2_period_two():
 
 def test_sector_table_u2_all_distinct():
     v = builders.shift(1, species=2)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
                          gauge, samples=50, seed=3)
@@ -174,7 +174,7 @@ def test_sector_table_u2_all_distinct():
 
 def test_sector_table_basis_independent():
     v = builders.shift(1, species=2)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
     table1 = sector_table("car", v.codomain, data.h.frame, data.k.frame,
                           gauge, samples=10, seed=3)
@@ -187,7 +187,7 @@ def test_sector_table_basis_independent():
 
 def test_oracle_compare_shift_full_pipeline():
     v = builders.shift(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
                          gauge, samples=8)
@@ -204,7 +204,7 @@ def test_oracle_compare_shift_full_pipeline():
 
 def test_oracle_compare_flags_mismatch():
     v = builders.shift(1)
-    data = car_charge_data(v)
+    data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
                          gauge, samples=4)
