@@ -2,6 +2,9 @@
 
 Everything here is brute force on purpose: dense/sparse matrices on a finite
 Fock space provide an independent check of the single-particle charge data.
+The brute force does only the arithmetic the structure needs: the fields stay
+sparse in the implementer checks, and Gamma(U) takes only the minors that the
+exact-zero block pattern of u11 allows to be nonzero.
 
 Fermionic side (n modes, dimension 2^n, basis = occupation subsets encoded as
 bitmasks): creation follows the fixed sign convention
@@ -56,7 +59,7 @@ from .errors import (
     NotGaugeCompatible,
     OrthonormalityFailure,
 )
-from .selfdual import BlockOperator, SelfDualSpace, hs_norm
+from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 
 FERMI_DIM_CAP = 4096
 BOSE_DIM_CAP = 6561
@@ -100,17 +103,23 @@ class _FockSpace:
         return v
 
     def pi(self, space: SelfDualSpace, f: np.ndarray) -> sp.csr_matrix:
-        """Self-dual field pi(f) = a*(P1 f) + a(P1 Jf)."""
+        """Self-dual field pi(f) = a*(P1 f) + a(P1 Jf).
+
+        No two of the terms a*(e_i), a(e_j) share a matrix position, so each
+        entry is a single product and the scaled tables are concatenated
+        into one CSR build; + 0.0 clears negative zeros as a sparse sum does.
+        """
         if space.n_modes != self.n_modes:
             raise CapExceeded("space does not match this Fock space")
-        n = self.n_modes
-        op = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for i in range(n):
-            if f[i] != 0:
-                op = op + complex(f[i]) * self._creation[i]
-            if f[n + i] != 0:
-                op = op + complex(f[n + i]) * self._annihilation[i]
-        return op
+        terms = [(complex(c), table) for c, table in
+                 zip(f, self._creation + self._annihilation) if c != 0]
+        if not terms:
+            return sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        data = np.concatenate([c * t.data for c, t in terms]) + 0.0
+        rows = np.concatenate([np.repeat(np.arange(self.dim), np.diff(t.indptr))
+                               for _, t in terms])
+        cols = np.concatenate([t.indices for _, t in terms])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
 
 class FermiFock(_FockSpace):
@@ -128,13 +137,14 @@ class FermiFock(_FockSpace):
         parity = np.array([(-1.0) ** bin(s).count("1") for s in range(dim)])
         self._parity_diag = parity
         self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
-        # Basis states of each particle number l, in the lexicographic order
-        # of their mode subsets (the row order of compound_matrix).
-        self._level_states = [
-            np.array([sum(1 << i for i in comb) for comb in
-                      itertools.combinations(range(n_modes), level)],
-                     dtype=np.intp)
+        # Mode subsets of each particle number l in lexicographic order (the
+        # row order of compound_matrix), and their basis states.
+        self._level_modes = [
+            np.array(list(itertools.combinations(range(n_modes), level)),
+                     dtype=np.intp).reshape(math.comb(n_modes, level), level)
             for level in range(n_modes + 1)]
+        self._level_states = [np.left_shift(1, modes).sum(axis=1)
+                              for modes in self._level_modes]
 
     def _build_creation(self, i: int) -> sp.csr_matrix:
         rows, cols, vals = [], [], []
@@ -161,25 +171,54 @@ class FermiFock(_FockSpace):
         return sp.csr_matrix((vals, (op.row, op.col)),
                              shape=op.shape)
 
-    def gamma(self, u11: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
+    def gamma(self, u11: np.ndarray) -> np.ndarray:
         """Second quantization of a P1-commuting gauge unitary (dense).
 
         Built from exterior powers: <S'|Gamma(U)|S> = det u11[S', S] for
         |S'| = |S|, zero otherwise, so the block of particle number l is the
         compound matrix of u11 at level l.
+
+        Only the minors that can be nonzero are taken.  Split the modes into
+        the blocks of u11's exact-zero pattern; det u11[S', S] is zero unless
+        S' and S hold the same number of modes in every block, and then
+        exactly 0, since LU never mixes rows of different blocks.  The
+        matching pairs of each level go through one batched determinant,
+        which factors each minor as a scalar det call would.  A phase gauge
+        takes the C(n, l) diagonal minors, a generic unitary all C(n, l)^2.
         """
         n = self.n_modes
         if u11.shape != (n, n):
             raise NotGaugeCompatible(f"u11 shape {u11.shape} != ({n}, {n})")
-        if hs_norm(u11.conj().T @ u11 - np.eye(n)) > check_tol:
+        if hs_norm(u11.conj().T @ u11 - np.eye(n)) > DEFAULT_TOL:
             raise NotGaugeCompatible("u11 is not unitary")
         if self.dim > GAMMA_DIM_CAP:
             raise CapExceeded(
                 f"Gamma on dimension {self.dim} exceeds cap {GAMMA_DIM_CAP}")
+        same_block = _same_block(u11)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for level, states in enumerate(self._level_states):
-            out[np.ix_(states, states)] = compound_matrix(u11, level)
+        for modes, states in zip(self._level_modes, self._level_states):
+            # counts[S, j]: modes of S in the block of mode j.
+            counts = same_block[modes].sum(axis=1)
+            rows, cols = np.nonzero(
+                (counts[:, None, :] == counts[None, :, :]).all(axis=2))
+            minors = u11[modes[rows][:, :, None], modes[cols][:, None, :]]
+            out[states[rows], states[cols]] = np.linalg.det(minors)
         return out
+
+
+def _same_block(u11: np.ndarray) -> np.ndarray:
+    """Whether modes i and j share a block of u11's exact-zero pattern.
+
+    They do when a chain of nonzero entries u11[i, k], u11[k, l], ... links
+    them, in either direction.
+    """
+    nonzero = u11 != 0
+    linked = nonzero | nonzero.T | np.eye(len(u11), dtype=bool)
+    while True:
+        wider = linked @ linked
+        if np.array_equal(wider, linked):
+            return linked
+        linked = wider
 
 
 class BoseFock(_FockSpace):
@@ -258,7 +297,7 @@ def _exp_apply(op: sp.csr_matrix, vec: np.ndarray,
 
 
 def omega_p_fermi(fock: FermiFock, space: SelfDualSpace, h_frame: np.ndarray,
-                  t_block: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
+                  t_block: np.ndarray) -> np.ndarray:
     """Fermionic representing vacuum for charge data (h, T); unit norm."""
     factor = float(np.linalg.det(
         np.eye(fock.n_modes) + t_block.conj().T @ t_block).real) ** (-0.25)
@@ -267,7 +306,7 @@ def omega_p_fermi(fock: FermiFock, space: SelfDualSpace, h_frame: np.ndarray,
         vec = fock.psi(space, h_frame[:, col]) @ vec
     vec = factor * vec
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > check_tol:
+    if abs(norm - 1.0) > DEFAULT_TOL:
         raise ImplementationDefect(
             f"fermionic vacuum norm {norm:.12f} != 1")
     return vec
@@ -333,8 +372,7 @@ def _apply_on_axes(fock: BoseFock, axes: np.ndarray, matrix: np.ndarray,
 
 
 def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
-                       omega_p: np.ndarray, k_frame: np.ndarray,
-                       check_tol: float = 1e-10
+                       omega_p: np.ndarray, k_frame: np.ndarray
                        ) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
     """Charged vectors over strictly increasing multi-indices; orthonormal."""
     alphas = car_multi_indices(k_frame.shape[1])
@@ -347,7 +385,7 @@ def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
         vectors.append(vec)
     gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
     defect = float(np.max(np.abs(gram - np.eye(len(vectors)))))
-    if defect > check_tol:
+    if defect > DEFAULT_TOL:
         raise OrthonormalityFailure(
             f"fermionic Omega_alpha Gram defect {defect:.3e}")
     return alphas, vectors
@@ -405,9 +443,15 @@ class ImplementerSet:
 
 def car_implementers(v: BlockOperator, fock_dom: FermiFock,
                      fock_cod: FermiFock, omega_alphas: list[np.ndarray],
-                     alphas: list[tuple[int, ...]],
-                     check_tol: float = 1e-10) -> ImplementerSet:
-    """Solve for the fermionic implementers and verify all their relations."""
+                     alphas: list[tuple[int, ...]]) -> ImplementerSet:
+    """Solve for the fermionic implementers and verify all their relations.
+
+    The fields stay sparse.  pi_d of a domain basis vector is a signed
+    partial permutation, so psi @ pi_d is a column gather, exact because each
+    entry has one term; pi_c @ psi sums only the nonzero terms of pi_c.  The
+    sum formula keeps its dense product (psi pi_d) psi*.  Isometry and
+    completeness come from one Gram each of the stacked [Psi_1 ... Psi_r].
+    """
     nd = fock_dom.n_modes
     pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i]) for i in range(nd)]
     psis = []
@@ -424,26 +468,26 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     for idx in range(v.domain.dim):
         f = np.zeros(v.domain.dim, dtype=complex)
         f[idx] = 1.0
-        pi_d = fock_dom.pi(v.domain, f).toarray()
-        pi_c = fock_cod.pi(v.codomain, v.matrix @ f).toarray()
+        pi_d = fock_dom.pi(v.domain, f).tocoo()
+        pi_c = fock_cod.pi(v.codomain, v.matrix @ f)
         total = np.zeros((fock_cod.dim, fock_cod.dim), dtype=complex)
         for psi in psis:
-            inter = max(inter, hs_norm(psi @ pi_d - pi_c @ psi))
-            total += psi @ pi_d @ psi.conj().T
-        impl = max(impl, hs_norm(total - pi_c))
+            psi_pi_d = np.zeros_like(psi)
+            psi_pi_d[:, pi_d.col] = psi[:, pi_d.row] * pi_d.data
+            inter = max(inter, hs_norm(psi_pi_d - pi_c @ psi))
+            total += psi_pi_d @ psi.conj().T
+        pi_c = pi_c.tocoo()
+        total[pi_c.row, pi_c.col] -= pi_c.data
+        impl = max(impl, hs_norm(total))
 
-    iso = 0.0
-    for a, pa in enumerate(psis):
-        for b, pb in enumerate(psis):
-            gram = pa.conj().T @ pb
-            target = np.eye(fock_dom.dim) if a == b else 0.0
-            iso = max(iso, float(np.max(np.abs(gram - target))))
-    comp = hs_norm(sum(p @ p.conj().T for p in psis)
-                   - np.eye(fock_cod.dim))
+    stacked = np.hstack(psis)
+    iso = float(np.max(np.abs(stacked.conj().T @ stacked
+                              - np.eye(stacked.shape[1]))))
+    comp = hs_norm(stacked @ stacked.conj().T - np.eye(fock_cod.dim))
 
     result = ImplementerSet(alphas, psis, inter, iso, comp, impl)
     worst = max(inter, iso, comp, impl)
-    if worst > check_tol:
+    if worst > DEFAULT_TOL:
         raise ImplementationDefect(
             f"implementer relations violated: intertwining {inter:.3e}, "
             f"isometry {iso:.3e}, completeness {comp:.3e}, sum formula {impl:.3e}")

@@ -46,8 +46,7 @@ def parse_complex_matrix(obj) -> np.ndarray:
         if len(re) != size or len(im) != size:
             raise MalformedInput(
                 f"re/im lengths {len(re)}/{len(im)} do not fill shape {shape}")
-        return (np.asarray(re, dtype=float)
-                + 1j * np.asarray(im, dtype=float)).reshape(shape)
+        return _complex_from_parts(re, im).reshape(shape)
     if not re or not isinstance(re[0], list):
         raise MalformedInput("nested matrix rows required when shape absent")
     width = len(re[0])
@@ -58,7 +57,20 @@ def parse_complex_matrix(obj) -> np.ndarray:
                     f"{part_name} rows have inconsistent lengths")
     if len(re) != len(im):
         raise MalformedInput("re and im row counts differ")
-    return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    return _complex_from_parts(re, im)
+
+
+def _complex_from_parts(re, im) -> np.ndarray:
+    """Complex array with the given real and imaginary parts.
+
+    The parts are assigned, not combined as re + 1j * im, so an infinite
+    part raises no numpy warning (1j * inf would form 0 * inf).
+    """
+    real = np.asarray(re, dtype=float)
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = np.asarray(im, dtype=float)
+    return out
 
 
 def comparison(value: float, tolerance: float) -> dict:

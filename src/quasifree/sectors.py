@@ -109,12 +109,12 @@ class GaugeAction:
 
 
 def compressed_action(u11: np.ndarray, frame: np.ndarray,
-                      space: SelfDualSpace,
-                      tol: float = COMPRESS_TOL) -> np.ndarray:
+                      space: SelfDualSpace) -> np.ndarray:
     """Compress the extended gauge unitary u + conj(u) to a self-dual frame.
 
     The frame columns must span an invariant subspace; the leakage
-    ||U frame - frame (frame* U frame)|| above tol raises NotInvariant.
+    ||U frame - frame (frame* U frame)|| above COMPRESS_TOL raises
+    NotInvariant.
     """
     if frame.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
@@ -125,30 +125,29 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
     moved = u_ext @ frame
     comp = frame.conj().T @ moved
     leak = float(np.linalg.norm(moved - frame @ comp))
-    if leak > tol:
+    if leak > COMPRESS_TOL:
         raise NotInvariant(
             f"gauge element moves the subspace: leakage {leak:.3e}")
     return comp
 
 
-def eigenphases(compressed: np.ndarray,
-                tol: float = COMPRESS_TOL) -> np.ndarray:
+def eigenphases(compressed: np.ndarray) -> np.ndarray:
     """Eigenvalues of a compressed gauge element via Schur decomposition."""
     if compressed.shape[0] == 0:
         return np.zeros(0, dtype=complex)
     t, _ = scipy.linalg.schur(compressed, output="complex")
     off = hs_norm(t - np.diag(np.diagonal(t)))
-    if off > tol:
+    if off > COMPRESS_TOL:
         raise NotInvariant(
             f"compressed action is not normal (defect {off:.3e}); "
             "the subspace is not honestly invariant")
     return np.diagonal(t).copy()
 
 
-def char_det_h(u11: np.ndarray, h_frame: np.ndarray, space: SelfDualSpace,
-               tol: float = COMPRESS_TOL) -> complex:
+def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
+               space: SelfDualSpace) -> complex:
     """Determinant character on the defect space h (1 when h is empty)."""
-    comp = compressed_action(u11, h_frame, space, tol)
+    comp = compressed_action(u11, h_frame, space)
     if comp.shape[0] == 0:
         return 1.0 + 0.0j
     return complex(np.linalg.det(comp))
@@ -197,13 +196,12 @@ class SectorTable:
     sample_meta: dict = field(default_factory=dict)
 
 
-def _equivalence_classes(rows: list[SectorRow],
-                         tol_char: float) -> list[list[int]]:
+def _equivalence_classes(rows: list[SectorRow]) -> list[list[int]]:
     classes: list[list[int]] = []
     for row in rows:
         for cls in classes:
             rep = rows[cls[0]]
-            if np.max(np.abs(row.characters - rep.characters)) <= tol_char:
+            if np.max(np.abs(row.characters - rep.characters)) <= CHAR_TOL:
                 cls.append(row.level)
                 break
         else:
@@ -213,9 +211,7 @@ def _equivalence_classes(rows: list[SectorRow],
 
 def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
                  k_frame: np.ndarray, gauge: GaugeAction, samples: int = 50,
-                 seed: int = 0, l_max: int | None = None,
-                 tol: float = COMPRESS_TOL,
-                 tol_char: float = CHAR_TOL) -> SectorTable:
+                 seed: int = 0, l_max: int | None = None) -> SectorTable:
     """Sampled character table over charge levels, with equivalence classes."""
     if algebra not in ("car", "ccr"):
         raise MalformedInput(f"unknown algebra {algebra!r}")
@@ -226,10 +222,9 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
     else:
         levels = list(range((5 if l_max is None else l_max) + 1))
 
-    dets = np.array([char_det_h(el.u11, h_frame, space, tol)
-                     for el in elements])
-    eig_list = [eigenphases(compressed_action(el.u11, k_frame, space, tol),
-                            tol) for el in elements]
+    dets = np.array([char_det_h(el.u11, h_frame, space) for el in elements])
+    eig_list = [eigenphases(compressed_action(el.u11, k_frame, space))
+                for el in elements]
 
     rows = []
     for level in levels:
@@ -241,7 +236,7 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
             chars = np.array([char_sym(e, level) for e in eig_list])
         rows.append(SectorRow(level, dim, chars))
 
-    classes = _equivalence_classes(rows, tol_char)
+    classes = _equivalence_classes(rows)
     annotations = {}
     if gauge.kind == "un":
         annotations["pattern"] = "defining action: levels mutually inequivalent"
@@ -254,7 +249,7 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
         annotations["verified"] = merged if len(levels) > nsp else None
 
     meta = {"samples": len(elements), "seed": seed, "kind": gauge.kind,
-            "tol_char": tol_char}
+            "tol_char": CHAR_TOL}
     return SectorTable(algebra, rows, [el.label for el in elements],
                        classes, annotations, meta)
 

@@ -12,7 +12,9 @@ singular value of the same SVD that the decision is read from.  Membership
 is decided once per operator by `semigroup_membership`; its `Membership`
 record carries the operator, the index and the kernel frame of the adjoint
 to everything downstream.  Norms are accumulated with `math.fsum` in a fixed
-order so repeated runs produce identical bytes in reports.
+order so repeated runs produce identical bytes in reports; `hs_norm` skips
+the exact zeros, which leaves its value unchanged because `fsum` is exactly
+rounded.
 """
 
 from __future__ import annotations
@@ -39,8 +41,13 @@ def _rank_threshold(sigma: np.ndarray) -> float:
 
 
 def hs_norm(matrix: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm with deterministic accumulation."""
+    """Hilbert-Schmidt (Frobenius) norm with deterministic accumulation.
+
+    Exact zeros add nothing to the exactly rounded fsum, so they are dropped
+    first; structured gaps are mostly zeros.
+    """
     flat = np.abs(np.ascontiguousarray(matrix)).ravel()
+    flat = flat[flat != 0]
     return math.sqrt(math.fsum((flat * flat).tolist()))
 
 

@@ -340,6 +340,21 @@ class TestOracle:
                 math.sqrt(math.factorial(level)), abs=1e-12)
             assert abs(route["constant"]["im"]) < 1e-12
 
+    def test_car_shift_at_the_gamma_cap(self, tmp_path):
+        # Shift 9 -> 10 with the default U(1) gauge: Fock dimension
+        # 2^10 = 1024, the largest Gamma(U) the oracle builds.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 9}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "ok"
+        assert data["implementers"]["count"] == 2
+        assert data["implementers"]["expected"] == 2
+        assert data["charge_theorem"]["gauge"] == "u1"
+        assert report.failed_comparisons(data) == []
+
     @pytest.mark.parametrize("cutoff", [-1, 0, 4])
     def test_bose_cutoff_below_the_checked_levels_exit_2(self, tmp_path,
                                                          capsys, cutoff):

@@ -7,11 +7,17 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+import scipy.linalg
+from test_random_members import random_member
+
 from quasifree import builders, cli
 from quasifree.car import car_charge_data, car_membership
 from quasifree.errors import CapExceeded, ImplementationDefect
 from quasifree.fock import (
+    BoseFock,
     FermiFock,
+    _same_block,
     car_implementers,
     car_multi_indices,
     charge_rep_blocks,
@@ -21,6 +27,7 @@ from quasifree.fock import (
     omega_p_fermi,
     span_invariance_residual,
 )
+from quasifree.sectors import haar_unitary
 from quasifree.selfdual import SelfDualSpace, hs_norm
 
 TOL = 1e-12
@@ -326,6 +333,167 @@ def test_gamma_equals_scalar_determinants(n):
         gamma = fock.gamma(u11)
         assert np.array_equal(gamma, scalar_gamma(u11))
         assert not np.any(gamma[off_level])
+
+
+def permuted_blocks(rng):
+    """U(2) + U(3) + U(1) on 6 modes, conjugated by a mode permutation."""
+    u = scipy.linalg.block_diag(haar_unitary(2, rng), haar_unitary(3, rng),
+                                haar_unitary(1, rng))
+    perm = np.array([4, 0, 2, 5, 1, 3])
+    return u[np.ix_(perm, perm)]
+
+
+def tiny_off_block(rng):
+    """Two U(2) blocks joined by one off-block entry of 1e-13."""
+    u = np.kron(np.eye(2), haar_unitary(2, rng))
+    u[0, 3] = 1e-13
+    return u
+
+
+BLOCK_UNITARIES = {
+    "sites-2": lambda rng: np.kron(np.eye(2), haar_unitary(2, rng)),
+    "sites-3": lambda rng: np.kron(np.eye(3), haar_unitary(2, rng)),
+    "permuted": permuted_blocks,
+    "tiny-off-block": tiny_off_block,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_UNITARIES))
+def test_gamma_of_block_unitaries_equals_scalar_determinants(name):
+    u11 = BLOCK_UNITARIES[name](np.random.default_rng(300))
+    gamma = FermiFock(len(u11)).gamma(u11)
+    assert np.array_equal(gamma, scalar_gamma(u11))
+
+
+@pytest.mark.parametrize("make_u11, labels", [
+    # Mode i of the permuted unitary is mode perm[i] of the block sum, so
+    # the blocks are {0, 2, 5}, {1, 4} and {3}.
+    (permuted_blocks, [0, 1, 0, 3, 1, 0]),
+    (tiny_off_block, [0, 0, 0, 0]),
+    (lambda rng: np.eye(3), [0, 1, 2]),
+    (lambda rng: np.zeros((0, 0)), []),
+], ids=["permuted", "tiny-off-block", "diagonal", "no-modes"])
+def test_same_block(make_u11, labels):
+    labels = np.array(labels)
+    assert np.array_equal(_same_block(make_u11(np.random.default_rng(301))),
+                          labels[:, None] == labels[None, :])
+
+
+def test_gamma_without_modes():
+    assert np.array_equal(FermiFock(0).gamma(np.zeros((0, 0))), [[1.0]])
+
+
+@pytest.mark.parametrize("u11, minors", [
+    (np.diag(np.exp(1j * np.arange(8))), 2 ** 8),
+    (np.kron(np.eye(4), haar_unitary(2, np.random.default_rng(302))), 1296),
+    (haar_unitary(8, np.random.default_rng(303)), math.comb(16, 8)),
+], ids=["u1", "site-major-u2", "generic"])
+def test_gamma_takes_only_the_minors_its_blocks_allow(monkeypatch, u11,
+                                                      minors):
+    taken = []
+    det = np.linalg.det
+
+    def counting_det(stack):
+        taken.append(len(stack))
+        return det(stack)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    FermiFock(8).gamma(u11)
+    assert sum(taken) == minors
+
+
+def incremental_pi(fock, space, f):
+    """pi(f) as a chain of sparse additions, one scaled table at a time."""
+    n = fock.n_modes
+    op = sp.csr_matrix((fock.dim, fock.dim), dtype=complex)
+    for i in range(n):
+        if f[i] != 0:
+            op = op + complex(f[i]) * fock.creation(i + 1)
+        if f[n + i] != 0:
+            op = op + complex(f[n + i]) * fock.annihilation(i + 1)
+    return op
+
+
+@pytest.mark.parametrize("make_fock", [
+    lambda: FermiFock(3), lambda: FermiFock(4),
+    lambda: BoseFock(2, 3), lambda: BoseFock(3, 2),
+], ids=["fermi-3", "fermi-4", "bose-2-cutoff-3", "bose-3-cutoff-2"])
+def test_pi_is_the_incremental_sum(make_fock):
+    fock = make_fock()
+    space = SelfDualSpace(fock.n_modes)
+    rng = np.random.default_rng(fock.dim)
+    for _ in range(6):
+        f = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        f[rng.random(space.dim) < 0.3] = 0.0
+        f[rng.random(space.dim) < 0.3] = -1.0  # negative zeros in products
+        got, want = fock.pi(space, f), incremental_pi(fock, space, f)
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        # Bit for bit, negative zeros included (toarray would clear them).
+        assert np.array_equal(got.data.view(np.uint64),
+                              want.data.view(np.uint64))
+    assert fock.pi(space, np.zeros(space.dim)).nnz == 0
+
+
+def dense_implementers(v, fock_dom, fock_cod, omega_alphas):
+    """Implementers and their residuals from dense fields, term by term."""
+    nd = fock_dom.n_modes
+    pi_v = [incremental_pi(fock_cod, v.codomain, v.matrix[:, i])
+            for i in range(nd)]
+    psis = []
+    for omega in omega_alphas:
+        cols = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
+        cols[:, 0] = omega
+        for s in range(1, fock_dom.dim):
+            low = (s & -s).bit_length() - 1
+            cols[:, s] = pi_v[low] @ cols[:, s ^ (1 << low)]
+        psis.append(cols)
+    inter = impl = iso = 0.0
+    for idx in range(v.domain.dim):
+        f = np.zeros(v.domain.dim, dtype=complex)
+        f[idx] = 1.0
+        pi_d = incremental_pi(fock_dom, v.domain, f).toarray()
+        pi_c = incremental_pi(fock_cod, v.codomain, v.matrix @ f).toarray()
+        total = np.zeros((fock_cod.dim, fock_cod.dim), dtype=complex)
+        for psi in psis:
+            inter = max(inter, hs_norm(psi @ pi_d - pi_c @ psi))
+            total += psi @ pi_d @ psi.conj().T
+        impl = max(impl, hs_norm(total - pi_c))
+    for a, pa in enumerate(psis):
+        for b, pb in enumerate(psis):
+            target = np.eye(fock_dom.dim) if a == b else 0.0
+            iso = max(iso, float(np.max(np.abs(pa.conj().T @ pb - target))))
+    comp = hs_norm(sum(p @ p.conj().T for p in psis) - np.eye(fock_cod.dim))
+    return psis, (inter, iso, comp, impl)
+
+
+def random_car_member():
+    """exp of a self-dual generator composed with a shift, 3 -> 4 modes."""
+    return random_member("car", 4, 1, seed=404, scale=0.8)
+
+
+@pytest.mark.parametrize("make_v", [
+    lambda: builders.shift(3),
+    lambda: builders.bogoliubov(0.7, n_modes=4),
+    random_car_member,
+], ids=["shift-3-4", "bogoliubov-4", "random-member"])
+def test_car_implementers_equal_dense_products(make_v):
+    v = make_v()
+    data = car_charge_data(car_membership(v))
+    fock_d = FermiFock(v.domain.n_modes)
+    fock_c = FermiFock(v.codomain.n_modes)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
+                                        data.k.frame)
+    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    psis, residuals = dense_implementers(v, fock_d, fock_c, omegas)
+    assert len(imp.psis) == len(psis)
+    for got, want in zip(imp.psis, psis):
+        assert np.array_equal(got, want)
+    got = (imp.intertwining_residual, imp.isometry_residual,
+           imp.completeness_residual, imp.implementation_residual)
+    assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
 
 
 def test_oracle_report_independent_of_threads(tmp_path):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,17 @@ def write_model(tmp_path, payload) -> str:
 def test_malformed_model_exit_2(tmp_path, capsys, name, command):
     path = write_model(tmp_path, MALFORMED[name])
     assert cli.main([command, "--input", path]) == 2
+    assert capsys.readouterr().err.startswith("error (input): ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_model_exit_2_without_a_warning(tmp_path, capsys, name,
+                                                 command):
+    path = write_model(tmp_path, MALFORMED[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--input", path]) == 2
     assert capsys.readouterr().err.startswith("error (input): ")
 
 

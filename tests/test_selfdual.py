@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,36 @@ def test_hs_norm_matches_frobenius(seed):
     rng = np.random.default_rng(seed)
     m = random_complex(rng, 7, 4)
     assert np.isclose(hs_norm(m), np.linalg.norm(m, "fro"), rtol=1e-14)
+
+
+def fsum_of_every_square(m) -> float:
+    flat = np.abs(np.asarray(m)).ravel()
+    return math.sqrt(math.fsum((flat * flat).tolist()))
+
+
+def sparse_random(rng, rows, cols):
+    m = random_complex(rng, rows, cols)
+    m[rng.random((rows, cols)) < 0.7] = 0.0
+    return m
+
+
+HS_CASES = {
+    "complex-with-zeros": lambda rng: sparse_random(rng, 9, 6),
+    "real-with-zeros": lambda rng: sparse_random(rng, 5, 8).real.copy(),
+    "underflowing-squares": lambda rng: 1e-170 * sparse_random(rng, 4, 4),
+    "all-zero": lambda rng: np.zeros((3, 4), dtype=complex),
+    "empty": lambda rng: np.zeros((0, 3)),
+    "inf": lambda rng: np.where(sparse_random(rng, 3, 3) != 0, 1.0, np.inf),
+    "nan": lambda rng: np.where(sparse_random(rng, 3, 3) != 0, 0.0, np.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HS_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_hs_norm_equals_fsum_of_every_square(name, seed):
+    m = HS_CASES[name](np.random.default_rng(seed))
+    got, want = hs_norm(m), fsum_of_every_square(m)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
