@@ -137,14 +137,13 @@ class FermiFock(_FockSpace):
         parity = np.array([(-1.0) ** bin(s).count("1") for s in range(dim)])
         self._parity_diag = parity
         self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
-        # Mode subsets of each particle number l in lexicographic order (the
-        # row order of compound_matrix), and their basis states.
-        self._level_modes = [
-            np.array(list(itertools.combinations(range(n_modes), level)),
-                     dtype=np.intp).reshape(math.comb(n_modes, level), level)
+        # Basis states of each particle number l, in the lexicographic order
+        # of their mode subsets (the row order of compound_matrix).
+        self._level_states = [
+            np.array([sum(1 << i for i in comb) for comb in
+                      itertools.combinations(range(n_modes), level)],
+                     dtype=np.intp)
             for level in range(n_modes + 1)]
-        self._level_states = [np.left_shift(1, modes).sum(axis=1)
-                              for modes in self._level_modes]
 
     def _build_creation(self, i: int) -> sp.csr_matrix:
         rows, cols, vals = [], [], []
@@ -176,15 +175,10 @@ class FermiFock(_FockSpace):
 
         Built from exterior powers: <S'|Gamma(U)|S> = det u11[S', S] for
         |S'| = |S|, zero otherwise, so the block of particle number l is the
-        compound matrix of u11 at level l.
-
-        Only the minors that can be nonzero are taken.  Split the modes into
-        the blocks of u11's exact-zero pattern; det u11[S', S] is zero unless
-        S' and S hold the same number of modes in every block, and then
-        exactly 0, since LU never mixes rows of different blocks.  The
-        matching pairs of each level go through one batched determinant,
-        which factors each minor as a scalar det call would.  A phase gauge
-        takes the C(n, l) diagonal minors, a generic unitary all C(n, l)^2.
+        compound matrix of u11 at level l.  compound_matrix takes only the
+        minors that u11's exact-zero block pattern allows to be nonzero, so
+        a phase gauge costs C(n, l) minors per level, a generic unitary all
+        C(n, l)^2.
         """
         n = self.n_modes
         if u11.shape != (n, n):
@@ -194,31 +188,10 @@ class FermiFock(_FockSpace):
         if self.dim > GAMMA_DIM_CAP:
             raise CapExceeded(
                 f"Gamma on dimension {self.dim} exceeds cap {GAMMA_DIM_CAP}")
-        same_block = _same_block(u11)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for modes, states in zip(self._level_modes, self._level_states):
-            # counts[S, j]: modes of S in the block of mode j.
-            counts = same_block[modes].sum(axis=1)
-            rows, cols = np.nonzero(
-                (counts[:, None, :] == counts[None, :, :]).all(axis=2))
-            minors = u11[modes[rows][:, :, None], modes[cols][:, None, :]]
-            out[states[rows], states[cols]] = np.linalg.det(minors)
+        for level, states in enumerate(self._level_states):
+            out[np.ix_(states, states)] = compound_matrix(u11, level)
         return out
-
-
-def _same_block(u11: np.ndarray) -> np.ndarray:
-    """Whether modes i and j share a block of u11's exact-zero pattern.
-
-    They do when a chain of nonzero entries u11[i, k], u11[k, l], ... links
-    them, in either direction.
-    """
-    nonzero = u11 != 0
-    linked = nonzero | nonzero.T | np.eye(len(u11), dtype=bool)
-    while True:
-        wider = linked @ linked
-        if np.array_equal(wider, linked):
-            return linked
-        linked = wider
 
 
 class BoseFock(_FockSpace):
@@ -563,17 +536,43 @@ def charge_rep_blocks(omega_alphas: list[np.ndarray],
 def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     """Exterior-power (compound) matrix in lexicographic combination order.
 
-    All C(n, level)^2 minors are gathered into one stack and evaluated by a
-    single batched determinant; LAPACK factors each minor exactly as a
-    scalar det call would.
+    Only the minors that can be nonzero are taken.  Split the indices into
+    the blocks of the matrix's exact-zero pattern; det matrix[S', S] is zero
+    unless S' and S hold the same number of indices in every block, and then
+    exactly 0, since LU never mixes rows of different blocks.  The matching
+    pairs go through one batched determinant, which factors each minor
+    exactly as a scalar det call would; the other entries stay at zero.  A
+    diagonal matrix takes the C(n, level) diagonal minors, a matrix without
+    exact zeros all C(n, level)^2.
     """
     if level == 0:
         return np.ones((1, 1), dtype=complex)
     combs = np.array(
         list(itertools.combinations(range(matrix.shape[0]), level)),
         dtype=np.intp).reshape(-1, level)
-    minors = matrix[combs[:, None, :, None], combs[None, :, None, :]]
-    return np.linalg.det(minors).astype(complex)
+    # counts[S, j]: indices of S in the block of index j.
+    counts = _same_block(matrix)[combs].sum(axis=1)
+    rows, cols = np.nonzero(
+        (counts[:, None, :] == counts[None, :, :]).all(axis=2))
+    out = np.zeros((len(combs), len(combs)), dtype=complex)
+    out[rows, cols] = np.linalg.det(
+        matrix[combs[rows][:, :, None], combs[cols][:, None, :]])
+    return out
+
+
+def _same_block(matrix: np.ndarray) -> np.ndarray:
+    """Whether indices i and j share a block of the exact-zero pattern.
+
+    They do when a chain of nonzero entries matrix[i, k], matrix[k, l], ...
+    links them, in either direction.
+    """
+    nonzero = matrix != 0
+    linked = nonzero | nonzero.T | np.eye(len(matrix), dtype=bool)
+    while True:
+        wider = linked @ linked
+        if np.array_equal(wider, linked):
+            return linked
+        linked = wider
 
 
 def span_invariance_residual(vectors: list[np.ndarray],

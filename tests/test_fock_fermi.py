@@ -9,7 +9,6 @@ import pytest
 
 import scipy.sparse as sp
 import scipy.linalg
-from test_random_members import random_member
 
 from quasifree import builders, cli
 from quasifree.car import car_charge_data, car_membership
@@ -28,7 +27,7 @@ from quasifree.fock import (
     span_invariance_residual,
 )
 from quasifree.sectors import haar_unitary
-from quasifree.selfdual import SelfDualSpace, hs_norm
+from quasifree.selfdual import BlockOperator, SelfDualSpace, hs_norm
 
 TOL = 1e-12
 
@@ -383,10 +382,12 @@ def test_gamma_without_modes():
     assert np.array_equal(FermiFock(0).gamma(np.zeros((0, 0))), [[1.0]])
 
 
+# Level 0 is answered without a determinant, hence the "- 1".
 @pytest.mark.parametrize("u11, minors", [
-    (np.diag(np.exp(1j * np.arange(8))), 2 ** 8),
-    (np.kron(np.eye(4), haar_unitary(2, np.random.default_rng(302))), 1296),
-    (haar_unitary(8, np.random.default_rng(303)), math.comb(16, 8)),
+    (np.diag(np.exp(1j * np.arange(8))), 2 ** 8 - 1),
+    (np.kron(np.eye(4), haar_unitary(2, np.random.default_rng(302))),
+     1296 - 1),
+    (haar_unitary(8, np.random.default_rng(303)), math.comb(16, 8) - 1),
 ], ids=["u1", "site-major-u2", "generic"])
 def test_gamma_takes_only_the_minors_its_blocks_allow(monkeypatch, u11,
                                                       minors):
@@ -469,8 +470,23 @@ def dense_implementers(v, fock_dom, fock_cod, omega_alphas):
 
 
 def random_car_member():
-    """exp of a self-dual generator composed with a shift, 3 -> 4 modes."""
-    return random_member("car", 4, 1, seed=404, scale=0.8)
+    """exp(iH) after the shift 3 -> 4, with H hermitian, S conj(H) S = -H.
+
+    exp(iH) is a self-dual unitary, so the product is a CAR member of index
+    2; H is scaled to operator norm 0.8.
+    """
+    rng = np.random.default_rng(404)
+    space = SelfDualSpace(4)
+    z = (rng.normal(size=(space.dim, space.dim))
+         + 1j * rng.normal(size=(space.dim, space.dim)))
+    h0 = (z + z.conj().T) / 2.0
+    s = space.swap()
+    h = (h0 - s @ h0.conj() @ s) / 2.0
+    gen = 1j * h
+    gen *= 0.8 / np.linalg.norm(h, ord=2)
+    shift = builders.shift(3)
+    return BlockOperator(scipy.linalg.expm(gen) @ shift.matrix,
+                         shift.domain, space)
 
 
 @pytest.mark.parametrize("make_v", [
