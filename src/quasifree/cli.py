@@ -52,6 +52,7 @@ from .report import (
     relation,
 )
 from .sectors import (
+    CHAR_TOL,
     GaugeAction,
     char_det_h,
     compressed_action,
@@ -168,7 +169,7 @@ def cmd_analyze(args) -> int:
     payload["algebra"] = algebra
     payload["seed"] = seed
     payload["tolerances"] = {"membership": mem.tol, "recovery": 1e-8,
-                             "character": 1e-9}
+                             "character": CHAR_TOL}
     payload["membership"] = _membership_payload(mem)
     if not mem.is_member:
         payload["status"] = "not-in-semigroup"

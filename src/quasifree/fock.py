@@ -122,6 +122,11 @@ class _FockSpace:
         return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
 
+def _sign_of_count(masks: np.ndarray) -> np.ndarray:
+    """(-1)^(number of set bits) of each bitmask, as floats."""
+    return 1.0 - 2.0 * (np.bitwise_count(masks) % 2)
+
+
 class FermiFock(_FockSpace):
     """Fermionic Fock space on n modes with memoized operator tables."""
 
@@ -132,9 +137,10 @@ class FermiFock(_FockSpace):
                 f"fermionic dimension 2^{n_modes} = {dim} exceeds cap {dim_cap}")
         self.n_modes = n_modes
         self.dim = dim
-        self._creation = [self._build_creation(i) for i in range(n_modes)]
-        self._annihilation = [m.conj().T.tocsr() for m in self._creation]
-        parity = np.array([(-1.0) ** bin(s).count("1") for s in range(dim)])
+        self._creation = [self._field_table(i, True) for i in range(n_modes)]
+        self._annihilation = [self._field_table(i, False)
+                              for i in range(n_modes)]
+        parity = _sign_of_count(np.arange(dim))
         self._parity_diag = parity
         self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
         # Basis states of each particle number l, in the lexicographic order
@@ -145,18 +151,21 @@ class FermiFock(_FockSpace):
                      dtype=np.intp)
             for level in range(n_modes + 1)]
 
-    def _build_creation(self, i: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
+    def _field_table(self, i: int, create: bool) -> sp.csr_matrix:
+        """a*(e_i) (create) or a(e_i), written straight into CSR form.
+
+        Each row holds at most one entry: row S of a*(e_i) takes column
+        S minus {i} when i is in S, row S of a(e_i) column S u {i} when it
+        is not, both with the sign (-1)^{#{j in S : j < i}}.
+        """
         bit = 1 << i
-        below = bit - 1
-        for s in range(self.dim):
-            if s & bit:
-                continue
-            sign = -1.0 if bin(s & below).count("1") % 2 else 1.0
-            rows.append(s | bit)
-            cols.append(s)
-            vals.append(sign)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        states = np.arange(self.dim)
+        rows = ((states & bit) != 0) == create
+        indptr = np.zeros(self.dim + 1, dtype=np.int32)
+        np.cumsum(rows, out=indptr[1:])
+        cols = (states[rows] ^ bit).astype(np.int32)
+        vals = _sign_of_count(cols & (bit - 1))
+        return sp.csr_matrix((vals, cols, indptr), shape=(self.dim, self.dim))
 
     def parity(self) -> np.ndarray:
         """Gamma(-1) as a diagonal vector."""

@@ -12,6 +12,14 @@ Sampling is deterministic: a seeded QR-based Haar draw for matrix groups, the
 full group for the two-element group, and a uniform angle grid for the circle
 group.  Sector equivalence is certified only on the sample; the sample size
 and seed are recorded in the table.
+
+The characters take a stack of eigenvalue rows, one per sample, so a table
+costs one char_lambda / char_sym call per level.  Their sum order is fixed
+on purpose: products left to right from 1 with the complex multiply written
+in real parts, rows summed in order from 0.  numpy's complex array multiply
+may fuse into FMAs and so round differently from a scalar product; the
+fixed order gives every sample the bits of the scalar sum, and reports stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .selfdual import SelfDualSpace, hs_norm
 
 CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
+# Monomials per block of the stacked character sums (bounds their memory).
+_MONOMIAL_BLOCK = 256
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,30 +163,60 @@ def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
     return complex(np.linalg.det(comp))
 
 
-def char_lambda(eigs: np.ndarray, level: int) -> complex:
-    """Elementary symmetric polynomial e_l: the antisymmetric-power character."""
-    if level < 0 or level > len(eigs):
-        raise LevelOutOfRange(
-            f"level {level} outside 0..{len(eigs)}")
-    if level == 0:
-        return 1.0 + 0.0j
-    total = 0.0j
-    for combo in itertools.combinations(range(len(eigs)), level):
-        total += math.prod((eigs[i] for i in combo), start=1.0 + 0.0j)
-    return total
+def _monomial_sum(eigs: np.ndarray, combos) -> complex | np.ndarray:
+    """Sum over index tuples of the product of the indexed eigenvalues.
+
+    eigs is one eigenvalue vector (the sum comes back as a complex) or a
+    (samples, k) stack (one sum per row).  The arithmetic is fixed so that
+    every row gets the bits of the scalar loop
+    ``sum(math.prod((eigs[i] for i in c), start=1+0j) for c in combos)``:
+    each product runs left to right from 1+0j with the complex multiply
+    written out in real parts (numpy's complex array multiply may fuse it
+    into FMAs), and each row is summed in order from 0j by np.add.accumulate.
+    The monomials come in blocks of _MONOMIAL_BLOCK, each block's first
+    column carrying the running total, so memory stays samples x block.
+    """
+    vec = np.asarray(eigs, dtype=complex)
+    stack = np.atleast_2d(vec)
+    total = np.zeros(len(stack), dtype=complex)
+    re, im = stack.real, stack.imag
+    while block := list(itertools.islice(combos, _MONOMIAL_BLOCK)):
+        idx = np.array(block, dtype=np.intp)
+        prod_re = np.ones((len(stack), len(block)))
+        prod_im = np.zeros_like(prod_re)
+        for col in idx.T:
+            br, bi = re[:, col], im[:, col]
+            prod_re, prod_im = (prod_re * br - prod_im * bi,
+                                prod_re * bi + prod_im * br)
+        terms = np.empty((len(stack), len(block) + 1), dtype=complex)
+        terms[:, 0] = total
+        terms.real[:, 1:] = prod_re
+        terms.imag[:, 1:] = prod_im
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+    return complex(total[0]) if vec.ndim == 1 else np.ascontiguousarray(total)
 
 
-def char_sym(eigs: np.ndarray, level: int) -> complex:
-    """Complete homogeneous polynomial h_l: the symmetric-power character."""
+def char_lambda(eigs: np.ndarray, level: int) -> complex | np.ndarray:
+    """Elementary symmetric polynomial e_l: the antisymmetric-power character.
+
+    eigs is one eigenvalue vector or a (samples, k) stack of them.
+    """
+    k = np.shape(eigs)[-1]
+    if level < 0 or level > k:
+        raise LevelOutOfRange(f"level {level} outside 0..{k}")
+    return _monomial_sum(eigs, itertools.combinations(range(k), level))
+
+
+def char_sym(eigs: np.ndarray, level: int) -> complex | np.ndarray:
+    """Complete homogeneous polynomial h_l: the symmetric-power character.
+
+    eigs is one eigenvalue vector or a (samples, k) stack of them.
+    """
     if level < 0:
         raise LevelOutOfRange(f"level {level} < 0")
-    if level == 0:
-        return 1.0 + 0.0j
-    total = 0.0j
-    for combo in itertools.combinations_with_replacement(range(len(eigs)),
-                                                         level):
-        total += math.prod((eigs[i] for i in combo), start=1.0 + 0.0j)
-    return total
+    k = np.shape(eigs)[-1]
+    return _monomial_sum(
+        eigs, itertools.combinations_with_replacement(range(k), level))
 
 
 @dataclass(frozen=True)
@@ -223,17 +263,18 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
         levels = list(range((5 if l_max is None else l_max) + 1))
 
     dets = np.array([char_det_h(el.u11, h_frame, space) for el in elements])
-    eig_list = [eigenphases(compressed_action(el.u11, k_frame, space))
-                for el in elements]
+    eig_stack = np.empty((len(elements), k_dim), dtype=complex)
+    for row, el in zip(eig_stack, elements):
+        row[:] = eigenphases(compressed_action(el.u11, k_frame, space))
 
     rows = []
     for level in levels:
         if algebra == "car":
             dim = math.comb(k_dim, level)
-            chars = dets * np.array([char_lambda(e, level) for e in eig_list])
+            chars = dets * char_lambda(eig_stack, level)
         else:
             dim = math.comb(k_dim + level - 1, level) if k_dim else int(level == 0)
-            chars = np.array([char_sym(e, level) for e in eig_list])
+            chars = char_sym(eig_stack, level)
         rows.append(SectorRow(level, dim, chars))
 
     classes = _equivalence_classes(rows)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from quasifree import builders, car, ccr, cli, report, selfdual
+from quasifree import builders, car, ccr, cli, report, sectors, selfdual
 from quasifree.errors import MalformedInput
 from quasifree.fock import BOSE_DIM_CAP, compound_matrix
 
@@ -157,6 +157,18 @@ class TestAnalyze:
         assert data["membership"]["isometry_defect"]["pass"] is True
         assert data["sector_table"]["equivalence_classes"] == [[0], [1]]
         assert data["schema_version"] == 1
+
+    def test_character_tolerance_is_the_one_the_table_uses(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(sectors, "CHAR_TOL", 2.5e-9)
+        monkeypatch.setattr(cli, "CHAR_TOL", 2.5e-9)
+        out = str(tmp_path / "r.json")
+        code = cli.main(["analyze", "--input", shift_car_model(tmp_path),
+                         "--report", out])
+        assert code == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["tolerances"]["character"] == 2.5e-9
+        assert data["sector_table"]["sample"]["tol_char"] == 2.5e-9
 
     def test_shift_ccr_infinite_statistics_dimension(self, tmp_path):
         path = write_model(tmp_path, "m.json", {

@@ -529,3 +529,33 @@ def test_oracle_report_independent_of_threads(tmp_path):
     assert reports[0] == reports[1]
     data = json.loads(reports[0])
     assert data["charge_theorem"]["max_block_deviation"]["pass"] is True
+
+
+def loop_creation(dim, i):
+    """a*(e_i) state by state, with the sign convention of the module."""
+    rows, cols, vals = [], [], []
+    bit = 1 << i
+    for s in range(dim):
+        if s & bit:
+            continue
+        rows.append(s | bit)
+        cols.append(s)
+        vals.append(-1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+@pytest.mark.parametrize("n_modes", range(11))
+def test_fermi_tables_match_loop_reference(n_modes):
+    fock = FermiFock(n_modes)
+    parity = np.array([(-1.0) ** bin(s).count("1") for s in range(fock.dim)])
+    assert fock.parity().dtype == parity.dtype
+    assert np.array_equal(fock.parity(), parity)
+    for i in range(n_modes):
+        ref = loop_creation(fock.dim, i)
+        for table, ref_table in ((fock.creation(i + 1), ref),
+                                 (fock.annihilation(i + 1),
+                                  ref.conj().T.tocsr())):
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(table, attr), getattr(ref_table, attr)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -1,11 +1,12 @@
 """Character tables, sector equivalence classes, oracle comparison."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from quasifree import builders
+from quasifree import builders, sectors
 from quasifree.car import car_charge_data, car_membership
 from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.errors import (
@@ -214,3 +215,153 @@ def test_oracle_compare_flags_mismatch():
     report = oracle_compare(table, bad, tol=1e-8, strict=False)
     assert not report["passed"]
     assert report["worst_at"][1] == 1
+
+
+# --- stacked characters, bit for bit -----------------------------------------
+
+def loop_character(eigs, level, with_replacement):
+    """The per-row loop the stacked characters reproduce bit for bit."""
+    if level == 0:
+        return 1.0 + 0.0j
+    combos = (itertools.combinations_with_replacement if with_replacement
+              else itertools.combinations)
+    total = 0.0j
+    for combo in combos(range(len(eigs)), level):
+        total += math.prod((eigs[i] for i in combo), start=1.0 + 0.0j)
+    return total
+
+
+def loop_characters(stack, level, with_replacement):
+    return np.array([loop_character(row, level, with_replacement)
+                     for row in stack], dtype=complex)
+
+
+def assert_same_bits(got, want):
+    """Equal real, imaginary and sign bits (so 0.0 != -0.0, nan == nan)."""
+    got = np.ascontiguousarray(got)
+    assert got.dtype == complex and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_stack_matches_loop(stack):
+    k = stack.shape[1]
+    for level in range(k + 1):
+        assert_same_bits(char_lambda(stack, level),
+                         loop_characters(stack, level, False))
+    for level in range(6):
+        assert_same_bits(char_sym(stack, level),
+                         loop_characters(stack, level, True))
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_stacked_characters_equal_the_loop(k):
+    rng = np.random.default_rng(300 + k)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(6, k)))
+    generic = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
+    assert_stack_matches_loop(np.vstack([phases, generic]))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_stacked_characters_on_exact_phases_and_signed_zeros(k):
+    values = np.array([1, -1, 1j, -1j, complex(1, -0.0), complex(-1, -0.0),
+                       complex(0.0, -0.0), complex(-0.0, 0.0),
+                       complex(-0.0, -0.0), 0j])
+    rng = np.random.default_rng(400 + k)
+    assert_stack_matches_loop(values[rng.integers(len(values), size=(12, k))])
+
+
+def test_stacked_characters_across_monomial_blocks():
+    k, level = 9, 5
+    assert math.comb(k + level - 1, level) > 2 * sectors._MONOMIAL_BLOCK
+    rng = np.random.default_rng(9)
+    stack = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(64, k)))
+    assert_same_bits(char_sym(stack, level),
+                     loop_characters(stack, level, True))
+    assert_same_bits(char_lambda(stack, level),
+                     loop_characters(stack, level, False))
+
+
+def test_one_vector_gives_a_complex():
+    eigs = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+    for level in range(4):
+        for char, with_replacement in ((char_lambda, False), (char_sym, True)):
+            got = char(eigs, level)
+            assert type(got) is complex
+            assert_same_bits(np.array([got]), np.array(
+                [loop_character(eigs, level, with_replacement)]))
+
+
+def test_stacked_level_out_of_range():
+    stack = np.ones((4, 2), dtype=complex)
+    with pytest.raises(LevelOutOfRange):
+        char_lambda(stack, 3)
+    with pytest.raises(LevelOutOfRange):
+        char_lambda(stack, -1)
+    with pytest.raises(LevelOutOfRange):
+        char_sym(stack, -1)
+
+
+def loop_sector_characters(algebra, space, h_frame, k_frame, gauge,
+                           samples, seed, levels):
+    """Each element's characters from its own eigenphases, one at a time."""
+    elements = gauge.elements(samples=samples, seed=seed)
+    dets = np.array([char_det_h(el.u11, h_frame, space) for el in elements])
+    eigs = [eigenphases(compressed_action(el.u11, k_frame, space))
+            for el in elements]
+    if algebra == "car":
+        return [dets * np.array([loop_character(e, level, False)
+                                 for e in eigs]) for level in levels]
+    return [np.array([loop_character(e, level, True) for e in eigs])
+            for level in levels]
+
+
+SHIFT_GAUGES = [
+    # (algebra, steps, species, group, samples): analyze-sweep's shapes,
+    # among them ccr-shift-3x3-u1 (15 modes, k = 9, 64 samples).
+    ("car", 1, 1, "u1", 64),
+    ("car", 2, 2, "un", 50),
+    ("car", 3, 3, "sun", 50),
+    ("car", 2, 3, "z2", 2),
+    ("ccr", 1, 1, "u1", 64),
+    ("ccr", 3, 3, "u1", 64),
+    ("ccr", 2, 2, "sun", 50),
+    ("ccr", 3, 2, "un", 50),
+    ("ccr", 1, 3, "z2", 2),
+]
+
+
+@pytest.mark.parametrize("algebra, steps, species, group, samples",
+                         SHIFT_GAUGES)
+def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
+                                              species, group, samples):
+    sites = {1: 4, 2: 3, 3: 2}[species]
+    v = builders.shift(sites, steps=steps, species=species)
+    n = v.codomain.n_modes
+    if algebra == "car":
+        data = car_charge_data(car_membership(v))
+        h_frame, k_frame = data.h.frame, data.k.frame
+    else:
+        data = ccr_charge_data(ccr_membership(v))
+        h_frame, k_frame = np.zeros((v.codomain.dim, 0)), data.k_frame
+    assert k_frame.shape[1] == steps * species
+    charges = tuple(np.random.default_rng(n).integers(-2, 3, size=n))
+    gauge = GaugeAction(group, n, charges=charges if group == "u1" else (),
+                        species=species if group in ("un", "sun") else 0)
+    calls = []
+    for name in ("char_lambda", "char_sym"):
+        original = getattr(sectors, name)
+
+        def counted(eigs, level, original=original, name=name):
+            calls.append(name)
+            return original(eigs, level)
+        monkeypatch.setattr(sectors, name, counted)
+    table = sector_table(algebra, v.codomain, h_frame, k_frame, gauge,
+                         samples=samples, seed=5)
+    levels = [row.level for row in table.rows]
+    name = "char_lambda" if algebra == "car" else "char_sym"
+    assert calls == [name] * len(levels)
+    want = loop_sector_characters(algebra, v.codomain, h_frame, k_frame,
+                                  gauge, samples, 5, levels)
+    for row, ref in zip(table.rows, want):
+        assert len(row.characters) == samples
+        assert_same_bits(row.characters, ref)
