@@ -11,6 +11,7 @@ never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,8 @@ from .errors import (
     WindowTooSmall,
 )
 from .fock import (
+    FERMI_DIM_CAP,
+    GAMMA_DIM_CAP,
     BoseFock,
     FermiFock,
     bose_implementer,
@@ -274,6 +277,11 @@ def _car_oracle(args, model, mem, payload, lines) -> None:
     gauge, _, elements = _oracle_gauge(args, model, v, data.p)
     fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
+    # The charge comparison builds Gamma(U) on the codomain; refuse it
+    # before the implementers, with FermiFock.gamma's message.
+    if fock_c.dim > GAMMA_DIM_CAP:
+        raise CapExceeded(
+            f"Gamma on dimension {fock_c.dim} exceeds cap {GAMMA_DIM_CAP}")
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k.frame)
@@ -519,16 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze", help="membership, charge data, sector table")
     common(p_analyze, needs_input=True)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_oracle = sub.add_parser(
         "oracle", help="Fock-space verification of the charge machinery")
     common(p_oracle, needs_input=True)
-    p_oracle.add_argument("--fock-cap", type=int, default=4096,
+    p_oracle.add_argument("--fock-cap", type=int, default=FERMI_DIM_CAP,
                           help="fermionic Fock dimension cap")
     p_oracle.add_argument("--bose-cutoff", type=int, default=8,
                           help="bosonic per-mode occupation cutoff")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_dirac = sub.add_parser(
         "dirac", help="localized circle isometry: index, HS trend, "
@@ -538,14 +544,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated ascending mode cutoffs")
     p_dirac.add_argument("--gauge-n", type=int, default=1,
                          help="species count for the assembled operator")
-    p_dirac.set_defaults(func=cmd_dirac)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first main call (not at import) and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a replaced cmd_* attribute is the one called.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except INPUT_ERRORS as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,10 @@
 Everything here is brute force on purpose: dense/sparse matrices on a finite
 Fock space provide an independent check of the single-particle charge data.
 The brute force does only the arithmetic the structure needs: the fields stay
-sparse in the implementer checks, and Gamma(U) takes only the minors that the
-exact-zero block pattern of u11 allows to be nonzero.
+sparse in the implementer checks, the sum formula is certified from the
+intertwining gaps and the completeness Gram instead of being formed, and
+Gamma(U) takes only the minors that the exact-zero block pattern of u11
+allows to be nonzero.
 
 Fermionic side (n modes, dimension 2^n, basis = occupation subsets encoded as
 bitmasks): creation follows the fixed sign convention
@@ -413,7 +415,15 @@ def omega_alphas_bose(fock: BoseFock, space: SelfDualSpace,
 
 @dataclass(frozen=True)
 class ImplementerSet:
-    """Isometries solving Psi_alpha pi(a) Omega = pi(rho_V(a)) Omega_alpha."""
+    """Isometries solving Psi_alpha pi(a) Omega = pi(rho_V(a)) Omega_alpha.
+
+    implementation_residual is a certified upper bound on the sum formula's
+    HS residual max_f |sum_alpha Psi_alpha pi(f) Psi_alpha* - pi(Vf)|_HS
+    over the domain basis, not the residual itself: the largest over f of
+    sqrt(sum_alpha |gap_alpha(f)|_HS^2) sqrt(1 + comp) + |Vf| comp, with
+    gap_alpha(f) the intertwining gap and comp the completeness residual
+    (derived in car_implementers).
+    """
 
     alphas: list
     psis: list
@@ -430,9 +440,22 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
 
     The fields stay sparse.  pi_d of a domain basis vector is a signed
     partial permutation, so psi @ pi_d is a column gather, exact because each
-    entry has one term; pi_c @ psi sums only the nonzero terms of pi_c.  The
-    sum formula keeps its dense product (psi pi_d) psi*.  Isometry and
-    completeness come from one Gram each of the stacked [Psi_1 ... Psi_r].
+    entry has one term; pi_c @ psi sums only the nonzero terms of pi_c.
+    Isometry and completeness come from one Gram each of the stacked
+    W = [Psi_1 ... Psi_r].
+
+    The sum formula is certified from those, without a dense product.  With
+    gap_alpha = Psi_alpha pi_d - pi_c Psi_alpha, G = [gap_1 ... gap_r] and
+    C = W W* - 1,
+
+        sum_alpha Psi_alpha pi_d Psi_alpha* - pi_c = G W* + pi_c C,
+
+    and |W|_op^2 <= 1 + |C|_HS, while the CAR {pi(g)*, pi(g)} = |g|^2 give
+    |pi_c|_op <= |Vf|.  So for each basis vector f the residual is at most
+
+        sqrt(sum_alpha |gap_alpha|_HS^2) sqrt(1 + comp) + |Vf| comp,
+
+    comp = |C|_HS, and implementation_residual is the largest of these.
     """
     nd = fock_dom.n_modes
     pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i]) for i in range(nd)]
@@ -445,6 +468,11 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
             cols[:, s] = pi_v[low] @ cols[:, s ^ (1 << low)]
         psis.append(cols)
 
+    stacked = np.hstack(psis)
+    iso = float(np.max(np.abs(stacked.conj().T @ stacked
+                              - np.eye(stacked.shape[1]))))
+    comp = hs_norm(stacked @ stacked.conj().T - np.eye(fock_cod.dim))
+
     inter = 0.0
     impl = 0.0
     for idx in range(v.domain.dim):
@@ -452,20 +480,14 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
         f[idx] = 1.0
         pi_d = fock_dom.pi(v.domain, f).tocoo()
         pi_c = fock_cod.pi(v.codomain, v.matrix @ f)
-        total = np.zeros((fock_cod.dim, fock_cod.dim), dtype=complex)
+        gaps = []
         for psi in psis:
             psi_pi_d = np.zeros_like(psi)
             psi_pi_d[:, pi_d.col] = psi[:, pi_d.row] * pi_d.data
-            inter = max(inter, hs_norm(psi_pi_d - pi_c @ psi))
-            total += psi_pi_d @ psi.conj().T
-        pi_c = pi_c.tocoo()
-        total[pi_c.row, pi_c.col] -= pi_c.data
-        impl = max(impl, hs_norm(total))
-
-    stacked = np.hstack(psis)
-    iso = float(np.max(np.abs(stacked.conj().T @ stacked
-                              - np.eye(stacked.shape[1]))))
-    comp = hs_norm(stacked @ stacked.conj().T - np.eye(fock_cod.dim))
+            gaps.append(hs_norm(psi_pi_d - pi_c @ psi))
+        inter = max([inter, *gaps])
+        impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)
+                   + float(np.linalg.norm(v.matrix[:, idx])) * comp)
 
     result = ImplementerSet(alphas, psis, inter, iso, comp, impl)
     worst = max(inter, iso, comp, impl)
@@ -513,8 +535,7 @@ def bose_implementer(v: BlockOperator, fock_dom: BoseFock, fock_cod: BoseFock,
         pi_c = fock_cod.pi(v.codomain, v.matrix @ f)[rows]
         gap = psi_rows @ pi_d - pi_c @ psi_cols
         inter = max(inter, float(np.max(np.abs(gap))))
-    gram = psi.conj().T @ psi - np.eye(fock_dom.dim)
-    gram = gram * low_d[None, :] * low_d[:, None]
+    gram = psi_cols.conj().T @ psi_cols - np.eye(len(cols))
     iso = float(np.max(np.abs(gram)))
     return psi, inter, iso
 

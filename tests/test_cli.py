@@ -9,7 +9,7 @@ import pytest
 
 from quasifree import builders, car, ccr, cli, report, sectors, selfdual
 from quasifree.errors import MalformedInput
-from quasifree.fock import BOSE_DIM_CAP, compound_matrix
+from quasifree.fock import BOSE_DIM_CAP, FERMI_DIM_CAP, compound_matrix
 
 
 def write_model(tmp_path, name, payload):
@@ -417,6 +417,63 @@ class TestOracle:
                          shift_car_model(tmp_path, gauge=False),
                          "--fock-cap", "8"])
         assert code == 2
+
+    def test_car_shift_above_the_gamma_cap_exit_2_early(self, tmp_path,
+                                                        capsys):
+        # Shift 10 -> 11: dimension 2048 fits FERMI_DIM_CAP but not
+        # GAMMA_DIM_CAP; it is refused before any implementer is built.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 10}}})
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = cli.main(["oracle", "--input", path, "--report", str(out)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert ("Gamma on dimension 2048 exceeds cap 1024"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_fock_cap_default_is_the_fermionic_cap(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input",
+                         shift_car_model(tmp_path, gauge=False),
+                         "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["caps"]["fock_cap"] == FERMI_DIM_CAP
+
+
+class TestMain:
+
+    def test_consecutive_calls_with_different_subcommands(self, tmp_path):
+        model = shift_car_model(tmp_path, gauge=False)
+        runs = [
+            (["analyze", "--input", model], "analyze"),
+            (["dirac", "--cutoffs", "16,32"], "dirac"),
+            (["oracle", "--input", model], "oracle"),
+            (["analyze", "--input", model, "--algebra", "ccr"], "analyze"),
+        ]
+        for j, (argv, command) in enumerate(runs):
+            out = str(tmp_path / f"r{j}.json")
+            assert cli.main(argv + ["--report", out]) == 0
+            data = json.loads(open(out, encoding="utf-8").read())
+            assert data["command"] == command
+        assert data["algebra"] == "ccr"
+
+    def test_replaced_command_is_the_one_called(self, tmp_path,
+                                                monkeypatch):
+        model = shift_car_model(tmp_path, gauge=False)
+        # Parse once first, so a parser built before the patch is reused.
+        assert cli.main(["analyze", "--input", model]) == 0
+        seen = []
+
+        def fake(args):
+            seen.append((args.command, args.input))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_analyze", fake)
+        assert cli.main(["analyze", "--input", model]) == 7
+        assert seen == [("analyze", model)]
 
 
 class TestOneMembershipTest:

@@ -290,6 +290,30 @@ def test_bose_implementer_matches_dense_products(v):
     assert iso == ref_iso
 
 
+@pytest.mark.parametrize("make_v, cutoff", [
+    *[pytest.param(lambda: builders.shift(3), m, id=f"shift-3-4-M{m}")
+      for m in (5, 8)],
+    *[pytest.param(lambda r=r: builders.squeeze(r), m,
+                   id=f"squeeze-{r}-M{m}")
+      for r in (0.5, 0.3) for m in (2, 3, 5, 8, 12, 16)],
+])
+def test_bose_gram_defect_equals_masked_full_gram(make_v, cutoff):
+    # The probe-window Gram, bit for bit against the full psi* psi masked to
+    # the window, at the oracle's own probe size.
+    v = make_v()
+    data = ccr_charge_data(ccr_membership(v))
+    fock_d = BoseFock(v.domain.n_modes, cutoff)
+    fock_c = BoseFock(v.codomain.n_modes, cutoff)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    occ_probe = max(1, cutoff // 2 - 1)
+    psi, _, iso = bose_implementer(v, fock_d, fock_c, omega_p,
+                                   occ_probe=occ_probe)
+    low = fock_d.occupation_projector_diag(occ_probe)
+    full = (psi.conj().T @ psi - np.eye(fock_d.dim)) * low[None, :] \
+        * low[:, None]
+    assert iso == float(np.max(np.abs(full)))
+
+
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 6), (2, 3), (3, 5)])
 def test_bose_tables_match_loop_reference(n_modes, cutoff):
     fock = BoseFock(n_modes, cutoff)

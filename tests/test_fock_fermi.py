@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.linalg
 
-from quasifree import builders, cli
+from quasifree import builders, cli, fock
 from quasifree.car import car_charge_data, car_membership
 from quasifree.errors import CapExceeded, ImplementationDefect
 from quasifree.fock import (
@@ -510,6 +510,33 @@ def test_car_implementers_equal_dense_products(make_v):
     got = (imp.intertwining_residual, imp.isometry_residual,
            imp.completeness_residual, imp.implementation_residual)
     assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("make_v", [
+    lambda: builders.shift(3),
+    lambda: builders.bogoliubov(0.7, n_modes=4),
+    random_car_member,
+    lambda: builders.shift(2, species=2),
+], ids=["shift-3-4", "bogoliubov-4", "random-member", "shift-2-3x2"])
+def test_implementation_bound_is_sound_and_tight(monkeypatch, make_v, eps):
+    # Perturbed Omega_alpha give residuals far above rounding; the reported
+    # bound must lie above the direct sum-formula residual, and not far.
+    monkeypatch.setattr(fock, "DEFAULT_TOL", 1.0)
+    v = make_v()
+    data = car_charge_data(car_membership(v))
+    fock_d = FermiFock(v.domain.n_modes)
+    fock_c = FermiFock(v.codomain.n_modes)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
+                                        data.k.frame)
+    rng = np.random.default_rng(11)
+    omegas = [w + eps * (rng.normal(size=w.shape)
+                         + 1j * rng.normal(size=w.shape)) for w in omegas]
+    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    _, (_, _, _, direct) = dense_implementers(v, fock_d, fock_c, omegas)
+    assert direct > 0.0
+    assert direct <= imp.implementation_residual <= 3.0 * direct
 
 
 def test_oracle_report_independent_of_threads(tmp_path):
