@@ -1,10 +1,10 @@
 """Named example isometries used by tests, docs and the CLI.
 
-Every builder returns a semigroup member by construction (the dirac window
-family is the exception: it is only asymptotically isometric and lives in
-:mod:`quasifree.dirac`).  Mode ordering for multi-species builders is
-site-major with the species index fastest, so a domain always embeds as a
-mode prefix of its codomain.
+Every builder returns a semigroup member by construction.  The circle
+model's window isometry is only asymptotically isometric, so it is no
+builder: the `dirac` command studies it in :mod:`quasifree.dirac`.  Mode
+ordering for multi-species builders is site-major with the species index
+fastest, so a domain always embeds as a mode prefix of its codomain.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ def build(name: str, params: dict) -> BlockOperator:
         if name == "squeeze":
             return squeeze(float(params["r"]), int(params.get("n_modes", 1)),
                            int(params.get("mode", 1)))
-        if name == "dirac-v":
-            from . import dirac
-            m_loc = params.get("m_loc")
-            return dirac.dirac_v_member(int(params["window"]),
-                                        None if m_loc is None else int(m_loc))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"builder {name!r}: bad parameters: {exc}") from exc
     raise MalformedInput(f"unknown builder {name!r}")

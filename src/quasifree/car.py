@@ -32,6 +32,8 @@ from .selfdual import (
     SelfDualSpace,
     Subspace,
     cokernel_basis,
+    conjugate_matrix,
+    extend_gauge,
     hs_norm,
     kernel_basis,
     orthonormal_range,
@@ -114,7 +116,7 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
 
     idem = hs_norm(p @ p - p)
     herm = hs_norm(p - p.conj().T)
-    comp = hs_norm(space.swap() @ np.conj(p) @ space.swap()
+    comp = hs_norm(conjugate_matrix(p, space, space)
                    - (np.eye(space.dim) - p))
     if max(idem, herm, comp) > CHECK_TOL:
         raise RecoveryMismatch(
@@ -197,17 +199,6 @@ def z2_index(data: CarChargeData) -> int:
         raise NonzeroIndex(f"Z2 index needs IND V = 0, got {data.index}")
     dim_ker = kernel_basis(data.v.block(1, 1)).shape[1]
     return -1 if dim_ker % 2 else 1
-
-
-def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:
-    """Extend a unitary on K1 modes to u + conj(u) on the self-dual space."""
-    n = space.n_modes
-    if u11.shape != (n, n):
-        raise DimensionMismatch(f"u11 shape {u11.shape} != ({n}, {n})")
-    full = np.zeros((space.dim, space.dim), dtype=complex)
-    full[:n, :n] = u11
-    full[n:, n:] = np.conj(u11)
-    return full
 
 
 @dataclass(frozen=True)

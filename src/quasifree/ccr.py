@@ -95,8 +95,7 @@ def compute_projection(v: BlockOperator, p_op: np.ndarray) -> np.ndarray:
     return p
 
 
-def compute_t(p: np.ndarray, space: SelfDualSpace,
-              check_tol: float = CHECK_TOL) -> np.ndarray:
+def compute_t(p: np.ndarray, space: SelfDualSpace) -> np.ndarray:
     """T = P21 P11^{-1}: symmetric block with ||T|| < 1 (admissibility)."""
     n = space.n_modes
     p11, p21 = p[:n, :n], p[n:, :n]
@@ -104,9 +103,9 @@ def compute_t(p: np.ndarray, space: SelfDualSpace,
         raise DegenerateForm("P11 is singular; no bosonic pairing operator")
     t = p21 @ np.linalg.inv(p11)
     sym = hs_norm(t - t.T)
-    if sym > check_tol * max(1.0, hs_norm(t)):
+    if sym > CHECK_TOL * max(1.0, hs_norm(t)):
         raise AntisymmetryViolation(
-            f"T symmetry defect {sym:.3e} exceeds {check_tol:.1e}")
+            f"T symmetry defect {sym:.3e} exceeds {CHECK_TOL:.1e}")
     norm = float(np.linalg.norm(t, 2)) if t.size else 0.0
     if norm >= 1.0 - NORM_MARGIN:
         raise NormBoundViolation(f"||T|| = {norm:.12f} >= 1 - {NORM_MARGIN:.0e}")

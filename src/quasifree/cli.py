@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, dirac
-from .car import car_charge_data, car_membership, extend_gauge, z2_index
+from .car import RECOVERY_TOL, car_charge_data, car_membership, z2_index
 from .ccr import ccr_charge_data, ccr_membership
 from .errors import (
     CapExceeded,
@@ -62,7 +62,7 @@ from .sectors import (
     oracle_compare,
     sector_table,
 )
-from .selfdual import DEFAULT_TOL, Membership
+from .selfdual import DEFAULT_TOL, Membership, extend_gauge
 
 # The report writes the statistics dimension 2^N of N species (the circle's
 # index is 1) as an exact integer; this cap keeps it far below Python's
@@ -171,7 +171,7 @@ def cmd_analyze(args) -> int:
     payload = _base_payload("analyze", args, model)
     payload["algebra"] = algebra
     payload["seed"] = seed
-    payload["tolerances"] = {"membership": mem.tol, "recovery": 1e-8,
+    payload["tolerances"] = {"membership": mem.tol, "recovery": RECOVERY_TOL,
                              "character": CHAR_TOL}
     payload["membership"] = _membership_payload(mem)
     if not mem.is_member:
@@ -286,24 +286,27 @@ def _car_oracle(args, model, mem, payload, lines) -> None:
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k.frame)
     imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    # DEFAULT_TOL is also the bound at which car_implementers raises.
     payload["implementers"] = {
         "count": len(imp.psis),
-        "expected": 2 ** (data.index // 2),
-        "intertwining": comparison(imp.intertwining_residual, 1e-10),
-        "isometry": comparison(imp.isometry_residual, 1e-10),
-        "completeness": comparison(imp.completeness_residual, 1e-10),
-        "implementation": comparison(imp.implementation_residual, 1e-10),
+        "expected": data.statistics_dimension,
+        "intertwining": comparison(imp.intertwining_residual, DEFAULT_TOL),
+        "isometry": comparison(imp.isometry_residual, DEFAULT_TOL),
+        "completeness": comparison(imp.completeness_residual, DEFAULT_TOL),
+        "implementation": comparison(imp.implementation_residual, DEFAULT_TOL),
     }
     lines.append(
-        f"implementers: {len(imp.psis)} (expected {2 ** (data.index // 2)}), "
+        f"implementers: {len(imp.psis)} "
+        f"(expected {data.statistics_dimension}), "
         f"implementation residual {imp.implementation_residual:.3e} "
-        f"{relation(payload['implementers']['implementation'])} 1e-10")
+        f"{relation(payload['implementers']['implementation'])} "
+        f"{DEFAULT_TOL:.0e}")
 
     space = v.codomain
 
     def theorem_deviation(element) -> float:
         gamma = fock_c.gamma(element.u11)
-        blocks = charge_rep_blocks(omegas, alphas, gamma)
+        blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
         det_h = char_det_h(element.u11, data.h.frame, space)
         comp_k = compressed_action(element.u11, data.k.frame, space)
         dev = 0.0
@@ -382,8 +385,7 @@ def _ccr_oracle(args, model, mem, payload, lines) -> None:
                                  lambda vec: gamma_vec * vec)
 
     blocks = _parallel_map(element_blocks, elements, args.threads)
-    compare = oracle_compare(table, blocks, tol=1e-6, tail=tail,
-                             strict=False)
+    compare = oracle_compare(table, blocks, tol=1e-6, tail=tail)
     payload["charge_theorem"] = {
         "samples": len(elements),
         "gauge": gauge.kind,
@@ -558,6 +560,9 @@ def main(argv=None) -> int:
     # Looked up per call, so a replaced cmd_* attribute is the one called.
     command = globals()[f"cmd_{args.command}"]
     try:
+        if args.tol is not None and not 0.0 < args.tol < math.inf:  # NaN fails too
+            raise MalformedInput(
+                f"--tol must be a finite number > 0, got {args.tol}")
         return command(args)
     except INPUT_ERRORS as exc:
         print(f"error (input): {exc}", file=sys.stderr)

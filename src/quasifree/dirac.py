@@ -23,7 +23,7 @@ A = U - L and B = L (columns f_{m+1} and f_m).  Every quantity reported here
 (index, seam and probe defects, nested Hilbert-Schmidt norms, localization)
 comes from these (2W+1) x m_loc factors in O(W m_loc^2) work; the dense
 (2W+1)^2 matrix is built only on request (`DiracBuild.dense`), as the tests'
-oracle and for the `dirac-v` builder.
+oracle.  The window fixes m_loc = W // 4.
 
 Truncating the m-sum leaves an exact seam: the pair (f_{m_loc-1}, f_{m_loc})
 is mapped onto the single direction f_{m_loc}, so the full operator-norm
@@ -46,10 +46,10 @@ from .errors import (
     UnstableIndex,
     WindowTooSmall,
 )
-from .selfdual import BlockOperator, SelfDualSpace
 
-DEFAULT_CUTOFFS = (64, 128, 256, 512)
 SQRT2 = math.sqrt(2.0)
+CAYLEY_GRID = 257  # sample points of the arc-map audit
+INDEX_THRESHOLD = 0.5  # singular values below it count toward the cokernel
 
 
 def cayley(x: float) -> complex:
@@ -61,12 +61,12 @@ def cayley_inverse(w: complex) -> complex:
     return 1j * (1.0 + w) / (1.0 - w)
 
 
-def cayley_audit(grid: int = 257) -> dict:
+def cayley_audit() -> dict:
     """Check the arc map: unimodular on the reals, endpoints, arc preimage."""
-    xs = np.linspace(-50.0, 50.0, grid)
+    xs = np.linspace(-50.0, 50.0, CAYLEY_GRID)
     values = np.array([cayley(x) for x in xs])
     unimodular_dev = float(np.max(np.abs(np.abs(values) - 1.0)))
-    lam = np.linspace(math.pi / 2 + 1e-9, 3 * math.pi / 2 - 1e-9, grid)
+    lam = np.linspace(math.pi / 2 + 1e-9, 3 * math.pi / 2 - 1e-9, CAYLEY_GRID)
     pre = np.array([cayley_inverse(np.exp(1j * t)) for t in lam])
     preimage_real = float(np.max(np.abs(pre.imag)))
     preimage_in_interval = bool(np.all((pre.real >= -1 - 1e-9)
@@ -136,7 +136,7 @@ def complement_probe(w: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleWindow:
-    """Mode window |n| <= w with the local-mode overlap table."""
+    """Mode window |n| <= w with the local-mode overlap table, m_loc = w // 4."""
 
     w: int
     m_loc: int
@@ -144,10 +144,9 @@ class CircleWindow:
     m_values: np.ndarray = field(repr=False)
 
     @classmethod
-    def create(cls, w: int, m_loc: int | None = None) -> "CircleWindow":
-        if m_loc is None:
-            m_loc = w // 4
-        if m_loc < 2 or m_loc > w // 4:
+    def create(cls, w: int) -> "CircleWindow":
+        m_loc = w // 4
+        if m_loc < 2:
             raise WindowTooSmall(
                 f"need 2 <= m_loc <= w/4, got m_loc={m_loc}, w={w}")
         m_values = np.arange(-m_loc, m_loc + 1)
@@ -169,8 +168,7 @@ class DiracBuild:
     those of U are f_{m+1} for start_m <= m < m_loc, and records all 2W+1
     singular values of V (None for factors assembled by hand).  Nothing of
     size dim x dim is stored: V acts through `apply` / `apply_adjoint`, and
-    `dense` materializes it only for the tests' oracle and the `dirac-v`
-    builder.
+    `dense` materializes it only for the tests' oracle.
     """
 
     window: CircleWindow
@@ -196,13 +194,13 @@ class DiracBuild:
                 + self.a @ self.b.conj().T)
 
 
-def build_v(w: int, m_loc: int | None = None, start_m: int = 0) -> DiracBuild:
+def build_v(w: int, start_m: int = 0) -> DiracBuild:
     """Window factors of the localized shift isometry, with diagnostics.
 
     start_m = 1 gives the robustness variant whose sum omits the m = 0 term
     (f_0 is then fixed); the index is unchanged.
     """
-    window = CircleWindow.create(w, m_loc)
+    window = CircleWindow.create(w)
     m_loc = window.m_loc
     frame = window.f_table[:, m_loc + start_m:]  # F = [f_start ... f_m_loc]
     lower, upper = frame[:, :-1], frame[:, 1:]
@@ -256,23 +254,19 @@ class IndexRecord:
     spectral_gap: dict
 
 
-def index_estimate(cutoffs=(256, 512), m_loc: int | None = None,
-                   start_m: int = 0, threshold: float = 0.5,
-                   builds=None) -> IndexRecord:
-    """Cokernel count of the window isometry, required stable across cutoffs.
+def index_estimate(builds) -> IndexRecord:
+    """Cokernel count of the window isometry, required stable across builds.
 
-    builds, when given, are used instead of building one per cutoff.
+    A singular value below INDEX_THRESHOLD counts toward the cokernel.
     """
-    if builds is None:
-        builds = [build_v(w, m_loc, start_m=start_m) for w in cutoffs]
     counts, smallest, gaps = {}, {}, {}
     for build in builds:
         w = build.window.w
         svals = build.singular_values
-        below = np.sort(svals[svals < threshold])
+        below = np.sort(svals[svals < INDEX_THRESHOLD])
         counts[w] = int(below.size)
         smallest[w] = float(svals.min())
-        above = svals[svals >= threshold]
+        above = svals[svals >= INDEX_THRESHOLD]
         gaps[w] = float(above.min() - (below.max() if below.size else 0.0))
     values = sorted(set(counts.values()))
     if len(values) != 1:
@@ -320,11 +314,10 @@ class HsStudy:
     verdicts: dict
 
 
-def hs_commutator_study(cutoffs=DEFAULT_CUTOFFS,
-                        build: DiracBuild | None = None) -> HsStudy:
+def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
     """Nested partial HS norms of the Hardy-projection commutators.
 
-    One build is made at the largest cutoff; partial sums over nested
+    The build is the one at the largest cutoff; partial sums over nested
     windows are the partial sums of one fixed doubly-infinite array, so they
     increase and their increments must decay summably for an HS operator.
 
@@ -336,9 +329,7 @@ def hs_commutator_study(cutoffs=DEFAULT_CUTOFFS,
     """
     cutoffs = tuple(sorted(cutoffs))
     w_max = cutoffs[-1]
-    if build is None:
-        build = build_v(w_max)
-    elif build.window.w != w_max:
+    if build.window.w != w_max:
         raise WindowTooSmall("supplied build does not match the largest cutoff")
 
     def gram(x: np.ndarray, rows: slice) -> np.ndarray:
@@ -358,7 +349,7 @@ def hs_commutator_study(cutoffs=DEFAULT_CUTOFFS,
                    dict.fromkeys(tags, verdict))
 
 
-def jump_symbol_control_study(cutoffs=DEFAULT_CUTOFFS) -> HsStudy:
+def jump_symbol_control_study(cutoffs) -> HsStudy:
     """The same trend detector on a known non-HS case.
 
     Multiplication by the unimodular symbol with a jump and half-integer
@@ -381,34 +372,27 @@ def jump_symbol_control_study(cutoffs=DEFAULT_CUTOFFS) -> HsStudy:
                    {"plus": verdict})
 
 
-def prop_loc_check(build: DiracBuild, components: dict | None = None,
-                   tol: float = 1e-3) -> dict:
-    """Least-squares common phase of v on each off-arc component.
+def prop_loc_check(build: DiracBuild, tol: float) -> dict:
+    """Least-squares common phase of v on the complementary arc.
 
-    components maps a label to a list of coefficient vectors supported in
-    that component; default is the single complementary arc with the
-    restricted-exponential family.  Raises NoCommonPhase when even the
-    optimal unimodular phase leaves a relative residual above tol.
+    The probes are the restricted exponentials e_k, |k| <= 8, on the arc
+    off A.  Raises NoCommonPhase when even the optimal unimodular phase
+    leaves a relative residual above tol.
     """
-    if components is None:
-        components = {"complement": [complement_probe(build.window.w, k)
-                                     for k in range(-8, 9)]}
-    out = {}
-    for label, probes in components.items():
-        images = build.apply(np.column_stack(probes)).T
-        overlap_sum = 0.0j
-        for g, vg in zip(probes, images):
-            overlap_sum += np.vdot(g, vg)
-        tau = overlap_sum / abs(overlap_sum) if abs(overlap_sum) else 1.0 + 0j
-        residual = max(
-            float(np.linalg.norm(vg - tau * g)) / float(np.linalg.norm(g))
-            for g, vg in zip(probes, images))
-        if residual > tol:
-            raise NoCommonPhase(
-                f"component {label!r}: best phase leaves residual "
-                f"{residual:.3e} > {tol:.1e}")
-        out[label] = {"tau": complex(tau), "residual": residual}
-    return out
+    probes = [complement_probe(build.window.w, k) for k in range(-8, 9)]
+    images = build.apply(np.column_stack(probes)).T
+    overlap_sum = 0.0j
+    for g, vg in zip(probes, images):
+        overlap_sum += np.vdot(g, vg)
+    tau = overlap_sum / abs(overlap_sum) if abs(overlap_sum) else 1.0 + 0j
+    residual = max(
+        float(np.linalg.norm(vg - tau * g)) / float(np.linalg.norm(g))
+        for g, vg in zip(probes, images))
+    if residual > tol:
+        raise NoCommonPhase(
+            "component 'complement': best phase leaves residual "
+            f"{residual:.3e} > {tol:.1e}")
+    return {"complement": {"tau": complex(tau), "residual": residual}}
 
 
 def assemble_species(n_species: int, index_v: int = 1) -> dict:
@@ -425,19 +409,3 @@ def assemble_species(n_species: int, index_v: int = 1) -> dict:
         "half_index": half_index,
         "statistics_dimension": 2 ** half_index,
     }
-
-
-def dirac_v_member(w: int, m_loc: int | None = None) -> BlockOperator:
-    """The window matrix as a self-dual operator v + conj(v).
-
-    Useful for feeding the circle model through the generic pipelines; note
-    the window truncation means it only satisfies the isometry law up to the
-    documented window defects.
-    """
-    build = build_v(w, m_loc)
-    space = SelfDualSpace(build.window.dim)
-    full = np.zeros((2 * space.n_modes, 2 * space.n_modes), dtype=complex)
-    matrix = build.dense()
-    full[:space.n_modes, :space.n_modes] = matrix
-    full[space.n_modes:, space.n_modes:] = np.conj(matrix)
-    return BlockOperator(full, space, space)

@@ -89,10 +89,6 @@ class LevelOutOfRange(QuasifreeError):
     """Requested charge level outside 0..dim(k) (CAR) or negative (CCR)."""
 
 
-class CharacterMismatch(QuasifreeError):
-    """Oracle character and symmetric-function character disagree."""
-
-
 class CapExceeded(QuasifreeError):
     """Requested Fock space exceeds the configured size cap."""
 

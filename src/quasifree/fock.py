@@ -66,6 +66,7 @@ from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 FERMI_DIM_CAP = 4096
 BOSE_DIM_CAP = 6561
 GAMMA_DIM_CAP = 1024
+EXP_MAX_TERMS = 200  # power-series terms of exp(B) Omega at most
 
 
 def car_multi_indices(k_dim: int) -> list[tuple[int, ...]]:
@@ -264,12 +265,11 @@ def _pair_exponent(fock, t_block: np.ndarray) -> sp.csr_matrix:
     return op
 
 
-def _exp_apply(op: sp.csr_matrix, vec: np.ndarray,
-               max_terms: int = 200) -> np.ndarray:
+def _exp_apply(op: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
     """exp(op) vec by the power series; terminates on vanishing terms."""
     out = vec.astype(complex).copy()
     term = vec.astype(complex).copy()
-    for k in range(1, max_terms):
+    for k in range(1, EXP_MAX_TERMS):
         term = (op @ term) / k
         norm = float(np.linalg.norm(term))
         if norm == 0.0 or norm < 1e-300:
@@ -547,12 +547,10 @@ def charge_rep_blocks(omega_alphas: list[np.ndarray],
                       gamma_action) -> dict[int, np.ndarray]:
     """Blocks M_l[a, b] = <Omega_a, Gamma(U) Omega_b> per level l.
 
-    gamma_action is either a dense matrix or a callable applying Gamma(U).
+    gamma_action is a callable applying Gamma(U) to a vector: a dense
+    Gamma(U) passes its ``__matmul__``, a diagonal one a phase product.
     """
-    if callable(gamma_action):
-        transformed = [gamma_action(vec) for vec in omega_alphas]
-    else:
-        transformed = [gamma_action @ vec for vec in omega_alphas]
+    transformed = [gamma_action(vec) for vec in omega_alphas]
     blocks: dict[int, np.ndarray] = {}
     levels = sorted({len(a) for a in alphas})
     for level in levels:
@@ -606,12 +604,12 @@ def _same_block(matrix: np.ndarray) -> np.ndarray:
 
 
 def span_invariance_residual(vectors: list[np.ndarray],
-                             gamma_action) -> float:
+                             gamma: np.ndarray) -> float:
     """Largest distance of Gamma(U) Omega_alpha from span{Omega_beta}."""
     q = np.column_stack(vectors)
     resid = 0.0
     for vec in vectors:
-        img = gamma_action @ vec if not callable(gamma_action) else gamma_action(vec)
+        img = gamma @ vec
         gap = img - q @ (q.conj().T @ img)
         resid = max(resid, float(np.linalg.norm(gap)))
     return resid

@@ -130,13 +130,6 @@ def canonical_json(payload: dict) -> str:
                       ensure_ascii=False) + "\n"
 
 
-def sha256_of_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True)
 class ModelFile:
     label: str
@@ -185,8 +178,9 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
 def load_model(path: str) -> ModelFile:
     """Parse and validate a model file; MalformedInput on any inconsistency."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()  # parsed and hashed: one read
+        raw = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise MalformedInput(f"cannot read model file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -247,5 +241,5 @@ def load_model(path: str) -> ModelFile:
         gauge=gauge,
         gauge_samples=samples,
         gauge_seed=seed,
-        source_digest=sha256_of_file(path),
+        source_digest=hashlib.sha256(data).hexdigest(),
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     IndexMismatch,
     NotInSemigroup,
     OddIndex,
@@ -175,6 +176,17 @@ def conjugate_matrix(matrix: np.ndarray, domain: SelfDualSpace,
                      codomain: SelfDualSpace) -> np.ndarray:
     """Matrix of J A J for A: domain -> codomain."""
     return codomain.swap() @ np.conj(matrix) @ domain.swap()
+
+
+def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:
+    """Extend a unitary on K1 modes to u + conj(u) on the self-dual space."""
+    n = space.n_modes
+    if u11.shape != (n, n):
+        raise DimensionMismatch(f"u11 shape {u11.shape} != ({n}, {n})")
+    full = np.zeros((space.dim, space.dim), dtype=complex)
+    full[:n, :n] = u11
+    full[n:, n:] = np.conj(u11)
+    return full
 
 
 @dataclass(frozen=True)

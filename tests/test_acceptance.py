@@ -144,7 +144,7 @@ def _charge_theorem_deviation(v, elements, data, fock_c, alphas, omegas):
     worst = 0.0
     for element in elements:
         gamma = fock_c.gamma(element.u11)
-        blocks = charge_rep_blocks(omegas, alphas, gamma)
+        blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
         det_h = char_det_h(element.u11, data.h.frame, space)
         comp = compressed_action(element.u11, data.k.frame, space)
         for level, block in blocks.items():
@@ -213,8 +213,7 @@ def test_criterion_5_ccr_charge_theorem(capsys):
         gvec = fock.gamma_phases(phases)
         blocks.append(charge_rep_blocks(omegas, alphas,
                                         lambda vec: gvec * vec))
-    compare = oracle_compare(table, blocks, tol=1e-6, tail=tail,
-                             strict=False)
+    compare = oracle_compare(table, blocks, tol=1e-6, tail=tail)
     elapsed = time.perf_counter() - start
     ok = (compare["passed"] and max(r.level for r in table.rows) == 5
           and elapsed < 60.0)
@@ -260,7 +259,7 @@ def test_criterion_7_dirac_example(capsys):
     rownorm = builds[512].diagnostics["rownorm_deviation"]
     rownorm_ok = rownorm <= 3e-3
 
-    record = dirac.index_estimate(cutoffs=(256, 512))
+    record = dirac.index_estimate([builds[256], builds[512]])
     index_ok = record.value == 1 and set(record.counts) == {256, 512}
 
     study = dirac.hs_commutator_study(cutoffs, build=builds[512])

@@ -84,7 +84,7 @@ def test_norm_bound_violation():
     space = SelfDualSpace(1)
     p = np.array([[1.0, -1.0], [1.0, -1.0]])  # T would be 1.0
     with pytest.raises(NormBoundViolation):
-        compute_t(p, space, check_tol=1.0)
+        compute_t(p, space)
 
 
 def test_statistics_dimension_rule():

@@ -1,5 +1,6 @@
 """Model-file parsing, report serialization, and CLI behavior."""
 
+import hashlib
 import json
 import math
 import time
@@ -98,7 +99,9 @@ class TestLoadModel:
         assert model.operator.codomain.n_modes == 4
         assert model.gauge.kind == "u1"
         assert model.gauge_samples == 24
-        assert len(model.source_digest) == 64
+        with open(path, "rb") as handle:
+            assert model.source_digest == hashlib.sha256(
+                handle.read()).hexdigest()
 
     def test_matrix_model_with_space(self, tmp_path):
         v = builders.shift(1)
@@ -202,6 +205,13 @@ class TestAnalyze:
                       "samples": samples}})
         assert cli.main(["analyze", "--input", path]) == 2
         assert "gauge" in capsys.readouterr().err
+
+    def test_dirac_window_is_no_builder_exit_2(self, tmp_path, capsys):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "dirac-v", "params": {"window": 16}}})
+        assert cli.main(["analyze", "--input", path]) == 2
+        assert "unknown builder 'dirac-v'" in capsys.readouterr().err
 
     def test_custom_unitary_wrong_shape_exit_2(self, tmp_path, capsys):
         path = write_model(tmp_path, "m.json", {
@@ -459,6 +469,25 @@ class TestMain:
             data = json.loads(open(out, encoding="utf-8").read())
             assert data["command"] == command
         assert data["algebra"] == "ccr"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["analyze", "oracle", "dirac"])
+    def test_tol_not_a_finite_positive_number_exit_2(self, tmp_path, capsys,
+                                                     command, tol):
+        # A 2-mode non-member: at --tol nan every defect comparison is
+        # false, so without the check it would pass membership.
+        rng = np.random.default_rng(0)
+        matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"matrix": report.complex_array_payload(matrix)},
+            "space": {"domain_modes": 2}})
+        argv = ([command, "--cutoffs", "16,32"] if command == "dirac"
+                else [command, "--input", path])
+        out = tmp_path / "r.json"
+        assert cli.main(argv + [f"--tol={tol}", "--report", str(out)]) == 2
+        assert "--tol must be a finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replaced_command_is_the_one_called(self, tmp_path,
                                                 monkeypatch):

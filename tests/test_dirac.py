@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quasifree import builders, dirac
+from quasifree import dirac
 from quasifree.errors import (
     NoCommonPhase,
     NonMonotone,
@@ -45,10 +45,11 @@ def test_cayley_audit():
 
 
 def test_window_too_small():
-    with pytest.raises(WindowTooSmall):
-        dirac.build_v(64, m_loc=17)
-    with pytest.raises(WindowTooSmall):
-        dirac.build_v(64, m_loc=1)
+    # m_loc = w // 4 needs at least two local modes
+    with pytest.raises(WindowTooSmall,
+                       match=r"^need 2 <= m_loc <= w/4, got m_loc=1, w=7$"):
+        dirac.build_v(7)
+    assert dirac.build_v(8).window.m_loc == 2
 
 
 def test_row_normalization_within_tail_bound():
@@ -89,30 +90,34 @@ def test_shift_action_on_local_modes():
 
 
 def test_index_stable_and_robust():
-    record = dirac.index_estimate(cutoffs=(64, 128))
+    record = dirac.index_estimate([dirac.build_v(64), dirac.build_v(128)])
     assert record.value == 1
     assert record.counts == {64: 1, 128: 1}
     assert all(s < 1e-4 for s in record.smallest_singular.values())
     assert all(g > 0.99 for g in record.spectral_gap.values())
-    shifted = dirac.index_estimate(cutoffs=(64, 128), start_m=1)
+    shifted = dirac.index_estimate([dirac.build_v(64, start_m=1),
+                                    dirac.build_v(128, start_m=1)])
     assert shifted.value == 1
 
 
-def test_index_instability_detected():
+def test_index_instability_detected(monkeypatch):
     # a threshold grazing the bulk cluster at 1 catches a cutoff-dependent
     # number of truncation-perturbed singular values, which must raise
+    builds = [dirac.build_v(64), dirac.build_v(128)]
+    monkeypatch.setattr(dirac, "INDEX_THRESHOLD", 0.99999)
     with pytest.raises(UnstableIndex):
-        dirac.index_estimate(cutoffs=(64, 128), threshold=0.99999)
+        dirac.index_estimate(builds)
 
 
 def test_hs_study_verdicts():
-    study = dirac.hs_commutator_study(cutoffs=(32, 64, 128, 256))
+    study = dirac.hs_commutator_study((32, 64, 128, 256),
+                                      build=dirac.build_v(256))
     for tag in ("plus", "minus"):
         sums = study.partial_norms[tag]
         assert all(b > a for a, b in zip(sums, sums[1:]))
         assert study.slopes[tag] < -0.5
         assert study.verdicts[tag] == "consistent-with-HS"
-    control = dirac.jump_symbol_control_study(cutoffs=(32, 64, 128, 256))
+    control = dirac.jump_symbol_control_study((32, 64, 128, 256))
     assert control.verdicts["plus"] == "not-summable-trend"
     assert control.slopes["plus"] > -0.5
 
@@ -173,15 +178,6 @@ def test_assemble_species():
         assert len(rec["blocks"]) == 2 * n
     assert dirac.assemble_species(2)["blocks"] == ["v", "v", "conj(v)",
                                                    "conj(v)"]
-
-
-def test_dirac_v_member_builder():
-    member = builders.build("dirac-v", {"window": 32, "m_loc": 8})
-    assert member.domain.n_modes == 65
-    assert member.selfdual_defect() < 1e-12
-    # the particle block is the window matrix itself
-    build = dirac.build_v(32, 8)
-    assert np.array_equal(member.block(1, 1), build.dense())
 
 
 def _dense_partial_hs(comm, w_max, cutoffs):

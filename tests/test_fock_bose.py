@@ -160,7 +160,7 @@ def test_bose_charge_blocks_are_gauge_phases():
         fock, v.codomain, omega_p, data.k_frame, l_max=3, t_block=data.t)
     phi = 0.9
     gamma = np.diag(fock.gamma_phases(np.array([phi, 0.0])))
-    blocks = charge_rep_blocks(omegas, alphas, gamma)
+    blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
     for level, block in blocks.items():
         assert block.shape == (1, 1)
         assert block[0, 0] == pytest.approx(np.exp(1j * level * phi),

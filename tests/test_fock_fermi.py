@@ -213,7 +213,7 @@ def test_flip_charge_matrix_is_gauge_phase():
     omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     lam = 0.8
     gamma = fock.gamma(np.array([[np.exp(1j * lam)]]))
-    blocks = charge_rep_blocks([omega], [()], gamma)
+    blocks = charge_rep_blocks([omega], [()], gamma.__matmul__)
     assert blocks[0][0, 0] == pytest.approx(np.exp(1j * lam), abs=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_shift_charge_blocks_match_determinant_formula():
                               + 1j * rng.normal(size=(2, 2)))
     u11 = np.eye(v.codomain.n_modes, dtype=complex)
     u11[:2, :2] = u_small  # acts on the k modes (first site), fixes the rest
-    blocks = charge_rep_blocks(omegas, alphas, fock.gamma(u11))
+    blocks = charge_rep_blocks(omegas, alphas, fock.gamma(u11).__matmul__)
     k1 = data.k.frame[:v.codomain.n_modes, :]
     u_k = k1.conj().T @ u11 @ k1
     for level, block in blocks.items():
