@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedInput, ShapeMismatch
+from .errors import MalformedInput, ShapeMismatch, require_dense_bytes
 from .selfdual import BlockOperator, SelfDualSpace
 
 
 def identity(n_modes: int) -> BlockOperator:
     space = SelfDualSpace(n_modes)
+    require_dense_bytes(space.dim, space.dim, "identity")
     return BlockOperator(np.eye(space.dim, dtype=complex), space)
 
 
@@ -27,6 +28,7 @@ def shift(n_sites_in: int, steps: int = 1, species: int = 1) -> BlockOperator:
     nd = n_sites_in * species
     nc = (n_sites_in + steps) * species
     dom, cod = SelfDualSpace(nd), SelfDualSpace(nc)
+    require_dense_bytes(cod.dim, dom.dim, "shift")
     m = np.zeros((cod.dim, dom.dim), dtype=complex)
     off = steps * species
     for i in range(nd):
@@ -40,6 +42,7 @@ def flip(n_modes: int, mode: int = 1) -> BlockOperator:
     if not 1 <= mode <= n_modes:
         raise ShapeMismatch(f"mode {mode} outside 1..{n_modes}")
     space = SelfDualSpace(n_modes)
+    require_dense_bytes(space.dim, space.dim, "flip")
     m = np.eye(space.dim, dtype=complex)
     i = mode - 1
     m[i, i] = 0.0
@@ -57,6 +60,7 @@ def bogoliubov(theta: float, n_modes: int = 2) -> BlockOperator:
     if n_modes < 2:
         raise ShapeMismatch("bogoliubov needs at least 2 modes")
     space = SelfDualSpace(n_modes)
+    require_dense_bytes(space.dim, space.dim, "bogoliubov")
     n = n_modes
     c, s = np.cos(theta), np.sin(theta)
     m = np.eye(space.dim, dtype=complex)
@@ -78,6 +82,7 @@ def squeeze(r: float, n_modes: int = 1, mode: int = 1) -> BlockOperator:
     if not 1 <= mode <= n_modes:
         raise ShapeMismatch(f"mode {mode} outside 1..{n_modes}")
     space = SelfDualSpace(n_modes)
+    require_dense_bytes(space.dim, space.dim, "squeeze")
     n = n_modes
     ch, sh = np.cosh(r), np.sinh(r)
     m = np.eye(space.dim, dtype=complex)

@@ -29,7 +29,6 @@ from .selfdual import (
     BlockOperator,
     DEFAULT_TOL,
     Membership,
-    SelfDualSpace,
     Subspace,
     cokernel_basis,
     conjugate_matrix,
@@ -92,14 +91,6 @@ def compute_t(v: BlockOperator, h: Subspace | None = None) -> np.ndarray:
     return t
 
 
-def full_t_matrix(t: np.ndarray, space: SelfDualSpace) -> np.ndarray:
-    """Embed the n x n block as the (2,1) block of an operator on the space."""
-    full = np.zeros((space.dim, space.dim), dtype=complex)
-    n = space.n_modes
-    full[n:, :n] = t
-    return full
-
-
 def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
     """Basis projection P from the pair (h, T).
 
@@ -108,10 +99,18 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
     ker P11 and P21 P11^{-1}.
     """
     space = h.space
-    p1 = space.p1()
-    tf = full_t_matrix(t, space)
-    middle = pinv_on_range(p1 + tf.conj().T @ tf)
-    p = ((p1 + tf) @ middle @ (p1 + tf.conj().T)
+    n = space.n_modes
+    # P1 + T is T with a unit K1 block, P1 + T*T is T*T plus 1 on K1.  T*T
+    # stays a full-size product, as an n x n one rounds differently.  Adding
+    # 0.0 clears -0.0, as the sums with a dense P1 did.
+    p1_t = np.zeros((space.dim, space.dim), dtype=complex)
+    p1_t[n:, :n] = t
+    p1_tt = p1_t.conj().T @ p1_t + 0.0
+    p1_tt[:n, :n] += np.eye(n)
+    p1_t[:n, :n] = np.eye(n)
+    p1_t += 0.0
+    middle = pinv_on_range(p1_tt)
+    p = (p1_t @ middle @ (p1_t.conj().T + 0.0)
          - h.projector() + h.conjugate().projector())
 
     idem = hs_norm(p @ p - p)
@@ -123,7 +122,6 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
             f"P self-check failed: idempotency {idem:.3e}, "
             f"hermiticity {herm:.3e}, complement {comp:.3e}")
 
-    n = space.n_modes
     p11, p21 = p[:n, :n], p[n:, :n]
     ker_p11 = kernel_basis(p11)
     if ker_p11.shape[1] != h.dim:
@@ -221,8 +219,8 @@ def gauge_commutation_report(data: CarChargeData,
     nd = v.domain.n_modes
     u_dom = extend_gauge(u11[:nd, :nd], v.domain)
     comm_v = hs_norm(u_cod @ v.matrix - v.matrix @ u_dom)
-    tf = full_t_matrix(data.t, v.codomain)
-    comm_t = hs_norm(u_cod @ tf - tf @ u_cod)
+    # U = diag(u, conj(u)) and T maps K1 into K2: [U, T] = conj(u) T - T u.
+    comm_t = hs_norm(np.conj(u11) @ data.t - data.t @ u11)
     comm_p = hs_norm(u_cod @ data.p - data.p @ u_cod)
     eye = np.eye(v.codomain.dim)
     ph = data.h.projector()

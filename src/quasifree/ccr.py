@@ -31,6 +31,7 @@ from .selfdual import (
     SelfDualSpace,
     conjugate_matrix,
     hs_norm,
+    kappa_sign,
     kernel_basis,
     orthoprojection,
     pinv_on_range,
@@ -57,9 +58,8 @@ def compute_defect_projection(v: BlockOperator, ker: np.ndarray
     (checked, not assumed); degenerate directions raise DegenerateForm.
     """
     space = v.codomain
-    c = space.charge_conjugation()
     e = orthoprojection(ker)
-    a = e @ c @ e
+    a = kappa_sign(e, space, None) @ e
     a = 0.5 * (a + a.conj().T)
     eigval, eigvec = np.linalg.eigh(a)
     thresh = CHECK_TOL * max(1.0, float(np.max(np.abs(eigval))) if eigval.size else 1.0)
@@ -75,17 +75,20 @@ def compute_defect_projection(v: BlockOperator, ker: np.ndarray
     if max(split, cross) > CHECK_TOL * max(1.0, hs_norm(a)):
         raise DegenerateForm(
             f"A != A+ - conj(A+) (defect {split:.3e}, cross {cross:.3e})")
-    p_op = pinv_on_range(a_plus) @ c
+    p_op = kappa_sign(pinv_on_range(a_plus), space, None)
     return a, p_op
 
 
 def compute_projection(v: BlockOperator, p_op: np.ndarray) -> np.ndarray:
     """P = V P1 V+ + p, checked to be a kappa-basis projection."""
     space = v.codomain
-    p = v.matrix @ v.domain.p1() @ v.kappa_adjoint().matrix + p_op
+    # V P1 is V with its K2 columns zeroed; a product over the K1 columns
+    # alone would round differently.
+    v_p1 = v.matrix + 0.0
+    v_p1[:, v.domain.n_modes:] = 0.0
+    p = v_p1 @ v.kappa_adjoint().matrix + p_op
     idem = hs_norm(p @ p - p)
-    c = space.charge_conjugation()
-    kappa_herm = hs_norm(c @ p.conj().T @ c - p)
+    kappa_herm = hs_norm(kappa_sign(p.conj().T, space, space) - p)
     comp = hs_norm(conjugate_matrix(p, space, space)
                    - (np.eye(space.dim) - p))
     if max(idem, kappa_herm, comp) > CHECK_TOL * max(1.0, hs_norm(p)):
@@ -119,24 +122,25 @@ def kappa_orthonormal_frame(space: SelfDualSpace, vectors: np.ndarray,
     Keeps only directions of positive kappa-norm; raises if the count differs
     from expected_dim or the final frame is not kappa-orthonormal.
     """
-    c = space.charge_conjugation()
     work = [vectors[:, j].astype(complex) for j in range(vectors.shape[1])]
     frame: list[np.ndarray] = []
     while work:
-        norms = [float(np.real(np.vdot(w, c @ w))) for w in work]
+        norms = [float(np.real(np.vdot(w, kappa_sign(w, None, space))))
+                 for w in work]
         j = int(np.argmax(norms))
         if norms[j] <= KAPPA_TOL:
             break
         g = work.pop(j) / math.sqrt(norms[j])
         frame.append(g)
-        work = [w - g * np.vdot(c @ g, w) for w in work]
+        cg = kappa_sign(g, None, space)
+        work = [w - g * np.vdot(cg, w) for w in work]
         work = [w for w in work if float(np.linalg.norm(w)) > KAPPA_TOL]
     if len(frame) != expected_dim:
         raise DimensionMismatch(
             f"kappa-positive directions {len(frame)} != expected {expected_dim}")
     if frame:
         fr = np.column_stack(frame)
-        gram = fr.conj().T @ c @ fr
+        gram = kappa_sign(fr.conj().T, space, None) @ fr
         if not np.allclose(gram, np.eye(len(frame)), atol=KAPPA_TOL):
             raise OrthonormalityFailure("frame is not kappa-orthonormal")
         return fr

@@ -45,6 +45,7 @@ from .errors import (
     NonMonotone,
     UnstableIndex,
     WindowTooSmall,
+    require_dense_bytes,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -150,6 +151,7 @@ class CircleWindow:
             raise WindowTooSmall(
                 f"need 2 <= m_loc <= w/4, got m_loc={m_loc}, w={w}")
         m_values = np.arange(-m_loc, m_loc + 1)
+        require_dense_bytes(2 * w + 1, m_values.size, "circle window")
         return cls(w, m_loc, local_mode_table(w, m_values), m_values)
 
     @property

@@ -90,8 +90,23 @@ class LevelOutOfRange(QuasifreeError):
 
 
 class CapExceeded(QuasifreeError):
-    """Requested Fock space exceeds the configured size cap."""
+    """Requested Fock space or dense array exceeds its size cap."""
 
 
 class MalformedInput(QuasifreeError):
     """Model file failed validation."""
+
+
+# Byte budget of one dense complex array built from input sizes: it admits
+# analyze at 2000 modes (4000^2, 256 MB) and the W = 8192 circle window's
+# overlap table (16385 x 4097, about 1.07 GB), and refuses before numpy
+# would try to allocate more.
+DENSE_BYTES_CAP = 2 ** 31
+
+
+def require_dense_bytes(rows: int, cols: int, what: str) -> None:
+    """CapExceeded when a complex rows x cols array exceeds DENSE_BYTES_CAP."""
+    size = 16 * max(rows, 0) * max(cols, 0)
+    if size > DENSE_BYTES_CAP:
+        raise CapExceeded(f"{what}: a dense {rows} x {cols} complex array "
+                          f"needs {size} bytes > cap {DENSE_BYTES_CAP}")

@@ -3,8 +3,12 @@
 A truncated self-dual space with ``n`` modes is C^{2n} with coordinates
 ordered ``(e_1, ..., e_n, e_1*, ..., e_n*)``.  The antiunitary involution J
 swaps the two halves and conjugates entries; the reference basis projection
-P1 selects the first half, and J P1 J = 1 - P1.  Rectangular maps between two
-such spaces embed the smaller mode set as a prefix of the larger one.
+P1 selects the first half, J P1 J = 1 - P1, and C = P1 - P2 is the sign of
+the kappa form.  All three are index operations: J a roll of each axis by
+its mode count plus a conjugation (`conjugate_matrix`), P1 a slice, C a
+sign flip of the second half (`kappa_sign`).  No dense form of them exists
+here.  Rectangular maps between two such spaces embed the smaller mode set
+as a prefix of the larger one.
 
 Every rank decision follows one rule: a singular value counts as zero when it
 is at most DEFAULT_TOL * max(1, sigma_max), where sigma_max is the largest
@@ -119,35 +123,13 @@ def orthoprojection(frame: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelfDualSpace:
-    """Truncated self-dual space: C^{2 n_modes} with J, P1, C attached."""
+    """Truncated self-dual space: C^{2 n_modes}, halves K and K*."""
 
     n_modes: int
 
     @property
     def dim(self) -> int:
         return 2 * self.n_modes
-
-    def swap(self) -> np.ndarray:
-        n = self.n_modes
-        s = np.zeros((2 * n, 2 * n))
-        s[:n, n:] = np.eye(n)
-        s[n:, :n] = np.eye(n)
-        return s
-
-    def p1(self) -> np.ndarray:
-        n = self.n_modes
-        return np.diag(np.concatenate([np.ones(n), np.zeros(n)])).astype(complex)
-
-    def charge_conjugation(self) -> np.ndarray:
-        """C = P1 - P2, the fundamental symmetry of the kappa form."""
-        n = self.n_modes
-        return np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
-
-    def conj_vector(self, vec: np.ndarray) -> np.ndarray:
-        """J applied to coordinates: swap halves, conjugate entries."""
-        if vec.shape[0] != self.dim:
-            raise ShapeMismatch(f"vector length {vec.shape[0]} != {self.dim}")
-        return self.swap() @ np.conj(vec)
 
     def basis_vector(self, mode: int, conjugate: bool = False) -> np.ndarray:
         """e_mode or e_mode* as a coordinate vector (modes are 1-based)."""
@@ -157,25 +139,38 @@ class SelfDualSpace:
         v[mode - 1 + (self.n_modes if conjugate else 0)] = 1.0
         return v
 
-    def embed_matrix(self, into: "SelfDualSpace") -> np.ndarray:
-        """Prefix embedding of this space into a larger one."""
-        if into.n_modes < self.n_modes:
-            raise ShapeMismatch("cannot embed into a smaller space")
-        m = np.zeros((into.dim, self.dim))
-        m[: self.n_modes, : self.n_modes] = np.eye(self.n_modes)
-        m[into.n_modes: into.n_modes + self.n_modes,
-          self.n_modes:] = np.eye(self.n_modes)
-        return m
 
-    def kappa_gram(self, x: np.ndarray, y: np.ndarray) -> complex:
-        """kappa(x, y) = <x, C y> (hermitian, indefinite)."""
-        return complex(np.vdot(x, self.charge_conjugation() @ y))
-
-
-def conjugate_matrix(matrix: np.ndarray, domain: SelfDualSpace,
+def conjugate_matrix(matrix: np.ndarray, domain: SelfDualSpace | None,
                      codomain: SelfDualSpace) -> np.ndarray:
-    """Matrix of J A J for A: domain -> codomain."""
-    return codomain.swap() @ np.conj(matrix) @ domain.swap()
+    """Matrix of J A J for A: domain -> codomain.
+
+    J swaps the halves and conjugates, so J A J is conj(A) with each axis
+    rolled by its mode count.  With ``domain`` None the columns stay put:
+    J applied to a frame of column vectors.  Adding 0.0 turns the -0.0
+    that conj makes into +0.0, as a product with dense swap matrices does.
+    """
+    shift = (codomain.n_modes, 0 if domain is None else domain.n_modes)
+    out = np.roll(np.conj(matrix), shift, axis=(0, 1))
+    out += 0.0
+    return out
+
+
+def kappa_sign(matrix: np.ndarray, domain: SelfDualSpace | None,
+               codomain: SelfDualSpace | None) -> np.ndarray:
+    """Matrix of C A C for A: domain -> codomain, with C = P1 - P2.
+
+    C negates the K* half: rows past the codomain's n_modes and columns past
+    the domain's change sign, and a None space leaves its axis alone (a
+    vector has only rows).  Negating as 0.0 - x keeps zeros +0.0.
+    """
+    out = matrix + 0.0
+    if codomain is not None:
+        rows = out[codomain.n_modes:]
+        np.subtract(0.0, rows, out=rows)
+    if domain is not None:
+        cols = out[:, domain.n_modes:]
+        np.subtract(0.0, cols, out=cols)
+    return out
 
 
 def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:
@@ -213,35 +208,20 @@ class BlockOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_blocks(cls, b11, b12, b21, b22, domain: SelfDualSpace,
-                    codomain: SelfDualSpace | None = None) -> "BlockOperator":
-        top = np.hstack([np.asarray(b11, dtype=complex),
-                         np.asarray(b12, dtype=complex)])
-        bot = np.hstack([np.asarray(b21, dtype=complex),
-                         np.asarray(b22, dtype=complex)])
-        return cls(np.vstack([top, bot]), domain, codomain or domain)
-
     def block(self, i: int, j: int) -> np.ndarray:
         nc, nd = self.codomain.n_modes, self.domain.n_modes
         rows = slice(0, nc) if i == 1 else slice(nc, 2 * nc)
         cols = slice(0, nd) if j == 1 else slice(nd, 2 * nd)
         return self.matrix[rows, cols]
 
-    def conjugate(self) -> "BlockOperator":
-        return BlockOperator(
-            conjugate_matrix(self.matrix, self.domain, self.codomain),
-            self.domain, self.codomain)
-
     def adjoint(self) -> "BlockOperator":
         return BlockOperator(self.matrix.conj().T, self.codomain, self.domain)
 
     def kappa_adjoint(self) -> "BlockOperator":
         """A+ = C A* C, the adjoint for the kappa form."""
-        cd = self.domain.charge_conjugation()
-        cc = self.codomain.charge_conjugation()
-        return BlockOperator(cd @ self.matrix.conj().T @ cc,
-                             self.codomain, self.domain)
+        return BlockOperator(
+            kappa_sign(self.matrix.conj().T, self.codomain, self.domain),
+            self.codomain, self.domain)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if other.codomain.n_modes != self.domain.n_modes:
@@ -251,18 +231,16 @@ class BlockOperator:
 
     def selfdual_defect(self) -> float:
         """HS distance between A and its J-conjugate (0 for semigroup members)."""
-        return hs_norm(self.matrix - self.conjugate().matrix)
+        return hs_norm(self.matrix - conjugate_matrix(
+            self.matrix, self.domain, self.codomain))
 
     def p1_commutator(self) -> np.ndarray:
-        """P1(codomain) V - V P1(domain) as a matrix."""
-        return self.codomain.p1() @ self.matrix - self.matrix @ self.domain.p1()
-
-    def selfdual_reassembly_defect(self) -> float:
-        """Blocks glued back must reproduce the matrix exactly."""
-        glued = BlockOperator.from_blocks(
-            self.block(1, 1), self.block(1, 2), self.block(2, 1),
-            self.block(2, 2), self.domain, self.codomain)
-        return float(np.max(np.abs(glued.matrix - self.matrix)))
+        """P1(codomain) V - V P1(domain) = [[0, V12], [-V21, 0]]."""
+        out = np.zeros_like(self.matrix)
+        nc, nd = self.codomain.n_modes, self.domain.n_modes
+        out[:nc, nd:] = self.block(1, 2)
+        out[nc:, :nd] = -self.block(2, 1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -357,12 +335,5 @@ class Subspace:
 
     def conjugate(self) -> "Subspace":
         """The subspace J(this) = {f* : f in this}."""
-        if self.dim == 0:
-            return Subspace.empty(self.space)
-        conj_frame = self.space.swap() @ np.conj(self.frame)
-        return Subspace(self.space, conj_frame)
-
-    def contains(self, vec: np.ndarray, tol: float = 1e-9) -> bool:
-        resid = vec - self.projector() @ vec
-        return float(np.linalg.norm(resid)) <= tol * max(
-            1.0, float(np.linalg.norm(vec)))
+        return Subspace(self.space,
+                        conjugate_matrix(self.frame, None, self.space))

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import dense_selfdual as dense
 from quasifree import builders, cli, dirac
 from quasifree.car import car_charge_data, car_membership, z2_index
 from quasifree.ccr import ccr_charge_data, ccr_membership
@@ -103,10 +104,10 @@ def test_criterion_2_charge_data_recovery(capsys):
         h_res = hs_norm(orthoprojection(ker)
                         - orthoprojection(data.h.frame[:n]))
         t_res = hs_norm(p21 @ pinv_on_range(p11) - data.t)
-        swap = v.codomain.swap()
         idem = hs_norm(p @ p - p)
         herm = hs_norm(p - p.conj().T)
-        comp = hs_norm(swap @ np.conj(p) @ swap - (np.eye(2 * n) - p))
+        comp = hs_norm(dense.conjugate_matrix(p, v.codomain, v.codomain)
+                       - (np.eye(2 * n) - p))
         worst_recovery = max(worst_recovery, h_res, t_res)
         worst_identity = max(worst_identity, idem, herm, comp)
         worst_time = max(worst_time, time.perf_counter() - start)

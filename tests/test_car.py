@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_selfdual as dense
 from quasifree import builders
 from quasifree.car import (
     car_charge_data,
@@ -18,7 +19,13 @@ from quasifree.errors import (
     NotInSemigroup,
     RecoveryMismatch,
 )
-from quasifree.selfdual import BlockOperator, SelfDualSpace, Subspace
+from quasifree.selfdual import (
+    BlockOperator,
+    SelfDualSpace,
+    Subspace,
+    pinv_on_range,
+)
+from test_random_members import random_member
 
 
 def haar_gauge(n, seed):
@@ -76,7 +83,7 @@ def test_shift_charge_data():
     data = car_charge_data(car_membership(builders.shift(3)))
     assert data.h.dim == 0
     assert np.allclose(data.t, 0.0)
-    assert np.allclose(data.p, data.v.codomain.p1())
+    assert np.allclose(data.p, dense.p1(data.v.codomain))
     assert data.index == 2
     assert data.k.dim == 1
     # k = span{e1} of the codomain
@@ -108,7 +115,7 @@ def test_flip_charge_data():
     assert np.allclose(data.t, 0.0)
     # P = P1 - E_{e1} + E_{e1*}
     e1s = v.codomain.basis_vector(1, conjugate=True)
-    expected = (v.codomain.p1() - np.outer(e1, e1.conj())
+    expected = (dense.p1(v.codomain) - np.outer(e1, e1.conj())
                 + np.outer(e1s, e1s.conj()))
     assert np.allclose(data.p, expected, atol=1e-12)
     assert data.statistics_dimension == 1
@@ -124,7 +131,27 @@ def test_bogoliubov_pairing_operator():
     assert np.allclose(data.t, expected, atol=1e-12)
     assert np.isclose(np.abs(data.t[1, 0]), 1.0 / np.sqrt(3.0), atol=1e-12)
     # P recovers (h, T); P is not P1 here
-    assert not np.allclose(data.p, data.v.codomain.p1())
+    assert not np.allclose(data.p, dense.p1(data.v.codomain))
+
+
+@pytest.mark.parametrize("make_v", [
+    lambda: random_member("car", 9, 1, seed=5, scale=0.9),
+    lambda: builders.flip(2) @ builders.bogoliubov(0.4),
+], ids=["random-member", "flip-bogoliubov"])
+def test_compute_p_bits_equal_the_dense_formula(make_v):
+    # T is dense in a random member: there an n x n T*T rounds differently
+    # from the full-size product, so this pins the product compute_p keeps.
+    v = make_v()
+    data = car_charge_data(car_membership(v))
+    space, n = v.codomain, v.codomain.n_modes
+    p1 = dense.p1(space)
+    tf = np.zeros((space.dim, space.dim), dtype=complex)
+    tf[n:, :n] = data.t
+    middle = pinv_on_range(p1 + tf.conj().T @ tf)
+    h_bar = Subspace(space, dense.conjugate_matrix(data.h.frame, None, space))
+    want = ((p1 + tf) @ middle @ (p1 + tf.conj().T)
+            - data.h.projector() + h_bar.projector())
+    assert np.array_equal(data.p.view(np.uint64), want.view(np.uint64))
 
 
 def test_compute_t_second_term_flip_compositions():
@@ -151,7 +178,7 @@ def test_charge_pipeline_on_random_members(seed):
     assert data.k.dim == 1
     # P is a selfdual-complement projection (checked internally); spot check
     space = v.codomain
-    pbar = space.swap() @ np.conj(data.p) @ space.swap()
+    pbar = dense.conjugate_matrix(data.p, space, space)
     assert np.allclose(pbar, np.eye(space.dim) - data.p, atol=1e-9)
 
 

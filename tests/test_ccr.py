@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_selfdual as dense
 from quasifree import builders
 from quasifree.ccr import (
     ccr_charge_data,
@@ -15,6 +16,7 @@ from quasifree.errors import (
     NotInSemigroup,
 )
 from quasifree.selfdual import BlockOperator, SelfDualSpace
+from test_random_members import random_member
 
 
 def test_membership_accepts_squeeze_and_shift():
@@ -44,8 +46,24 @@ def test_squeeze_charge_data():
     assert np.isclose(data.t[0, 0].real, np.tanh(r), atol=1e-12)
     assert abs(data.t[0, 0].imag) <= 1e-14
     # P = V P1 V+ exactly (p = 0 here)
-    vp = data.v.matrix @ data.v.domain.p1() @ data.v.kappa_adjoint().matrix
+    v = data.v
+    vp = v.matrix @ dense.p1(v.domain) @ v.kappa_adjoint().matrix
     assert np.allclose(data.p, vp, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_v", [
+    lambda: random_member("ccr", 130, 1, seed=5, scale=0.3),
+    lambda: builders.squeeze(0.4, 2, 2) @ builders.shift(1),
+], ids=["random-member-130", "squeeze-shift"])
+def test_projection_bits_equal_the_dense_formula(make_v):
+    # P = V P1 V+ + p with dense P1 and C, bit for bit.  At 130 modes a
+    # product over the K1 columns alone rounds differently.
+    v = make_v()
+    data = ccr_charge_data(ccr_membership(v))
+    v_plus = (dense.charge_conjugation(v.domain) @ v.matrix.conj().T
+              @ dense.charge_conjugation(v.codomain))
+    want = v.matrix @ dense.p1(v.domain) @ v_plus + data.p_defect
+    assert np.array_equal(data.p.view(np.uint64), want.view(np.uint64))
 
 
 def test_bosonic_shift_charge_data():
@@ -61,7 +79,7 @@ def test_bosonic_shift_charge_data():
     assert np.isclose(np.vdot(e1, data.a @ e1).real, 1.0)
     assert np.isclose(np.vdot(e1s, data.a @ e1s).real, -1.0)
     assert np.allclose(data.p_defect, np.outer(e1, e1.conj()), atol=1e-12)
-    assert np.allclose(data.p, space.p1(), atol=1e-12)
+    assert np.allclose(data.p, dense.p1(space), atol=1e-12)
     assert np.allclose(data.t, 0.0)
     # k frame: e1 with kappa-norm one
     assert np.allclose(np.abs(data.k_frame[:, 0] @ e1.conj()), 1.0)
@@ -74,7 +92,7 @@ def test_squeeze_then_shift_pipeline():
     assert data.index == 2
     assert data.k_dim == 1
     # kappa-orthonormality of the k frame
-    c = v.codomain.charge_conjugation()
+    c = dense.charge_conjugation(v.codomain)
     gram = data.k_frame.conj().T @ c @ data.k_frame
     assert np.allclose(gram, np.eye(1), atol=1e-9)
 
@@ -102,7 +120,7 @@ def test_kappa_orthonormal_frame_pivots_on_positive_directions():
     with pytest.raises(DimensionMismatch):
         kappa_orthonormal_frame(space, vectors, expected_dim=2)
     frame = kappa_orthonormal_frame(space, vectors[:, :1], expected_dim=1)
-    gram = frame.conj().T @ space.charge_conjugation() @ frame
+    gram = frame.conj().T @ dense.charge_conjugation(space) @ frame
     assert np.allclose(gram, np.eye(1), atol=1e-12)
 
 

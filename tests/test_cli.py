@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from quasifree import builders, car, ccr, cli, report, sectors, selfdual
-from quasifree.errors import MalformedInput
+from quasifree.errors import (
+    DENSE_BYTES_CAP,
+    CapExceeded,
+    MalformedInput,
+    require_dense_bytes,
+)
 from quasifree.fock import BOSE_DIM_CAP, FERMI_DIM_CAP, compound_matrix
 
 
@@ -212,6 +217,23 @@ class TestAnalyze:
             "isometry": {"builder": "dirac-v", "params": {"window": 16}}})
         assert cli.main(["analyze", "--input", path]) == 2
         assert "unknown builder 'dirac-v'" in capsys.readouterr().err
+
+    def test_oversized_builder_exit_2_before_allocating(self, tmp_path,
+                                                        capsys):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift",
+                         "params": {"n_sites_in": 10_000_000}}})
+        assert cli.main(["analyze", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): shift: a dense 20000002 x")
+        assert f"> cap {DENSE_BYTES_CAP}" in err
+
+    def test_dense_budget_admits_2000_modes_and_the_8192_window(self):
+        require_dense_bytes(4000, 4000, "analyze at 2000 modes")
+        require_dense_bytes(2 * 8192 + 1, 2 * (8192 // 4) + 1, "W = 8192")
+        with pytest.raises(CapExceeded):
+            require_dense_bytes(DENSE_BYTES_CAP // 16 + 1, 1, "one past")
 
     def test_custom_unitary_wrong_shape_exit_2(self, tmp_path, capsys):
         path = write_model(tmp_path, "m.json", {
@@ -557,6 +579,12 @@ class TestDirac:
         assert data["status"] == "fail"
         assert data["window_diagnostics"]["8"]["gram_off_identity"][
             "pass"] is False
+
+    def test_oversized_window_exit_2_before_allocating(self, capsys):
+        assert cli.main(["dirac", "--cutoffs", "8,100000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): circle window: a dense "
+                              "200000001 x 50000001")
 
     def test_out_of_order_cutoffs_exit_2(self):
         assert cli.main(["dirac", "--cutoffs", "64,32"]) == 2

@@ -48,6 +48,8 @@ MALFORMED = {
         "builder": "squeeze", "params": {"r": "nan"}}},
     "builder-size-infinite": car_model(
         {"builder": "identity", "params": {"n_modes": math.inf}}),
+    "builder-over-dense-budget": car_model(
+        {"builder": "shift", "params": {"n_sites_in": 10_000_000}}),
     "builder-params-not-an-object": car_model(
         {"builder": "identity", "params": [3]}),
     "custom-element-not-unitary": car_model(

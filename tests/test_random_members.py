@@ -15,6 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_selfdual as dense
 from quasifree.car import car_charge_data, car_membership
 from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.selfdual import BlockOperator, SelfDualSpace
@@ -27,13 +28,13 @@ def random_member(algebra: str, n_out: int, steps: int, seed: int,
     z = (rng.normal(size=(space.dim, space.dim))
          + 1j * rng.normal(size=(space.dim, space.dim)))
     h0 = (z + z.conj().T) / 2.0
-    s = space.swap()
+    s = dense.swap(space)
     if algebra == "car":
         h = (h0 - s @ h0.conj() @ s) / 2.0
         gen = 1j * h
     else:
         h = (h0 + s @ h0.conj() @ s) / 2.0
-        gen = 1j * space.charge_conjugation() @ h
+        gen = 1j * dense.charge_conjugation(space) @ h
     gen *= scale / np.linalg.norm(h, ord=2)
     n_in = n_out - steps
     shift = np.zeros((space.dim, 2 * n_in), dtype=complex)
