@@ -1,8 +1,8 @@
 """Command line front end: analyze, oracle, and dirac pipelines.
 
 Exit codes: 0 success, 2 malformed input or cap exceeded, 3 operator not in
-the semigroup, 4 numerical failure (an invariant self-check failed, or an
-oracle or dirac comparison did: its report then has status "fail").  Reports
+the semigroup, 4 numerical failure (an invariant self-check failed, or a
+comparison in the report did: the report then has status "fail").  Reports
 are canonical JSON (sorted keys, fixed indent), so identical inputs, seed and
 version produce byte-identical files; --threads only bounds parallelism and
 never changes output bytes.
@@ -55,6 +55,7 @@ from .report import (
     relation,
 )
 from .sectors import (
+    CCR_L_MAX,
     CHAR_TOL,
     GaugeAction,
     char_det_h,
@@ -112,7 +113,7 @@ def _emit_verdict(payload: dict, args, summary_lines: list) -> int:
     return 0
 
 
-def _base_payload(command: str, args, model=None) -> dict:
+def _base_payload(command: str, model=None) -> dict:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -142,7 +143,6 @@ def _sector_payload(table) -> dict:
                     "characters": row.characters} for row in table.rows],
         "element_labels": list(table.element_labels),
         "equivalence_classes": [list(c) for c in table.equivalence_classes],
-        "annotations": dict(table.annotations),
         "sample": dict(table.sample_meta),
     }
 
@@ -168,7 +168,7 @@ def cmd_analyze(args) -> int:
     seed = _effective_seed(args, model)
     v = model.operator
     mem = _membership(args, model, algebra)
-    payload = _base_payload("analyze", args, model)
+    payload = _base_payload("analyze", model)
     payload["algebra"] = algebra
     payload["seed"] = seed
     payload["tolerances"] = {"membership": mem.tol, "recovery": RECOVERY_TOL,
@@ -212,7 +212,6 @@ def cmd_analyze(args) -> int:
                 f"gauge does not preserve the charge spaces: {exc}") from exc
         payload["sector_table"] = _sector_payload(table)
 
-    payload["status"] = "ok"
     stat_text = ("infinite" if stat_dim == math.inf
                  else f"{stat_dim:g}")
     lines = [
@@ -224,8 +223,7 @@ def cmd_analyze(args) -> int:
         lines.append(
             f"sectors: {len(payload['sector_table']['levels'])} levels, "
             f"classes {payload['sector_table']['equivalence_classes']}")
-    _emit(payload, args, lines)
-    return 0
+    return _emit_verdict(payload, args, lines)
 
 
 def _vacuum_leak(u11: np.ndarray, space, p_full: np.ndarray) -> float:
@@ -286,7 +284,6 @@ def _car_oracle(args, model, mem, payload, lines) -> None:
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k.frame)
     imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
-    # DEFAULT_TOL is also the bound at which car_implementers raises.
     payload["implementers"] = {
         "count": len(imp.psis),
         "expected": data.statistics_dimension,
@@ -339,7 +336,7 @@ def _bose_gamma_vector(fock: BoseFock, u11: np.ndarray) -> np.ndarray:
 def _ccr_oracle(args, model, mem, payload, lines) -> None:
     data = ccr_charge_data(mem)
     v = data.v
-    l_max = 5 if data.k_dim else 0
+    l_max = CCR_L_MAX if data.k_dim else 0
     cutoff = args.bose_cutoff
     if cutoff < l_max:
         raise MalformedInput(
@@ -385,13 +382,13 @@ def _ccr_oracle(args, model, mem, payload, lines) -> None:
                                  lambda vec: gamma_vec * vec)
 
     blocks = _parallel_map(element_blocks, elements, args.threads)
-    compare = oracle_compare(table, blocks, tol=1e-6, tail=tail)
+    compare = oracle_compare(table, blocks)
     payload["charge_theorem"] = {
         "samples": len(elements),
         "gauge": gauge.kind,
         "levels": sorted(compare["per_level"]),
         "max_trace_deviation": comparison(compare["max_deviation"],
-                                          compare["tolerance"]),
+                                          1e-6 + tail),
         "tail": float(tail),
     }
     lines.append(
@@ -403,7 +400,7 @@ def _ccr_oracle(args, model, mem, payload, lines) -> None:
 def cmd_oracle(args) -> int:
     model = load_model(args.input)
     algebra = args.algebra or model.algebra
-    payload = _base_payload("oracle", args, model)
+    payload = _base_payload("oracle", model)
     payload["algebra"] = algebra
     payload["seed"] = _effective_seed(args, model)
     payload["caps"] = {"fock_cap": args.fock_cap,
@@ -436,7 +433,7 @@ def cmd_dirac(args) -> int:
     # at W = 512, so the default tolerance scales with the largest cutoff.
     loc_tol = (args.tol if args.tol is not None
                else 1e-3 * 512.0 / cutoffs[-1])
-    payload = _base_payload("dirac", args)
+    payload = _base_payload("dirac")
     payload["cutoffs"] = list(cutoffs)
     payload["cayley_audit"] = dirac.cayley_audit()
 
@@ -472,10 +469,7 @@ def cmd_dirac(args) -> int:
                              "verdict": control.verdicts["plus"]}
 
     # One check per build; only the largest window's residual is gated.
-    locs = []
-    for build in builds:
-        tol = loc_tol if build is builds[-1] else 1.0
-        locs.append(dirac.prop_loc_check(build, tol=tol)["complement"])
+    locs = [dirac.prop_loc_check(build)["complement"] for build in builds]
     loc = locs[-1]
     payload["localization"] = {
         "component": "complement",

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    NoCommonPhase,
     NonMonotone,
     UnstableIndex,
     WindowTooSmall,
@@ -374,12 +373,12 @@ def jump_symbol_control_study(cutoffs) -> HsStudy:
                    {"plus": verdict})
 
 
-def prop_loc_check(build: DiracBuild, tol: float) -> dict:
+def prop_loc_check(build: DiracBuild) -> dict:
     """Least-squares common phase of v on the complementary arc.
 
     The probes are the restricted exponentials e_k, |k| <= 8, on the arc
-    off A.  Raises NoCommonPhase when even the optimal unimodular phase
-    leaves a relative residual above tol.
+    off A.  Returns the optimal unimodular phase tau and the largest
+    relative residual |v g - tau g| / |g| it leaves; the caller gates it.
     """
     probes = [complement_probe(build.window.w, k) for k in range(-8, 9)]
     images = build.apply(np.column_stack(probes)).T
@@ -390,10 +389,6 @@ def prop_loc_check(build: DiracBuild, tol: float) -> dict:
     residual = max(
         float(np.linalg.norm(vg - tau * g)) / float(np.linalg.norm(g))
         for g, vg in zip(probes, images))
-    if residual > tol:
-        raise NoCommonPhase(
-            "component 'complement': best phase leaves residual "
-            f"{residual:.3e} > {tol:.1e}")
     return {"complement": {"tau": complex(tau), "residual": residual}}
 
 

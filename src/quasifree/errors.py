@@ -81,10 +81,6 @@ class UnstableIndex(QuasifreeError):
     """Singular-value index count not stable across the two largest cutoffs."""
 
 
-class NoCommonPhase(QuasifreeError):
-    """No unimodular phase fits the localization test family."""
-
-
 class LevelOutOfRange(QuasifreeError):
     """Requested charge level outside 0..dim(k) (CAR) or negative (CCR)."""
 

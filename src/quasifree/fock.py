@@ -436,7 +436,9 @@ class ImplementerSet:
 def car_implementers(v: BlockOperator, fock_dom: FermiFock,
                      fock_cod: FermiFock, omega_alphas: list[np.ndarray],
                      alphas: list[tuple[int, ...]]) -> ImplementerSet:
-    """Solve for the fermionic implementers and verify all their relations.
+    """Solve for the fermionic implementers and measure their relations.
+
+    The four residuals are returned, not judged: the caller gates them.
 
     The fields stay sparse.  pi_d of a domain basis vector is a signed
     partial permutation, so psi @ pi_d is a column gather, exact because each
@@ -489,13 +491,7 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
         impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)
                    + float(np.linalg.norm(v.matrix[:, idx])) * comp)
 
-    result = ImplementerSet(alphas, psis, inter, iso, comp, impl)
-    worst = max(inter, iso, comp, impl)
-    if worst > DEFAULT_TOL:
-        raise ImplementationDefect(
-            f"implementer relations violated: intertwining {inter:.3e}, "
-            f"isometry {iso:.3e}, completeness {comp:.3e}, sum formula {impl:.3e}")
-    return result
+    return ImplementerSet(alphas, psis, inter, iso, comp, impl)
 
 
 def bose_implementer(v: BlockOperator, fock_dom: BoseFock, fock_cod: BoseFock,

@@ -9,7 +9,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import builders
-from .errors import MalformedInput
+from .errors import MalformedInput, require_dense_bytes
 from .sectors import GaugeAction
 from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 
@@ -100,14 +99,11 @@ def failed_comparisons(payload, path: str = "") -> list[str]:
 
 
 def jsonify(obj):
-    """Recursively convert numpy/complex/dataclass values to JSON types."""
+    """Recursively convert numpy and complex values to JSON types."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonify(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return complex_array_payload(obj)
     if isinstance(obj, (complex, np.complexfloating)):
@@ -172,6 +168,9 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
         raise MalformedInput(f"unknown gauge group {group!r}")
     if samples < 1:
         raise MalformedInput(f"gauge samples must be at least 1, got {samples}")
+    if group in ("u1", "un", "sun"):
+        # elements() builds one dense n x n unitary per sample.
+        require_dense_bytes(samples * n_modes, n_modes, "gauge samples")
     return action, samples, seed
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +36,8 @@ from .selfdual import SelfDualSpace, extend_gauge, hs_norm
 
 CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
+# Highest CCR charge level a sector table or bosonic oracle checks.
+CCR_L_MAX = 5
 # Monomials per block of the stacked character sums (bounds their memory).
 _MONOMIAL_BLOCK = 256
 
@@ -223,8 +225,7 @@ class SectorTable:
     rows: list
     element_labels: list
     equivalence_classes: list
-    annotations: dict = field(default_factory=dict)
-    sample_meta: dict = field(default_factory=dict)
+    sample_meta: dict
 
 
 def _equivalence_classes(rows: list[SectorRow]) -> list[list[int]]:
@@ -242,7 +243,7 @@ def _equivalence_classes(rows: list[SectorRow]) -> list[list[int]]:
 
 def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
                  k_frame: np.ndarray, gauge: GaugeAction, samples: int = 50,
-                 seed: int = 0, l_max: int | None = None) -> SectorTable:
+                 seed: int = 0, l_max: int = CCR_L_MAX) -> SectorTable:
     """Sampled character table over charge levels, with equivalence classes."""
     if algebra not in ("car", "ccr"):
         raise MalformedInput(f"unknown algebra {algebra!r}")
@@ -251,7 +252,7 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
     if algebra == "car":
         levels = list(range(k_dim + 1))
     else:
-        levels = list(range((5 if l_max is None else l_max) + 1))
+        levels = list(range(l_max + 1))
 
     dets = np.array([char_det_h(el.u11, h_frame, space) for el in elements])
     eig_stack = np.empty((len(elements), k_dim), dtype=complex)
@@ -268,34 +269,19 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
             chars = char_sym(eig_stack, level)
         rows.append(SectorRow(level, dim, chars))
 
-    classes = _equivalence_classes(rows)
-    annotations = {}
-    if gauge.kind == "un":
-        annotations["pattern"] = "defining action: levels mutually inequivalent"
-        annotations["verified"] = len(classes) == len(rows)
-    elif gauge.kind == "sun":
-        nsp = gauge.species
-        annotations["pattern"] = (
-            f"defining action: level {nsp} rejoins level 0 (period {nsp})")
-        merged = any(0 in cls and nsp in cls for cls in classes)
-        annotations["verified"] = merged if len(levels) > nsp else None
-
     meta = {"samples": len(elements), "seed": seed, "kind": gauge.kind,
             "tol_char": CHAR_TOL}
     return SectorTable(algebra, rows, [el.label for el in elements],
-                       classes, annotations, meta)
+                       _equivalence_classes(rows), meta)
 
 
-def oracle_compare(table: SectorTable, oracle_blocks: list[dict],
-                   tol: float = 1e-8, tail: float = 0.0) -> dict:
-    """Compare sampled characters against per-level Fock blocks by trace.
+def oracle_compare(table: SectorTable, oracle_blocks: list[dict]) -> dict:
+    """Deviations of the sampled characters from per-level Fock block traces.
 
-    oracle_blocks[i][level] is the matrix block for gauge element i.  The
-    effective tolerance is tol + tail (tail covers bosonic truncation), and
-    the caller reads the verdict from the report's "passed".
+    oracle_blocks[i][level] is the matrix block for gauge element i.  Returns
+    the largest |tr block - character| per level ("per_level") and over all
+    levels ("max_deviation"); the caller gates them.
     """
-    worst = 0.0
-    worst_where = None
     per_level = {}
     for row in table.rows:
         level_worst = 0.0
@@ -306,10 +292,6 @@ def oracle_compare(table: SectorTable, oracle_blocks: list[dict],
                       - complex(row.characters[i]))
             if dev > level_worst:
                 level_worst = dev
-            if dev > worst:
-                worst, worst_where = dev, (table.element_labels[i], row.level)
         per_level[row.level] = level_worst
-    effective = tol + tail
-    return {"max_deviation": worst, "per_level": per_level,
-            "tolerance": effective, "tail": tail,
-            "passed": worst <= effective, "worst_at": worst_where}
+    return {"max_deviation": max(per_level.values(), default=0.0),
+            "per_level": per_level}

@@ -15,7 +15,12 @@ from quasifree.errors import (
     MalformedInput,
     require_dense_bytes,
 )
-from quasifree.fock import BOSE_DIM_CAP, FERMI_DIM_CAP, compound_matrix
+from quasifree.fock import (
+    BOSE_DIM_CAP,
+    FERMI_DIM_CAP,
+    compound_matrix,
+    omega_alphas_fermi,
+)
 
 
 def write_model(tmp_path, name, payload):
@@ -255,6 +260,47 @@ class TestAnalyze:
         assert "error (input)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algebra, classes", [
+        # k carries two copies of the defining representation of SU(2).
+        ("car", [[0, 4], [1, 3], [2]]),
+        ("ccr", [[0], [1], [2], [3], [4], [5]]),
+    ])
+    def test_sun_table_is_its_classes_without_annotations(self, tmp_path,
+                                                          algebra, classes):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": algebra,
+            "isometry": {"builder": "shift", "params": {
+                "n_sites_in": 3, "steps": 2, "species": 2}},
+            "gauge": {"group": "sun", "species": 2, "samples": 50,
+                      "seed": 7}})
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", "--input", path, "--report",
+                         str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["status"] == "ok"
+        assert "annotations" not in data["sector_table"]
+        assert data["sector_table"]["equivalence_classes"] == classes
+
+    @pytest.mark.parametrize("gauge", [
+        {"group": "u1", "charges": [1, 1, 1, 1]},
+        {"group": "un", "species": 2},
+        {"group": "sun", "species": 2},
+    ], ids=["u1", "un", "sun"])
+    def test_gauge_samples_over_the_dense_budget_exit_2_before_allocating(
+            self, tmp_path, capsys, monkeypatch, gauge):
+        def no_elements(*args, **kwargs):
+            raise AssertionError("gauge elements built")
+
+        monkeypatch.setattr(sectors.GaugeAction, "elements", no_elements)
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 3}},
+            "gauge": dict(gauge, samples=10 ** 8)})
+        assert cli.main(["analyze", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): gauge samples: a dense "
+                              "400000000 x 4")
+
     def test_z2_index_ignores_the_membership_tolerance(self, tmp_path):
         # --tol loosens the membership test only; ker V11 of the identity
         # is still counted by the default rank rule, so the sign stays +1.
@@ -363,6 +409,22 @@ class TestOracle:
         assert data["status"] == "fail"
         assert data["charge_theorem"]["max_block_deviation"]["pass"] is False
         assert data["implementers"]["implementation"]["pass"] is True
+
+    def test_failed_implementer_writes_report_and_exit_4(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def scaled(*args):
+            alphas, omegas = omega_alphas_fermi(*args)
+            return alphas, [omegas[0] * (1.0 + 1e-6), *omegas[1:]]
+
+        monkeypatch.setattr(cli, "omega_alphas_fermi", scaled)
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input",
+                         shift_car_model(tmp_path, gauge=False),
+                         "--report", str(out)]) == 4
+        assert "implementers.isometry" in capsys.readouterr().err
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["status"] == "fail"
+        assert data["implementers"]["isometry"]["pass"] is False
 
     def test_ccr_shift_at_the_bosonic_cap(self, tmp_path):
         # Shift 3 -> 4 at the default cutoff 8: Fock dimension 9^4 = 6561.
@@ -579,6 +641,17 @@ class TestDirac:
         assert data["status"] == "fail"
         assert data["window_diagnostics"]["8"]["gram_off_identity"][
             "pass"] is False
+
+    def test_failed_localization_writes_report_and_exit_4(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "r.json"
+        assert cli.main(["dirac", "--cutoffs", "16,32", "--tol", "1e-9",
+                         "--report", str(out)]) == 4
+        assert "localization.residual" in capsys.readouterr().err
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["status"] == "fail"
+        assert data["localization"]["residual"]["pass"] is False
+        assert set(data["localization"]["residual_by_cutoff"]) == {"16", "32"}
 
     def test_oversized_window_exit_2_before_allocating(self, capsys):
         assert cli.main(["dirac", "--cutoffs", "8,100000000"]) == 2

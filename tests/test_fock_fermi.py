@@ -13,7 +13,7 @@ import scipy.linalg
 import dense_selfdual as dense
 from quasifree import builders, cli, fock
 from quasifree.car import car_charge_data, car_membership
-from quasifree.errors import CapExceeded, ImplementationDefect
+from quasifree.errors import CapExceeded
 from quasifree.fock import (
     BoseFock,
     FermiFock,
@@ -28,7 +28,12 @@ from quasifree.fock import (
     span_invariance_residual,
 )
 from quasifree.sectors import haar_unitary
-from quasifree.selfdual import BlockOperator, SelfDualSpace, hs_norm
+from quasifree.selfdual import (
+    DEFAULT_TOL,
+    BlockOperator,
+    SelfDualSpace,
+    hs_norm,
+)
 
 TOL = 1e-12
 
@@ -203,8 +208,8 @@ def test_intertwining_detects_wrong_vacuum():
     fock_d, fock_c = FermiFock(1), FermiFock(2)
     bad = [fock_c.vacuum(),
            fock_c.psi(v.codomain, v.codomain.basis_vector(2)) @ fock_c.vacuum()]
-    with pytest.raises(ImplementationDefect):
-        car_implementers(v, fock_d, fock_c, bad, [(), (0,)])
+    imp = car_implementers(v, fock_d, fock_c, bad, [(), (0,)])
+    assert imp.intertwining_residual > DEFAULT_TOL
 
 
 def test_flip_charge_matrix_is_gauge_phase():
