@@ -23,7 +23,12 @@ A = U - L and B = L (columns f_{m+1} and f_m).  Every quantity reported here
 (index, seam and probe defects, nested Hilbert-Schmidt norms, localization)
 comes from these (2W+1) x m_loc factors in O(W m_loc^2) work; the dense
 (2W+1)^2 matrix is built only on request (`DiracBuild.dense`), as the tests'
-oracle.  The window fixes m_loc = W // 4.
+oracle.  The window fixes m_loc = W // 4.  The overlaps and the complement
+probes are real in closed form, so the table, both factors and every
+product of the model are float64.  One Gram of the table serves both its
+orthonormality diagnostics and, through a Cholesky factor of its frame
+block, the singular values of V.  The products keep their conjugates, which
+cost nothing on real arrays, so a complex build gives the same quantities.
 
 Truncating the m-sum leaves an exact seam: the pair (f_{m_loc-1}, f_{m_loc})
 is mapped onto the single direction f_{m_loc}, so the full operator-norm
@@ -106,21 +111,30 @@ def overlap_quadrature(m: int, n: int, order: int = 400) -> complex:
     return complex(np.sum(weights * vals) * 0.5 * (hi - lo) / (2 * math.pi))
 
 
+def _overlap_profile(d: np.ndarray) -> np.ndarray:
+    """overlap(0, -d) for each d: the entry <e_n, f_m> is (-1)^m times it."""
+    sin_half = np.where(d % 4 == 1, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odd_vals = -SQRT2 * sin_half / (math.pi * d)
+    return np.where(d == 0, SQRT2 / 2.0, np.where(d % 2 != 0, odd_vals, 0.0))
+
+
 def local_mode_table(w: int, m_values) -> np.ndarray:
-    """Columns <e_n, f_m> for n in [-w, w], one column per requested m."""
-    n = np.arange(-w, w + 1)
-    cols = []
-    for m in m_values:
-        d = 2 * m - n
-        sign_m = -1.0 if m % 2 else 1.0
-        odd = d % 2 != 0
-        sin_half = np.where(d % 4 == 1, 1.0, -1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            odd_vals = -SQRT2 * sign_m * sin_half / (math.pi * d)
-        col = np.where(d == 0, SQRT2 * sign_m / 2.0,
-                       np.where(odd, odd_vals, 0.0))
-        cols.append(col)
-    return np.asarray(cols, dtype=complex).T
+    """Columns <e_n, f_m> for n in [-w, w], one column per requested m.
+
+    The entry depends on d = 2m - n alone, up to the sign (-1)^m, so the
+    profile is computed once over every d the window meets.  Column m is
+    the reversed run of 2w + 1 profile values from d = 2m - w, read from a
+    sliding view of the profile or of its negation (0 - g keeps +0.0), so
+    the whole table is one gather and every entry has the bits of
+    `overlap(m, n)`.
+    """
+    m = np.asarray(m_values)
+    d_min = 2 * int(m.min()) - w
+    profile = _overlap_profile(np.arange(d_min, 2 * int(m.max()) + w + 1))
+    runs = np.lib.stride_tricks.sliding_window_view(
+        np.stack([profile, 0.0 - profile]), 2 * w + 1, axis=1)[:, :, ::-1]
+    return runs[m % 2, 2 * m - w - d_min].T
 
 
 def complement_probe(w: int, k: int) -> np.ndarray:
@@ -131,7 +145,7 @@ def complement_probe(w: int, k: int) -> np.ndarray:
     sin_half = np.where(d % 4 == 1, 1.0, -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         odd_vals = sin_half / (math.pi * d)
-    return np.where(d == 0, 0.5, np.where(odd, odd_vals, 0.0)).astype(complex)
+    return np.where(d == 0, 0.5, np.where(odd, odd_vals, 0.0))
 
 
 @dataclass(frozen=True)
@@ -203,22 +217,24 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     """
     window = CircleWindow.create(w)
     m_loc = window.m_loc
-    frame = window.f_table[:, m_loc + start_m:]  # F = [f_start ... f_m_loc]
+    first = m_loc + start_m
+    frame = window.f_table[:, first:]  # F = [f_start ... f_m_loc]
     lower, upper = frame[:, :-1], frame[:, 1:]
+    gram = window.f_table.conj().T @ window.f_table
     # F = Q R spans both factors, so V = Q M Q* + (1 - Q Q*) with the small
     # core M = 1 + (R[:, 1:] - R[:, :-1]) R[:, :-1]*: V has the singular
     # values of M plus ones, and ||V*V - 1|| = max |s^2 - 1| over them.
-    r = np.linalg.qr(frame, mode="r")
+    # Any R with R*R = F*F gives a unitarily similar M, so R is the Cholesky
+    # factor of the frame's block of the table's Gram; that block is within
+    # gram_off_identity of the identity, so the factor is well conditioned.
+    r = np.linalg.cholesky(gram[first:, first:]).conj().T
     core = np.eye(r.shape[0]) + (r[:, 1:] - r[:, :-1]) @ r[:, :-1].conj().T
     svals = np.linalg.svd(core, compute_uv=False)
     ones = np.ones(window.dim - svals.size)
     build = DiracBuild(window, upper - lower, lower, start_m, {},
                        np.concatenate([svals, ones]))
 
-    norms2 = np.einsum("ij,ij->j", window.f_table.conj(),
-                       window.f_table).real
-    rownorm_dev = float(np.max(np.abs(norms2 - 1.0)))
-    gram = window.f_table.conj().T @ window.f_table
+    rownorm_dev = float(np.max(np.abs(np.diag(gram).real - 1.0)))
     gram_offid = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
     probes = np.column_stack(
@@ -275,17 +291,17 @@ def index_estimate(builds) -> IndexRecord:
     return IndexRecord(counts, values[0], smallest, gaps)
 
 
-def _exact_weighted_sum(weights, values) -> float:
-    """Correctly rounded sum of weights[i] * values[i] for integer weights.
+def _dyadic_numerators(values) -> tuple[list[int], int]:
+    """Integers nums and one den with values[i] == nums[i] / den exactly.
 
-    Equal to math.fsum over the multiset with values[i] repeated weights[i]
-    times, at the cost of one term per value: floats are dyadic rationals,
-    so the sum is exact in integers and one true division rounds it.
+    Floats are dyadic rationals, so the largest denominator serves all.  A
+    weighted sum of the values with integer weights is then exact in
+    integers, and one true division rounds it correctly: the result equals
+    math.fsum over the multiset with values[i] repeated weights[i] times.
     """
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
-    num = sum(c * n * (den // d) for c, (n, d) in zip(weights, ratios))
-    return num / den
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _trend_verdict(cutoffs, partial_norms) -> tuple[str, float, list[float]]:
@@ -362,12 +378,15 @@ def jump_symbol_control_study(cutoffs) -> HsStudy:
     """
     cutoffs = tuple(sorted(cutoffs))
     d = np.arange(1, 2 * cutoffs[-1] + 1)
-    squares = (np.concatenate([np.sinc(0.5 - d), np.sinc(0.5 + d)])
-               ** 2).tolist()
+    # Both signs of d share a weight, so each d carries the sum of its two
+    # squares; the weight vanishes beyond d = 2w.
+    nums, den = _dyadic_numerators(
+        (np.concatenate([np.sinc(0.5 - d), np.sinc(0.5 + d)]) ** 2).tolist())
+    nums = [a + b for a, b in zip(nums[:d.size], nums[d.size:])]
     sums = []
     for w in cutoffs:
-        pairs = np.maximum(np.minimum(d, 2 * w + 1 - d), 0).tolist()
-        sums.append(math.sqrt(_exact_weighted_sum(pairs + pairs, squares)))
+        pairs = np.minimum(d[:2 * w], 2 * w + 1 - d[:2 * w]).tolist()
+        sums.append(math.sqrt(sum(c * n for c, n in zip(pairs, nums)) / den))
     verdict, slope, incs = _trend_verdict(cutoffs, sums)
     return HsStudy(cutoffs, {"plus": sums}, {"plus": incs}, {"plus": slope},
                    {"plus": verdict})

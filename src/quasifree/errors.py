@@ -94,9 +94,10 @@ class MalformedInput(QuasifreeError):
 
 
 # Byte budget of one dense complex array built from input sizes: it admits
-# analyze at 2000 modes (4000^2, 256 MB) and the W = 8192 circle window's
-# overlap table (16385 x 4097, about 1.07 GB), and refuses before numpy
-# would try to allocate more.
+# analyze at 2000 modes (4000^2, 256 MB) and refuses before numpy would try
+# to allocate more.  The circle window's overlap table is real but is
+# counted at the same 16 bytes an entry, so the guard admits W <= 11583
+# (at W = 8192 the 16385 x 4097 table counts 1.07 GB and takes 537 MB).
 DENSE_BYTES_CAP = 2 ** 31
 
 

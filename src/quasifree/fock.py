@@ -429,8 +429,8 @@ class ImplementerSet:
     psis: list
     intertwining_residual: float
     isometry_residual: float
-    completeness_residual: float | None
-    implementation_residual: float | None
+    completeness_residual: float
+    implementation_residual: float
 
 
 def car_implementers(v: BlockOperator, fock_dom: FermiFock,

@@ -683,6 +683,16 @@ class TestDirac:
         assert data["hs_study"]["verdicts"] == {
             "plus": "consistent-with-HS", "minus": "consistent-with-HS"}
 
+    def test_window_4096_two_species(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["dirac", "--cutoffs", "1024,2048,4096",
+                         "--gauge-n", "2", "--report", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["index"]["value"] == 1
+        assert data["hs_study"]["verdicts"] == {
+            "plus": "consistent-with-HS", "minus": "consistent-with-HS"}
+        assert data["localization"]["residual"]["pass"] is True
+
 
 class TestDeterminism:
 

@@ -26,11 +26,34 @@ def test_overlap_against_quadrature_oracle():
 
 
 def test_local_mode_table_matches_scalar():
-    table = dirac.local_mode_table(16, [-2, 0, 3])
-    ns = range(-16, 17)
-    for col, m in enumerate((-2, 0, 3)):
-        for row, n in enumerate(ns):
-            assert table[row, col] == pytest.approx(dirac.overlap(m, n))
+    # m of both signs and parities, scattered and consecutive
+    for m_values in ([-2, 0, 3], list(range(-5, 6))):
+        table = dirac.local_mode_table(16, m_values)
+        assert table.dtype == np.float64
+        want = np.array([[dirac.overlap(m, n) for m in m_values]
+                         for n in range(-16, 17)])
+        assert {(2 * m - n) % 4 for m in m_values
+                for n in range(-16, 17)} == {0, 1, 2, 3}
+        assert (table == want).all()
+        # zeros included: the sign flip of odd m keeps the +0.0 of overlap
+        assert (table.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def test_build_runs_in_real_arithmetic(monkeypatch):
+    grams = []
+    cholesky = np.linalg.cholesky
+
+    def spy(matrix):
+        grams.append(matrix)
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    build = dirac.build_v(64)
+    assert build.window.f_table.dtype == np.float64
+    assert build.a.dtype == build.b.dtype == np.float64
+    assert [gram.dtype for gram in grams] == [np.float64]
+    probe = dirac.complement_probe(64, 1)
+    assert probe.dtype == build.apply(probe).dtype == np.float64
 
 
 def test_cayley_audit():
