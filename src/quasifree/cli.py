@@ -31,6 +31,7 @@ from .errors import (
     QuasifreeError,
     ShapeMismatch,
     WindowTooSmall,
+    sample_chunks,
 )
 from .fock import (
     FERMI_DIM_CAP,
@@ -58,12 +59,13 @@ from .sectors import (
     CCR_L_MAX,
     CHAR_TOL,
     GaugeAction,
+    GaugeSample,
     char_det_h,
     compressed_action,
     oracle_compare,
     sector_table,
 )
-from .selfdual import DEFAULT_TOL, Membership, extend_gauge
+from .selfdual import DEFAULT_TOL, Membership, apply_gauge
 
 # The report writes the statistics dimension 2^N of N species (the circle's
 # index is 1) as an exact integer; this cap keeps it far below Python's
@@ -204,9 +206,9 @@ def cmd_analyze(args) -> int:
 
     if model.gauge is not None:
         try:
-            table = sector_table(algebra, v.codomain, h_frame, k_frame,
-                                 model.gauge, samples=model.gauge_samples,
-                                 seed=seed)
+            table = sector_table(
+                algebra, v.codomain, h_frame, k_frame,
+                model.gauge.elements(samples=model.gauge_samples, seed=seed))
         except NotInvariant as exc:
             raise NotGaugeCompatible(
                 f"gauge does not preserve the charge spaces: {exc}") from exc
@@ -226,10 +228,18 @@ def cmd_analyze(args) -> int:
     return _emit_verdict(payload, args, lines)
 
 
-def _vacuum_leak(u11: np.ndarray, space, p_full: np.ndarray) -> float:
-    """max |U P U* - P| for the self-dual extension U of a gauge unitary."""
-    u_full = extend_gauge(u11, space)
-    return float(np.max(np.abs(u_full @ p_full @ u_full.conj().T - p_full)))
+def _vacuum_leaks(u11: np.ndarray, space, p_full: np.ndarray) -> np.ndarray:
+    """max |U P U* - P| per self-dual extension U of a (samples, n, n) stack.
+
+    U P U* is taken as (U (U P)*)*, so P need not be hermitian to the bit.
+    """
+    leaks = []
+    for chunk in sample_chunks(len(u11), 16 * p_full.size):
+        u = u11[chunk]
+        up_adj = np.conj(apply_gauge(u, p_full, space)).swapaxes(1, 2)
+        upu = np.conj(apply_gauge(u, up_adj, space)).swapaxes(1, 2)
+        leaks.append(np.max(np.abs(upu - p_full), axis=(1, 2)))
+    return np.concatenate(leaks)
 
 
 def _default_gauge(v, p_full: np.ndarray) -> tuple[GaugeAction, int]:
@@ -242,14 +252,14 @@ def _default_gauge(v, p_full: np.ndarray) -> tuple[GaugeAction, int]:
     """
     n = v.codomain.n_modes
     u11 = np.diag(np.exp(0.9j * np.ones(n)))
-    if _vacuum_leak(u11, v.codomain, p_full) <= GAUGE_LEAK_TOL:
+    if _vacuum_leaks(u11[np.newaxis], v.codomain, p_full)[0] <= GAUGE_LEAK_TOL:
         return GaugeAction("u1", n, charges=(1,) * n), 20
     return GaugeAction("custom", n,
                        unitaries=(np.eye(n, dtype=complex),)), 1
 
 
-def _oracle_gauge(args, model, v, p_full: np.ndarray) -> tuple:
-    """(gauge, samples, elements) for the charge comparison.
+def _oracle_gauge(args, model, v, p_full: np.ndarray) -> GaugeSample:
+    """The sampled gauge elements of the charge comparison.
 
     Every sampled element must leave the vacuum's basis projection invariant,
     or the comparison has no meaning: NotGaugeCompatible otherwise.
@@ -260,19 +270,20 @@ def _oracle_gauge(args, model, v, p_full: np.ndarray) -> tuple:
         gauge, samples = _default_gauge(v, p_full)
     elements = gauge.elements(samples=samples,
                               seed=_effective_seed(args, model))
-    for element in elements:
-        leak = _vacuum_leak(element.u11, v.codomain, p_full)
-        if leak > GAUGE_LEAK_TOL:
-            raise NotGaugeCompatible(
-                f"gauge element {element.label} does not preserve the vacuum: "
-                f"max |U P U* - P| = {leak:.3e} > {GAUGE_LEAK_TOL:.0e}")
-    return gauge, samples, elements
+    leaks = _vacuum_leaks(elements.u11, v.codomain, p_full)
+    bad = np.flatnonzero(leaks > GAUGE_LEAK_TOL)
+    if bad.size:
+        raise NotGaugeCompatible(
+            f"gauge element {elements.labels[bad[0]]} does not preserve the "
+            f"vacuum: max |U P U* - P| = {leaks[bad[0]]:.3e} > "
+            f"{GAUGE_LEAK_TOL:.0e}")
+    return elements
 
 
 def _car_oracle(args, model, mem, payload, lines) -> None:
     data = car_charge_data(mem)
     v = data.v
-    gauge, _, elements = _oracle_gauge(args, model, v, data.p)
+    elements = _oracle_gauge(args, model, v, data.p)
     fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
     # The charge comparison builds Gamma(U) on the codomain; refuse it
@@ -299,30 +310,30 @@ def _car_oracle(args, model, mem, payload, lines) -> None:
         f"{relation(payload['implementers']['implementation'])} "
         f"{DEFAULT_TOL:.0e}")
 
-    space = v.codomain
+    dets_h = char_det_h(elements.u11, data.h.frame, v.codomain)
+    comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
 
-    def theorem_deviation(element) -> float:
-        gamma = fock_c.gamma(element.u11)
+    def theorem_deviation(j: int) -> float:
+        gamma = fock_c.gamma(elements.u11[j])
         blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
-        det_h = char_det_h(element.u11, data.h.frame, space)
-        comp_k = compressed_action(element.u11, data.k.frame, space)
         dev = 0.0
         for level, block in blocks.items():
-            target = det_h * compound_matrix(comp_k, level)
+            target = dets_h[j] * compound_matrix(comps_k[j], level)
             dev = max(dev, float(np.max(np.abs(block - target))))
         return dev
 
-    devs = _parallel_map(theorem_deviation, elements, args.threads)
+    count = len(elements.labels)
+    devs = _parallel_map(theorem_deviation, range(count), args.threads)
     worst = max(devs)
     payload["charge_theorem"] = {
-        "samples": len(elements),
-        "gauge": gauge.kind,
+        "samples": count,
+        "gauge": elements.kind,
         "max_block_deviation": comparison(worst, 1e-8),
     }
     lines.append(
         f"charge theorem: max blockwise deviation {worst:.3e} "
         f"{relation(payload['charge_theorem']['max_block_deviation'])} 1e-8 "
-        f"over {len(elements)} gauge elements")
+        f"over {count} gauge elements")
 
 
 def _bose_gamma_vector(fock: BoseFock, u11: np.ndarray) -> np.ndarray:
@@ -342,7 +353,7 @@ def _ccr_oracle(args, model, mem, payload, lines) -> None:
         raise MalformedInput(
             f"--bose-cutoff must be at least {l_max}, the highest charge "
             f"level checked, got {cutoff}")
-    gauge, samples, elements = _oracle_gauge(args, model, v, data.p)
+    elements = _oracle_gauge(args, model, v, data.p)
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
@@ -373,19 +384,18 @@ def _ccr_oracle(args, model, mem, payload, lines) -> None:
         f"{tail:.3e}")
 
     table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
-                         data.k_frame, gauge, samples=samples,
-                         seed=_effective_seed(args, model), l_max=l_max)
+                         data.k_frame, elements, l_max=l_max)
 
-    def element_blocks(element) -> dict:
-        gamma_vec = _bose_gamma_vector(fock_c, element.u11)
+    def element_blocks(u11: np.ndarray) -> dict:
+        gamma_vec = _bose_gamma_vector(fock_c, u11)
         return charge_rep_blocks(omegas, alphas,
                                  lambda vec: gamma_vec * vec)
 
-    blocks = _parallel_map(element_blocks, elements, args.threads)
+    blocks = _parallel_map(element_blocks, elements.u11, args.threads)
     compare = oracle_compare(table, blocks)
     payload["charge_theorem"] = {
-        "samples": len(elements),
-        "gauge": gauge.kind,
+        "samples": len(elements.labels),
+        "gauge": elements.kind,
         "levels": sorted(compare["per_level"]),
         "max_trace_deviation": comparison(compare["max_deviation"],
                                           1e-6 + tail),

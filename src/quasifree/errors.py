@@ -107,3 +107,14 @@ def require_dense_bytes(rows: int, cols: int, what: str) -> None:
     if size > DENSE_BYTES_CAP:
         raise CapExceeded(f"{what}: a dense {rows} x {cols} complex array "
                           f"needs {size} bytes > cap {DENSE_BYTES_CAP}")
+
+
+# Bytes of one (samples, 2n, columns) product per chunk of a stacked pass
+# over gauge samples; the chunk's other temporaries are of the same size.
+STACK_CHUNK_BYTES = 2 ** 24
+
+
+def sample_chunks(count: int, sample_bytes: int) -> list[slice]:
+    """Slices of a sample stack, each about STACK_CHUNK_BYTES of products."""
+    step = max(1, STACK_CHUNK_BYTES // max(sample_bytes, 1))
+    return [slice(start, start + step) for start in range(0, count, step)]

@@ -8,10 +8,19 @@ symmetric polynomials).  This module evaluates those characters on element
 samples, groups levels into equivalence classes by sampled character equality,
 and compares against brute-force Fock blocks.
 
-Sampling is deterministic: a seeded QR-based Haar draw for matrix groups, the
-full group for the two-element group, and a uniform angle grid for the circle
-group.  Sector equivalence is certified only on the sample; the sample size
-and seed are recorded in the table.
+Sampling is deterministic: a seeded Haar draw for matrix groups (Mezzadri's
+QR with the R-diagonal phase fix), the full group for the two-element group,
+and a uniform angle grid for the circle group.  Sector equivalence is
+certified only on the sample; the sample size and seed are recorded in the
+table.
+
+A command's samples travel as one (samples, n, n) stack.  The Haar draw is
+one normal draw, one stacked QR and, for SU(k), one stacked determinant,
+with the bits of the per-sample draw.  The compression to h or k is one
+stacked product of the two diagonal blocks of u + conj(u), and its
+determinant one stacked det.  The eigenphases come from one direct zgees
+call per sample (the Schur form scipy.linalg.schur computes, without its
+per-call validation and workspace query).
 
 The characters take a stack of eigenvalue rows, one per sample, so a table
 costs one char_lambda / char_sym call per level.  Their sum order is fixed
@@ -31,8 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import LevelOutOfRange, MalformedInput, NotInvariant
-from .selfdual import SelfDualSpace, extend_gauge, hs_norm
+from .errors import (
+    LevelOutOfRange,
+    MalformedInput,
+    NotInvariant,
+    sample_chunks,
+)
+from .selfdual import SelfDualSpace, apply_gauge
 
 CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
@@ -42,17 +56,32 @@ CCR_L_MAX = 5
 _MONOMIAL_BLOCK = 256
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the R-diagonal phase fix."""
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
+def _haar_stack(m: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """(samples, m, m) Haar unitaries: Mezzadri's QR with the R-diagonal phase fix.
+
+    One normal draw of shape (samples, 2, m, m) takes the generator's stream
+    as consecutive per-sample draws of the real and then the imaginary part,
+    and numpy's QR runs on the whole stack at once.
+    """
+    g = rng.normal(size=(samples, 2, m, m))
+    z = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed unitary: a one-sample stacked draw."""
+    return _haar_stack(n, 1, rng)[0]
 
 
 @dataclass(frozen=True)
-class GaugeElement:
-    label: str
+class GaugeSample:
+    """Sampled gauge elements: one label each and one (samples, n, n) stack."""
+
+    kind: str
+    seed: int
+    labels: list
     u11: np.ndarray
 
 
@@ -88,72 +117,115 @@ class GaugeAction:
         if self.kind not in ("u1", "un", "sun", "z2", "custom"):
             raise MalformedInput(f"unknown gauge kind {self.kind!r}")
 
-    def elements(self, samples: int = 50, seed: int = 0) -> list[GaugeElement]:
+    def elements(self, samples: int = 50, seed: int = 0) -> GaugeSample:
         n = self.n_modes
         if self.kind == "z2":
-            return [GaugeElement("+1", np.eye(n, dtype=complex)),
-                    GaugeElement("-1", -np.eye(n, dtype=complex))]
-        if self.kind == "u1":
-            out = []
-            for j in range(samples):
-                lam = 2.0 * math.pi * j / samples
-                u = np.diag(np.exp(1j * lam * np.asarray(self.charges)))
-                out.append(GaugeElement(f"lambda={lam:.6f}", u))
-            return out
+            eye = np.eye(n, dtype=complex)
+            return GaugeSample(self.kind, seed, ["+1", "-1"],
+                               np.stack([eye, -eye]))
         if self.kind == "custom":
-            return [GaugeElement(f"custom[{i}]", np.asarray(u, dtype=complex))
-                    for i, u in enumerate(self.unitaries)]
-        rng = np.random.default_rng(seed)
-        sites = n // self.species
-        out = []
-        for j in range(samples):
-            u = haar_unitary(self.species, rng)
-            if self.kind == "sun":
-                u = u / np.linalg.det(u) ** (1.0 / self.species)
-            out.append(GaugeElement(f"haar[{j}]",
-                                    np.kron(np.eye(sites), u)))
-        return out
+            return GaugeSample(
+                self.kind, seed,
+                [f"custom[{i}]" for i in range(len(self.unitaries))],
+                np.array(self.unitaries, dtype=complex))
+        u11 = np.zeros((samples, n, n), dtype=complex)
+        if self.kind == "u1":
+            lam = 2.0 * math.pi * np.arange(samples) / samples
+            modes = np.arange(n)
+            u11[:, modes, modes] = np.exp(
+                1j * lam[:, np.newaxis] * np.asarray(self.charges))
+            return GaugeSample(self.kind, seed,
+                               [f"lambda={x:.6f}" for x in lam.tolist()], u11)
+        m = self.species
+        u = _haar_stack(m, samples, np.random.default_rng(seed))
+        if self.kind == "sun":
+            # An array exponent: numpy turns a scalar 0.5 into sqrt, whose
+            # bits differ from the power every other species count takes.
+            root = np.linalg.det(u) ** np.full(samples, 1.0 / m)
+            u = u / root[:, np.newaxis, np.newaxis]
+        sites = np.arange(n // m)
+        u11.reshape(samples, n // m, m, n // m, m)[:, sites, :, sites, :] = u
+        return GaugeSample(self.kind, seed,
+                           [f"haar[{j}]" for j in range(samples)], u11)
 
 
 def compressed_action(u11: np.ndarray, frame: np.ndarray,
                       space: SelfDualSpace) -> np.ndarray:
     """Compress the extended gauge unitary u + conj(u) to a self-dual frame.
 
-    The frame columns must span an invariant subspace; the leakage
-    ||U frame - frame (frame* U frame)|| above COMPRESS_TOL raises
+    u11 is one unitary or a (samples, n, n) stack, compressed in chunks of
+    samples.  The frame columns must span a subspace every element leaves
+    invariant; the first element whose leakage
+    ||U frame - frame (frame* U frame)|| exceeds COMPRESS_TOL raises
     NotInvariant.
     """
-    if frame.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    moved = extend_gauge(u11, space) @ frame
-    comp = frame.conj().T @ moved
-    leak = float(np.linalg.norm(moved - frame @ comp))
-    if leak > COMPRESS_TOL:
-        raise NotInvariant(
-            f"gauge element moves the subspace: leakage {leak:.3e}")
-    return comp
+    stack = np.asarray(u11)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[np.newaxis]
+    k = frame.shape[1]
+    comps = np.zeros((len(stack), k, k), dtype=complex)
+    chunks = sample_chunks(len(stack), 16 * frame.size) if k else []
+    for chunk in chunks:
+        moved = apply_gauge(stack[chunk], frame, space)
+        comp = frame.conj().T @ moved
+        leaks = np.linalg.norm(moved - frame @ comp, axis=(1, 2))
+        bad = np.flatnonzero(leaks > COMPRESS_TOL)
+        if bad.size:
+            raise NotInvariant(
+                f"gauge element moves the subspace: leakage {leaks[bad[0]]:.3e}")
+        comps[chunk] = comp
+    return comps[0] if single else comps
+
+
+def _no_sort(*_):
+    return None
 
 
 def eigenphases(compressed: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a compressed gauge element via Schur decomposition."""
-    if compressed.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    t, _ = scipy.linalg.schur(compressed, output="complex")
-    off = hs_norm(t - np.diag(np.diagonal(t)))
-    if off > COMPRESS_TOL:
+    """Eigenvalues of compressed gauge elements via Schur decomposition.
+
+    compressed is one k x k matrix or a (samples, k, k) stack.  Each matrix
+    gets one direct call of LAPACK's zgees.  scipy.linalg.schur would also
+    validate its input and query the workspace on every call; here the
+    query runs once per stack, so the diagonals keep schur's bits.
+    """
+    stack = np.asarray(compressed, dtype=complex)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[np.newaxis]
+    k = stack.shape[-1]
+    if k == 0:
+        eigs = np.zeros(stack.shape[:1] + (0,), dtype=complex)
+        return eigs[0] if single else eigs
+    gees, = scipy.linalg.get_lapack_funcs(("gees",), (stack,))
+    lwork = int(gees(_no_sort, stack[0], lwork=-1)[-2][0].real)
+    t = np.empty_like(stack)
+    for out, a in zip(t, stack):
+        out[...], *_, info = gees(_no_sort, a, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError(f"zgees failed with info {info}")
+    eigs = np.diagonal(t, axis1=1, axis2=2).copy()
+    diag = np.arange(k)
+    t[:, diag, diag] = 0.0
+    offs = np.linalg.norm(t, axis=(1, 2))
+    bad = np.flatnonzero(offs > COMPRESS_TOL)
+    if bad.size:
         raise NotInvariant(
-            f"compressed action is not normal (defect {off:.3e}); "
+            f"compressed action is not normal (defect {offs[bad[0]]:.3e}); "
             "the subspace is not honestly invariant")
-    return np.diagonal(t).copy()
+    return eigs[0] if single else eigs
 
 
 def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
-               space: SelfDualSpace) -> complex:
-    """Determinant character on the defect space h (1 when h is empty)."""
-    comp = compressed_action(u11, h_frame, space)
-    if comp.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(comp))
+               space: SelfDualSpace) -> complex | np.ndarray:
+    """Determinant character on the defect space h (1 when h is empty).
+
+    u11 is one unitary (the character comes back as a complex) or a
+    (samples, n, n) stack (one character per element).
+    """
+    dets = np.linalg.det(compressed_action(u11, h_frame, space))
+    return complex(dets) if np.ndim(u11) == 2 else dets
 
 
 def _monomial_sum(eigs: np.ndarray, combos) -> complex | np.ndarray:
@@ -242,22 +314,19 @@ def _equivalence_classes(rows: list[SectorRow]) -> list[list[int]]:
 
 
 def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
-                 k_frame: np.ndarray, gauge: GaugeAction, samples: int = 50,
-                 seed: int = 0, l_max: int = CCR_L_MAX) -> SectorTable:
+                 k_frame: np.ndarray, elements: GaugeSample,
+                 l_max: int = CCR_L_MAX) -> SectorTable:
     """Sampled character table over charge levels, with equivalence classes."""
     if algebra not in ("car", "ccr"):
         raise MalformedInput(f"unknown algebra {algebra!r}")
-    elements = gauge.elements(samples=samples, seed=seed)
     k_dim = k_frame.shape[1]
     if algebra == "car":
         levels = list(range(k_dim + 1))
     else:
         levels = list(range(l_max + 1))
 
-    dets = np.array([char_det_h(el.u11, h_frame, space) for el in elements])
-    eig_stack = np.empty((len(elements), k_dim), dtype=complex)
-    for row, el in zip(eig_stack, elements):
-        row[:] = eigenphases(compressed_action(el.u11, k_frame, space))
+    dets = char_det_h(elements.u11, h_frame, space)
+    eig_stack = eigenphases(compressed_action(elements.u11, k_frame, space))
 
     rows = []
     for level in levels:
@@ -269,9 +338,9 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
             chars = char_sym(eig_stack, level)
         rows.append(SectorRow(level, dim, chars))
 
-    meta = {"samples": len(elements), "seed": seed, "kind": gauge.kind,
-            "tol_char": CHAR_TOL}
-    return SectorTable(algebra, rows, [el.label for el in elements],
+    meta = {"samples": len(elements.labels), "seed": elements.seed,
+            "kind": elements.kind, "tol_char": CHAR_TOL}
+    return SectorTable(algebra, rows, list(elements.labels),
                        _equivalence_classes(rows), meta)
 
 

@@ -184,6 +184,22 @@ def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:
     return full
 
 
+def apply_gauge(u11: np.ndarray, x: np.ndarray,
+                space: SelfDualSpace) -> np.ndarray:
+    """extend_gauge(u11, space) @ x, without forming the extension.
+
+    u11 is one unitary or a (samples, n, n) stack, and x one matrix or a
+    stack of as many.  The extension is block diagonal, so U x stacks
+    u @ x[:n] over conj(u) @ x[n:]; only the signs of exact zeros can differ
+    from the dense product.
+    """
+    n = space.n_modes
+    if u11.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"u11 shape {u11.shape[-2:]} != ({n}, {n})")
+    return np.concatenate([u11 @ x[..., :n, :], np.conj(u11) @ x[..., n:, :]],
+                          axis=-2)
+
+
 @dataclass(frozen=True)
 class BlockOperator:
     """Linear map between self-dual spaces with 2x2 block bookkeeping.

@@ -143,11 +143,11 @@ def test_criterion_3_implementation_formula(capsys):
 def _charge_theorem_deviation(v, elements, data, fock_c, alphas, omegas):
     space = v.codomain
     worst = 0.0
-    for element in elements:
-        gamma = fock_c.gamma(element.u11)
+    for u11 in elements.u11:
+        gamma = fock_c.gamma(u11)
         blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
-        det_h = char_det_h(element.u11, data.h.frame, space)
-        comp = compressed_action(element.u11, data.k.frame, space)
+        det_h = char_det_h(u11, data.h.frame, space)
+        comp = compressed_action(u11, data.k.frame, space)
         for level, block in blocks.items():
             target = det_h * compound_matrix(comp, level)
             worst = max(worst, float(np.max(np.abs(block - target))))
@@ -176,7 +176,7 @@ def test_criterion_4_car_charge_theorem(capsys):
         data, _, fock_c, alphas, omegas = fermi_pipeline(v)
         worst = max(worst, _charge_theorem_deviation(
             v, elements, data, fock_c, alphas, omegas))
-        count += len(elements)
+        count += len(elements.labels)
 
     flip_data = car_charge_data(car_membership(flip))
     minus = -np.eye(2, dtype=complex)
@@ -204,13 +204,12 @@ def test_criterion_5_ccr_charge_theorem(capsys):
     omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas, _ = omega_alphas_bose(fock, v.codomain, omega_p,
                                           data.k_frame, 5, data.t)
-    gauge = GaugeAction("u1", 2, charges=(1, 1))
-    samples = 20
+    elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=20)
     table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
-                         data.k_frame, gauge, samples=samples, l_max=5)
+                         data.k_frame, elements, l_max=5)
     blocks = []
-    for element in gauge.elements(samples=samples):
-        phases = np.angle(np.diagonal(element.u11))
+    for u11 in elements.u11:
+        phases = np.angle(np.diagonal(u11))
         gvec = fock.gamma_phases(phases)
         blocks.append(charge_rep_blocks(omegas, alphas,
                                         lambda vec: gvec * vec))

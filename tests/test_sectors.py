@@ -1,12 +1,14 @@
 """Character tables, sector equivalence classes, oracle comparison."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quasifree import builders, sectors
+from quasifree import builders, cli, errors, sectors
 from quasifree.car import car_charge_data, car_membership
 from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.errors import (
@@ -26,7 +28,7 @@ from quasifree.sectors import (
     oracle_compare,
     sector_table,
 )
-from quasifree.selfdual import SelfDualSpace
+from quasifree.selfdual import SelfDualSpace, extend_gauge
 
 
 def test_char_det_h_values():
@@ -86,12 +88,12 @@ def test_gauge_action_validation():
 
 def test_gauge_action_z2_and_u1_grids():
     z2 = GaugeAction("z2", 2).elements()
-    assert len(z2) == 2
-    assert np.allclose(z2[1].u11, -np.eye(2))
+    assert z2.labels == ["+1", "-1"]
+    assert np.allclose(z2.u11[1], -np.eye(2))
     u1 = GaugeAction("u1", 2, charges=(1, 0)).elements(samples=4)
-    assert len(u1) == 4
-    assert u1[1].u11[0, 0] == pytest.approx(1j)
-    assert u1[1].u11[1, 1] == pytest.approx(1.0)
+    assert u1.u11.shape == (4, 2, 2)
+    assert u1.u11[1, 0, 0] == pytest.approx(1j)
+    assert u1.u11[1, 1, 1] == pytest.approx(1.0)
 
 
 def test_haar_unitary_deterministic():
@@ -130,7 +132,7 @@ def test_sector_table_car_shift_u1():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge, samples=64)
+                         gauge.elements(samples=64))
     assert [row.level for row in table.rows] == [0, 1]
     assert [row.dimension for row in table.rows] == [1, 1]
     lam = 2 * math.pi / 64
@@ -144,7 +146,7 @@ def test_sector_table_ccr_u1_ladder():
     data = ccr_charge_data(ccr_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("ccr", v.codomain, np.zeros((4, 0)), data.k_frame,
-                         gauge, samples=64, l_max=5)
+                         gauge.elements(samples=64), l_max=5)
     assert [row.level for row in table.rows] == [0, 1, 2, 3, 4, 5]
     assert [row.dimension for row in table.rows] == [1] * 6
     assert len(table.equivalence_classes) == 6
@@ -157,7 +159,7 @@ def test_sector_table_su2_period_two():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("sun", 4, species=2)
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge, samples=50, seed=3)
+                         gauge.elements(samples=50, seed=3))
     assert table.equivalence_classes == [[0, 2], [1]]
 
 
@@ -166,7 +168,7 @@ def test_sector_table_u2_all_distinct():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge, samples=50, seed=3)
+                         gauge.elements(samples=50, seed=3))
     assert table.equivalence_classes == [[0], [1], [2]]
 
 
@@ -174,11 +176,12 @@ def test_sector_table_basis_independent():
     v = builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
+    elements = gauge.elements(samples=10, seed=3)
     table1 = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                          gauge, samples=10, seed=3)
+                          elements)
     rot = haar_unitary(2, np.random.default_rng(77))
     table2 = sector_table("car", v.codomain, data.h.frame,
-                          data.k.frame @ rot, gauge, samples=10, seed=3)
+                          data.k.frame @ rot, elements)
     for r1, r2 in zip(table1.rows, table2.rows):
         assert np.max(np.abs(r1.characters - r2.characters)) < 1e-10
 
@@ -188,14 +191,13 @@ def test_oracle_compare_shift_full_pipeline():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge, samples=8)
+                         gauge.elements(samples=8))
     fock = FermiFock(2)
     omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
                                         data.k.frame)
-    blocks = [charge_rep_blocks(omegas, alphas,
-                                fock.gamma(el.u11).__matmul__)
-              for el in gauge.elements(samples=8)]
+    blocks = [charge_rep_blocks(omegas, alphas, fock.gamma(u11).__matmul__)
+              for u11 in gauge.elements(samples=8).u11]
     report = oracle_compare(table, blocks)
     assert report["max_deviation"] < 1e-12
 
@@ -205,7 +207,7 @@ def test_oracle_compare_flags_mismatch():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge, samples=4)
+                         gauge.elements(samples=4))
     bad = [{0: np.eye(1), 1: np.eye(1) * 0.5} for _ in range(4)]
     report = oracle_compare(table, bad)
     assert report["max_deviation"] > 1e-8
@@ -296,18 +298,46 @@ def test_stacked_level_out_of_range():
         char_sym(stack, -1)
 
 
-def loop_sector_characters(algebra, space, h_frame, k_frame, gauge,
-                           samples, seed, levels):
-    """Each element's characters from its own eigenphases, one at a time."""
-    elements = gauge.elements(samples=samples, seed=seed)
-    dets = np.array([char_det_h(el.u11, h_frame, space) for el in elements])
-    eigs = [eigenphases(compressed_action(el.u11, k_frame, space))
-            for el in elements]
+def loop_sector_characters(algebra, space, h_frame, k_frame, elements,
+                           levels):
+    """Each element's characters from its own dense extension, one at a time.
+
+    Independent of the stacked helpers: the 2n x 2n extend_gauge product,
+    scipy.linalg.schur and the scalar character loop.
+    """
+    dets, eigs = [], []
+    for u11 in elements.u11:
+        u_full = extend_gauge(u11, space)
+        h_comp = h_frame.conj().T @ (u_full @ h_frame)
+        dets.append(complex(np.linalg.det(h_comp)) if h_frame.shape[1]
+                    else 1.0 + 0.0j)
+        k_comp = k_frame.conj().T @ (u_full @ k_frame)
+        eigs.append(np.diagonal(scipy.linalg.schur(k_comp, output="complex")[0])
+                    if k_frame.shape[1] else np.zeros(0, dtype=complex))
     if algebra == "car":
-        return [dets * np.array([loop_character(e, level, False)
-                                 for e in eigs]) for level in levels]
+        return [np.array(dets) * np.array([loop_character(e, level, False)
+                                           for e in eigs]) for level in levels]
     return [np.array([loop_character(e, level, True) for e in eigs])
             for level in levels]
+
+
+def reference_sector_table(algebra, space, h_frame, k_frame, elements,
+                           l_max=sectors.CCR_L_MAX):
+    """sector_table with its characters from loop_sector_characters."""
+    k_dim = k_frame.shape[1]
+    if algebra == "car":
+        dims = [math.comb(k_dim, level) for level in range(k_dim + 1)]
+    else:
+        dims = [math.comb(k_dim + level - 1, level) if k_dim
+                else int(level == 0) for level in range(l_max + 1)]
+    chars = loop_sector_characters(algebra, space, h_frame, k_frame,
+                                   elements, range(len(dims)))
+    rows = [sectors.SectorRow(level, dim, c)
+            for level, (dim, c) in enumerate(zip(dims, chars))]
+    meta = {"samples": len(elements.labels), "seed": elements.seed,
+            "kind": elements.kind, "tol_char": sectors.CHAR_TOL}
+    return sectors.SectorTable(algebra, rows, list(elements.labels),
+                               sectors._equivalence_classes(rows), meta)
 
 
 SHIFT_GAUGES = [
@@ -325,12 +355,25 @@ SHIFT_GAUGES = [
 ]
 
 
+def shift_gauge_case(steps, species, group):
+    """(shift builder params, gauge block) of one SHIFT_GAUGES shape."""
+    sites = {1: 4, 2: 3, 3: 2}[species]
+    n = (sites + steps) * species
+    gauge = {"group": group, "seed": 5}
+    if group == "u1":
+        gauge["charges"] = [int(c) for c in
+                            np.random.default_rng(n).integers(-2, 3, size=n)]
+    if group in ("un", "sun"):
+        gauge["species"] = species
+    return {"n_sites_in": sites, "steps": steps, "species": species}, gauge
+
+
 @pytest.mark.parametrize("algebra, steps, species, group, samples",
                          SHIFT_GAUGES)
 def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
                                               species, group, samples):
-    sites = {1: 4, 2: 3, 3: 2}[species]
-    v = builders.shift(sites, steps=steps, species=species)
+    params, block = shift_gauge_case(steps, species, group)
+    v = builders.shift(**params)
     n = v.codomain.n_modes
     if algebra == "car":
         data = car_charge_data(car_membership(v))
@@ -339,9 +382,9 @@ def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
         data = ccr_charge_data(ccr_membership(v))
         h_frame, k_frame = np.zeros((v.codomain.dim, 0)), data.k_frame
     assert k_frame.shape[1] == steps * species
-    charges = tuple(np.random.default_rng(n).integers(-2, 3, size=n))
-    gauge = GaugeAction(group, n, charges=charges if group == "u1" else (),
-                        species=species if group in ("un", "sun") else 0)
+    gauge = GaugeAction(group, n, charges=tuple(block.get("charges", ())),
+                        species=block.get("species", 0))
+    elements = gauge.elements(samples=samples, seed=block["seed"])
     calls = []
     for name in ("char_lambda", "char_sym"):
         original = getattr(sectors, name)
@@ -350,13 +393,128 @@ def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
             calls.append(name)
             return original(eigs, level)
         monkeypatch.setattr(sectors, name, counted)
-    table = sector_table(algebra, v.codomain, h_frame, k_frame, gauge,
-                         samples=samples, seed=5)
+    table = sector_table(algebra, v.codomain, h_frame, k_frame, elements)
     levels = [row.level for row in table.rows]
     name = "char_lambda" if algebra == "car" else "char_sym"
     assert calls == [name] * len(levels)
     want = loop_sector_characters(algebra, v.codomain, h_frame, k_frame,
-                                  gauge, samples, 5, levels)
+                                  elements, levels)
     for row, ref in zip(table.rows, want):
         assert len(row.characters) == samples
         assert_same_bits(row.characters, ref)
+
+
+def run_analyze(tmp_path, capsys, model: dict) -> tuple:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = cli.main(["analyze", "--input", str(path), "--report", str(out)])
+    captured = capsys.readouterr()
+    return code, out.read_bytes(), captured.out, captured.err
+
+
+@pytest.mark.parametrize("algebra, steps, species, group, samples",
+                         SHIFT_GAUGES)
+def test_analyze_bytes_match_the_per_element_reference(
+        tmp_path, capsys, monkeypatch, algebra, steps, species, group,
+        samples):
+    params, gauge = shift_gauge_case(steps, species, group)
+    model = {"label": f"{algebra}-shift-{group}", "algebra": algebra,
+             "isometry": {"builder": "shift", "params": params},
+             "gauge": {**gauge, "samples": samples}}
+    shipped = run_analyze(tmp_path, capsys, model)
+    assert shipped[0] == 0
+    assert b'"sector_table"' in shipped[1]
+    monkeypatch.setattr(cli, "sector_table", reference_sector_table)
+    assert run_analyze(tmp_path, capsys, model) == shipped
+
+
+# --- stacked gauge draw, bit for bit ------------------------------------------
+
+def per_sample_haar(n, rng):
+    """The two-dimensional QR draw that the stacked draw reproduces."""
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_haar_unitary_is_the_two_d_draw(n):
+    rng1, rng2 = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(3):
+        assert_same_bits(haar_unitary(n, rng1), per_sample_haar(n, rng2))
+
+
+@pytest.mark.parametrize("kind, species",
+                         [("un", 2), ("un", 3), ("sun", 2), ("sun", 3)])
+def test_stacked_haar_draw_equals_the_per_sample_loop(kind, species):
+    sites, samples, seed = 3, 9, 11
+    elements = GaugeAction(kind, sites * species, species=species).elements(
+        samples=samples, seed=seed)
+    assert elements.labels == [f"haar[{j}]" for j in range(samples)]
+    rng = np.random.default_rng(seed)
+    for u11 in elements.u11:
+        u = haar_unitary(species, rng)
+        if kind == "sun":
+            # The scalar power; at two species an array ** 0.5 would be sqrt.
+            u = u / np.linalg.det(u) ** (1.0 / species)
+        for site in range(sites):
+            block = slice(site * species, (site + 1) * species)
+            assert_same_bits(u11[block, block], u)
+        assert np.array_equal(u11, np.kron(np.eye(sites), u))
+
+
+def test_stacked_u1_and_z2_elements_equal_the_per_sample_loop():
+    charges = (2, -1, 0, 1, -2)
+    samples = 9
+    elements = GaugeAction("u1", 5, charges=charges).elements(samples=samples)
+    for j, u11 in enumerate(elements.u11):
+        lam = 2.0 * math.pi * j / samples
+        assert elements.labels[j] == f"lambda={lam:.6f}"
+        assert_same_bits(u11, np.diag(np.exp(1j * lam * np.asarray(charges))))
+    z2 = GaugeAction("z2", 3).elements()
+    assert_same_bits(z2.u11[0], np.eye(3, dtype=complex))
+    assert_same_bits(z2.u11[1], -np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("chunk_bytes", [errors.STACK_CHUNK_BYTES, 1])
+def test_one_leaking_element_of_a_stack_raises(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(errors, "STACK_CHUNK_BYTES", chunk_bytes)
+    v = builders.shift(1, species=2)
+    data = car_charge_data(car_membership(v))
+    mu = 0.5
+    leaky = np.eye(4, dtype=complex)
+    leaky[0, 0] = leaky[2, 2] = math.cos(mu)
+    leaky[0, 2], leaky[2, 0] = -math.sin(mu), math.sin(mu)
+    elements = GaugeAction("custom", 4, unitaries=(
+        np.eye(4, dtype=complex), leaky)).elements()
+    compressed_action(elements.u11[:1], data.k.frame, v.codomain)
+    with pytest.raises(NotInvariant):
+        compressed_action(elements.u11, data.k.frame, v.codomain)
+    with pytest.raises(NotInvariant):
+        sector_table("car", v.codomain, data.h.frame, data.k.frame, elements)
+
+
+def test_chunked_compression_keeps_the_bits(monkeypatch):
+    v = builders.shift(3, steps=2, species=2)
+    frame = car_charge_data(car_membership(v)).k.frame
+    elements = GaugeAction("un", v.codomain.n_modes, species=2).elements(
+        samples=40, seed=1)
+    whole = compressed_action(elements.u11, frame, v.codomain)
+    monkeypatch.setattr(errors, "STACK_CHUNK_BYTES", 3 * 16 * frame.size)
+    assert len(errors.sample_chunks(40, 16 * frame.size)) == 14
+    assert_same_bits(compressed_action(elements.u11, frame, v.codomain), whole)
+
+
+def test_stacked_eigenphases_equal_schur_per_matrix():
+    rng = np.random.default_rng(4)
+    stack = np.stack([haar_unitary(4, rng) for _ in range(6)])
+    eigs = eigenphases(stack)
+    for row, u in zip(eigs, stack):
+        t = scipy.linalg.schur(u, output="complex")[0]
+        assert_same_bits(row, np.diagonal(t).copy())
+    assert_same_bits(eigenphases(stack[2]), eigs[2])
+    with pytest.raises(NotInvariant):
+        eigenphases(np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]]))
+    assert eigenphases(np.zeros((3, 0, 0))).shape == (3, 0)
