@@ -7,6 +7,8 @@ Library layout:
   charge data (h, T, P, k, index, statistics dimension)
 * :mod:`quasifree.fock` -- finite Fock-space oracle (fields, twist, vacua,
   implementers, charge representation matrices)
+* :mod:`quasifree.oracle` -- the oracle command's Fock-space checks, imported
+  only when that command runs
 * :mod:`quasifree.sectors` -- gauge actions, symmetric-function characters,
   sector tables, oracle comparison
 * :mod:`quasifree.dirac` -- localized chiral endomorphism on the circle

@@ -6,6 +6,11 @@ comparison in the report did: the report then has status "fail").  Reports
 are canonical JSON (sorted keys, fixed indent), so identical inputs, seed and
 version produce byte-identical files; --threads only bounds parallelism and
 never changes output bytes.
+
+Importing this module loads numpy and the standard library only.  The Fock
+oracle (:mod:`quasifree.oracle`, which loads scipy.sparse) is imported by
+cmd_oracle when it runs, and scipy.linalg by the first sector table, so
+dirac and a gauge-free analyze never load SciPy.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from . import __version__, dirac
 from .car import RECOVERY_TOL, car_charge_data, car_membership, z2_index
 from .ccr import ccr_charge_data, ccr_membership
 from .errors import (
+    FERMI_DIM_CAP,
     CapExceeded,
     LevelOutOfRange,
     MalformedInput,
@@ -31,21 +36,7 @@ from .errors import (
     QuasifreeError,
     ShapeMismatch,
     WindowTooSmall,
-    sample_chunks,
-)
-from .fock import (
-    FERMI_DIM_CAP,
-    GAMMA_DIM_CAP,
-    BoseFock,
-    FermiFock,
-    bose_implementer,
-    car_implementers,
-    charge_rep_blocks,
-    compound_matrix,
-    omega_alphas_bose,
-    omega_alphas_fermi,
-    omega_p_bose,
-    omega_p_fermi,
+    parallel_map,
 )
 from .report import (
     SCHEMA_VERSION,
@@ -55,38 +46,16 @@ from .report import (
     load_model,
     relation,
 )
-from .sectors import (
-    CCR_L_MAX,
-    CHAR_TOL,
-    GaugeAction,
-    GaugeSample,
-    char_det_h,
-    compressed_action,
-    oracle_compare,
-    sector_table,
-)
-from .selfdual import DEFAULT_TOL, Membership, apply_gauge
+from .sectors import CHAR_TOL, sector_table
+from .selfdual import DEFAULT_TOL, Membership
 
 # The report writes the statistics dimension 2^N of N species (the circle's
 # index is 1) as an exact integer; this cap keeps it far below Python's
 # 4300-digit limit on converting an int to text.
 MAX_GAUGE_N = 1024
 
-# Largest max |U P U* - P| at which a gauge element counts as leaving the
-# representing vacuum's basis projection P invariant.
-GAUGE_LEAK_TOL = 1e-9
-
 INPUT_ERRORS = (MalformedInput, CapExceeded, WindowTooSmall, ShapeMismatch,
                 NotGaugeCompatible, LevelOutOfRange)
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map; thread count never affects the result list."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(payload: dict, args, summary_lines: list) -> None:
@@ -228,185 +197,6 @@ def cmd_analyze(args) -> int:
     return _emit_verdict(payload, args, lines)
 
 
-def _vacuum_leaks(u11: np.ndarray, space, p_full: np.ndarray) -> np.ndarray:
-    """max |U P U* - P| per self-dual extension U of a (samples, n, n) stack.
-
-    U P U* is taken as (U (U P)*)*, so P need not be hermitian to the bit.
-    """
-    leaks = []
-    for chunk in sample_chunks(len(u11), 16 * p_full.size):
-        u = u11[chunk]
-        up_adj = np.conj(apply_gauge(u, p_full, space)).swapaxes(1, 2)
-        upu = np.conj(apply_gauge(u, up_adj, space)).swapaxes(1, 2)
-        leaks.append(np.max(np.abs(upu - p_full), axis=(1, 2)))
-    return np.concatenate(leaks)
-
-
-def _default_gauge(v, p_full: np.ndarray) -> tuple[GaugeAction, int]:
-    """All-ones U(1) when it preserves the vacuum projection, else trivial.
-
-    The charge comparison only makes sense for gauge elements that leave the
-    representing vacuum's projection invariant; pairing terms (bogoliubov,
-    squeeze) break the all-ones phase action, so those fall back to the
-    identity element alone.
-    """
-    n = v.codomain.n_modes
-    u11 = np.diag(np.exp(0.9j * np.ones(n)))
-    if _vacuum_leaks(u11[np.newaxis], v.codomain, p_full)[0] <= GAUGE_LEAK_TOL:
-        return GaugeAction("u1", n, charges=(1,) * n), 20
-    return GaugeAction("custom", n,
-                       unitaries=(np.eye(n, dtype=complex),)), 1
-
-
-def _oracle_gauge(args, model, v, p_full: np.ndarray) -> GaugeSample:
-    """The sampled gauge elements of the charge comparison.
-
-    Every sampled element must leave the vacuum's basis projection invariant,
-    or the comparison has no meaning: NotGaugeCompatible otherwise.
-    """
-    if model.gauge is not None:
-        gauge, samples = model.gauge, model.gauge_samples
-    else:
-        gauge, samples = _default_gauge(v, p_full)
-    elements = gauge.elements(samples=samples,
-                              seed=_effective_seed(args, model))
-    leaks = _vacuum_leaks(elements.u11, v.codomain, p_full)
-    bad = np.flatnonzero(leaks > GAUGE_LEAK_TOL)
-    if bad.size:
-        raise NotGaugeCompatible(
-            f"gauge element {elements.labels[bad[0]]} does not preserve the "
-            f"vacuum: max |U P U* - P| = {leaks[bad[0]]:.3e} > "
-            f"{GAUGE_LEAK_TOL:.0e}")
-    return elements
-
-
-def _car_oracle(args, model, mem, payload, lines) -> None:
-    data = car_charge_data(mem)
-    v = data.v
-    elements = _oracle_gauge(args, model, v, data.p)
-    fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
-    fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
-    # The charge comparison builds Gamma(U) on the codomain; refuse it
-    # before the implementers, with FermiFock.gamma's message.
-    if fock_c.dim > GAMMA_DIM_CAP:
-        raise CapExceeded(
-            f"Gamma on dimension {fock_c.dim} exceeds cap {GAMMA_DIM_CAP}")
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
-    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
-    payload["implementers"] = {
-        "count": len(imp.psis),
-        "expected": data.statistics_dimension,
-        "intertwining": comparison(imp.intertwining_residual, DEFAULT_TOL),
-        "isometry": comparison(imp.isometry_residual, DEFAULT_TOL),
-        "completeness": comparison(imp.completeness_residual, DEFAULT_TOL),
-        "implementation": comparison(imp.implementation_residual, DEFAULT_TOL),
-    }
-    lines.append(
-        f"implementers: {len(imp.psis)} "
-        f"(expected {data.statistics_dimension}), "
-        f"implementation residual {imp.implementation_residual:.3e} "
-        f"{relation(payload['implementers']['implementation'])} "
-        f"{DEFAULT_TOL:.0e}")
-
-    dets_h = char_det_h(elements.u11, data.h.frame, v.codomain)
-    comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
-
-    def theorem_deviation(j: int) -> float:
-        gamma = fock_c.gamma(elements.u11[j])
-        blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
-        dev = 0.0
-        for level, block in blocks.items():
-            target = dets_h[j] * compound_matrix(comps_k[j], level)
-            dev = max(dev, float(np.max(np.abs(block - target))))
-        return dev
-
-    count = len(elements.labels)
-    devs = _parallel_map(theorem_deviation, range(count), args.threads)
-    worst = max(devs)
-    payload["charge_theorem"] = {
-        "samples": count,
-        "gauge": elements.kind,
-        "max_block_deviation": comparison(worst, 1e-8),
-    }
-    lines.append(
-        f"charge theorem: max blockwise deviation {worst:.3e} "
-        f"{relation(payload['charge_theorem']['max_block_deviation'])} 1e-8 "
-        f"over {count} gauge elements")
-
-
-def _bose_gamma_vector(fock: BoseFock, u11: np.ndarray) -> np.ndarray:
-    diag = np.diagonal(u11)
-    if not np.allclose(u11, np.diag(diag), atol=1e-12):
-        raise NotGaugeCompatible(
-            "bosonic oracle supports phase-diagonal gauge elements only")
-    return fock.gamma_phases(np.angle(diag))
-
-
-def _ccr_oracle(args, model, mem, payload, lines) -> None:
-    data = ccr_charge_data(mem)
-    v = data.v
-    l_max = CCR_L_MAX if data.k_dim else 0
-    cutoff = args.bose_cutoff
-    if cutoff < l_max:
-        raise MalformedInput(
-            f"--bose-cutoff must be at least {l_max}, the highest charge "
-            f"level checked, got {cutoff}")
-    elements = _oracle_gauge(args, model, v, data.p)
-    fock_d = BoseFock(v.domain.n_modes, cutoff)
-    fock_c = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
-    alphas, omegas, routes = omega_alphas_bose(
-        fock_c, v.codomain, omega_p, data.k_frame, l_max, data.t)
-    route_defect = max((r["angular_defect"] for r in routes), default=0.0)
-    payload["vacuum"] = {
-        "tail": float(tail),
-        "route_cross_check": {
-            "max_angular_defect": float(route_defect),
-            "constants": [{"alpha": list(r["alpha"]),
-                           "constant": r["constant"]} for r in routes],
-        },
-    }
-    lines.append(f"bosonic vacuum tail bound: {tail:.3e} (cutoff M = {cutoff})")
-
-    # Probe below the cutoff: states at the edge carry truncation noise only.
-    occ_probe = max(1, cutoff // 2 - 1) if cutoff > 1 else 0
-    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                       occ_probe=occ_probe)
-    payload["implementer_probe"] = {
-        "intertwining": comparison(inter, 1e-6 + tail),
-        "gram_defect_cutoff_limited": float(iso),
-    }
-    lines.append(
-        f"implementer probe: intertwining {inter:.3e} "
-        f"{relation(payload['implementer_probe']['intertwining'])} 1e-6 + tail "
-        f"{tail:.3e}")
-
-    table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
-                         data.k_frame, elements, l_max=l_max)
-
-    def element_blocks(u11: np.ndarray) -> dict:
-        gamma_vec = _bose_gamma_vector(fock_c, u11)
-        return charge_rep_blocks(omegas, alphas,
-                                 lambda vec: gamma_vec * vec)
-
-    blocks = _parallel_map(element_blocks, elements.u11, args.threads)
-    compare = oracle_compare(table, blocks)
-    payload["charge_theorem"] = {
-        "samples": len(elements.labels),
-        "gauge": elements.kind,
-        "levels": sorted(compare["per_level"]),
-        "max_trace_deviation": comparison(compare["max_deviation"],
-                                          1e-6 + tail),
-        "tail": float(tail),
-    }
-    lines.append(
-        f"charge theorem (traces): max deviation {compare['max_deviation']:.3e}"
-        f" {relation(payload['charge_theorem']['max_trace_deviation'])}"
-        f" 1e-6 + tail bound {tail:.3e}")
-
-
 def cmd_oracle(args) -> int:
     model = load_model(args.input)
     algebra = args.algebra or model.algebra
@@ -416,8 +206,10 @@ def cmd_oracle(args) -> int:
     payload["caps"] = {"fock_cap": args.fock_cap,
                        "bose_cutoff": args.bose_cutoff}
     lines = []
-    oracle = _car_oracle if algebra == "car" else _ccr_oracle
-    oracle(args, model, _membership(args, model, algebra), payload, lines)
+    # Imported here, not at the top: it loads the Fock code and scipy.sparse.
+    from . import oracle
+    run = oracle.car_oracle if algebra == "car" else oracle.ccr_oracle
+    run(args, model, _membership(args, model, algebra), payload, lines)
     return _emit_verdict(payload, args, lines)
 
 
@@ -447,7 +239,7 @@ def cmd_dirac(args) -> int:
     payload["cutoffs"] = list(cutoffs)
     payload["cayley_audit"] = dirac.cayley_audit()
 
-    builds = _parallel_map(dirac.build_v, cutoffs, args.threads)
+    builds = parallel_map(dirac.build_v, cutoffs, args.threads)
     per_cutoff = {}
     for build in builds:
         diag = build.diagnostics

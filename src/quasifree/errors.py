@@ -1,7 +1,9 @@
-"""Exception hierarchy for the quasifree toolkit.
+"""Exception hierarchy and size budgets for the quasifree toolkit.
 
 Every failure mode that callers are expected to branch on gets its own class;
-the CLI maps them onto exit codes (see :mod:`quasifree.cli`).
+the CLI maps them onto exit codes (see :mod:`quasifree.cli`).  The size caps,
+the sample chunking and the order-preserving thread map live here too, so
+every layer can use them without importing another layer.
 """
 
 
@@ -93,6 +95,14 @@ class MalformedInput(QuasifreeError):
     """Model file failed validation."""
 
 
+# Fock-space dimension caps: a fermionic space of at most 12 modes, a
+# bosonic one of at most 6561 = 9^4 states, and a dense Gamma(U) of at most
+# 10 fermionic modes.  The CLI's --fock-cap default reads FERMI_DIM_CAP from
+# here, so building the parser loads no Fock code.
+FERMI_DIM_CAP = 4096
+BOSE_DIM_CAP = 6561
+GAMMA_DIM_CAP = 1024
+
 # Byte budget of one dense complex array built from input sizes: it admits
 # analyze at 2000 modes (4000^2, 256 MB) and refuses before numpy would try
 # to allocate more.  The circle window's overlap table is real but is
@@ -118,3 +128,14 @@ def sample_chunks(count: int, sample_bytes: int) -> list[slice]:
     """Slices of a sample stack, each about STACK_CHUNK_BYTES of products."""
     step = max(1, STACK_CHUNK_BYTES // max(sample_bytes, 1))
     return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """Order-preserving map; thread count never affects the result list."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    # Imported here: most commands run on one thread and never need it.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

@@ -54,6 +54,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    BOSE_DIM_CAP,
+    FERMI_DIM_CAP,
+    GAMMA_DIM_CAP,
     CapExceeded,
     CutoffTooSmall,
     ImplementationDefect,
@@ -63,9 +66,6 @@ from .errors import (
 )
 from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 
-FERMI_DIM_CAP = 4096
-BOSE_DIM_CAP = 6561
-GAMMA_DIM_CAP = 1024
 EXP_MAX_TERMS = 200  # power-series terms of exp(B) Omega at most
 
 

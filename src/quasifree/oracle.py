@@ -1,0 +1,235 @@
+"""The Fock-space half of the ``oracle`` command.
+
+For a member V with charge data (h, T, k), ``car_oracle`` and ``ccr_oracle``
+build the representing vacuum and the charged vectors Omega_alpha on a finite
+Fock space (:mod:`quasifree.fock`), check the implementers of V, and compare
+the gauge group's representation on their span with the characters of
+:mod:`quasifree.sectors`, writing the comparisons into the report payload.
+The default gauge is the all-ones U(1) when it leaves the vacuum's basis
+projection invariant, else the identity alone.
+
+Only ``cli.cmd_oracle`` imports this module, when it runs, so the other
+commands load neither the Fock code nor scipy.sparse.  It imports nothing
+from :mod:`quasifree.cli`: under ``python -m quasifree.cli`` the running
+module is ``__main__``, and such an import would load a second copy of it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .car import car_charge_data
+from .ccr import ccr_charge_data
+from .errors import (
+    GAMMA_DIM_CAP,
+    CapExceeded,
+    MalformedInput,
+    NotGaugeCompatible,
+    parallel_map,
+    sample_chunks,
+)
+from .fock import (
+    BoseFock,
+    FermiFock,
+    bose_implementer,
+    car_implementers,
+    charge_rep_blocks,
+    compound_matrix,
+    omega_alphas_bose,
+    omega_alphas_fermi,
+    omega_p_bose,
+    omega_p_fermi,
+)
+from .report import comparison, relation
+from .sectors import (
+    CCR_L_MAX,
+    GaugeAction,
+    GaugeSample,
+    char_det_h,
+    compressed_action,
+    oracle_compare,
+    sector_table,
+)
+from .selfdual import DEFAULT_TOL, apply_gauge
+
+# Largest max |U P U* - P| at which a gauge element counts as leaving the
+# representing vacuum's basis projection P invariant.
+GAUGE_LEAK_TOL = 1e-9
+
+
+def _vacuum_leaks(u11: np.ndarray, space, p_full: np.ndarray) -> np.ndarray:
+    """max |U P U* - P| per self-dual extension U of a (samples, n, n) stack.
+
+    U P U* is taken as (U (U P)*)*, so P need not be hermitian to the bit.
+    """
+    leaks = []
+    for chunk in sample_chunks(len(u11), 16 * p_full.size):
+        u = u11[chunk]
+        up_adj = np.conj(apply_gauge(u, p_full, space)).swapaxes(1, 2)
+        upu = np.conj(apply_gauge(u, up_adj, space)).swapaxes(1, 2)
+        leaks.append(np.max(np.abs(upu - p_full), axis=(1, 2)))
+    return np.concatenate(leaks)
+
+
+def _default_gauge(v, p_full: np.ndarray) -> tuple[GaugeAction, int]:
+    """All-ones U(1) when it preserves the vacuum projection, else trivial.
+
+    The charge comparison only makes sense for gauge elements that leave the
+    representing vacuum's projection invariant; pairing terms (bogoliubov,
+    squeeze) break the all-ones phase action, so those fall back to the
+    identity element alone.
+    """
+    n = v.codomain.n_modes
+    u11 = np.diag(np.exp(0.9j * np.ones(n)))
+    if _vacuum_leaks(u11[np.newaxis], v.codomain, p_full)[0] <= GAUGE_LEAK_TOL:
+        return GaugeAction("u1", n, charges=(1,) * n), 20
+    return GaugeAction("custom", n,
+                       unitaries=(np.eye(n, dtype=complex),)), 1
+
+
+def _oracle_gauge(model, seed: int, v, p_full: np.ndarray) -> GaugeSample:
+    """The sampled gauge elements of the charge comparison.
+
+    Every sampled element must leave the vacuum's basis projection invariant,
+    or the comparison has no meaning: NotGaugeCompatible otherwise.
+    """
+    if model.gauge is not None:
+        gauge, samples = model.gauge, model.gauge_samples
+    else:
+        gauge, samples = _default_gauge(v, p_full)
+    elements = gauge.elements(samples=samples, seed=seed)
+    leaks = _vacuum_leaks(elements.u11, v.codomain, p_full)
+    bad = np.flatnonzero(leaks > GAUGE_LEAK_TOL)
+    if bad.size:
+        raise NotGaugeCompatible(
+            f"gauge element {elements.labels[bad[0]]} does not preserve the "
+            f"vacuum: max |U P U* - P| = {leaks[bad[0]]:.3e} > "
+            f"{GAUGE_LEAK_TOL:.0e}")
+    return elements
+
+
+def car_oracle(args, model, mem, payload, lines) -> None:
+    data = car_charge_data(mem)
+    v = data.v
+    elements = _oracle_gauge(model, payload["seed"], v, data.p)
+    fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
+    fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
+    # The charge comparison builds Gamma(U) on the codomain; refuse it
+    # before the implementers, with FermiFock.gamma's message.
+    if fock_c.dim > GAMMA_DIM_CAP:
+        raise CapExceeded(
+            f"Gamma on dimension {fock_c.dim} exceeds cap {GAMMA_DIM_CAP}")
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
+                                        data.k.frame)
+    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    payload["implementers"] = {
+        "count": len(imp.psis),
+        "expected": data.statistics_dimension,
+        "intertwining": comparison(imp.intertwining_residual, DEFAULT_TOL),
+        "isometry": comparison(imp.isometry_residual, DEFAULT_TOL),
+        "completeness": comparison(imp.completeness_residual, DEFAULT_TOL),
+        "implementation": comparison(imp.implementation_residual, DEFAULT_TOL),
+    }
+    lines.append(
+        f"implementers: {len(imp.psis)} "
+        f"(expected {data.statistics_dimension}), "
+        f"implementation residual {imp.implementation_residual:.3e} "
+        f"{relation(payload['implementers']['implementation'])} "
+        f"{DEFAULT_TOL:.0e}")
+
+    dets_h = char_det_h(elements.u11, data.h.frame, v.codomain)
+    comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
+
+    def theorem_deviation(j: int) -> float:
+        gamma = fock_c.gamma(elements.u11[j])
+        blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
+        dev = 0.0
+        for level, block in blocks.items():
+            target = dets_h[j] * compound_matrix(comps_k[j], level)
+            dev = max(dev, float(np.max(np.abs(block - target))))
+        return dev
+
+    count = len(elements.labels)
+    devs = parallel_map(theorem_deviation, range(count), args.threads)
+    worst = max(devs)
+    payload["charge_theorem"] = {
+        "samples": count,
+        "gauge": elements.kind,
+        "max_block_deviation": comparison(worst, 1e-8),
+    }
+    lines.append(
+        f"charge theorem: max blockwise deviation {worst:.3e} "
+        f"{relation(payload['charge_theorem']['max_block_deviation'])} 1e-8 "
+        f"over {count} gauge elements")
+
+
+def _bose_gamma_vector(fock: BoseFock, u11: np.ndarray) -> np.ndarray:
+    diag = np.diagonal(u11)
+    if not np.allclose(u11, np.diag(diag), atol=1e-12):
+        raise NotGaugeCompatible(
+            "bosonic oracle supports phase-diagonal gauge elements only")
+    return fock.gamma_phases(np.angle(diag))
+
+
+def ccr_oracle(args, model, mem, payload, lines) -> None:
+    data = ccr_charge_data(mem)
+    v = data.v
+    l_max = CCR_L_MAX if data.k_dim else 0
+    cutoff = args.bose_cutoff
+    if cutoff < l_max:
+        raise MalformedInput(
+            f"--bose-cutoff must be at least {l_max}, the highest charge "
+            f"level checked, got {cutoff}")
+    elements = _oracle_gauge(model, payload["seed"], v, data.p)
+    fock_d = BoseFock(v.domain.n_modes, cutoff)
+    fock_c = BoseFock(v.codomain.n_modes, cutoff)
+    omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
+    alphas, omegas, routes = omega_alphas_bose(
+        fock_c, v.codomain, omega_p, data.k_frame, l_max, data.t)
+    route_defect = max((r["angular_defect"] for r in routes), default=0.0)
+    payload["vacuum"] = {
+        "tail": float(tail),
+        "route_cross_check": {
+            "max_angular_defect": float(route_defect),
+            "constants": [{"alpha": list(r["alpha"]),
+                           "constant": r["constant"]} for r in routes],
+        },
+    }
+    lines.append(f"bosonic vacuum tail bound: {tail:.3e} (cutoff M = {cutoff})")
+
+    # Probe below the cutoff: states at the edge carry truncation noise only.
+    occ_probe = max(1, cutoff // 2 - 1) if cutoff > 1 else 0
+    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
+                                       occ_probe=occ_probe)
+    payload["implementer_probe"] = {
+        "intertwining": comparison(inter, 1e-6 + tail),
+        "gram_defect_cutoff_limited": float(iso),
+    }
+    lines.append(
+        f"implementer probe: intertwining {inter:.3e} "
+        f"{relation(payload['implementer_probe']['intertwining'])} 1e-6 + tail "
+        f"{tail:.3e}")
+
+    table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
+                         data.k_frame, elements, l_max=l_max)
+
+    def element_blocks(u11: np.ndarray) -> dict:
+        gamma_vec = _bose_gamma_vector(fock_c, u11)
+        return charge_rep_blocks(omegas, alphas,
+                                 lambda vec: gamma_vec * vec)
+
+    blocks = parallel_map(element_blocks, elements.u11, args.threads)
+    compare = oracle_compare(table, blocks)
+    payload["charge_theorem"] = {
+        "samples": len(elements.labels),
+        "gauge": elements.kind,
+        "levels": sorted(compare["per_level"]),
+        "max_trace_deviation": comparison(compare["max_deviation"],
+                                          1e-6 + tail),
+        "tail": float(tail),
+    }
+    lines.append(
+        f"charge theorem (traces): max deviation {compare['max_deviation']:.3e}"
+        f" {relation(payload['charge_theorem']['max_trace_deviation'])}"
+        f" 1e-6 + tail bound {tail:.3e}")

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -29,8 +30,8 @@ def complex_array_payload(arr: np.ndarray) -> dict:
     a = np.asarray(arr, dtype=complex)
     return {
         "shape": list(a.shape),
-        "re": [float(x) for x in a.real.ravel(order="C")],
-        "im": [float(x) for x in a.imag.ravel(order="C")],
+        "re": a.real.ravel(order="C").tolist(),
+        "im": a.imag.ravel(order="C").tolist(),
     }
 
 
@@ -122,8 +123,73 @@ def jsonify(obj):
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(jsonify(payload), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    """The report text: jsonify(payload) with sorted keys, indent 2, UTF-8.
+
+    Byte-identical to json.dumps(jsonify(payload), sort_keys=True, indent=2,
+    ensure_ascii=False) + "\n", written directly: json.dumps runs its
+    pure-Python encoder whenever indent is set, and a report's float lists
+    are most of its text.
+    """
+    parts: list[str] = []
+    _write_json(jsonify(payload), "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(obj, newline: str, parts: list) -> None:
+    """Append the text of a JSON value; newline is "\n" plus its indent."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is float for x in obj):
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" in text:  # repr spells nan, inf as json does not
+                text = ("," + inner).join(map(_float_text, obj))
+            parts.append("[" + inner + text + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(sep + encode_basestring(key) + ": ")
+            _write_json(obj[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
 
 
 @dataclass(frozen=True)

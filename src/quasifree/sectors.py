@@ -20,7 +20,9 @@ with the bits of the per-sample draw.  The compression to h or k is one
 stacked product of the two diagonal blocks of u + conj(u), and its
 determinant one stacked det.  The eigenphases come from one direct zgees
 call per sample (the Schur form scipy.linalg.schur computes, without its
-per-call validation and workspace query).
+per-call validation and workspace query).  scipy.linalg is imported at the
+first eigenphases call, not with this module, so a command that builds no
+sector table never loads SciPy.
 
 The characters take a stack of eigenvalue rows, one per sample, so a table
 costs one char_lambda / char_sym call per level.  Their sum order is fixed
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     LevelOutOfRange,
@@ -198,6 +199,7 @@ def eigenphases(compressed: np.ndarray) -> np.ndarray:
     if k == 0:
         eigs = np.zeros(stack.shape[:1] + (0,), dtype=complex)
         return eigs[0] if single else eigs
+    import scipy.linalg  # deferred: see the module docstring
     gees, = scipy.linalg.get_lapack_funcs(("gees",), (stack,))
     lwork = int(gees(_no_sort, stack[0], lwork=-1)[-2][0].real)
     t = np.empty_like(stack)

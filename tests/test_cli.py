@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from quasifree import builders, car, ccr, cli, report, sectors, selfdual
+from quasifree import (builders, car, ccr, cli, oracle, report, sectors,
+                       selfdual)
 from quasifree.errors import (
     DENSE_BYTES_CAP,
     CapExceeded,
@@ -42,6 +43,12 @@ def shift_car_model(tmp_path, gauge=True):
     return write_model(tmp_path, "shift_car.json", payload)
 
 
+def reference_json(payload) -> str:
+    """The text report.canonical_json must reproduce byte for byte."""
+    return json.dumps(report.jsonify(payload), sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
 class TestReportHelpers:
 
     def test_comparison_carries_value_tolerance_pass(self):
@@ -67,6 +74,55 @@ class TestReportHelpers:
         text = report.canonical_json({"b": 1, "a": [2, 3]})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("payload", [
+        # json spells a non-finite float in an array as Infinity / NaN.
+        {"m": np.array([[1 + 1j, np.inf], [np.nan - 1j * np.inf, -0.0]])},
+        # A bare non-finite float goes through jsonify's "infinite" / "nan".
+        {"a": math.inf, "b": -math.inf, "c": math.nan,
+         "d": np.float64(-np.inf)},
+        {"z": -0.0, "e": {}, "l": [], "t": (), "arr": np.zeros((0, 2)),
+         "nested": [{}, [], [[]], [[0.5, -0.0], [1e300, 5e-324]]]},
+        {"label": "Fock\u2013Schur \u03c8 \"q\"\n\t\u0001 \u221e",
+         "\u043a\u043b\u044e\u0447": ["\u00e9", "\U0001f600"]},
+        {"mix": [True, 1, False, 0, np.int64(7), np.bool_(True),
+                 np.float32(0.1), 2 ** 70, -2 ** 63, 1.0, 3],
+         "c": np.complex128(1 - 2j), "i": 3 + 0j, 10: "ten", 2: None},
+    ], ids=["nonfinite-array", "bare-nonfinite", "zeros-and-empties",
+            "non-ascii", "scalars"])
+    def test_canonical_json_equals_json_dumps(self, payload):
+        assert report.canonical_json(payload) == reference_json(payload)
+
+    def test_canonical_json_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            reference_json({"s": {1}})
+        with pytest.raises(TypeError):
+            report.canonical_json({"s": {1}})
+
+    def test_canonical_json_of_each_command_report(self, tmp_path,
+                                                   monkeypatch):
+        payloads = []
+
+        def recorded(payload):
+            payloads.append(payload)
+            return report.canonical_json(payload)
+
+        monkeypatch.setattr(cli, "canonical_json", recorded)
+        out = str(tmp_path / "r.json")
+        ccr_shift = write_model(tmp_path, "ccr.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 1}},
+            "gauge": {"group": "u1", "charges": [1, 1], "samples": 3}})
+        runs = [["analyze", "--input", shift_car_model(tmp_path)],
+                ["analyze", "--input", ccr_shift],
+                ["oracle", "--input", shift_car_model(tmp_path)],
+                ["oracle", "--input", ccr_shift],
+                ["dirac", "--cutoffs", "16,32"]]
+        for argv in runs:
+            assert cli.main([*argv, "--report", out]) == 0
+        assert len(payloads) == len(runs)
+        for payload in payloads:
+            assert report.canonical_json(payload) == reference_json(payload)
 
     def test_parse_matrix_flat_with_shape(self):
         obj = {"shape": [2, 2], "re": [1, 0, 0, 1], "im": [0, 2, 0, 0]}
@@ -397,7 +453,7 @@ class TestOracle:
         def doubled(matrix, level):
             return 2.0 * compound_matrix(matrix, level)
 
-        monkeypatch.setattr(cli, "compound_matrix", doubled)
+        monkeypatch.setattr(oracle, "compound_matrix", doubled)
         out = str(tmp_path / "r.json")
         assert cli.main(["oracle", "--input", shift_car_model(tmp_path),
                          "--report", out]) == 4
@@ -416,7 +472,7 @@ class TestOracle:
             alphas, omegas = omega_alphas_fermi(*args)
             return alphas, [omegas[0] * (1.0 + 1e-6), *omegas[1:]]
 
-        monkeypatch.setattr(cli, "omega_alphas_fermi", scaled)
+        monkeypatch.setattr(oracle, "omega_alphas_fermi", scaled)
         out = tmp_path / "r.json"
         assert cli.main(["oracle", "--input",
                          shift_car_model(tmp_path, gauge=False),

@@ -1,0 +1,121 @@
+"""What a fresh interpreter loads, and the CLI run as ``python -m``.
+
+``import quasifree.cli`` loads numpy and the standard library only: the Fock
+oracle (and with it scipy.sparse) is imported by the ``oracle`` command, and
+scipy.linalg by the first sector table.  Each check starts a new interpreter
+and reads its ``sys.modules``; none of them times anything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import quasifree
+from quasifree import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(quasifree.__file__)))
+
+# Runs each argv (a JSON list of lists) through cli.main in one process and
+# prints, after each, the exit code and the watched modules then loaded.
+RUNNER = """
+import contextlib, io, json, sys
+from quasifree.cli import main
+
+def watched():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy.")
+                  or m in ("quasifree.fock", "quasifree.oracle"))
+
+print(json.dumps(watched()))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, watched()]))
+"""
+
+
+def fresh_python(args: list, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def write_model(tmp_path, name: str, payload: dict) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def shift_model(tmp_path, algebra: str, n_sites_in: int) -> str:
+    return write_model(tmp_path, f"{algebra}-shift-{n_sites_in}.json", {
+        "label": f"{algebra}-shift", "algebra": algebra,
+        "isometry": {"builder": "shift",
+                     "params": {"n_sites_in": n_sites_in}}})
+
+
+def test_each_command_loads_scipy_only_where_it_calls_it(tmp_path):
+    identity = write_model(tmp_path, "identity.json", {
+        "isometry": {"builder": "identity", "params": {"n_modes": 3}}})
+    half = write_model(tmp_path, "half.json", {
+        "isometry": {"matrix": {"shape": [2, 2], "re": [0.5, 0, 0, 0.5],
+                                "im": [0, 0, 0, 0]}},
+        "space": {"domain_modes": 1}})
+    malformed = write_model(tmp_path, "malformed.json", {"isometry": 3})
+    gauged = write_model(tmp_path, "gauged.json", {
+        "isometry": {"builder": "shift", "params": {"n_sites_in": 2}},
+        "gauge": {"group": "u1", "charges": [1, 1, 1], "samples": 4}})
+    runs = [
+        (["dirac", "--cutoffs", "16,32"], 0),
+        (["analyze", "--input", identity], 0),
+        (["analyze", "--input", half], 3),
+        (["analyze", "--input", malformed], 2),
+        (["analyze", "--input", gauged], 0),
+        (["oracle", "--input", shift_model(tmp_path, "car", 2)], 0),
+    ]
+    proc = fresh_python(["-c", RUNNER, json.dumps([a for a, _ in runs])],
+                        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    at_import, *after = (json.loads(line)
+                         for line in proc.stdout.splitlines())
+    assert at_import == []
+    codes = [code for code, _ in after]
+    assert codes == [code for _, code in runs]
+    # dirac and the three gauge-free analyze runs: no SciPy at all.
+    for _, loaded in after[:4]:
+        assert loaded == []
+    gauged_loaded, oracle_loaded = after[4][1], after[5][1]
+    assert "scipy.linalg" in gauged_loaded
+    assert not {"quasifree.fock", "quasifree.oracle"} & set(gauged_loaded)
+    assert not any(m.startswith("scipy.sparse") for m in gauged_loaded)
+    assert {"quasifree.fock", "quasifree.oracle",
+            "scipy.sparse"} <= set(oracle_loaded)
+
+
+@pytest.mark.parametrize("algebra, n_sites_in", [("car", 3), ("ccr", 1)],
+                         ids=["car-shift-3-4", "ccr-shift-1-2"])
+def test_python_m_oracle_matches_main(tmp_path, capsys, algebra, n_sites_in):
+    # Under -m the CLI module runs as __main__; an import of quasifree.cli
+    # would load a second copy, which -X importtime lists on stderr.
+    model = shift_model(tmp_path, algebra, n_sites_in)
+    out = tmp_path / "r.json"
+    argv = ["oracle", "--input", model, "--report", str(out)]
+    proc = fresh_python(["-X", "importtime", "-m", "quasifree.cli", *argv],
+                        tmp_path)
+    lines = proc.stderr.splitlines(keepends=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in lines
+                if line.startswith("import time:")]
+    stderr = "".join(line for line in lines
+                     if not line.startswith("import time:"))
+    assert "quasifree.oracle" in imported
+    assert "quasifree.cli" not in imported
+    module_run = (proc.returncode, out.read_bytes(), proc.stdout, stderr)
+    out.unlink()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert module_run == (code, out.read_bytes(), captured.out, captured.err)
+    assert code == 0
