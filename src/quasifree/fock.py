@@ -297,20 +297,26 @@ def omega_p_fermi(fock: FermiFock, space: SelfDualSpace, h_frame: np.ndarray,
 
 
 def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray,
-                 tail_cap: float | None = None) -> tuple[np.ndarray, float]:
-    """Bosonic representing vacuum and its truncation tail 1 - ||.||^2."""
+                 tail_cap: float | None = None
+                 ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Bosonic vacuum, its truncation tail 1 - ||.||^2, and exp(-B) Omega.
+
+    The vacuum is det(1 - T*T)^{1/4} exp(-B) Omega; the unnormalised series
+    is returned too, so omega_alphas_bose need not sum it again.
+    """
     eye = np.eye(fock.n_modes)
     gram = eye - t_block.conj().T @ t_block
     eigs = np.linalg.eigvalsh(gram)
     if np.min(eigs) <= 0:
         raise CutoffTooSmall("1 - T*T is not positive definite")
     factor = float(np.linalg.det(gram).real) ** 0.25
-    vec = factor * _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
+    pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
+    vec = factor * pair
     tail = max(0.0, 1.0 - float(np.linalg.norm(vec)) ** 2)
     if tail_cap is not None and tail > tail_cap:
         raise CutoffTooSmall(
             f"vacuum tail {tail:.3e} exceeds cap {tail_cap:.1e}; raise the cutoff")
-    return vec, tail
+    return vec, tail, pair
 
 
 def polar_isometry(matrix: np.ndarray) -> np.ndarray:
@@ -377,20 +383,20 @@ def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
 
 def omega_alphas_bose(fock: BoseFock, space: SelfDualSpace,
                       omega_p: np.ndarray, k_frame: np.ndarray, l_max: int,
-                      t_block: np.ndarray
+                      pair: np.ndarray
                       ) -> tuple[list[tuple[int, ...]], list[np.ndarray],
                                  list[dict]]:
     """Charged vectors via polar isometries, plus the monomial cross-check.
 
-    Returns (alphas, vectors, route_records); each record carries the
-    numerically determined proportionality constant between the polar-isometry
-    route and the normalized pi-monomial route, and their angular defect.
+    ``pair`` is the series exp(-B) Omega that omega_p_bose returns.  Returns
+    (alphas, vectors, route_records); each record carries the numerically
+    determined proportionality constant between the polar-isometry route and
+    the normalized pi-monomial route, and their angular defect.
     """
     k_dim = k_frame.shape[1]
     alphas = ccr_multi_indices(k_dim, l_max)
     isoms = [_mode_local_polar(fock, k_frame[:, j]) for j in range(k_dim)]
     pis = [fock.pi(space, k_frame[:, j]) for j in range(k_dim)]
-    pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
     vectors, records = [], []
     for alpha in alphas:
         vec = omega_p.copy()

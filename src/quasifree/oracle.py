@@ -184,9 +184,9 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, tail, pair = omega_p_bose(fock_c, v.codomain, data.t)
     alphas, omegas, routes = omega_alphas_bose(
-        fock_c, v.codomain, omega_p, data.k_frame, l_max, data.t)
+        fock_c, v.codomain, omega_p, data.k_frame, l_max, pair)
     route_defect = max((r["angular_defect"] for r in routes), default=0.0)
     payload["vacuum"] = {
         "tail": float(tail),

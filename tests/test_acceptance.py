@@ -201,9 +201,9 @@ def test_criterion_5_ccr_charge_theorem(capsys):
     data = ccr_charge_data(ccr_membership(v))
     cutoff = 8
     fock = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, tail, pair = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas, _ = omega_alphas_bose(fock, v.codomain, omega_p,
-                                          data.k_frame, 5, data.t)
+                                          data.k_frame, 5, pair)
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=20)
     table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
                          data.k_frame, elements, l_max=5)

@@ -59,7 +59,7 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
     v = builders.squeeze(r)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(1, 16, dim_cap=32)
-    omega, tail = omega_p_bose(fock, v.codomain, data.t)
+    omega, tail, _ = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-5
     # bare-vacuum overlap is exactly (1 - t^2)^{1/4} at any cutoff
     assert np.vdot(fock.vacuum(), omega) == pytest.approx(
@@ -89,10 +89,10 @@ def test_shift_charged_vectors_and_route_constants():
     v = builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
-    omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, tail, pair = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-14  # t = 0, no pair content
     alphas, omegas, records = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=3, t_block=data.t)
+        fock, v.codomain, omega_p, data.k_frame, l_max=3, pair=pair)
     assert alphas == [(), (0,), (0, 0), (0, 0, 0)]
     # Omega_(0...0) with l quanta is the pure occupation state |l, 0>
     for level in range(4):
@@ -109,10 +109,10 @@ def test_squeezed_route_cross_check():
     v = builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 8, dim_cap=81)
-    omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, tail, pair = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-4
     alphas, omegas, records = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=2, t_block=data.t)
+        fock, v.codomain, omega_p, data.k_frame, l_max=2, pair=pair)
     for rec in records:
         # the two routes agree in direction up to the truncation tail
         assert rec["angular_defect"] < 1e-3
@@ -124,7 +124,7 @@ def test_shift_implementer_exact_below_cutoff():
     fock_d = BoseFock(1, 6)
     fock_c = BoseFock(2, 6)
     data = ccr_charge_data(ccr_membership(v))
-    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                        occ_probe=5)
     assert inter < 1e-12
@@ -141,7 +141,7 @@ def test_squeeze_implementer_residual_tracks_tail():
     defects = []
     for cutoff in (16, 24):
         fock = BoseFock(1, cutoff, dim_cap=40)
-        omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
+        omega_p, tail, _ = omega_p_bose(fock, v.codomain, data.t)
         psi, inter, iso = bose_implementer(v, fock, fock, omega_p, occ_probe=6)
         # probe-window matrix elements of the intertwining law are exact
         assert inter < 1e-12
@@ -155,9 +155,9 @@ def test_bose_charge_blocks_are_gauge_phases():
     v = builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
-    omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, _, pair = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas, _ = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=3, t_block=data.t)
+        fock, v.codomain, omega_p, data.k_frame, l_max=3, pair=pair)
     phi = 0.9
     gamma = np.diag(fock.gamma_phases(np.array([phi, 0.0])))
     blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
@@ -261,9 +261,9 @@ def test_omega_alphas_bose_bit_equal_to_dense_route():
     v = builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
-    omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, _, pair = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas, records = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=5, t_block=data.t)
+        fock, v.codomain, omega_p, data.k_frame, l_max=5, pair=pair)
     ref_vectors, ref_records = _dense_omega_alphas(
         fock, v.codomain, omega_p, data.k_frame, 5, data.t)
     assert alphas == ccr_multi_indices(1, 5)
@@ -280,7 +280,7 @@ def test_bose_implementer_matches_dense_products(v):
     data = ccr_charge_data(ccr_membership(v))
     fock_d = BoseFock(v.domain.n_modes, 6)
     fock_c = BoseFock(v.codomain.n_modes, 6)
-    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                        occ_probe=2)
     ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
@@ -304,7 +304,7 @@ def test_bose_gram_defect_equals_masked_full_gram(make_v, cutoff):
     data = ccr_charge_data(ccr_membership(v))
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
     occ_probe = max(1, cutoff // 2 - 1)
     psi, _, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                    occ_probe=occ_probe)
