@@ -346,23 +346,19 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
                        _equivalence_classes(rows), meta)
 
 
-def oracle_compare(table: SectorTable, oracle_blocks: list[dict]) -> dict:
-    """Deviations of the sampled characters from per-level Fock block traces.
+def oracle_compare(table: SectorTable, oracle_blocks: list[dict]) -> float:
+    """Largest |tr block - character| over the table's levels and samples.
 
-    oracle_blocks[i][level] is the matrix block for gauge element i.  Returns
-    the largest |tr block - character| per level ("per_level") and over all
-    levels ("max_deviation"); the caller gates them.
+    oracle_blocks[i][level] is the matrix block for gauge element i; a level
+    missing from it is skipped.  The caller gates the deviation.
     """
-    per_level = {}
+    worst = 0.0
     for row in table.rows:
-        level_worst = 0.0
         for i, blocks in enumerate(oracle_blocks):
             if row.level not in blocks:
                 continue
             dev = abs(complex(np.trace(blocks[row.level]))
                       - complex(row.characters[i]))
-            if dev > level_worst:
-                level_worst = dev
-        per_level[row.level] = level_worst
-    return {"max_deviation": max(per_level.values(), default=0.0),
-            "per_level": per_level}
+            if dev > worst:
+                worst = dev
+    return worst
