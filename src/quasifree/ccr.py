@@ -3,11 +3,13 @@
 The CCR form is kappa(f, g) = <f, C g> with C = P1 - P2, and the relevant
 adjoint is A+ = C A* C.  Members satisfy V+ V = 1, V = J V J, and [P1, V]
 Hilbert-Schmidt.  The charge data differ from the fermionic case: there is no
-swapped subspace h; instead the defect projection p is built from the
-spectral decomposition of A = E C E on ker V+, the new kappa-basis projection
-is P = V P1 V+ + p, the pairing operator T = P21 P11^{-1} is *symmetric* with
-||T|| < 1, and k = P(ker V+) carries a kappa-orthonormal frame.  Sectors have
-statistics dimension 1 (IND V = 0) or infinity.
+swapped subspace h.  The charge space k lies in ker V+, and `kappa_split`
+reads it from the index x index kappa-Gram G = K* C K on the kernel frame K
+of V+: k is spanned by the positive eigenvectors of G, and the defect
+projection p is the kappa-orthogonal projection onto k.  The new kappa-basis
+projection is P = V P1 V+ + p, and the pairing operator T = P21 P11^{-1} is
+*symmetric* with ||T|| < 1.  Sectors have statistics dimension 1
+(IND V = 0) or infinity.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from .selfdual import (
     DEFAULT_TOL,
     Membership,
     SelfDualSpace,
+    _canonical_phase,
     conjugate_matrix,
     hs_norm,
     kappa_sign,
     kernel_basis,
-    orthoprojection,
-    pinv_on_range,
     semigroup_membership,
 )
 
@@ -49,34 +50,57 @@ def ccr_membership(v: BlockOperator, tol: float = DEFAULT_TOL) -> Membership:
                                 tol)
 
 
-def compute_defect_projection(v: BlockOperator, ker: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (A = ECE, p = A_+^{-1} C) on the codomain, E = [ker V+].
+def kappa_split(space: SelfDualSpace, ker: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, k_frame, p) from the kappa-Gram G = K* C K on K = ker V+.
 
-    ``ker`` is the kernel frame of V+ (``Membership.cokernel``).  A is
-    hermitian and must split as A = A_+ - conj(A_+) with A_+ conj(A_+) = 0
-    (checked, not assumed); degenerate directions raise DegenerateForm.
+    ``ker`` is the orthonormal kernel frame K of V+ (``Membership.cokernel``),
+    so A = E C E is K G K* and every check runs at index size.  G must be
+    nondegenerate (DegenerateForm) with index/2 positive eigenvalues
+    (DimensionMismatch).  With W+ and L+ those eigenvectors, phase-fixed, and
+    eigenvalues, F+ = K W+ carries A+ = F+ L+ F+*, and A must split as
+    A+ - J A+ J with A+ J A+ J = 0 (DegenerateForm otherwise).  The
+    kappa-orthonormal frame of k is F+ L+^{-1/2}, and p = k_frame (C k_frame)*
+    is the kappa-projection onto k.
     """
-    space = v.codomain
-    e = orthoprojection(ker)
-    a = kappa_sign(e, space, None) @ e
-    a = 0.5 * (a + a.conj().T)
-    eigval, eigvec = np.linalg.eigh(a)
-    thresh = CHECK_TOL * max(1.0, float(np.max(np.abs(eigval))) if eigval.size else 1.0)
-    near_zero = int(np.sum(np.abs(eigval) <= thresh)) - (space.dim - ker.shape[1])
-    if near_zero > 0:
+    index = ker.shape[1]
+    g = ker.conj().T @ kappa_sign(ker, None, space)
+    g = 0.5 * (g + g.conj().T)
+    eigval, eigvec = np.linalg.eigh(g)
+    thresh = CHECK_TOL * max(1.0, float(np.max(np.abs(eigval), initial=0.0)))
+    null = int(np.sum(np.abs(eigval) <= thresh))
+    if null:
         raise DegenerateForm(
-            f"kappa form degenerate on ker V+ ({near_zero} null directions)")
-    pos = eigval > thresh
-    a_plus = (eigvec[:, pos] * eigval[pos]) @ eigvec[:, pos].conj().T
-    a_bar = conjugate_matrix(a_plus, space, space)
-    split = hs_norm(a - (a_plus - a_bar))
-    cross = hs_norm(a_plus @ a_bar)
-    if max(split, cross) > CHECK_TOL * max(1.0, hs_norm(a)):
+            f"kappa form degenerate on ker V+ ({null} null directions)")
+    pos = eigval > 0.0
+    n_pos = int(np.sum(pos))
+    if n_pos != index // 2:
+        raise DimensionMismatch(
+            f"kappa-positive directions {n_pos} != expected {index // 2}")
+    lam, w = eigval[pos], eigvec[:, pos]
+    for j in range(w.shape[1]):
+        w[:, j] = _canonical_phase(w[:, j])
+    f_plus = ker @ w
+    jf = conjugate_matrix(f_plus, None, space)
+    # A - A+ + J A+ J on ran K and on the part R of J F+ outside it; the
+    # three blocks are orthogonal, so their HS norms add in squares.
+    m = ker.conj().T @ jf
+    r = jf - ker @ m
+    r_half = r * np.sqrt(lam)
+    split = math.sqrt(
+        hs_norm(g - (w * lam) @ w.conj().T + (m * lam) @ m.conj().T) ** 2
+        + 2.0 * hs_norm((m * lam) @ r.conj().T) ** 2
+        + hs_norm(r_half.conj().T @ r_half) ** 2)
+    cross = hs_norm(lam[:, None] * (f_plus.conj().T @ jf) * lam)
+    if max(split, cross) > CHECK_TOL * max(1.0, hs_norm(g)):
         raise DegenerateForm(
             f"A != A+ - conj(A+) (defect {split:.3e}, cross {cross:.3e})")
-    p_op = kappa_sign(pinv_on_range(a_plus), space, None)
-    return a, p_op
+    k_frame = f_plus / np.sqrt(lam)
+    c_frame = kappa_sign(k_frame, None, space)
+    if not np.allclose(c_frame.conj().T @ k_frame, np.eye(lam.size),
+                       atol=KAPPA_TOL):
+        raise OrthonormalityFailure("frame is not kappa-orthonormal")
+    return g, k_frame, k_frame @ c_frame.conj().T
 
 
 def compute_projection(v: BlockOperator, p_op: np.ndarray) -> np.ndarray:
@@ -115,47 +139,6 @@ def compute_t(p: np.ndarray, space: SelfDualSpace) -> np.ndarray:
     return t
 
 
-def kappa_orthonormal_frame(space: SelfDualSpace, vectors: np.ndarray,
-                            expected_dim: int) -> np.ndarray:
-    """Gram-Schmidt for the kappa form, pivoting on the largest kappa-norm.
-
-    Keeps only directions of positive kappa-norm; raises if the count differs
-    from expected_dim or the final frame is not kappa-orthonormal.
-    """
-    work = [vectors[:, j].astype(complex) for j in range(vectors.shape[1])]
-    frame: list[np.ndarray] = []
-    while work:
-        norms = [float(np.real(np.vdot(w, kappa_sign(w, None, space))))
-                 for w in work]
-        j = int(np.argmax(norms))
-        if norms[j] <= KAPPA_TOL:
-            break
-        g = work.pop(j) / math.sqrt(norms[j])
-        frame.append(g)
-        cg = kappa_sign(g, None, space)
-        work = [w - g * np.vdot(cg, w) for w in work]
-        work = [w for w in work if float(np.linalg.norm(w)) > KAPPA_TOL]
-    if len(frame) != expected_dim:
-        raise DimensionMismatch(
-            f"kappa-positive directions {len(frame)} != expected {expected_dim}")
-    if frame:
-        fr = np.column_stack(frame)
-        gram = kappa_sign(fr.conj().T, space, None) @ fr
-        if not np.allclose(gram, np.eye(len(frame)), atol=KAPPA_TOL):
-            raise OrthonormalityFailure("frame is not kappa-orthonormal")
-        return fr
-    return np.zeros((space.dim, 0), dtype=complex)
-
-
-def compute_k(v: BlockOperator, p: np.ndarray,
-              ker_vplus: np.ndarray) -> np.ndarray:
-    """k = P(ker V+) with a kappa-orthonormal frame; dim k = IND V / 2."""
-    if ker_vplus.shape[1] == 0:
-        return np.zeros((v.codomain.dim, 0), dtype=complex)
-    return kappa_orthonormal_frame(v.codomain, p @ ker_vplus,
-                                   ker_vplus.shape[1] // 2)
-
-
 def statistics_dimension(index: int) -> float:
     """1 for automorphism-type sectors, infinite otherwise."""
     return 1.0 if index == 0 else math.inf
@@ -190,8 +173,7 @@ class CcrChargeData:
 def ccr_charge_data(membership: Membership) -> CcrChargeData:
     """Bosonic charge data of a tested member (NotInSemigroup otherwise)."""
     v = membership.require().v
-    a, p_op = compute_defect_projection(v, membership.cokernel)
+    g, k_frame, p_op = kappa_split(v.codomain, membership.cokernel)
     p = compute_projection(v, p_op)
     t = compute_t(p, v.codomain)
-    k_frame = compute_k(v, p, membership.cokernel)
-    return CcrChargeData(membership, a, p_op, p, t, k_frame)
+    return CcrChargeData(membership, g, p_op, p, t, k_frame)

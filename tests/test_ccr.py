@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 import dense_selfdual as dense
+from ccr_split_reference import reference_split
 from quasifree import builders
 from quasifree.ccr import (
     ccr_charge_data,
     ccr_membership,
     compute_t,
-    kappa_orthonormal_frame,
+    kappa_split,
     statistics_dimension,
 )
 from quasifree.errors import (
+    DegenerateForm,
     DimensionMismatch,
     NormBoundViolation,
     NotInSemigroup,
 )
-from quasifree.selfdual import BlockOperator, SelfDualSpace
+from quasifree.selfdual import SelfDualSpace, hs_norm
 from test_random_members import random_member
 
 
@@ -72,12 +74,15 @@ def test_bosonic_shift_charge_data():
     assert data.index == 2
     assert data.k_dim == 1
     assert data.statistics_dimension == np.inf
-    # A = diag(1, -1) on span{e1, e1*}; A_+ = E_{e1}; p = E_{e1}; P = P1
+    # A = K G K* = diag(1, -1) on span{e1, e1*}; A_+ = E_{e1}; p = E_{e1};
+    # P = P1
     space = v.codomain
+    ker = data.membership.cokernel
+    a = ker @ data.a @ ker.conj().T
     e1 = space.basis_vector(1)
     e1s = space.basis_vector(1, conjugate=True)
-    assert np.isclose(np.vdot(e1, data.a @ e1).real, 1.0)
-    assert np.isclose(np.vdot(e1s, data.a @ e1s).real, -1.0)
+    assert np.isclose(np.vdot(e1, a @ e1).real, 1.0)
+    assert np.isclose(np.vdot(e1s, a @ e1s).real, -1.0)
     assert np.allclose(data.p_defect, np.outer(e1, e1.conj()), atol=1e-12)
     assert np.allclose(data.p, dense.p1(space), atol=1e-12)
     assert np.allclose(data.t, 0.0)
@@ -111,17 +116,60 @@ def test_statistics_dimension_rule():
     assert statistics_dimension(8) == np.inf
 
 
-def test_kappa_orthonormal_frame_pivots_on_positive_directions():
+SPLIT_MEMBERS = {
+    **{f"random-index-{2 * steps}-seed-{seed}":
+       (lambda steps=steps, seed=seed: random_member(
+           "ccr", 4 + 2 * steps, steps, seed=seed, scale=0.3))
+       for steps, seeds in ((1, range(4)), (2, range(4)), (3, range(3)))
+       for seed in seeds},
+    "squeeze-shift": lambda: builders.squeeze(0.4, 2, 2) @ builders.shift(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_MEMBERS))
+def test_kappa_split_matches_the_2n_reference(name):
+    v = SPLIT_MEMBERS[name]()
+    membership = ccr_membership(v)
+    data = ccr_charge_data(membership)
+    ker = membership.cokernel
+    a_ref, p_ref, k_ref = reference_split(v, ker)
+    assert data.k_dim == k_ref.shape[1] == membership.index // 2
+    assert hs_norm(ker @ data.a @ ker.conj().T - a_ref) <= 1e-12
+    assert hs_norm(data.p_defect - p_ref) <= 1e-12
+    # the same k: the kappa-projection onto the reference frame's span is p
+    c = dense.charge_conjugation(v.codomain)
+    assert hs_norm(k_ref @ (c @ k_ref).conj().T - data.p_defect) <= 1e-12
+
+
+def test_kappa_split_rejects_a_wrong_signature():
+    # an orthonormal frame of two kappa-positive directions, index 2
     space = SelfDualSpace(2)
-    e1 = space.basis_vector(1)
-    e2s = space.basis_vector(2, conjugate=True)
-    # one positive and one negative kappa direction: only e1 survives
-    vectors = np.column_stack([0.5 * e1 + 0.1 * e2s, e2s])
+    frame = np.column_stack([space.basis_vector(1), space.basis_vector(2)])
     with pytest.raises(DimensionMismatch):
-        kappa_orthonormal_frame(space, vectors, expected_dim=2)
-    frame = kappa_orthonormal_frame(space, vectors[:, :1], expected_dim=1)
-    gram = frame.conj().T @ dense.charge_conjugation(space) @ frame
-    assert np.allclose(gram, np.eye(1), atol=1e-12)
+        kappa_split(space, frame)
+
+
+def test_kappa_split_rejects_a_null_kappa_direction():
+    space = SelfDualSpace(2)
+    null = (space.basis_vector(1)
+            + space.basis_vector(1, conjugate=True)) / np.sqrt(2.0)
+    frame = np.column_stack([null, space.basis_vector(2)])
+    with pytest.raises(DegenerateForm):
+        kappa_split(space, frame)
+
+
+def test_split_takes_no_eigendecomposition_beyond_index_size(monkeypatch):
+    membership = ccr_membership(builders.shift(200))
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[-1])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    ccr_charge_data(membership)
+    assert sizes and max(sizes) <= membership.index
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.2, 2.0])

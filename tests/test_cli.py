@@ -413,6 +413,29 @@ class TestOracle:
         assert imp["implementation"]["value"] <= 1e-10
         assert data["charge_theorem"]["max_block_deviation"]["pass"] is True
 
+    def test_bogoliubov_quarter_turn_after_shift(self, tmp_path):
+        # bogoliubov(pi/4) after a shift: |T| = 1 and E P1 E = E/2 on
+        # ker V*, yet both commands accept it and the implementers agree.
+        v = builders.bogoliubov(math.pi / 4, 2) @ builders.shift(1)
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car", "gauge": {"group": "z2"},
+            "isometry": {"matrix": report.complex_array_payload(v.matrix)},
+            "space": {"domain_modes": 1, "codomain_modes": 2}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--input", path, "--report", out]) == 0
+        charge = json.loads(open(out, encoding="utf-8").read())["charge_data"]
+        assert (charge["index"], charge["dim_h"], charge["dim_k"]) == (2, 0, 1)
+        assert charge["t_norm"] == pytest.approx(1.0, abs=1e-12)
+        assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "ok"
+        imp = data["implementers"]
+        assert imp["count"] == imp["expected"] == 2
+        assert all(imp[key]["pass"] for key in ("intertwining", "isometry",
+                                                 "completeness",
+                                                 "implementation"))
+        assert data["charge_theorem"]["max_block_deviation"]["pass"] is True
+
     def test_ccr_squeeze_prints_tail_bound(self, tmp_path, capsys):
         path = write_model(tmp_path, "m.json", {
             "algebra": "ccr",

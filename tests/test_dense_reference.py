@@ -41,6 +41,12 @@ CASES = {
     "car-random-member": lambda: explicit_model(
         "car-random", "car", random_member("car", 10, 1, seed=11,
                                            scale=0.9)),
+    "ccr-random-index-2": lambda: explicit_model(
+        "ccr-random-2", "ccr", random_member("ccr", 10, 1, seed=12,
+                                             scale=0.3)),
+    "ccr-random-index-4": lambda: explicit_model(
+        "ccr-random-4", "ccr", random_member("ccr", 10, 2, seed=13,
+                                             scale=0.3)),
 }
 
 
