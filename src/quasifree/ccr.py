@@ -146,6 +146,8 @@ def statistics_dimension(index: int) -> float:
 
 @dataclass(frozen=True)
 class CcrChargeData:
+    """Charge data of a member; ``a`` is the kappa-Gram G of `kappa_split`."""
+
     membership: Membership
     a: np.ndarray
     p_defect: np.ndarray
