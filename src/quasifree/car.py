@@ -3,12 +3,15 @@
 Semigroup membership means: V is an isometry, V equals its J-conjugate, and
 the off-diagonal part [P1, V] is Hilbert-Schmidt (always true at a finite
 truncation; its norm is reported so families can be studied across cutoffs).
-From a member V the charge data are derived:
+From a member V the charge data are derived, as the CCR pipeline does, from
+one basis projection P >= V P1 V* with J P J = 1 - P:
 
-* h   -- the subspace V12(ker V22) of K1 swapped into the new particle space,
-* T   -- the antisymmetric pairing operator K1 -> K2 of the new vacuum,
-* P   -- the basis projection built from (h, T), with J P J = 1 - P,
-* k   -- P(ker V*), carrying the statistics; dim k = IND(V)/2.
+* P   -- Q Q* + [k], with Q an orthonormal frame of V's K1 columns and [k]
+         the projection onto k, a subspace of ker V* (`k_projection`),
+* k   -- the charge space, framed as P(ker V*); dim k = IND(V)/2,
+* h   -- ker P11, the subspace of K1 swapped into the new particle space,
+* T   -- P21 P11^+, the antisymmetric pairing operator K1 -> K2 of the new
+         vacuum; h and T come from one rank decision on P11.
 
 The statistics dimension of the associated sector is 2^{IND(V)/2}.
 """
@@ -29,6 +32,7 @@ from .selfdual import (
     BlockOperator,
     DEFAULT_TOL,
     Membership,
+    SelfDualSpace,
     Subspace,
     cokernel_basis,
     conjugate_matrix,
@@ -50,69 +54,34 @@ def car_membership(v: BlockOperator, tol: float = DEFAULT_TOL) -> Membership:
     return semigroup_membership(v, v.adjoint().matrix, "isometry", tol)
 
 
-def compute_h(v: BlockOperator) -> Subspace:
-    """h = V12(ker V22), an orthonormal frame inside K1 of the codomain."""
-    ker22 = kernel_basis(v.block(2, 2))
-    if ker22.shape[1] == 0:
-        return Subspace.empty(v.codomain)
-    image = v.block(1, 2) @ ker22
-    nc = v.codomain.n_modes
-    frame_modes = orthonormal_range(image)
-    frame = np.zeros((v.codomain.dim, frame_modes.shape[1]), dtype=complex)
-    frame[:nc] = frame_modes
-    return Subspace(v.codomain, frame)
+def k_projection(v: BlockOperator, ker: np.ndarray) -> np.ndarray:
+    """[k], the part of P on ker V*, with ``ker`` its frame K.
 
-
-def compute_t(v: BlockOperator, h: Subspace | None = None) -> np.ndarray:
-    """Pairing operator T: K1 -> K2 of the codomain, as an n x n block.
-
-    T = V21 V11^{-1} - V22^{-1*} V12* [ker V11*], pseudo-inverses on ranges.
-    The result must be antisymmetric (T^t = -T in mode coordinates) and must
-    annihilate h.
+    Z = ker V11* spans the K1 directions that V11 misses.  On them the
+    pairing operator is -V22^{+*} V12* (pseudo-inverse on the range), so
+    G = [Z; -V22^{+*} V12* Z] is its graph over Z, and k is the range of
+    K K* G, the part of that graph inside ker V*.  Zero at index 0.
     """
-    v11, v12 = v.block(1, 1), v.block(1, 2)
-    v21, v22 = v.block(2, 1), v.block(2, 2)
-    term1 = v21 @ pinv_on_range(v11)
-    coker = cokernel_basis(v11)
-    term2 = (pinv_on_range(v22).conj().T @ v12.conj().T
-             @ orthoprojection(coker))
-    t = term1 - term2
-    scale = max(1.0, hs_norm(t))
-    anti = hs_norm(t + t.T)
-    if anti > CHECK_TOL * scale:
-        raise AntisymmetryViolation(
-            f"T antisymmetry defect {anti:.3e} exceeds {CHECK_TOL:.1e}")
-    if h is not None and h.dim > 0:
-        nc = v.codomain.n_modes
-        on_h = hs_norm(t @ h.frame[:nc])
-        if on_h > CHECK_TOL * scale:
-            raise AntisymmetryViolation(
-                f"T does not annihilate h (defect {on_h:.3e})")
-    return t
+    space = v.codomain
+    if ker.shape[1] == 0:
+        return np.zeros((space.dim, space.dim), dtype=complex)
+    z = cokernel_basis(v.block(1, 1))
+    lift = (pinv_on_range(v.block(2, 2)).conj().T @ v.block(1, 2).conj().T
+            @ z)
+    g = np.vstack([z, -lift])
+    return orthoprojection(orthonormal_range(ker @ (ker.conj().T @ g)))
 
 
-def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
-    """Basis projection P from the pair (h, T).
+def compute_p(v: BlockOperator, p_k: np.ndarray) -> np.ndarray:
+    """P = Q Q* + [k], checked to be a basis projection (J P J = 1 - P).
 
-    P = (P1 + T)(P1 + T*T)^{-1}(P1 + T*) - [h] + [h*].  Self-checks: P is an
-    orthogonal projection, J P J = 1 - P, and (h, T) are recovered from P as
-    ker P11 and P21 P11^{-1}.
+    Q is an orthonormal frame of V's K1 columns, so Q Q* = V P1 V* for an
+    isometry and stays a projection for a member accepted at a loose
+    tolerance.
     """
-    space = h.space
-    n = space.n_modes
-    # P1 + T is T with a unit K1 block, P1 + T*T is T*T plus 1 on K1.  T*T
-    # stays a full-size product, as an n x n one rounds differently.  Adding
-    # 0.0 clears -0.0, as the sums with a dense P1 did.
-    p1_t = np.zeros((space.dim, space.dim), dtype=complex)
-    p1_t[n:, :n] = t
-    p1_tt = p1_t.conj().T @ p1_t + 0.0
-    p1_tt[:n, :n] += np.eye(n)
-    p1_t[:n, :n] = np.eye(n)
-    p1_t += 0.0
-    middle = pinv_on_range(p1_tt)
-    p = (p1_t @ middle @ (p1_t.conj().T + 0.0)
-         - h.projector() + h.conjugate().projector())
-
+    space = v.codomain
+    q = np.linalg.qr(v.matrix[:, :v.domain.n_modes])[0]
+    p = q @ q.conj().T + p_k
     idem = hs_norm(p @ p - p)
     herm = hs_norm(p - p.conj().T)
     comp = hs_norm(conjugate_matrix(p, space, space)
@@ -121,36 +90,36 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
         raise RecoveryMismatch(
             f"P self-check failed: idempotency {idem:.3e}, "
             f"hermiticity {herm:.3e}, complement {comp:.3e}")
-
-    p11, p21 = p[:n, :n], p[n:, :n]
-    ker_p11 = kernel_basis(p11)
-    if ker_p11.shape[1] != h.dim:
-        raise RecoveryMismatch(
-            f"dim ker P11 = {ker_p11.shape[1]} != dim h = {h.dim}")
-    if h.dim > 0:
-        proj_gap = hs_norm(orthoprojection(ker_p11)
-                           - orthoprojection(h.frame[:n]))
-        if proj_gap > RECOVERY_TOL:
-            raise RecoveryMismatch(f"h recovery defect {proj_gap:.3e}")
-    t_back = p21 @ pinv_on_range(p11)
-    if hs_norm(t_back - t) > RECOVERY_TOL * max(1.0, hs_norm(t)):
-        raise RecoveryMismatch(
-            f"T recovery defect {hs_norm(t_back - t):.3e}")
     return p
 
 
-def compute_k(v: BlockOperator, p: np.ndarray,
-              ker_vstar: np.ndarray) -> Subspace:
-    """k = P(ker V*); its dimension must equal IND(V)/2 = dim ker V* / 2."""
-    index = ker_vstar.shape[1]
-    if index == 0:
-        return Subspace.empty(v.codomain)
-    frame = orthonormal_range(p @ ker_vstar)
-    k = Subspace(v.codomain, frame)
-    if k.dim != index // 2:
-        raise DimensionMismatch(
-            f"dim k = {k.dim} != IND V / 2 = {index // 2}")
-    return k
+def compute_t(p: np.ndarray, space: SelfDualSpace
+              ) -> tuple[Subspace, np.ndarray]:
+    """(h, T) read off P: h = ker P11 and T = P21 P11^+.
+
+    T must be antisymmetric (T^t = -T in mode coordinates), annihilate h and
+    give back P21 = T P11 (RecoveryMismatch otherwise).
+    """
+    n = space.n_modes
+    p11, p21 = p[:n, :n], p[n:, :n]
+    ker = kernel_basis(p11)
+    frame = np.zeros((space.dim, ker.shape[1]), dtype=complex)
+    frame[:n] = ker
+    h = Subspace(space, frame)
+    t = p21 @ pinv_on_range(p11)
+    scale = max(1.0, hs_norm(t))
+    anti = hs_norm(t + t.T)
+    if anti > CHECK_TOL * scale:
+        raise AntisymmetryViolation(
+            f"T antisymmetry defect {anti:.3e} exceeds {CHECK_TOL:.1e}")
+    on_h = hs_norm(t @ ker)
+    if on_h > CHECK_TOL * scale:
+        raise AntisymmetryViolation(
+            f"T does not annihilate h (defect {on_h:.3e})")
+    recovery = hs_norm(p21 - t @ p11)
+    if recovery > RECOVERY_TOL * scale:
+        raise RecoveryMismatch(f"T recovery defect {recovery:.3e}")
+    return h, t
 
 
 def statistics_dimension(index: int) -> int:
@@ -165,6 +134,7 @@ class CarChargeData:
     membership: Membership
     h: Subspace
     t: np.ndarray
+    t_norm: float
     p: np.ndarray
     k: Subspace
 
@@ -182,13 +152,20 @@ class CarChargeData:
 
 
 def car_charge_data(membership: Membership) -> CarChargeData:
-    """h, T, P, k of a tested member (NotInSemigroup for a non-member)."""
+    """h, T, P, k of a tested member (NotInSemigroup for a non-member).
+
+    k is framed as P(ker V*), and its dimension must be IND V / 2.
+    """
     v = membership.require().v
-    h = compute_h(v)
-    t = compute_t(v, h)
-    p = compute_p(h, t)
-    k = compute_k(v, p, membership.cokernel)
-    return CarChargeData(membership, h, t, p, k)
+    ker = membership.cokernel
+    p = compute_p(v, k_projection(v, ker))
+    h, t = compute_t(p, v.codomain)
+    t_norm = float(np.linalg.norm(t, 2)) if t.size else 0.0
+    k = Subspace(v.codomain, orthonormal_range(p @ ker))
+    if k.dim != membership.index // 2:
+        raise DimensionMismatch(
+            f"dim k = {k.dim} != IND V / 2 = {membership.index // 2}")
+    return CarChargeData(membership, h, t, t_norm, p, k)
 
 
 def z2_index(data: CarChargeData) -> int:

@@ -122,8 +122,9 @@ def compute_projection(v: BlockOperator, p_op: np.ndarray) -> np.ndarray:
     return p
 
 
-def compute_t(p: np.ndarray, space: SelfDualSpace) -> np.ndarray:
-    """T = P21 P11^{-1}: symmetric block with ||T|| < 1 (admissibility)."""
+def compute_t(p: np.ndarray, space: SelfDualSpace
+              ) -> tuple[np.ndarray, float]:
+    """(T, ||T||) with T = P21 P11^{-1}: symmetric, ||T|| < 1 (admissibility)."""
     n = space.n_modes
     p11, p21 = p[:n, :n], p[n:, :n]
     if kernel_basis(p11).shape[1] > 0:
@@ -136,7 +137,7 @@ def compute_t(p: np.ndarray, space: SelfDualSpace) -> np.ndarray:
     norm = float(np.linalg.norm(t, 2)) if t.size else 0.0
     if norm >= 1.0 - NORM_MARGIN:
         raise NormBoundViolation(f"||T|| = {norm:.12f} >= 1 - {NORM_MARGIN:.0e}")
-    return t
+    return t, norm
 
 
 def statistics_dimension(index: int) -> float:
@@ -153,6 +154,7 @@ class CcrChargeData:
     p_defect: np.ndarray
     p: np.ndarray
     t: np.ndarray
+    t_norm: float
     k_frame: np.ndarray
 
     @property
@@ -177,5 +179,5 @@ def ccr_charge_data(membership: Membership) -> CcrChargeData:
     v = membership.require().v
     g, k_frame, p_op = kappa_split(v.codomain, membership.cokernel)
     p = compute_projection(v, p_op)
-    t = compute_t(p, v.codomain)
-    return CcrChargeData(membership, g, p_op, p, t, k_frame)
+    t, t_norm = compute_t(p, v.codomain)
+    return CcrChargeData(membership, g, p_op, p, t, t_norm, k_frame)

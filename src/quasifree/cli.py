@@ -160,7 +160,7 @@ def cmd_analyze(args) -> int:
         h_frame, k_frame = np.zeros((v.codomain.dim, 0)), data.k_frame
     dim_h = h_frame.shape[1]
     stat_dim = data.statistics_dimension
-    t_norm = float(np.linalg.norm(data.t, ord=2)) if data.t.size else 0.0
+    t_norm = data.t_norm
     charge = {
         "dim_h": dim_h,
         "dim_k": k_frame.shape[1],

@@ -449,8 +449,12 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     The fields stay sparse.  pi_d of a domain basis vector is a signed
     partial permutation, so psi @ pi_d is a column gather, exact because each
     entry has one term; pi_c @ psi sums only the nonzero terms of pi_c.
-    Isometry and completeness come from one Gram each of the stacked
-    W = [Psi_1 ... Psi_r].
+    Isometry and completeness come from the one Gram W*W of the stacked
+    W = [Psi_1 ... Psi_r]: tr (W W*)^j = tr (W*W)^j gives
+
+        |W W* - 1|_HS^2 = |W*W - 1|_HS^2 + dim_c - r dim_d,
+
+    clamped at 0, with no dim_c x dim_c product W W*.
 
     The sum formula is certified from those, without a dense product.  With
     gap_alpha = Psi_alpha pi_d - pi_c Psi_alpha, G = [gap_1 ... gap_r] and
@@ -477,9 +481,11 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
         psis.append(cols)
 
     stacked = np.hstack(psis)
-    iso = float(np.max(np.abs(stacked.conj().T @ stacked
-                              - np.eye(stacked.shape[1]))))
-    comp = hs_norm(stacked @ stacked.conj().T - np.eye(fock_cod.dim))
+    gram_gap = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+    iso = float(np.max(np.abs(gram_gap)))
+    # The integer dim_c - r dim_d first: 0 for a square W, so nothing rounds.
+    comp = math.sqrt(max(0.0, hs_norm(gram_gap) ** 2
+                         + (fock_cod.dim - stacked.shape[1])))
 
     inter = 0.0
     impl = 0.0

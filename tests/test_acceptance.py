@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import car_chart_reference as chart
 import dense_selfdual as dense
 from quasifree import builders, cli, dirac
 from quasifree.car import car_charge_data, car_membership, z2_index
@@ -34,12 +35,7 @@ from quasifree.sectors import (
     oracle_compare,
     sector_table,
 )
-from quasifree.selfdual import (
-    hs_norm,
-    kernel_basis,
-    orthoprojection,
-    pinv_on_range,
-)
+from quasifree.selfdual import hs_norm, orthoprojection
 
 
 def announce(capsys, name, ok, detail):
@@ -82,6 +78,7 @@ def test_criterion_1_statistics_dimension_law(capsys):
 
 
 def test_criterion_2_charge_data_recovery(capsys):
+    # h and T are read off P; the reference builds them from V's blocks.
     examples = [
         ("identity", builders.identity(3)),
         ("shift", builders.shift(3)),
@@ -97,13 +94,13 @@ def test_criterion_2_charge_data_recovery(capsys):
         start = time.perf_counter()
         data = car_charge_data(car_membership(v))
         n = v.codomain.n_modes
+        h_ref = chart.compute_h(v)
+        t_ref = chart.compute_t(v, h_ref)
+        ok = ok and data.h.dim == h_ref.dim
+        h_res = hs_norm(orthoprojection(data.h.frame[:n])
+                        - orthoprojection(h_ref.frame[:n]))
+        t_res = hs_norm(data.t - t_ref)
         p = data.p
-        p11, p21 = p[:n, :n], p[n:, :n]
-        ker = kernel_basis(p11)
-        ok = ok and ker.shape[1] == data.h.dim
-        h_res = hs_norm(orthoprojection(ker)
-                        - orthoprojection(data.h.frame[:n]))
-        t_res = hs_norm(p21 @ pinv_on_range(p11) - data.t)
         idem = hs_norm(p @ p - p)
         herm = hs_norm(p - p.conj().T)
         comp = hs_norm(dense.conjugate_matrix(p, v.codomain, v.codomain)
@@ -114,8 +111,8 @@ def test_criterion_2_charge_data_recovery(capsys):
     ok = (ok and worst_recovery <= 1e-8 and worst_identity <= 1e-10
           and worst_time < 1.0)
     announce(capsys, "criterion 2 (charge-data recovery)", ok,
-             f"recovery residual {worst_recovery:.2e} <= 1e-8, "
-             f"projection identities {worst_identity:.2e} <= 1e-10, "
+             f"(h, T) read off P against V's blocks {worst_recovery:.2e} "
+             f"<= 1e-8, projection identities {worst_identity:.2e} <= 1e-10, "
              f"slowest example {worst_time:.2f}s < 1s")
 
 

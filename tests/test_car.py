@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
+import car_chart_reference as chart
 import dense_selfdual as dense
 from quasifree import builders
 from quasifree.car import (
     car_charge_data,
     car_membership,
-    compute_h,
     compute_p,
     compute_t,
     extend_gauge,
     gauge_commutation_report,
+    k_projection,
     statistics_dimension,
     z2_index,
 )
 from quasifree.errors import (
+    AntisymmetryViolation,
     NonzeroIndex,
     NotInSemigroup,
     RecoveryMismatch,
@@ -23,6 +25,8 @@ from quasifree.selfdual import (
     BlockOperator,
     SelfDualSpace,
     Subspace,
+    hs_norm,
+    orthoprojection,
     pinv_on_range,
 )
 from test_random_members import random_member
@@ -130,6 +134,7 @@ def test_bogoliubov_pairing_operator():
     expected = np.array([[0.0, -tan], [tan, 0.0]])
     assert np.allclose(data.t, expected, atol=1e-12)
     assert np.isclose(np.abs(data.t[1, 0]), 1.0 / np.sqrt(3.0), atol=1e-12)
+    assert data.t_norm == np.linalg.norm(data.t, 2)
     # P recovers (h, T); P is not P1 here
     assert not np.allclose(data.p, dense.p1(data.v.codomain))
 
@@ -139,19 +144,20 @@ def test_bogoliubov_pairing_operator():
     lambda: builders.flip(2) @ builders.bogoliubov(0.4),
 ], ids=["random-member", "flip-bogoliubov"])
 def test_compute_p_bits_equal_the_dense_formula(make_v):
+    # The reference keeps the chart construction's P bit for bit.
     # T is dense in a random member: there an n x n T*T rounds differently
-    # from the full-size product, so this pins the product compute_p keeps.
+    # from the full-size product, so this pins the product it keeps.
     v = make_v()
-    data = car_charge_data(car_membership(v))
+    h, t, p, _ = chart.reference_chart(v, car_membership(v).cokernel)
     space, n = v.codomain, v.codomain.n_modes
     p1 = dense.p1(space)
     tf = np.zeros((space.dim, space.dim), dtype=complex)
-    tf[n:, :n] = data.t
+    tf[n:, :n] = t
     middle = pinv_on_range(p1 + tf.conj().T @ tf)
-    h_bar = Subspace(space, dense.conjugate_matrix(data.h.frame, None, space))
+    h_bar = Subspace(space, dense.conjugate_matrix(h.frame, None, space))
     want = ((p1 + tf) @ middle @ (p1 + tf.conj().T)
-            - data.h.projector() + h_bar.projector())
-    assert np.array_equal(data.p.view(np.uint64), want.view(np.uint64))
+            - h.projector() + h_bar.projector())
+    assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
 
 
 def test_compute_t_second_term_flip_compositions():
@@ -182,6 +188,61 @@ def test_charge_pipeline_on_random_members(seed):
     assert np.allclose(pbar, np.eye(space.dim) - data.p, atol=1e-9)
 
 
+def loose_identity():
+    # 0.99 * 1 is a member at --tol 2, where V P1 V* is not idempotent
+    return BlockOperator(0.99 * np.eye(6), SelfDualSpace(3))
+
+
+REFERENCE_MEMBERS = [
+    *[(f"random-{n}-index-{2 * s}-seed-{seed}",
+       lambda n=n, s=s, seed=seed: random_member("car", n, s, seed, 1.0))
+      for seed, (n, s) in enumerate((5 + i % 8, i % 4) for i in range(30))],
+    ("identity", lambda: builders.identity(3)),
+    ("shift", lambda: builders.shift(3)),
+    ("shift-species-2", lambda: builders.shift(2, species=2)),
+    ("flip", lambda: builders.flip(3)),
+    ("bogoliubov", lambda: builders.bogoliubov(0.4, n_modes=4)),
+    ("flip-bogoliubov", lambda: builders.flip(2) @ builders.bogoliubov(0.4)),
+    ("bogoliubov-flip", lambda: builders.bogoliubov(0.4) @ builders.flip(2)),
+    ("quarter-turn-shift",
+     lambda: builders.bogoliubov(np.pi / 4, 2) @ builders.shift(1)),
+    ("loose-identity", loose_identity),
+]
+
+
+@pytest.mark.parametrize("make_v", [m for _, m in REFERENCE_MEMBERS],
+                         ids=[name for name, _ in REFERENCE_MEMBERS])
+def test_charge_data_matches_the_chart_reference(make_v):
+    v = make_v()
+    # --tol 2 admits the loose identity and leaves exact members as they are
+    membership = car_membership(v, tol=2.0)
+    data = car_charge_data(membership)
+    h, t, p, k = chart.reference_chart(v, membership.cokernel)
+    assert hs_norm(data.p - p) <= 1e-12
+    assert hs_norm(data.t - t) <= 1e-12
+    assert hs_norm(data.h.projector() - h.projector()) <= 1e-12
+    assert hs_norm(data.k.projector() - k.projector()) <= 1e-12
+
+
+def test_charge_data_factorises_nothing_beyond_mode_size(monkeypatch):
+    # Only the membership test factors a 2n-sized matrix; the chart
+    # reference takes a 2n x 2n pseudo-inverse of P1 + T*T.
+    membership = car_membership(builders.shift(200))
+    shapes = []
+
+    def recorded(factor):
+        def call(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return factor(matrix, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", recorded(np.linalg.qr))
+    car_charge_data(membership)
+    n_modes = membership.v.codomain.n_modes
+    assert shapes and max(min(s[-2:]) for s in shapes) <= n_modes
+
+
 def test_statistics_dimension_values():
     assert statistics_dimension(0) == 1
     assert statistics_dimension(2) == 2
@@ -202,22 +263,39 @@ def test_z2_index():
 # --- recovery and gauge propagation ----------------------------------------
 
 def test_compute_p_rejects_inconsistent_pair():
-    # h must be annihilated by T; feeding a violating pair must fail loudly
-    space = SelfDualSpace(2)
-    h = Subspace(space, space.basis_vector(1)[:, None])
-    t = np.array([[0.0, -0.5], [0.5, 0.0]])  # T e1 = 0.5 e2* != 0
-    with pytest.raises(RecoveryMismatch):
-        compute_p(h, t)
+    # k must be half of ker V*: with all of ker V* = span{e1, e1*} beside
+    # V P1 V*, P is a projection but J P J != 1 - P, which must fail loudly
+    v = builders.shift(3)
+    space = v.codomain
+    ker = np.column_stack([space.basis_vector(1),
+                           space.basis_vector(1, conjugate=True)])
+    with pytest.raises(RecoveryMismatch, match="complement"):
+        compute_p(v, orthoprojection(ker))
+
+
+@pytest.mark.parametrize("p11, p21, error", [
+    # P21 nonzero on ker P11 = span{e2}: no T gives back P21 = T P11
+    ([1.0, 0.0], [[0.0, 0.0], [0.0, 0.5]], RecoveryMismatch),
+    # a symmetric T = P21 P11^{-1}
+    ([1.0, 1.0], [[0.0, 0.5], [0.5, 0.0]], AntisymmetryViolation),
+], ids=["p21-off-range", "symmetric-t"])
+def test_compute_t_rejects_a_p_without_a_pairing_operator(p11, p21, error):
+    p = np.zeros((4, 4), dtype=complex)
+    p[:2, :2] = np.diag(p11)
+    p[2:, :2] = p21
+    with pytest.raises(error):
+        compute_t(p, SelfDualSpace(2))
 
 
 def test_recovery_from_p_bogoliubov():
     theta = np.pi / 6
     v = builders.bogoliubov(theta)
-    h = compute_h(v)
-    t = compute_t(v, h)
-    p = compute_p(h, t)  # internal recovery checks run here
+    p = compute_p(v, k_projection(v, car_membership(v).cokernel))
+    h, t = compute_t(p, v.codomain)  # the recovery check runs here
     n = v.codomain.n_modes
+    assert h.dim == 0
     assert np.linalg.norm(p[n:, :n] @ np.linalg.inv(p[:n, :n]) - t) <= 1e-10
+    assert np.linalg.norm(t - chart.compute_t(v)) <= 1e-12
 
 
 def test_gauge_commutation_report_commuting():

@@ -384,6 +384,22 @@ class TestAnalyze:
         assert data["membership"]["is_member"] is True
         assert data["charge_data"]["z2_index"] == 1
 
+    @pytest.mark.parametrize("theta", [1.5707, 1.57075])
+    def test_bogoliubov_near_the_dim_h_stratum(self, tmp_path, theta):
+        # |T| ~ 1 / |theta - pi/2| grows here while dim h stays 0; P itself
+        # is smooth, so both must come back from it.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "bogoliubov",
+                         "params": {"theta": theta, "n_modes": 2}},
+            "gauge": {"group": "u1", "charges": [1, 1]}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--input", path, "--report", out]) == 0
+        charge = json.loads(open(out, encoding="utf-8").read())["charge_data"]
+        assert charge["dim_h"] == 0
+        assert charge["t_norm"] == pytest.approx(abs(math.tan(theta)),
+                                                 rel=1e-10)
+
     def test_nonmember_exit_3_with_report(self, tmp_path):
         half = 0.5 * np.eye(4)
         path = write_model(tmp_path, "m.json", {

@@ -518,6 +518,32 @@ def test_car_implementers_equal_dense_products(make_v):
     assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("eps, count", [(0.0, None), (1e-6, None),
+                                         (1e-3, None), (0.0, 1)])
+@pytest.mark.parametrize("make_v", [
+    lambda: builders.shift(3),
+    lambda: builders.bogoliubov(0.7, n_modes=4),
+], ids=["shift-3-4", "bogoliubov-4"])
+def test_completeness_equals_the_explicit_w_w_star(make_v, eps, count):
+    # Perturbed Omega_alpha move the residual far above rounding, and one
+    # implementer short of the set leaves W non-square (dim_c > r dim_d).
+    v = make_v()
+    data = car_charge_data(car_membership(v))
+    fock_d = FermiFock(v.domain.n_modes)
+    fock_c = FermiFock(v.codomain.n_modes)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
+                                        data.k.frame)
+    rng = np.random.default_rng(5)
+    omegas = [w + eps * (rng.normal(size=w.shape)
+                         + 1j * rng.normal(size=w.shape))
+              for w in omegas[:count]]
+    imp = car_implementers(v, fock_d, fock_c, omegas, alphas[:count])
+    w = np.hstack(imp.psis)
+    want = hs_norm(w @ w.conj().T - np.eye(fock_c.dim))
+    assert abs(imp.completeness_residual - want) <= 1e-14
+
+
 @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
 @pytest.mark.parametrize("make_v", [
     lambda: builders.shift(3),
