@@ -11,9 +11,10 @@ one basis projection P >= V P1 V* with J P J = 1 - P:
 * k   -- the charge space, framed as P(ker V*); dim k = IND(V)/2,
 * h   -- ker P11, the subspace of K1 swapped into the new particle space,
 * T   -- P21 P11^+, the antisymmetric pairing operator K1 -> K2 of the new
-         vacuum; h and T come from one rank decision on P11.
+         vacuum; h and T come from one rank decision on P's K1 columns.
 
-The statistics dimension of the associated sector is 2^{IND(V)/2}.
+The statistics dimension of the associated sector is 2^{IND(V)/2}, and at
+index 0 the Z2 index is (-1)^{dim h}.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .selfdual import (
     conjugate_matrix,
     extend_gauge,
     hs_norm,
-    kernel_basis,
+    kernel_and_pinv,
     orthonormal_range,
     orthoprojection,
     pinv_on_range,
@@ -95,19 +96,22 @@ def compute_p(v: BlockOperator, p_k: np.ndarray) -> np.ndarray:
 
 def compute_t(p: np.ndarray, space: SelfDualSpace
               ) -> tuple[Subspace, np.ndarray]:
-    """(h, T) read off P: h = ker P11 and T = P21 P11^+.
+    """(h, T) from one SVD of P's K1 columns X = [P11; P21], X* X = P11.
 
-    T must be antisymmetric (T^t = -T in mode coordinates), annihilate h and
-    give back P21 = T P11 (RecoveryMismatch otherwise).
+    h = ker X = ker P11 and T = P21 P11^+ is the K2 block of (X^+)*; the rank
+    rule sees sigma(X) = sqrt(sigma(P11)), which scales like P21.  T must give
+    back P21 = T P11 (RecoveryMismatch; checked first, as it fails whenever
+    X* X != P11), be antisymmetric (T^t = -T) and annihilate h.
     """
     n = space.n_modes
     p11, p21 = p[:n, :n], p[n:, :n]
-    ker = kernel_basis(p11)
-    frame = np.zeros((space.dim, ker.shape[1]), dtype=complex)
-    frame[:n] = ker
-    h = Subspace(space, frame)
-    t = p21 @ pinv_on_range(p11)
+    ker, x_pinv = kernel_and_pinv(p[:, :n])
+    h = Subspace(space, np.vstack([ker, np.zeros_like(ker)]))
+    t = x_pinv[:, n:].conj().T
     scale = max(1.0, hs_norm(t))
+    recovery = hs_norm(p21 - t @ p11)
+    if recovery > RECOVERY_TOL * scale:
+        raise RecoveryMismatch(f"T recovery defect {recovery:.3e}")
     anti = hs_norm(t + t.T)
     if anti > CHECK_TOL * scale:
         raise AntisymmetryViolation(
@@ -116,9 +120,6 @@ def compute_t(p: np.ndarray, space: SelfDualSpace
     if on_h > CHECK_TOL * scale:
         raise AntisymmetryViolation(
             f"T does not annihilate h (defect {on_h:.3e})")
-    recovery = hs_norm(p21 - t @ p11)
-    if recovery > RECOVERY_TOL * scale:
-        raise RecoveryMismatch(f"T recovery defect {recovery:.3e}")
     return h, t
 
 
@@ -169,11 +170,10 @@ def car_charge_data(membership: Membership) -> CarChargeData:
 
 
 def z2_index(data: CarChargeData) -> int:
-    """(-1)^{dim ker V11} of the tested member; defined only when IND V = 0."""
+    """(-1)^{dim h}, h = ker V11* here; defined only when IND V = 0."""
     if data.index != 0:
         raise NonzeroIndex(f"Z2 index needs IND V = 0, got {data.index}")
-    dim_ker = kernel_basis(data.v.block(1, 1)).shape[1]
-    return -1 if dim_ker % 2 else 1
+    return -1 if data.h.dim % 2 else 1
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .selfdual import (
     conjugate_matrix,
     hs_norm,
     kappa_sign,
-    kernel_basis,
+    kernel_and_pinv,
     semigroup_membership,
 )
 
@@ -126,10 +126,10 @@ def compute_t(p: np.ndarray, space: SelfDualSpace
               ) -> tuple[np.ndarray, float]:
     """(T, ||T||) with T = P21 P11^{-1}: symmetric, ||T|| < 1 (admissibility)."""
     n = space.n_modes
-    p11, p21 = p[:n, :n], p[n:, :n]
-    if kernel_basis(p11).shape[1] > 0:
+    ker, p11_inv = kernel_and_pinv(p[:n, :n])
+    if ker.shape[1] > 0:
         raise DegenerateForm("P11 is singular; no bosonic pairing operator")
-    t = p21 @ np.linalg.inv(p11)
+    t = p[n:, :n] @ p11_inv
     sym = hs_norm(t - t.T)
     if sym > CHECK_TOL * max(1.0, hs_norm(t)):
         raise AntisymmetryViolation(

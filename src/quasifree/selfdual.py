@@ -12,13 +12,14 @@ as a prefix of the larger one.
 
 Every rank decision follows one rule: a singular value counts as zero when it
 is at most DEFAULT_TOL * max(1, sigma_max), where sigma_max is the largest
-singular value of the same SVD that the decision is read from.  Membership
-is decided once per operator by `semigroup_membership`; its `Membership`
-record carries the operator, the index and the kernel frame of the adjoint
-to everything downstream.  Norms are accumulated with `math.fsum` in a fixed
-order so repeated runs produce identical bytes in reports; `hs_norm` skips
-the exact zeros, which leaves its value unchanged because `fsum` is exactly
-rounded.
+singular value of the same SVD that the decision is read from (0 if it is
+empty); `kernel_and_pinv` reads a kernel frame and a pseudo-inverse off one
+decision.  Membership is decided once per operator by `semigroup_membership`;
+its `Membership` record carries the operator, the index and the kernel frame
+of the adjoint to everything downstream.  Norms are accumulated with
+`math.fsum` in a fixed order so repeated runs produce identical bytes in
+reports; `hs_norm` skips the exact zeros, which leaves its value unchanged
+because `fsum` is exactly rounded.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ DEFAULT_TOL = 1e-10
 
 def _rank_threshold(sigma: np.ndarray) -> float:
     """The rank rule: DEFAULT_TOL * max(1, sigma_max) of an SVD's sigma."""
-    return DEFAULT_TOL * max(1.0, float(sigma[0]))
+    return DEFAULT_TOL * max(1.0, float(sigma.max(initial=0.0)))
 
 
 def hs_norm(matrix: np.ndarray) -> float:
@@ -65,18 +66,9 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def kernel_basis(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis via SVD, deterministically ordered.
-
-    Columns are ordered by ascending singular value with a lexicographic
-    tie-break on (rounded) coordinates, and each column is phase-fixed so the
-    largest entry is real positive.  Returns an (n, k) array (k may be 0).
-    """
-    n = matrix.shape[1]
-    if matrix.size == 0:
-        return np.eye(n, dtype=complex)
-    _, sigma, vh = np.linalg.svd(matrix)
-    tol = _rank_threshold(sigma)
+def _ordered_kernel(sigma, vh, tol: float) -> np.ndarray:
+    """`kernel_basis` of an SVD: the rows of vh with padded sigma <= tol."""
+    n = vh.shape[1]
     sigma = np.concatenate([sigma, np.zeros(n - len(sigma))])
     cols = sorted(((s, _canonical_phase(vh[i].conj()))
                    for i, s in enumerate(sigma) if s <= tol),
@@ -85,6 +77,24 @@ def kernel_basis(matrix: np.ndarray) -> np.ndarray:
     if not cols:
         return np.zeros((n, 0), dtype=complex)
     return np.column_stack([c for _, c in cols]).astype(complex)
+
+
+def _pinv_from_svd(u, sigma, vh, tol: float) -> np.ndarray:
+    inv = np.where(sigma > tol, 1.0 / np.where(sigma > tol, sigma, 1.0), 0.0)
+    return (vh.conj().T * inv) @ u.conj().T
+
+
+def kernel_basis(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis via SVD, deterministically ordered.
+
+    Columns are ordered by ascending singular value with a lexicographic
+    tie-break on (rounded) coordinates, and each column is phase-fixed so the
+    largest entry is real positive.  Returns an (n, k) array (k may be 0).
+    """
+    if matrix.size == 0:
+        return np.eye(matrix.shape[1], dtype=complex)
+    _, sigma, vh = np.linalg.svd(matrix)
+    return _ordered_kernel(sigma, vh, _rank_threshold(sigma))
 
 
 def cokernel_basis(matrix: np.ndarray) -> np.ndarray:
@@ -97,9 +107,14 @@ def pinv_on_range(matrix: np.ndarray) -> np.ndarray:
     if matrix.size == 0:
         return matrix.conj().T.copy()
     u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
+    return _pinv_from_svd(u, sigma, vh, _rank_threshold(sigma))
+
+
+def kernel_and_pinv(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(`kernel_basis`, `pinv_on_range`) of a tall or square matrix, one SVD."""
+    u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
     tol = _rank_threshold(sigma)
-    inv = np.where(sigma > tol, 1.0 / np.where(sigma > tol, sigma, 1.0), 0.0)
-    return (vh.conj().T * inv) @ u.conj().T
+    return _ordered_kernel(sigma, vh, tol), _pinv_from_svd(u, sigma, vh, tol)
 
 
 def orthonormal_range(matrix: np.ndarray) -> np.ndarray:

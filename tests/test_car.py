@@ -243,6 +243,24 @@ def test_charge_data_factorises_nothing_beyond_mode_size(monkeypatch):
     assert shapes and max(min(s[-2:]) for s in shapes) <= n_modes
 
 
+def test_one_svd_reads_h_t_and_the_z2_sign(monkeypatch):
+    # h and T share one rank decision on P's K1 columns, and the Z2 sign is
+    # read off dim h, so z2_index factorises nothing.
+    data = car_charge_data(car_membership(
+        builders.flip(4, 3) @ builders.bogoliubov(0.3, 4)))
+    calls = []
+    for name in ("svd", "inv"):
+        def call(*args, name=name, factor=getattr(np.linalg, name), **kw):
+            calls.append(name)
+            return factor(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, call)
+    h, _ = compute_t(data.p, data.v.codomain)
+    assert calls == ["svd"] and h.dim == 1
+    calls.clear()
+    assert z2_index(data) == -1
+    assert calls == []
+
+
 def test_statistics_dimension_values():
     assert statistics_dimension(0) == 1
     assert statistics_dimension(2) == 2
@@ -273,16 +291,28 @@ def test_compute_p_rejects_inconsistent_pair():
         compute_p(v, orthoprojection(ker))
 
 
-@pytest.mark.parametrize("p11, p21, error", [
-    # P21 nonzero on ker P11 = span{e2}: no T gives back P21 = T P11
-    ([1.0, 0.0], [[0.0, 0.0], [0.0, 0.5]], RecoveryMismatch),
-    # a symmetric T = P21 P11^{-1}
-    ([1.0, 1.0], [[0.0, 0.5], [0.5, 0.0]], AntisymmetryViolation),
-], ids=["p21-off-range", "symmetric-t"])
-def test_compute_t_rejects_a_p_without_a_pairing_operator(p11, p21, error):
+def _graph_projection(s):
+    """G (G* G)^{-1} G*, the projection onto the graph G = [1; S] of S."""
+    g = np.vstack([np.eye(len(s)), s])
+    return g @ np.linalg.inv(g.conj().T @ g) @ g.conj().T
+
+
+def _k1_columns(p11, p21):
     p = np.zeros((4, 4), dtype=complex)
-    p[:2, :2] = np.diag(p11)
+    p[:2, :2] = p11
     p[2:, :2] = p21
+    return p
+
+
+@pytest.mark.parametrize("p, error", [
+    # P21 nonzero on ker P11 = span{e2}: no T gives back P21 = T P11
+    (_k1_columns(np.diag([1.0, 0.0]), [[0.0, 0.0], [0.0, 0.5]]),
+     RecoveryMismatch),
+    # a projection whose T = P21 P11^{-1} is the symmetric S
+    (_graph_projection(np.array([[0.0, 0.5], [0.5, 0.0]])),
+     AntisymmetryViolation),
+], ids=["p21-off-range", "symmetric-t"])
+def test_compute_t_rejects_a_p_without_a_pairing_operator(p, error):
     with pytest.raises(error):
         compute_t(p, SelfDualSpace(2))
 

@@ -110,6 +110,21 @@ def test_norm_bound_violation():
         compute_t(p, space)
 
 
+def test_compute_t_factorises_p11_once(monkeypatch):
+    # The singularity test and the inverse of P11 come from one SVD; the
+    # norm bound takes the singular values of T inside np.linalg.norm.
+    data = ccr_charge_data(ccr_membership(builders.squeeze(0.4, 3)))
+    calls = []
+    for name in ("svd", "inv"):
+        def call(*args, name=name, factor=getattr(np.linalg, name), **kw):
+            calls.append(name)
+            return factor(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, call)
+    _, norm = compute_t(data.p, data.v.codomain)
+    assert calls == ["svd"]
+    assert norm == pytest.approx(np.tanh(0.4), abs=1e-12)
+
+
 def test_statistics_dimension_rule():
     assert statistics_dimension(0) == 1.0
     assert statistics_dimension(2) == np.inf

@@ -49,6 +49,18 @@ def reference_json(payload) -> str:
                       ensure_ascii=False) + "\n"
 
 
+def analyze_bogoliubov(tmp_path, theta, n_modes):
+    """charge_data of `analyze` on bogoliubov(theta) under u1, charges 1."""
+    path = write_model(tmp_path, "m.json", {
+        "algebra": "car",
+        "isometry": {"builder": "bogoliubov",
+                     "params": {"theta": theta, "n_modes": n_modes}},
+        "gauge": {"group": "u1", "charges": [1] * n_modes}})
+    out = str(tmp_path / "r.json")
+    assert cli.main(["analyze", "--input", path, "--report", out]) == 0
+    return json.loads(open(out, encoding="utf-8").read())["charge_data"]
+
+
 class TestReportHelpers:
 
     def test_comparison_carries_value_tolerance_pass(self):
@@ -400,6 +412,24 @@ class TestAnalyze:
         assert charge["t_norm"] == pytest.approx(abs(math.tan(theta)),
                                                  rel=1e-10)
 
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    @pytest.mark.parametrize("theta", [1.5708, 1.570796, math.pi / 2 - 1e-6,
+                                       math.pi / 2 - 1e-9],
+                             ids=["1.5708", "1.570796", "pi/2-1e-6",
+                                  "pi/2-1e-9"])
+    def test_bogoliubov_at_the_dim_h_stratum(self, tmp_path, theta, n_modes):
+        # sigma(P11) = cos^2 theta is below the rank rule here, while the
+        # singular values |cos theta| of P's K1 columns are not.
+        charge = analyze_bogoliubov(tmp_path, theta, n_modes)
+        assert charge["dim_h"] == 0
+        assert charge["t_norm"] == pytest.approx(
+            abs(math.tan(theta)), rel=1e-14 / abs(math.cos(theta)))
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_bogoliubov_on_the_dim_h_stratum(self, tmp_path, n_modes):
+        charge = analyze_bogoliubov(tmp_path, math.pi / 2, n_modes)
+        assert (charge["dim_h"], charge["t_norm"]) == (2, 0.0)
+
     def test_nonmember_exit_3_with_report(self, tmp_path):
         half = 0.5 * np.eye(4)
         path = write_model(tmp_path, "m.json", {
@@ -451,6 +481,21 @@ class TestOracle:
                                                  "completeness",
                                                  "implementation"))
         assert data["charge_theorem"]["max_block_deviation"]["pass"] is True
+
+    @pytest.mark.parametrize("theta", [math.pi / 2 - 1e-6,
+                                       math.pi / 2 - 1e-9],
+                             ids=["pi/2-1e-6", "pi/2-1e-9"])
+    def test_bogoliubov_at_the_dim_h_stratum(self, tmp_path, theta):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "bogoliubov",
+                         "params": {"theta": theta, "n_modes": 2}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+        imp = json.loads(open(out, encoding="utf-8").read())["implementers"]
+        assert all(imp[key]["pass"] for key in ("intertwining", "isometry",
+                                                 "completeness",
+                                                 "implementation"))
 
     def test_ccr_squeeze_prints_tail_bound(self, tmp_path, capsys):
         path = write_model(tmp_path, "m.json", {
