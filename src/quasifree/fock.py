@@ -6,7 +6,9 @@ The brute force does only the arithmetic the structure needs: the fields stay
 sparse in the implementer checks, the sum formula is certified from the
 intertwining gaps and the completeness Gram instead of being formed, and
 Gamma(U) takes only the minors that the exact-zero block pattern of u11
-allows to be nonzero.
+allows to be nonzero, matched by one integer key per subset from a block
+pattern taken once per unitary.  Implementer columns are built in lowest-bit
+batches, one sparse product per bit instead of one per column.
 
 Fermionic side (n modes, dimension 2^n, basis = occupation subsets encoded as
 bitmasks): creation follows the fixed sign convention
@@ -146,13 +148,12 @@ class FermiFock(_FockSpace):
         parity = _sign_of_count(np.arange(dim))
         self._parity_diag = parity
         self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
-        # Basis states of each particle number l, in the lexicographic order
-        # of their mode subsets (the row order of compound_matrix).
-        self._level_states = [
-            np.array([sum(1 << i for i in comb) for comb in
-                      itertools.combinations(range(n_modes), level)],
-                     dtype=np.intp)
-            for level in range(n_modes + 1)]
+        # The mode subsets of each particle number l in lexicographic order
+        # (the row order of compound_matrix), and their basis states.
+        self._level_combs = [_combinations(n_modes, level)
+                             for level in range(n_modes + 1)]
+        self._level_states = [(1 << combs).sum(axis=1)
+                              for combs in self._level_combs]
 
     def _field_table(self, i: int, create: bool) -> sp.csr_matrix:
         """a*(e_i) (create) or a(e_i), written straight into CSR form.
@@ -187,10 +188,12 @@ class FermiFock(_FockSpace):
 
         Built from exterior powers: <S'|Gamma(U)|S> = det u11[S', S] for
         |S'| = |S|, zero otherwise, so the block of particle number l is the
-        compound matrix of u11 at level l.  compound_matrix takes only the
-        minors that u11's exact-zero block pattern allows to be nonzero, so
+        compound matrix of u11 at level l.  Only the minors that u11's
+        exact-zero block pattern allows are taken (see compound_matrix), so
         a phase gauge costs C(n, l) minors per level, a generic unitary all
-        C(n, l)^2.
+        C(n, l)^2.  The block weights are taken once per unitary, the level
+        subsets once per Fock space, and each minor is written straight to
+        its pair of basis states.
         """
         n = self.n_modes
         if u11.shape != (n, n):
@@ -201,8 +204,12 @@ class FermiFock(_FockSpace):
             raise CapExceeded(
                 f"Gamma on dimension {self.dim} exceeds cap {GAMMA_DIM_CAP}")
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for level, states in enumerate(self._level_states):
-            out[np.ix_(states, states)] = compound_matrix(u11, level)
+        out[0, 0] = 1.0
+        weights = _block_weights(u11)
+        for combs, states in zip(self._level_combs[1:],
+                                 self._level_states[1:]):
+            rows, cols, minors = _allowed_minors(u11, combs, weights)
+            out[states[rows], states[cols]] = minors
         return out
 
 
@@ -446,9 +453,18 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
 
     The four residuals are returned, not judged: the caller gates them.
 
-    The fields stay sparse.  pi_d of a domain basis vector is a signed
-    partial permutation, so psi @ pi_d is a column gather, exact because each
-    entry has one term; pi_c @ psi sums only the nonzero terms of pi_c.
+    Column s of Psi_alpha is pi(V e_low) applied to column s ^ low, low the
+    lowest set bit of s; column 0 is Omega_alpha.  From the highest bit b
+    down, one sparse-dense product fills every column whose lowest set bit
+    is b from columns with no set bit at or below b, each as a matvec would.
+
+    The fields stay sparse.  pi_c = pi(V f) of a domain basis vector f is
+    built once, for the columns and the gaps; pi_d = pi(f) is the domain's
+    creation or annihilation table, a signed partial permutation, so
+    psi @ pi_d is a column gather, exact because each entry has one term,
+    subtracted in place from pi_c @ psi.  That gap has the opposite sign of
+    psi @ pi_d - pi_c @ psi, and IEEE subtraction is antisymmetric, so
+    hs_norm gives the same bits.
     Isometry and completeness come from the one Gram W*W of the stacked
     W = [Psi_1 ... Psi_r]: tr (W W*)^j = tr (W*W)^j gives
 
@@ -469,15 +485,16 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
 
     comp = |C|_HS, and implementation_residual is the largest of these.
     """
-    nd = fock_dom.n_modes
-    pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i]) for i in range(nd)]
+    if v.domain.n_modes != fock_dom.n_modes:
+        raise CapExceeded("space does not match this Fock space")
+    pi_v = [fock_cod.pi(v.codomain, col) for col in v.matrix.T]
     psis = []
     for omega in omega_alphas:
         cols = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
         cols[:, 0] = omega
-        for s in range(1, fock_dom.dim):
-            low = (s & -s).bit_length() - 1
-            cols[:, s] = pi_v[low] @ cols[:, s ^ (1 << low)]
+        for bit in reversed(range(fock_dom.n_modes)):
+            src = np.arange(0, fock_dom.dim, 2 << bit)
+            cols[:, src | (1 << bit)] = pi_v[bit] @ cols[:, src]
         psis.append(cols)
 
     stacked = np.hstack(psis)
@@ -489,16 +506,13 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
 
     inter = 0.0
     impl = 0.0
-    for idx in range(v.domain.dim):
-        f = np.zeros(v.domain.dim, dtype=complex)
-        f[idx] = 1.0
-        pi_d = fock_dom.pi(v.domain, f).tocoo()
-        pi_c = fock_cod.pi(v.codomain, v.matrix @ f)
+    for idx, pi_d in enumerate(fock_dom._creation + fock_dom._annihilation):
+        rows = np.flatnonzero(np.diff(pi_d.indptr))
         gaps = []
         for psi in psis:
-            psi_pi_d = np.zeros_like(psi)
-            psi_pi_d[:, pi_d.col] = psi[:, pi_d.row] * pi_d.data
-            gaps.append(hs_norm(psi_pi_d - pi_c @ psi))
+            gap = pi_v[idx] @ psi
+            gap[:, pi_d.indices] -= psi[:, rows] * pi_d.data
+            gaps.append(hs_norm(gap))
         inter = max([inter, *gaps])
         impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)
                    + float(np.linalg.norm(v.matrix[:, idx])) * comp)
@@ -575,25 +589,52 @@ def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     Only the minors that can be nonzero are taken.  Split the indices into
     the blocks of the matrix's exact-zero pattern; det matrix[S', S] is zero
     unless S' and S hold the same number of indices in every block, and then
-    exactly 0, since LU never mixes rows of different blocks.  The matching
-    pairs go through one batched determinant, which factors each minor
-    exactly as a scalar det call would; the other entries stay at zero.  A
-    diagonal matrix takes the C(n, level) diagonal minors, a matrix without
-    exact zeros all C(n, level)^2.
+    exactly 0, since LU never mixes rows of different blocks.  The pairs
+    with equal keys (_block_weights) go through one batched determinant,
+    which factors each minor exactly as a scalar det call would; the other
+    entries stay at zero.  A diagonal matrix takes the C(n, level) diagonal
+    minors, a matrix without exact zeros all C(n, level)^2.  FermiFock.gamma
+    shares this evaluation.
     """
     if level == 0:
         return np.ones((1, 1), dtype=complex)
-    combs = np.array(
-        list(itertools.combinations(range(matrix.shape[0]), level)),
-        dtype=np.intp).reshape(-1, level)
-    # counts[S, j]: indices of S in the block of index j.
-    counts = _same_block(matrix)[combs].sum(axis=1)
-    rows, cols = np.nonzero(
-        (counts[:, None, :] == counts[None, :, :]).all(axis=2))
+    combs = _combinations(matrix.shape[0], level)
+    rows, cols, minors = _allowed_minors(matrix, combs, _block_weights(matrix))
     out = np.zeros((len(combs), len(combs)), dtype=complex)
-    out[rows, cols] = np.linalg.det(
-        matrix[combs[rows][:, :, None], combs[cols][:, None, :]])
+    out[rows, cols] = minors
     return out
+
+
+def _combinations(n: int, level: int) -> np.ndarray:
+    """The level-subsets of range(n) in lexicographic order, one per row."""
+    return np.array(list(itertools.combinations(range(n), level)),
+                    dtype=np.intp).reshape(math.comb(n, level), level)
+
+
+def _allowed_minors(matrix: np.ndarray, combs: np.ndarray,
+                    weights: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions (S', S) in combs with equal keys, row-major, and their minors."""
+    key = weights[combs].sum(axis=1)
+    rows, cols = np.nonzero(key[:, None] == key[None, :])
+    return rows, cols, np.linalg.det(
+        matrix[combs[rows][:, :, None], combs[cols][:, None, :]])
+
+
+def _block_weights(matrix: np.ndarray) -> np.ndarray:
+    """Integer weight of each index; a subset's key is its sum of weights.
+
+    The key holds the subset's count in each block of the exact-zero pattern
+    as one mixed-radix digit of radix block size + 1, so two subsets share a
+    key exactly when their counts agree in every block.  Keys stay below
+    prod(size + 1) <= 2^n, exact in int64 up to 63 indices.
+    """
+    n = len(matrix)
+    # first[i]: the smallest index in the block of i; it numbers the block.
+    first = np.where(_same_block(matrix), np.arange(n)[:, None], n).min(
+        axis=0, initial=n)
+    radix = np.bincount(first, minlength=n) + 1
+    return (np.cumprod(radix) // radix)[first]
 
 
 def _same_block(matrix: np.ndarray) -> np.ndarray:

@@ -9,11 +9,13 @@ import pytest
 
 import scipy.sparse as sp
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_selfdual as dense
 from quasifree import builders, cli, fock
 from quasifree.car import car_charge_data, car_membership
-from quasifree.errors import CapExceeded
+from quasifree.errors import GAMMA_DIM_CAP, CapExceeded
 from quasifree.fock import (
     BoseFock,
     FermiFock,
@@ -34,6 +36,8 @@ from quasifree.selfdual import (
     SelfDualSpace,
     hs_norm,
 )
+from implementer_reference import reference_car_implementers
+from test_random_members import random_member
 
 TOL = 1e-12
 
@@ -203,12 +207,17 @@ def test_composed_member_implementers():
     assert imp.implementation_residual < 1e-10
 
 
-def test_intertwining_detects_wrong_vacuum():
+def wrong_vacuum_inputs():
+    """Implementer inputs of the shift 1 -> 2 with the bare vacuum as Omega_P."""
     v = builders.shift(1)
     fock_d, fock_c = FermiFock(1), FermiFock(2)
     bad = [fock_c.vacuum(),
            fock_c.psi(v.codomain, v.codomain.basis_vector(2)) @ fock_c.vacuum()]
-    imp = car_implementers(v, fock_d, fock_c, bad, [(), (0,)])
+    return v, fock_d, fock_c, bad, [(), (0,)]
+
+
+def test_intertwining_detects_wrong_vacuum():
+    imp = car_implementers(*wrong_vacuum_inputs())
     assert imp.intertwining_residual > DEFAULT_TOL
 
 
@@ -388,15 +397,8 @@ def test_gamma_without_modes():
     assert np.array_equal(FermiFock(0).gamma(np.zeros((0, 0))), [[1.0]])
 
 
-# Level 0 is answered without a determinant, hence the "- 1".
-@pytest.mark.parametrize("u11, minors", [
-    (np.diag(np.exp(1j * np.arange(8))), 2 ** 8 - 1),
-    (np.kron(np.eye(4), haar_unitary(2, np.random.default_rng(302))),
-     1296 - 1),
-    (haar_unitary(8, np.random.default_rng(303)), math.comb(16, 8) - 1),
-], ids=["u1", "site-major-u2", "generic"])
-def test_gamma_takes_only_the_minors_its_blocks_allow(monkeypatch, u11,
-                                                      minors):
+def gamma_and_det_stacks(u11):
+    """Gamma(U) and the sizes of the determinant stacks it evaluated."""
     taken = []
     det = np.linalg.det
 
@@ -404,9 +406,94 @@ def test_gamma_takes_only_the_minors_its_blocks_allow(monkeypatch, u11,
         taken.append(len(stack))
         return det(stack)
 
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    FermiFock(8).gamma(u11)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "det", counting_det)
+        gamma = FermiFock(len(u11)).gamma(u11)
+    return gamma, taken
+
+
+def allowed_minor_pairs(sizes):
+    """Minor pairs (S', S), |S| >= 1, with equal counts in every block.
+
+    At level l they number sum over counts c with sum c = l of
+    prod_j C(s_j, c_j)^2; over all levels that is prod_j C(2 s_j, s_j)
+    (Vandermonde), less the one empty pair of level 0.
+    """
+    return math.prod(math.comb(2 * s, s) for s in sizes) - 1
+
+
+# Level 0 is answered without a determinant, hence the "- 1".
+@pytest.mark.parametrize("u11, minors", [
+    (np.diag(np.exp(1j * np.arange(8))), 2 ** 8 - 1),
+    (np.kron(np.eye(4), haar_unitary(2, np.random.default_rng(302))),
+     1296 - 1),
+    (haar_unitary(8, np.random.default_rng(303)), math.comb(16, 8) - 1),
+], ids=["u1", "site-major-u2", "generic"])
+def test_gamma_takes_only_the_minors_its_blocks_allow(u11, minors):
+    _, taken = gamma_and_det_stacks(u11)
     assert sum(taken) == minors
+
+
+def permuted_block_sum(sizes, perm, seed):
+    """Haar blocks of the given sizes, with modes reordered by perm."""
+    rng = np.random.default_rng(seed)
+    u = scipy.linalg.block_diag(*(haar_unitary(s, rng) for s in sizes))
+    return u[np.ix_(perm, perm)]
+
+
+@st.composite
+def block_sums(draw):
+    n = draw(st.integers(1, 7))
+    # A block ends after mode i when cut[i - 1] is drawn true.
+    cut = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    ends = [i for i in range(1, n) if cut[i - 1]] + [n]
+    sizes = np.diff([0, *ends]).tolist()
+    perm = draw(st.permutations(range(n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return permuted_block_sum(sizes, perm, seed), sizes
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(block_sums())
+def test_gamma_of_permuted_block_sums(case):
+    u11, sizes = case
+    gamma, taken = gamma_and_det_stacks(u11)
+    assert np.array_equal(gamma, scalar_gamma(u11))
+    assert sum(taken) == allowed_minor_pairs(sizes)
+
+
+def blockwise_scalar_gamma(u11, labels):
+    """scalar_gamma on the pairs whose block counts match, zero elsewhere.
+
+    labels[i] names the block of mode i.  The empty subset is a group of
+    its own, and det of its 0 x 0 minor is 1.
+    """
+    n = len(u11)
+    groups = {}
+    for s in range(2 ** n):
+        modes = [i for i in range(n) if s >> i & 1]
+        key = tuple(sorted(labels[i] for i in modes))
+        groups.setdefault(key, []).append((s, modes))
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for members in groups.values():
+        for s_row, rows in members:
+            for s_col, cols in members:
+                out[s_row, s_col] = np.linalg.det(u11[np.ix_(rows, cols)])
+    return out
+
+
+def test_gamma_at_the_cap_with_singleton_and_triple_blocks():
+    # Blocks of sizes 3 and 1 side by side: a key that confused two count
+    # patterns, such as two singletons against two modes of one triple,
+    # would take more minors than the blocks allow.
+    sizes = [3, 1, 3, 1, 1, 1]
+    perm = [9, 2, 5, 0, 7, 3, 8, 1, 6, 4]
+    u11 = permuted_block_sum(sizes, perm, 304)
+    assert 2 ** len(u11) == GAMMA_DIM_CAP
+    labels = np.repeat(np.arange(len(sizes)), sizes)[perm]
+    gamma, taken = gamma_and_det_stacks(u11)
+    assert sum(taken) == allowed_minor_pairs(sizes)
+    assert np.array_equal(gamma, blockwise_scalar_gamma(u11, labels))
 
 
 def incremental_pi(fock, space, f):
@@ -516,6 +603,42 @@ def test_car_implementers_equal_dense_products(make_v):
     got = (imp.intertwining_residual, imp.isometry_residual,
            imp.completeness_residual, imp.implementation_residual)
     assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
+
+
+def oracle_inputs(v):
+    """car_implementers' arguments for a CAR member, as the oracle builds them."""
+    data = car_charge_data(car_membership(v))
+    fock_d = FermiFock(v.domain.n_modes)
+    fock_c = FermiFock(v.codomain.n_modes)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
+                                        data.k.frame)
+    return v, fock_d, fock_c, omegas, alphas
+
+
+IMPLEMENTER_INPUTS = {
+    "shift-7-8": lambda: oracle_inputs(builders.shift(7)),
+    "shift-3-4x2": lambda: oracle_inputs(builders.shift(3, species=2)),
+    "bogoliubov-8": lambda: oracle_inputs(builders.bogoliubov(0.7, 8)),
+    "random-member-6-1": lambda: oracle_inputs(
+        random_member("car", 6, 1, 2024, 1.0)),
+    "random-member-7-2": lambda: oracle_inputs(
+        random_member("car", 7, 2, 77, 0.6)),
+    "wrong-vacuum": wrong_vacuum_inputs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPLEMENTER_INPUTS))
+def test_car_implementers_equal_the_per_column_reference(name):
+    args = IMPLEMENTER_INPUTS[name]()
+    got = car_implementers(*args)
+    want = reference_car_implementers(*args)
+    assert len(got.psis) == len(want.psis)
+    for got_psi, want_psi in zip(got.psis, want.psis):
+        assert np.array_equal(got_psi, want_psi)
+    for field in ("intertwining_residual", "isometry_residual",
+                  "completeness_residual", "implementation_residual"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 @pytest.mark.parametrize("eps, count", [(0.0, None), (1e-6, None),
