@@ -221,6 +221,12 @@ def test_intertwining_detects_wrong_vacuum():
     assert imp.intertwining_residual > DEFAULT_TOL
 
 
+def test_car_implementers_reject_a_mismatched_domain():
+    v, _, fock_c, omegas, alphas = wrong_vacuum_inputs()
+    with pytest.raises(CapExceeded):
+        car_implementers(v, FermiFock(2), fock_c, omegas, alphas)
+
+
 def test_flip_charge_matrix_is_gauge_phase():
     v = builders.flip(1)
     data = car_charge_data(car_membership(v))
@@ -465,7 +471,8 @@ def test_gamma_of_permuted_block_sums(case):
 def blockwise_scalar_gamma(u11, labels):
     """scalar_gamma on the pairs whose block counts match, zero elsewhere.
 
-    labels[i] names the block of mode i.  The empty subset is a group of
+    At 10 modes scalar_gamma takes seconds; this takes only the minors the
+    blocks allow.  labels[i] names the block of mode i.  The empty subset is a group of
     its own, and det of its 0 x 0 minor is 1.
     """
     n = len(u11)
@@ -582,29 +589,6 @@ def random_car_member():
                          shift.domain, space)
 
 
-@pytest.mark.parametrize("make_v", [
-    lambda: builders.shift(3),
-    lambda: builders.bogoliubov(0.7, n_modes=4),
-    random_car_member,
-], ids=["shift-3-4", "bogoliubov-4", "random-member"])
-def test_car_implementers_equal_dense_products(make_v):
-    v = make_v()
-    data = car_charge_data(car_membership(v))
-    fock_d = FermiFock(v.domain.n_modes)
-    fock_c = FermiFock(v.codomain.n_modes)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
-    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
-    psis, residuals = dense_implementers(v, fock_d, fock_c, omegas)
-    assert len(imp.psis) == len(psis)
-    for got, want in zip(imp.psis, psis):
-        assert np.array_equal(got, want)
-    got = (imp.intertwining_residual, imp.isometry_residual,
-           imp.completeness_residual, imp.implementation_residual)
-    assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
-
-
 def oracle_inputs(v):
     """car_implementers' arguments for a CAR member, as the oracle builds them."""
     data = car_charge_data(car_membership(v))
@@ -614,6 +598,23 @@ def oracle_inputs(v):
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k.frame)
     return v, fock_d, fock_c, omegas, alphas
+
+
+@pytest.mark.parametrize("make_v", [
+    lambda: builders.shift(3),
+    lambda: builders.bogoliubov(0.7, n_modes=4),
+    random_car_member,
+], ids=["shift-3-4", "bogoliubov-4", "random-member"])
+def test_car_implementers_equal_dense_products(make_v):
+    v, fock_d, fock_c, omegas, alphas = oracle_inputs(make_v())
+    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    psis, residuals = dense_implementers(v, fock_d, fock_c, omegas)
+    assert len(imp.psis) == len(psis)
+    for got, want in zip(imp.psis, psis):
+        assert np.array_equal(got, want)
+    got = (imp.intertwining_residual, imp.isometry_residual,
+           imp.completeness_residual, imp.implementation_residual)
+    assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
 
 
 IMPLEMENTER_INPUTS = {
@@ -650,13 +651,7 @@ def test_car_implementers_equal_the_per_column_reference(name):
 def test_completeness_equals_the_explicit_w_w_star(make_v, eps, count):
     # Perturbed Omega_alpha move the residual far above rounding, and one
     # implementer short of the set leaves W non-square (dim_c > r dim_d).
-    v = make_v()
-    data = car_charge_data(car_membership(v))
-    fock_d = FermiFock(v.domain.n_modes)
-    fock_c = FermiFock(v.codomain.n_modes)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
-    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+    v, fock_d, fock_c, omegas, alphas = oracle_inputs(make_v())
     rng = np.random.default_rng(5)
     omegas = [w + eps * (rng.normal(size=w.shape)
                          + 1j * rng.normal(size=w.shape))
@@ -678,13 +673,7 @@ def test_implementation_bound_is_sound_and_tight(monkeypatch, make_v, eps):
     # Perturbed Omega_alpha give residuals far above rounding; the reported
     # bound must lie above the direct sum-formula residual, and not far.
     monkeypatch.setattr(fock, "DEFAULT_TOL", 1.0)
-    v = make_v()
-    data = car_charge_data(car_membership(v))
-    fock_d = FermiFock(v.domain.n_modes)
-    fock_c = FermiFock(v.codomain.n_modes)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
-    alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+    v, fock_d, fock_c, omegas, alphas = oracle_inputs(make_v())
     rng = np.random.default_rng(11)
     omegas = [w + eps * (rng.normal(size=w.shape)
                          + 1j * rng.normal(size=w.shape)) for w in omegas]
