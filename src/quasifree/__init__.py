@@ -6,11 +6,11 @@ Library layout:
 * :mod:`quasifree.car` / :mod:`quasifree.ccr` -- semigroup membership and
   charge data (h, T, P, k, index, statistics dimension)
 * :mod:`quasifree.fock` -- finite Fock-space oracle (fields, twist, vacua,
-  implementers, charge representation matrices)
+  implementers, charge blocks, exterior and symmetric powers)
 * :mod:`quasifree.oracle` -- the oracle command's Fock-space checks, imported
   only when that command runs
 * :mod:`quasifree.sectors` -- gauge actions, symmetric-function characters,
-  sector tables, oracle comparison
+  sector tables, the blockwise charge-theorem comparison of both oracles
 * :mod:`quasifree.dirac` -- localized chiral endomorphism on the circle
 * :mod:`quasifree.report` / :mod:`quasifree.cli` -- model files, reproducible
   JSON reports, command line front end

@@ -22,8 +22,9 @@ theta*, which commutes with pi(g) whenever <f, g> = <f, Jg> = 0.
 
 Bosonic side (n modes, per-mode occupation cutoff M, dimension (M+1)^n):
 truncated creation operators; the CCR hold exactly below the cutoff; Gamma is
-available for phase-diagonal gauge actions, which is all the sector checks
-need.
+available for phase-diagonal gauge actions, which commute with the cutoff.
+The charge theorem's targets are compound matrices (CAR) and their twins,
+the symmetric powers in the orthonormal monomial basis (CCR).
 
 Vacua: for fermionic charge data (h, T) the representing vector is
 
@@ -303,8 +304,7 @@ def omega_p_fermi(fock: FermiFock, space: SelfDualSpace, h_frame: np.ndarray,
     return vec
 
 
-def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray,
-                 tail_cap: float | None = None
+def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray
                  ) -> tuple[np.ndarray, float, np.ndarray]:
     """Bosonic vacuum, its truncation tail 1 - ||.||^2, and exp(-B) Omega.
 
@@ -320,9 +320,6 @@ def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray,
     pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
     vec = factor * pair
     tail = max(0.0, 1.0 - float(np.linalg.norm(vec)) ** 2)
-    if tail_cap is not None and tail > tail_cap:
-        raise CutoffTooSmall(
-            f"vacuum tail {tail:.3e} exceeds cap {tail_cap:.1e}; raise the cutoff")
     return vec, tail, pair
 
 
@@ -573,14 +570,12 @@ def charge_rep_blocks(omega_alphas: list[np.ndarray],
     Gamma(U) passes its ``__matmul__``, a diagonal one a phase product.
     """
     transformed = [gamma_action(vec) for vec in omega_alphas]
-    blocks: dict[int, np.ndarray] = {}
-    levels = sorted({len(a) for a in alphas})
-    for level in levels:
-        idx = [i for i, a in enumerate(alphas) if len(a) == level]
-        m = np.array([[np.vdot(omega_alphas[i], transformed[j])
-                       for j in idx] for i in idx])
-        blocks[level] = m
-    return blocks
+    levels: dict[int, list] = {}
+    for i, alpha in enumerate(alphas):
+        levels.setdefault(len(alpha), []).append(i)
+    return {level: np.array([[np.vdot(omega_alphas[i], transformed[j])
+                              for j in idx] for i in idx])
+            for level, idx in levels.items()}
 
 
 def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
@@ -603,6 +598,33 @@ def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     out = np.zeros((len(combs), len(combs)), dtype=complex)
     out[rows, cols] = minors
     return out
+
+
+def symmetric_power(matrix: np.ndarray, level: int) -> np.ndarray:
+    """Symmetric-power matrix in the orthonormal monomial basis.
+
+    The CCR twin of compound_matrix, for one k x k matrix or a stack of them
+    (the last two axes).  Rows and columns run over the
+    non-decreasing level-tuples of range(n) in lexicographic order, the
+    multi-indices of the monomials prod_i a*(f_alpha_i) Omega / sqrt(m_alpha!)
+    that the bosonic Omega_alpha stand for, with m_alpha! the product of the
+    factorials of alpha's multiplicities.  Entry (alpha, beta) is
+    perm(matrix[alpha, beta]) / sqrt(m_alpha! m_beta!).  The permanents come
+    from Glynn's formula (Europ. J. Combin. 31 (2010) 1887), batched over the
+    2^(level-1) sign vectors delta with delta_0 = 1:
+    perm A = sum_delta prod(delta) prod_j (delta A)_j / 2^(level-1); its terms
+    cancel less than Ryser's.
+    """
+    n = matrix.shape[-1]
+    combos = list(itertools.combinations_with_replacement(range(n), level))
+    tuples = np.array(combos, dtype=np.intp).reshape(len(combos), level)
+    minors = matrix[..., tuples[:, None, :, None], tuples[None, :, None, :]]
+    rows = 2 ** max(level - 1, 0)
+    deltas = 1 - 2 * ((np.arange(rows)[:, None] << 1 >> np.arange(level)) & 1)
+    perms = np.prod(deltas @ minors, axis=-1) @ np.prod(deltas, axis=1) / rows
+    norms = np.sqrt([math.prod(map(math.factorial, np.bincount(t, minlength=n)))
+                     for t in tuples])
+    return perms / np.outer(norms, norms)
 
 
 def _combinations(n: int, level: int) -> np.ndarray:
@@ -650,30 +672,3 @@ def _same_block(matrix: np.ndarray) -> np.ndarray:
         if np.array_equal(wider, linked):
             return linked
         linked = wider
-
-
-def span_invariance_residual(vectors: list[np.ndarray],
-                             gamma: np.ndarray) -> float:
-    """Largest distance of Gamma(U) Omega_alpha from span{Omega_beta}."""
-    q = np.column_stack(vectors)
-    resid = 0.0
-    for vec in vectors:
-        img = gamma @ vec
-        gap = img - q @ (q.conj().T @ img)
-        resid = max(resid, float(np.linalg.norm(gap)))
-    return resid
-
-
-def implementer_invariance_residual(psis: list[np.ndarray],
-                                    gamma_cod: np.ndarray,
-                                    gamma_dom: np.ndarray) -> float:
-    """Largest HS distance of Gamma Psi Gamma* from span{Psi_beta}."""
-    dim_d = psis[0].shape[1]
-    resid = 0.0
-    for psi in psis:
-        img = gamma_cod @ psi @ gamma_dom.conj().T
-        proj = np.zeros_like(img)
-        for basis in psis:
-            proj += (np.trace(basis.conj().T @ img) / dim_d) * basis
-        resid = max(resid, hs_norm(img - proj) / max(hs_norm(img), 1e-300))
-    return resid

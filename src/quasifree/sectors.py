@@ -6,7 +6,8 @@ The level-l character is det(U|h) * e_l(eigs of U|k) in the fermionic case
 and h_l(eigs of U|k) in the bosonic case (elementary vs complete homogeneous
 symmetric polynomials).  This module evaluates those characters on element
 samples, groups levels into equivalence classes by sampled character equality,
-and compares against brute-force Fock blocks.
+and compares brute-force Fock blocks with the charge theorem's matrices
+(`oracle_compare`, the one comparison both Fock oracles use).
 
 Sampling is deterministic: a seeded Haar draw for matrix groups (Mezzadri's
 QR with the R-diagonal phase fix), the full group for the two-element group,
@@ -17,12 +18,12 @@ table.
 A command's samples travel as one (samples, n, n) stack.  The Haar draw is
 one normal draw, one stacked QR and, for SU(k), one stacked determinant,
 with the bits of the per-sample draw.  The compression to h or k is one
-stacked product of the two diagonal blocks of u + conj(u), and its
-determinant one stacked det.  The eigenphases come from one direct zgees
-call per sample (the Schur form scipy.linalg.schur computes, without its
-per-call validation and workspace query).  scipy.linalg is imported at the
-first eigenphases call, not with this module, so a command that builds no
-sector table never loads SciPy.
+stacked product of the two diagonal blocks of u + conj(u) with the frame's
+dual, and its determinant one stacked det.  The eigenphases come from one
+direct zgees call per sample (the Schur form scipy.linalg.schur computes,
+without its per-call validation and workspace query).  scipy.linalg is
+imported at the first eigenphases call, not with this module, so a command
+that builds no sector table never loads SciPy.
 
 The characters take a stack of eigenvalue rows, one per sample, so a table
 costs one char_lambda / char_sym call per level.  Their sum order is fixed
@@ -47,7 +48,7 @@ from .errors import (
     NotInvariant,
     sample_chunks,
 )
-from .selfdual import SelfDualSpace, apply_gauge
+from .selfdual import SelfDualSpace, apply_gauge, kappa_sign
 
 CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
@@ -151,14 +152,16 @@ class GaugeAction:
 
 
 def compressed_action(u11: np.ndarray, frame: np.ndarray,
-                      space: SelfDualSpace) -> np.ndarray:
+                      space: SelfDualSpace, algebra: str = "car") -> np.ndarray:
     """Compress the extended gauge unitary u + conj(u) to a self-dual frame.
 
+    The compression is F# U F with F# the frame's dual: F for a CAR frame,
+    which is orthonormal, and C F (`kappa_sign`) for a CCR frame, which is
+    kappa-orthonormal (F* C F = 1) but not orthonormal when T != 0.
     u11 is one unitary or a (samples, n, n) stack, compressed in chunks of
     samples.  The frame columns must span a subspace every element leaves
-    invariant; the first element whose leakage
-    ||U frame - frame (frame* U frame)|| exceeds COMPRESS_TOL raises
-    NotInvariant.
+    invariant; the first element whose leakage ||U F - F (F# U F)|| exceeds
+    COMPRESS_TOL raises NotInvariant.
     """
     stack = np.asarray(u11)
     single = stack.ndim == 2
@@ -167,9 +170,10 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
     k = frame.shape[1]
     comps = np.zeros((len(stack), k, k), dtype=complex)
     chunks = sample_chunks(len(stack), 16 * frame.size) if k else []
+    dual = kappa_sign(frame, None, space) if algebra == "ccr" else frame
     for chunk in chunks:
         moved = apply_gauge(stack[chunk], frame, space)
-        comp = frame.conj().T @ moved
+        comp = dual.conj().T @ moved
         leaks = np.linalg.norm(moved - frame @ comp, axis=(1, 2))
         bad = np.flatnonzero(leaks > COMPRESS_TOL)
         if bad.size:
@@ -316,8 +320,7 @@ def _equivalence_classes(rows: list[SectorRow]) -> list[list[int]]:
 
 
 def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
-                 k_frame: np.ndarray, elements: GaugeSample,
-                 l_max: int = CCR_L_MAX) -> SectorTable:
+                 k_frame: np.ndarray, elements: GaugeSample) -> SectorTable:
     """Sampled character table over charge levels, with equivalence classes."""
     if algebra not in ("car", "ccr"):
         raise MalformedInput(f"unknown algebra {algebra!r}")
@@ -325,10 +328,11 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
     if algebra == "car":
         levels = list(range(k_dim + 1))
     else:
-        levels = list(range(l_max + 1))
+        levels = list(range(CCR_L_MAX + 1))
 
     dets = char_det_h(elements.u11, h_frame, space)
-    eig_stack = eigenphases(compressed_action(elements.u11, k_frame, space))
+    eig_stack = eigenphases(compressed_action(elements.u11, k_frame, space,
+                                              algebra))
 
     rows = []
     for level in levels:
@@ -346,19 +350,20 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
                        _equivalence_classes(rows), meta)
 
 
-def oracle_compare(table: SectorTable, oracle_blocks: list[dict]) -> float:
-    """Largest |tr block - character| over the table's levels and samples.
+def oracle_compare(grams: dict, blocks: list[dict], targets: dict) -> float:
+    """Largest |G_l^-1 M_l - target_l| over the levels and samples.
 
-    oracle_blocks[i][level] is the matrix block for gauge element i; a level
-    missing from it is skipped.  The caller gates the deviation.
+    grams[l] is the Gram G_l = <Omega_a, Omega_b> of a level's oracle
+    vectors, blocks[i][l] the block M_l = <Omega_a, Gamma(U_i) Omega_b> of
+    gauge element i, and targets[l] the (samples, d, d) stack of the charge
+    theorem's matrices.  When Gamma(U_i) leaves the span of the Omega_a
+    invariant, G_l^-1 M_l is its matrix in that basis, however the Omega_a
+    are normalised; one batched solve per level covers every sample.  The
+    caller gates the deviation.
     """
     worst = 0.0
-    for row in table.rows:
-        for i, blocks in enumerate(oracle_blocks):
-            if row.level not in blocks:
-                continue
-            dev = abs(complex(np.trace(blocks[row.level]))
-                      - complex(row.characters[i]))
-            if dev > worst:
-                worst = dev
+    for level, gram in grams.items():
+        stack = np.stack([element[level] for element in blocks])
+        dev = np.abs(np.linalg.solve(gram, stack) - targets[level])
+        worst = max(worst, float(np.max(dev)))
     return worst

@@ -13,6 +13,7 @@ import numpy as np
 
 import car_chart_reference as chart
 import dense_selfdual as dense
+from fock_invariance import span_invariance_residual
 from quasifree import builders, cli, dirac
 from quasifree.car import car_charge_data, car_membership, z2_index
 from quasifree.ccr import ccr_charge_data, ccr_membership
@@ -26,14 +27,13 @@ from quasifree.fock import (
     omega_alphas_fermi,
     omega_p_bose,
     omega_p_fermi,
-    span_invariance_residual,
+    symmetric_power,
 )
 from quasifree.sectors import (
     GaugeAction,
     char_det_h,
     compressed_action,
     oracle_compare,
-    sector_table,
 )
 from quasifree.selfdual import hs_norm, orthoprojection
 
@@ -202,23 +202,22 @@ def test_criterion_5_ccr_charge_theorem(capsys):
     alphas, omegas, _ = omega_alphas_bose(fock, v.codomain, omega_p,
                                           data.k_frame, 5, pair)
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=20)
-    table = sector_table("ccr", v.codomain, np.zeros((v.codomain.dim, 0)),
-                         data.k_frame, elements, l_max=5)
+    comps = compressed_action(elements.u11, data.k_frame, v.codomain, "ccr")
+    grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
+    targets = {level: symmetric_power(comps, level) for level in grams}
     blocks = []
     for u11 in elements.u11:
         phases = np.angle(np.diagonal(u11))
         gvec = fock.gamma_phases(phases)
         blocks.append(charge_rep_blocks(omegas, alphas,
                                         lambda vec: gvec * vec))
-    worst = oracle_compare(table, blocks)
+    worst = oracle_compare(grams, blocks, targets)
     elapsed = time.perf_counter() - start
-    ok = (worst <= 1e-6 + tail
-          and max(r.level for r in table.rows) == 5
-          and elapsed < 60.0)
+    ok = worst <= 1e-8 and max(grams) == 5 and elapsed < 60.0
     announce(capsys, "criterion 5 (bosonic charge theorem)", ok,
-             f"levels <= 5 at cutoff M = {cutoff}: max trace deviation "
-             f"{worst:.2e} <= 1e-6 + tail bound "
-             f"{tail:.2e}, runtime {elapsed:.2f}s < 60s")
+             f"levels <= 5 at cutoff M = {cutoff} (tail {tail:.2e}): max "
+             f"blockwise deviation {worst:.2e} <= 1e-8, "
+             f"runtime {elapsed:.2f}s < 60s")
 
 
 def test_criterion_6_gauge_invariance_both_directions(capsys):

@@ -1,6 +1,7 @@
 """Model-file parsing, report serialization, and CLI behavior."""
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import dense_selfdual as dense
 from quasifree import (builders, car, ccr, cli, oracle, report, sectors,
                        selfdual)
 from quasifree.errors import (
@@ -22,6 +24,7 @@ from quasifree.fock import (
     compound_matrix,
     omega_alphas_fermi,
 )
+from test_random_members import random_member
 
 
 def write_model(tmp_path, name, payload):
@@ -47,6 +50,14 @@ def reference_json(payload) -> str:
     """The text report.canonical_json must reproduce byte for byte."""
     return json.dumps(report.jsonify(payload), sort_keys=True, indent=2,
                       ensure_ascii=False) + "\n"
+
+
+def matrix_model(tmp_path, algebra, v, gauge) -> str:
+    return write_model(tmp_path, "m.json", {
+        "algebra": algebra, "gauge": gauge,
+        "isometry": {"matrix": report.complex_array_payload(v.matrix)},
+        "space": {"domain_modes": v.domain.n_modes,
+                  "codomain_modes": v.codomain.n_modes}})
 
 
 def analyze_bogoliubov(tmp_path, theta, n_modes):
@@ -328,6 +339,34 @@ class TestAnalyze:
         assert "error (input)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, t_norm", [(1.5e-4, 1e-4), (0.3, 0.2)])
+    def test_ccr_pairing_member_characters_from_the_kappa_compression(
+            self, tmp_path, scale, t_norm):
+        # A u1-invariant generator with pairing between opposite charges,
+        # after a shift by 2: T != 0, so the k frame is kappa-orthonormal
+        # but not orthonormal, and k must be compressed with C F.
+        charges = [1, -1] * 4
+        v = random_member("ccr", 8, 2, 7, scale, charges=charges)
+        gauge = {"group": "u1", "charges": charges, "samples": 8}
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--input",
+                         matrix_model(tmp_path, "ccr", v, gauge),
+                         "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["charge_data"]["t_norm"] == pytest.approx(t_norm, rel=0.5)
+        frame = ccr.ccr_charge_data(ccr.ccr_membership(v)).k_frame
+        dual = dense.charge_conjugation(v.codomain) @ frame
+        u11 = sectors.GaugeAction("u1", 8, charges=charges).elements(8).u11
+        eigs = [np.linalg.eigvals(dual.conj().T @ selfdual.extend_gauge(
+            u, v.codomain) @ frame) for u in u11]
+        for row in data["sector_table"]["levels"]:
+            chars = row["characters"]
+            got = np.array(chars["re"]) + 1j * np.array(chars["im"])
+            want = [sum(math.prod(e[list(m)]) for m in
+                        itertools.combinations_with_replacement(
+                            range(len(e)), row["level"])) for e in eigs]
+            assert np.max(np.abs(got - want)) < 1e-12
+
     @pytest.mark.parametrize("algebra, classes", [
         # k carries two copies of the defining representation of SU(2).
         ("car", [[0, 4], [1, 3], [2]]),
@@ -509,9 +548,39 @@ class TestOracle:
         assert "tail bound" in text
         data = json.loads(open(out, encoding="utf-8").read())
         assert data["vacuum"]["tail"] < 1e-3
-        cmp = data["charge_theorem"]["max_trace_deviation"]
+        cmp = data["charge_theorem"]["max_block_deviation"]
         assert cmp["pass"] is True
-        assert cmp["tolerance"] == pytest.approx(1e-6 + data["vacuum"]["tail"])
+        assert cmp["tolerance"] == 1e-8
+        assert data["implementer_probe"]["intertwining"]["tolerance"] == 1e-6
+
+    @pytest.mark.parametrize("cutoff", [5, 8])
+    def test_ccr_squeezed_shift_blockwise(self, tmp_path, cutoff):
+        # A squeeze of the charge-0 mode after a shift: the vacuum has a
+        # tail at both cutoffs, yet G^-1 M is exact on the truncated span.
+        v = builders.squeeze(1.2, 3, 3) @ builders.shift(2)
+        gauge = {"group": "u1", "charges": [1, 1, 0], "samples": 12}
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input",
+                         matrix_model(tmp_path, "ccr", v, gauge),
+                         "--bose-cutoff", str(cutoff), "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["vacuum"]["tail"] > 0.05
+        theorem = data["charge_theorem"]
+        assert theorem["levels"] == list(range(6))
+        assert theorem["max_block_deviation"]["value"] <= 1e-12
+        assert theorem["max_block_deviation"]["tolerance"] == 1e-8
+
+    def test_ccr_squeeze_with_a_large_tail(self, tmp_path):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "squeeze", "params": {"r": 1.5}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out,
+                         "--bose-cutoff", "5"]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["vacuum"]["tail"] > 0.29
+        cmp = data["charge_theorem"]["max_block_deviation"]
+        assert cmp["value"] <= 1e-12 and cmp["tolerance"] == 1e-8
 
     @pytest.mark.parametrize("model", [
         # U(2) on the species index mixes the pairs of a Bogoliubov rotation.

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import dense_selfdual as dense
-from quasifree import builders, car, ccr, cli, report, selfdual
+from quasifree import builders, car, ccr, cli, report, sectors, selfdual
 from test_random_members import random_member
 
 
@@ -52,7 +52,7 @@ CASES = {
 
 # Every module that binds a primitive, so the patch reaches every caller.
 PATCHED = {"conjugate_matrix": (selfdual, car, ccr),
-           "kappa_sign": (selfdual, ccr)}
+           "kappa_sign": (selfdual, ccr, sectors)}
 
 
 def run_analyze(tmp_path, capsys, name: str) -> tuple:

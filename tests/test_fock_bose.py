@@ -1,5 +1,6 @@
 """Bosonic Fock oracle: truncated CCR, squeezed vacua, implementers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 
 from quasifree import builders
 from quasifree.ccr import ccr_charge_data, ccr_membership
-from quasifree.errors import CapExceeded, CutoffTooSmall
+from quasifree.errors import CapExceeded
 from quasifree.fock import (
     BoseFock,
     _apply_on_axes,
@@ -21,7 +22,9 @@ from quasifree.fock import (
     omega_alphas_bose,
     omega_p_bose,
     polar_isometry,
+    symmetric_power,
 )
+from quasifree.sectors import haar_unitary
 from quasifree.selfdual import SelfDualSpace, hs_norm
 
 
@@ -67,14 +70,6 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
     # transformed annihilator kills it up to the truncation tail
     f = v.matrix @ v.domain.basis_vector(1, conjugate=True)
     assert np.linalg.norm(fock.pi(v.codomain, f) @ omega) < 1e-2
-
-
-def test_cutoff_too_small_raises():
-    v = builders.squeeze(1.5)
-    data = ccr_charge_data(ccr_membership(v))
-    fock = BoseFock(1, 4)
-    with pytest.raises(CutoffTooSmall):
-        omega_p_bose(fock, v.codomain, data.t, tail_cap=1e-6)
 
 
 def test_polar_isometry_of_creation_is_unilateral_shift():
@@ -170,6 +165,56 @@ def test_bose_charge_blocks_are_gauge_phases():
 def test_ccr_multi_indices():
     assert ccr_multi_indices(2, 2) == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
     assert len(ccr_multi_indices(1, 5)) == 6
+
+
+def permanent(matrix: np.ndarray) -> complex:
+    """Brute force: the sum over all permutations of the entry products."""
+    n = len(matrix)
+    return sum((math.prod((matrix[i, sigma[i]] for i in range(n)), start=1 + 0j)
+                for sigma in itertools.permutations(range(n))), start=0j)
+
+
+def reference_symmetric_power(matrix: np.ndarray, level: int) -> np.ndarray:
+    """perm(matrix[alpha, beta]) / sqrt(m_alpha! m_beta!), entry by entry."""
+    n = len(matrix)
+    tuples = list(itertools.combinations_with_replacement(range(n), level))
+
+    def norm(alpha):
+        return math.sqrt(math.prod(math.factorial(alpha.count(i))
+                                   for i in range(n)))
+
+    out = np.zeros((len(tuples), len(tuples)), dtype=complex)
+    for a, alpha in enumerate(tuples):
+        for b, beta in enumerate(tuples):
+            out[a, b] = (permanent(matrix[np.ix_(alpha, beta)])
+                         / (norm(alpha) * norm(beta)))
+    return out
+
+
+SYMMETRIC_POWER_CASES = {
+    "k0": np.zeros((0, 0), dtype=complex),
+    "k1-phase": np.array([[np.exp(0.7j)]]),
+    "k2-diagonal": np.diag(np.exp([0.3j, -1.1j])),
+    "k2-haar": haar_unitary(2, np.random.default_rng(5)),
+    "k3-haar": haar_unitary(3, np.random.default_rng(6)),
+    "k3-not-unitary": np.random.default_rng(7).normal(size=(3, 3)),
+}
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_POWER_CASES))
+def test_symmetric_power_equals_the_permanent_reference(name, level):
+    matrix = SYMMETRIC_POWER_CASES[name]
+    got = symmetric_power(matrix, level)
+    want = reference_symmetric_power(matrix, level)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(
+        1.0, float(np.max(np.abs(want), initial=0.0)))
+    if name.endswith("haar"):
+        # S^l of a unitary is unitary in the orthonormal monomial basis.
+        assert np.max(np.abs(got.conj().T @ got - np.eye(len(got)))) < 1e-13
+    stacked = symmetric_power(np.stack([matrix, matrix.T]), level)
+    assert np.allclose(stacked, [got, got.T], rtol=0.0, atol=1e-14)
 
 
 # --- mode-local polar isometries and sparse implementer fields -------------

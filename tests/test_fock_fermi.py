@@ -24,10 +24,8 @@ from quasifree.fock import (
     car_multi_indices,
     charge_rep_blocks,
     compound_matrix,
-    implementer_invariance_residual,
     omega_alphas_fermi,
     omega_p_fermi,
-    span_invariance_residual,
 )
 from quasifree.sectors import haar_unitary
 from quasifree.selfdual import (
@@ -36,6 +34,8 @@ from quasifree.selfdual import (
     SelfDualSpace,
     hs_norm,
 )
+from fock_invariance import (implementer_invariance_residual,
+                            span_invariance_residual)
 from implementer_reference import reference_car_implementers
 from test_random_members import random_member
 

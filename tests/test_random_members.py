@@ -8,6 +8,9 @@ is a member by construction with index 2 * steps:
   self-dual kappa-unitary.
 
 The generator's operator norm is scaled to at most 1 (CAR) or 0.3 (CCR).
+Given integer mode charges, the generator is masked to commute with that
+U(1) gauge: its particle block couples modes of equal charge, its pairing
+block modes of opposite charge.
 """
 
 import numpy as np
@@ -22,12 +25,16 @@ from quasifree.selfdual import BlockOperator, SelfDualSpace
 
 
 def random_member(algebra: str, n_out: int, steps: int, seed: int,
-                  scale: float) -> BlockOperator:
+                  scale: float, charges=None) -> BlockOperator:
     rng = np.random.default_rng(seed)
     space = SelfDualSpace(n_out)
     z = (rng.normal(size=(space.dim, space.dim))
          + 1j * rng.normal(size=(space.dim, space.dim)))
     h0 = (z + z.conj().T) / 2.0
+    if charges is not None:
+        q = np.asarray(charges)
+        same, opposite = q[:, None] == q, q[:, None] == -q
+        h0 = np.where(np.block([[same, opposite], [opposite, same]]), h0, 0.0)
     s = dense.swap(space)
     if algebra == "car":
         h = (h0 - s @ h0.conj() @ s) / 2.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dense_selfdual as dense
 from quasifree import builders, cli, errors, sectors
 from quasifree.car import car_charge_data, car_membership
 from quasifree.ccr import ccr_charge_data, ccr_membership
@@ -16,7 +17,13 @@ from quasifree.errors import (
     MalformedInput,
     NotInvariant,
 )
-from quasifree.fock import FermiFock, charge_rep_blocks, omega_alphas_fermi, omega_p_fermi
+from quasifree.fock import (
+    FermiFock,
+    charge_rep_blocks,
+    compound_matrix,
+    omega_alphas_fermi,
+    omega_p_fermi,
+)
 from quasifree.sectors import (
     GaugeAction,
     char_det_h,
@@ -146,7 +153,7 @@ def test_sector_table_ccr_u1_ladder():
     data = ccr_charge_data(ccr_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
     table = sector_table("ccr", v.codomain, np.zeros((4, 0)), data.k_frame,
-                         gauge.elements(samples=64), l_max=5)
+                         gauge.elements(samples=64))
     assert [row.level for row in table.rows] == [0, 1, 2, 3, 4, 5]
     assert [row.dimension for row in table.rows] == [1] * 6
     assert len(table.equivalence_classes) == 6
@@ -186,33 +193,51 @@ def test_sector_table_basis_independent():
         assert np.max(np.abs(r1.characters - r2.characters)) < 1e-10
 
 
-def test_oracle_compare_shift_full_pipeline():
+def shift_targets(samples: int):
+    """CAR shift 1 -> 2 under U(1): its elements and det_h Lambda^l(c) stacks."""
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
-    gauge = GaugeAction("u1", 2, charges=(1, 1))
-    table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge.elements(samples=8))
+    elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=samples)
+    dets = char_det_h(elements.u11, data.h.frame, v.codomain)
+    comps = compressed_action(elements.u11, data.k.frame, v.codomain)
+    targets = {level: np.stack([d * compound_matrix(c, level)
+                                for d, c in zip(dets, comps)])
+               for level in (0, 1)}
+    return v, data, elements, targets
+
+
+def test_oracle_compare_shift_full_pipeline():
+    v, data, elements, targets = shift_targets(8)
     fock = FermiFock(2)
     omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
                                         data.k.frame)
+    grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
     blocks = [charge_rep_blocks(omegas, alphas, fock.gamma(u11).__matmul__)
-              for u11 in gauge.elements(samples=8).u11]
-    assert oracle_compare(table, blocks) < 1e-12
+              for u11 in elements.u11]
+    assert oracle_compare(grams, blocks, targets) < 1e-12
 
 
 def test_oracle_compare_flags_mismatch():
-    v = builders.shift(1)
-    data = car_charge_data(car_membership(v))
-    gauge = GaugeAction("u1", 2, charges=(1, 1))
-    table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
-                         gauge.elements(samples=4))
+    _, _, _, targets = shift_targets(4)
+    grams = {0: np.eye(1), 1: np.eye(1)}
     bad = [{0: np.eye(1), 1: np.eye(1) * 0.5} for _ in range(4)]
-    worst = oracle_compare(table, bad)
+    worst = oracle_compare(grams, bad, targets)
     assert worst > 1e-8
-    assert worst == max(abs(complex(np.trace(bad[i][row.level]))
-                            - complex(row.characters[i]))
-                        for row in table.rows for i in range(len(bad)))
+    assert worst == max(float(np.max(np.abs(bad[i][level]
+                                            - targets[level][i])))
+                        for level in (0, 1) for i in range(4))
+
+
+def test_oracle_compare_solves_with_the_gram():
+    # Vectors of norm sqrt(2) double both G and M; G^-1 M is unchanged.
+    _, _, _, targets = shift_targets(4)
+    grams = {level: 2.0 * np.eye(1) for level in (0, 1)}
+    blocks = [{level: 2.0 * targets[level][i] for level in (0, 1)}
+              for i in range(4)]
+    assert oracle_compare(grams, blocks, targets) < 1e-15
+    assert oracle_compare({0: np.eye(1), 1: np.eye(1)}, blocks,
+                          targets) >= 1.0
 
 
 # --- stacked characters, bit for bit -----------------------------------------
@@ -304,15 +329,18 @@ def loop_sector_characters(algebra, space, h_frame, k_frame, elements,
     """Each element's characters from its own dense extension, one at a time.
 
     Independent of the stacked helpers: the 2n x 2n extend_gauge product,
-    scipy.linalg.schur and the scalar character loop.
+    the dense C of the CCR dual frame, scipy.linalg.schur and the scalar
+    character loop.
     """
+    dual = (dense.charge_conjugation(space) @ k_frame if algebra == "ccr"
+            else k_frame)
     dets, eigs = [], []
     for u11 in elements.u11:
         u_full = extend_gauge(u11, space)
         h_comp = h_frame.conj().T @ (u_full @ h_frame)
         dets.append(complex(np.linalg.det(h_comp)) if h_frame.shape[1]
                     else 1.0 + 0.0j)
-        k_comp = k_frame.conj().T @ (u_full @ k_frame)
+        k_comp = dual.conj().T @ (u_full @ k_frame)
         eigs.append(np.diagonal(scipy.linalg.schur(k_comp, output="complex")[0])
                     if k_frame.shape[1] else np.zeros(0, dtype=complex))
     if algebra == "car":
@@ -322,15 +350,15 @@ def loop_sector_characters(algebra, space, h_frame, k_frame, elements,
             for level in levels]
 
 
-def reference_sector_table(algebra, space, h_frame, k_frame, elements,
-                           l_max=sectors.CCR_L_MAX):
+def reference_sector_table(algebra, space, h_frame, k_frame, elements):
     """sector_table with its characters from loop_sector_characters."""
     k_dim = k_frame.shape[1]
     if algebra == "car":
         dims = [math.comb(k_dim, level) for level in range(k_dim + 1)]
     else:
         dims = [math.comb(k_dim + level - 1, level) if k_dim
-                else int(level == 0) for level in range(l_max + 1)]
+                else int(level == 0)
+                for level in range(sectors.CCR_L_MAX + 1)]
     chars = loop_sector_characters(algebra, space, h_frame, k_frame,
                                    elements, range(len(dims)))
     rows = [sectors.SectorRow(level, dim, c)
