@@ -37,7 +37,6 @@ from .selfdual import (
     Subspace,
     cokernel_basis,
     conjugate_matrix,
-    extend_gauge,
     hs_norm,
     kernel_and_pinv,
     orthonormal_range,
@@ -174,36 +173,3 @@ def z2_index(data: CarChargeData) -> int:
     if data.index != 0:
         raise NonzeroIndex(f"Z2 index needs IND V = 0, got {data.index}")
     return -1 if data.h.dim % 2 else 1
-
-
-@dataclass(frozen=True)
-class GaugeCommutationReport:
-    """Commutator norms showing gauge compatibility propagating to (T, P, h, k)."""
-
-    v_commutator: float
-    t_commutator: float
-    p_commutator: float
-    h_invariance: float
-    k_invariance: float
-    propagation_constant: float
-
-
-def gauge_commutation_report(data: CarChargeData,
-                             u11: np.ndarray) -> GaugeCommutationReport:
-    """Measure ||[V,U]|| and the induced defects on T, P, h and k."""
-    v = data.v
-    u_cod = extend_gauge(u11, v.codomain)
-    nd = v.domain.n_modes
-    u_dom = extend_gauge(u11[:nd, :nd], v.domain)
-    comm_v = hs_norm(u_cod @ v.matrix - v.matrix @ u_dom)
-    # U = diag(u, conj(u)) and T maps K1 into K2: [U, T] = conj(u) T - T u.
-    comm_t = hs_norm(np.conj(u11) @ data.t - data.t @ u11)
-    comm_p = hs_norm(u_cod @ data.p - data.p @ u_cod)
-    eye = np.eye(v.codomain.dim)
-    ph = data.h.projector()
-    pk = data.k.projector()
-    h_inv = hs_norm((eye - ph) @ u_cod @ ph)
-    k_inv = hs_norm((eye - pk) @ u_cod @ pk)
-    worst = max(comm_t, comm_p, h_inv, k_inv)
-    const = worst / comm_v if comm_v > 1e-14 else 0.0
-    return GaugeCommutationReport(comm_v, comm_t, comm_p, h_inv, k_inv, const)

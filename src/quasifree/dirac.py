@@ -102,15 +102,6 @@ def overlap(m: int, n: int) -> float:
     return -SQRT2 * sign_m * sin_half / (math.pi * d)
 
 
-def overlap_quadrature(m: int, n: int, order: int = 400) -> complex:
-    """Gauss-Legendre evaluation of the defining integral (oracle only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    lo, hi = math.pi / 2, 3 * math.pi / 2
-    lam = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    vals = SQRT2 * (-1.0) ** m * np.exp(1j * (2 * m - n) * lam)
-    return complex(np.sum(weights * vals) * 0.5 * (hi - lo) / (2 * math.pi))
-
-
 def _overlap_profile(d: np.ndarray) -> np.ndarray:
     """overlap(0, -d) for each d: the entry <e_n, f_m> is (-1)^m times it."""
     sin_half = np.where(d % 4 == 1, 1.0, -1.0)

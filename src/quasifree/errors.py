@@ -67,10 +67,6 @@ class NotInvariant(QuasifreeError):
     """A subspace expected to be invariant under the gauge action is not."""
 
 
-class CutoffTooSmall(QuasifreeError):
-    """Bosonic occupation cutoff too small for the requested tolerance."""
-
-
 class WindowTooSmall(QuasifreeError):
     """Fourier window too small for the requested local construction."""
 

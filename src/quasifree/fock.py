@@ -7,8 +7,12 @@ sparse in the implementer checks, the sum formula is certified from the
 intertwining gaps and the completeness Gram instead of being formed, and
 Gamma(U) takes only the minors that the exact-zero block pattern of u11
 allows to be nonzero, matched by one integer key per subset from a block
-pattern taken once per unitary.  Implementer columns are built in lowest-bit
-batches, one sparse product per bit instead of one per column.
+pattern taken once per unitary; the oracle needs it only for gauge elements
+that are not diagonal, since a diagonal one acts on Fock space by a phase
+vector.  Implementer columns are built in lowest-bit batches, one sparse
+product per bit instead of one per column, and they and the intertwining
+gaps are read and written through strided views of the columns that pair
+each occupation with and without one bit, with no index arrays.
 
 Fermionic side (n modes, dimension 2^n, basis = occupation subsets encoded as
 bitmasks): creation follows the fixed sign convention
@@ -61,9 +65,9 @@ from .errors import (
     FERMI_DIM_CAP,
     GAMMA_DIM_CAP,
     CapExceeded,
-    CutoffTooSmall,
     ImplementationDefect,
     LevelOutOfRange,
+    NormBoundViolation,
     NotGaugeCompatible,
     OrthonormalityFailure,
 )
@@ -315,7 +319,8 @@ def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray
     gram = eye - t_block.conj().T @ t_block
     eigs = np.linalg.eigvalsh(gram)
     if np.min(eigs) <= 0:
-        raise CutoffTooSmall("1 - T*T is not positive definite")
+        raise NormBoundViolation(
+            "1 - T*T is not positive definite, so ||T|| >= 1")
     factor = float(np.linalg.det(gram).real) ** 0.25
     pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
     vec = factor * pair
@@ -454,14 +459,18 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     lowest set bit of s; column 0 is Omega_alpha.  From the highest bit b
     down, one sparse-dense product fills every column whose lowest set bit
     is b from columns with no set bit at or below b, each as a matvec would.
+    In the view reshape(dim_c, -1, 2, 2^b) of the columns those are the
+    slots [:, :, 1, 0] and [:, :, 0, 0], so no index array is formed.
 
     The fields stay sparse.  pi_c = pi(V f) of a domain basis vector f is
-    built once, for the columns and the gaps; pi_d = pi(f) is the domain's
-    creation or annihilation table, a signed partial permutation, so
-    psi @ pi_d is a column gather, exact because each entry has one term,
-    subtracted in place from pi_c @ psi.  That gap has the opposite sign of
-    psi @ pi_d - pi_c @ psi, and IEEE subtraction is antisymmetric, so
-    hs_norm gives the same bits.
+    built once, for the columns and the gaps; pi_d = pi(f) is a*(e_b) or
+    a(e_b) on the domain, a signed partial permutation that pairs each
+    column without bit b with the one with it, signed by the parity of the
+    bits below b.  On the same view psi @ pi_d moves slot 1 to slot 0
+    (a*) or slot 0 to slot 1 (a) times the sign of the last index, exact
+    because each entry has one term, and is subtracted in place from
+    pi_c @ psi.  That gap has the opposite sign of psi @ pi_d - pi_c @ psi,
+    and IEEE subtraction is antisymmetric, so hs_norm gives the same bits.
     Isometry and completeness come from the one Gram W*W of the stacked
     W = [Psi_1 ... Psi_r]: tr (W W*)^j = tr (W*W)^j gives
 
@@ -490,8 +499,8 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
         cols = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
         cols[:, 0] = omega
         for bit in reversed(range(fock_dom.n_modes)):
-            src = np.arange(0, fock_dom.dim, 2 << bit)
-            cols[:, src | (1 << bit)] = pi_v[bit] @ cols[:, src]
+            c4 = cols.reshape(fock_cod.dim, -1, 2, 1 << bit)
+            c4[:, :, 1, 0] = pi_v[bit] @ c4[:, :, 0, 0]
         psis.append(cols)
 
     stacked = np.hstack(psis)
@@ -503,12 +512,18 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
 
     inter = 0.0
     impl = 0.0
-    for idx, pi_d in enumerate(fock_dom._creation + fock_dom._annihilation):
-        rows = np.flatnonzero(np.diff(pi_d.indptr))
+    n = fock_dom.n_modes
+    for idx in range(2 * n):
+        bit = idx % n
+        sign = _sign_of_count(np.arange(1 << bit))
+        # psi @ a*(e_bit) holds at each column without the bit the column
+        # with it, psi @ a(e_bit) the reverse.
+        take, put = (1, 0) if idx < n else (0, 1)
         gaps = []
         for psi in psis:
             gap = pi_v[idx] @ psi
-            gap[:, pi_d.indices] -= psi[:, rows] * pi_d.data
+            g4 = gap.reshape(fock_cod.dim, -1, 2, 1 << bit)
+            g4[:, :, put, :] -= psi.reshape(g4.shape)[:, :, take, :] * sign
             gaps.append(hs_norm(gap))
         inter = max([inter, *gaps])
         impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)

@@ -8,7 +8,9 @@ G^-1 M of Gamma(U) on the span of the Omega_alpha against det_h Lambda^l(c)
 (CAR) or S^l(c) (CCR), c the compressed action on k, at one tolerance.  The
 report holds each comparison's value; the summary lines print its relation
 and tolerance.  The default gauge is the all-ones U(1) when it leaves the
-vacuum's basis projection invariant, else the identity alone.
+vacuum's basis projection invariant, else the identity alone.  A diagonal
+gauge element acts on Fock space by a phase vector; only the fermionic
+elements that are not diagonal take a dense Gamma(U).
 
 Only ``cli.cmd_oracle`` imports this module, when it runs, so the other
 commands load neither the Fock code nor scipy.sparse.  It imports nothing
@@ -138,14 +140,39 @@ def _charge_theorem(args, elements: GaugeSample, alphas: list, omegas: list,
         f"over {count} gauge elements")
 
 
+def _fermi_gamma_vector(u11: np.ndarray) -> np.ndarray:
+    """Gamma(U) of a diagonal u11 as its diagonal: prod_{i in S} u_ii at |S>.
+
+    Built one mode at a time as products, which the determinants of
+    FermiFock.gamma match to rounding; exp(i occ . angle) drifts further.
+    """
+    vec = np.ones(1, dtype=complex)
+    for phase in np.diagonal(u11):
+        vec = np.concatenate([vec, vec * phase])
+    return vec
+
+
+def _fermi_gamma_action(fock: FermiFock, u11: np.ndarray):
+    """Gamma(U) as a callable on vectors: a phase product when u11 is diagonal.
+
+    Diagonal means every off-diagonal entry is exactly zero, the exact-zero
+    rule of the minors' block pattern; any other element takes the dense
+    Gamma(U).
+    """
+    if np.array_equal(u11, np.diag(np.diagonal(u11))):
+        return _fermi_gamma_vector(u11).__mul__
+    return fock.gamma(u11).__matmul__
+
+
 def car_oracle(args, model, mem, payload, lines) -> None:
     data = car_charge_data(mem)
     v = data.v
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
     fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
-    # The charge comparison builds Gamma(U) on the codomain; refuse it
-    # before the implementers, with FermiFock.gamma's message.
+    # A gauge element that is not diagonal takes a dense Gamma(U) on the
+    # codomain; refuse its size for every gauge, before the implementers,
+    # with FermiFock.gamma's message.
     if fock_c.dim > GAMMA_DIM_CAP:
         raise CapExceeded(
             f"Gamma on dimension {fock_c.dim} exceeds cap {GAMMA_DIM_CAP}")
@@ -171,7 +198,7 @@ def car_oracle(args, model, mem, payload, lines) -> None:
     comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
     _charge_theorem(
         args, elements, alphas, omegas,
-        lambda u11: fock_c.gamma(u11).__matmul__,
+        lambda u11: _fermi_gamma_action(fock_c, u11),
         lambda level: dets_h[:, None, None] * np.stack(
             [compound_matrix(comp, level) for comp in comps_k]),
         payload, lines)

@@ -3,14 +3,13 @@ import pytest
 
 import car_chart_reference as chart
 import dense_selfdual as dense
+from gauge_commutation import gauge_commutation_report
 from quasifree import builders
 from quasifree.car import (
     car_charge_data,
     car_membership,
     compute_p,
     compute_t,
-    extend_gauge,
-    gauge_commutation_report,
     k_projection,
     statistics_dimension,
     z2_index,
@@ -25,6 +24,7 @@ from quasifree.selfdual import (
     BlockOperator,
     SelfDualSpace,
     Subspace,
+    extend_gauge,
     hs_norm,
     orthoprojection,
     pinv_on_range,

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from quasifree import builders
 from quasifree.ccr import ccr_charge_data, ccr_membership
-from quasifree.errors import CapExceeded
+from quasifree.errors import CapExceeded, NormBoundViolation
 from quasifree.fock import (
     BoseFock,
     _apply_on_axes,
@@ -70,6 +70,14 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
     # transformed annihilator kills it up to the truncation tail
     f = v.matrix @ v.domain.basis_vector(1, conjugate=True)
     assert np.linalg.norm(fock.pi(v.codomain, f) @ omega) < 1e-2
+
+
+@pytest.mark.parametrize("t_norm", [1.0, 1.5])
+def test_vacuum_refuses_a_pairing_of_norm_one_or_more(t_norm):
+    # 1 - T*T is then not positive definite, whatever the cutoff.
+    t = t_norm * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NormBoundViolation, match="positive definite"):
+        omega_p_bose(BoseFock(2, 8), SelfDualSpace(2), t)
 
 
 def test_polar_isometry_of_creation_is_unilateral_shift():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_selfdual as dense
-from quasifree import builders, cli, fock
+from quasifree import builders, cli, fock, oracle
 from quasifree.car import car_charge_data, car_membership
 from quasifree.errors import GAMMA_DIM_CAP, CapExceeded
 from quasifree.fock import (
@@ -116,7 +116,7 @@ def test_gamma_multiplicative_and_covariant():
     assert hs_norm(g1 @ g2 - fock.gamma(q1 @ q2)) < 1e-10
     assert hs_norm(g1 @ g1.conj().T - np.eye(fock.dim)) < 1e-10
     # Gamma(U) pi(f) Gamma(U)* = pi(U_ext f)
-    from quasifree.car import extend_gauge
+    from quasifree.selfdual import extend_gauge
     u_ext = extend_gauge(q1, space)
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     lhs = g1 @ fock.pi(space, f).toarray() @ g1.conj().T
@@ -401,6 +401,76 @@ def test_same_block(make_u11, labels):
 
 def test_gamma_without_modes():
     assert np.array_equal(FermiFock(0).gamma(np.zeros((0, 0))), [[1.0]])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phase_vector_is_the_diagonal_of_gamma(n):
+    rng = np.random.default_rng(400 + n)
+    fock_n = FermiFock(n)
+    for _ in range(3):
+        u11 = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+        gamma = fock_n.gamma(u11)
+        assert not np.any(gamma - np.diag(np.diagonal(gamma)))
+        vec = oracle._fermi_gamma_vector(u11)
+        assert np.max(np.abs(vec - np.diagonal(gamma))) <= 1e-15
+
+
+def count_gamma_calls(monkeypatch) -> list:
+    """Patch FermiFock.gamma to record each unitary it is given."""
+    calls, original = [], FermiFock.gamma
+
+    def counted(self, u11):
+        calls.append(u11)
+        return original(self, u11)
+
+    monkeypatch.setattr(FermiFock, "gamma", counted)
+    return calls
+
+
+def test_a_tiny_off_diagonal_entry_takes_the_dense_gamma(monkeypatch):
+    calls = count_gamma_calls(monkeypatch)
+    fock_3 = FermiFock(3)
+    u11 = np.diag(np.exp([0.3j, -1.1j, 2.0j]))
+    vec = np.random.default_rng(5).normal(size=8) + 0j
+    phase = oracle._fermi_gamma_action(fock_3, u11)(vec)
+    assert calls == []
+    u11[2, 0] = 1e-300
+    dense = oracle._fermi_gamma_action(fock_3, u11)(vec)
+    assert len(calls) == 1
+    assert np.max(np.abs(dense - phase)) <= 1e-15
+
+
+@pytest.mark.parametrize("gauge", [
+    {"group": "u1", "charges": [1, -1, 2, 0], "samples": 7},
+    None,
+])
+def test_phase_path_reports_the_dense_path_bytes(tmp_path, monkeypatch,
+                                                 capsys, gauge):
+    model = {"algebra": "car", "isometry": {
+        "builder": "shift", "params": {"n_sites_in": 3, "steps": 1}}}
+    if gauge:
+        model["gauge"] = gauge
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+
+    def run():
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", str(path),
+                         "--report", str(out)]) == 0
+        capsys.readouterr()
+        return out.read_bytes()
+
+    calls = count_gamma_calls(monkeypatch)
+    phase = run()
+    assert calls == []
+    monkeypatch.setattr(oracle, "_fermi_gamma_action",
+                        lambda fock_c, u11: fock_c.gamma(u11).__matmul__)
+    dense = run()
+    assert len(calls) == (7 if gauge else 20)
+    assert phase == dense
+    record = json.loads(phase)["charge_theorem"]
+    assert record["gauge"] == "u1"
+    assert record["max_block_deviation"]["pass"]
 
 
 def gamma_and_det_stacks(u11):
