@@ -9,8 +9,7 @@ never changes output bytes.
 
 Importing this module loads numpy and the standard library only.  The Fock
 oracle (:mod:`quasifree.oracle`, which loads scipy.sparse) is imported by
-cmd_oracle when it runs, and scipy.linalg by the first sector table, so
-dirac and a gauge-free analyze never load SciPy.
+cmd_oracle when it runs, so analyze and dirac never load SciPy.
 """
 
 from __future__ import annotations

@@ -295,9 +295,10 @@ def _dyadic_numerators(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _trend_verdict(cutoffs, partial_norms) -> tuple[str, float, list[float]]:
-    increments = [partial_norms[i + 1] - partial_norms[i]
-                  for i in range(len(partial_norms) - 1)]
+def _trend_verdict(cutoffs, partial_norms,
+                   increments=None) -> tuple[str, float, list[float]]:
+    if increments is None:
+        increments = [b - a for a, b in zip(partial_norms, partial_norms[1:])]
     if any(inc <= 0 for inc in increments):
         raise NonMonotone(
             f"partial Hilbert-Schmidt sums are not increasing: {partial_norms}")
@@ -334,23 +335,44 @@ def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
     blocks, and ||X Y*||_F^2 = tr(X*X . Y*Y) on the window's rows gives each
     block's norm from rank x rank Gram matrices.  The minus commutator is
     [1 - theta, V] = -[theta, V], so both signs share one computation.
+
+    Subtracting nearly equal norms would lose the increments to
+    cancellation, so each increment is the growth of the square over the
+    sum of the two norms.  The growth comes from the Grams dA, dB of the
+    rows the larger window adds: tr(B'A') - tr(BA) = tr(dB A') + tr(B dA)
+    with B' = B + dB and A' = A + dA.  Every term is the trace of a product
+    of two PSD matrices, so none cancels.
     """
     cutoffs = tuple(sorted(cutoffs))
     w_max = cutoffs[-1]
     if build.window.w != w_max:
         raise WindowTooSmall("supplied build does not match the largest cutoff")
 
-    def gram(x: np.ndarray, rows: slice) -> np.ndarray:
-        return x[rows].conj().T @ x[rows]
+    def grams(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(x[rows].conj().T @ x[rows] for x in (build.a, build.b))
 
-    sums = []
+    def cross(b_rows: tuple, a_rows: tuple) -> float:
+        # tr(B_neg A_pos) + tr(B_pos A_neg), B from b_rows' and A from
+        # a_rows' (pos, neg) pair of (A, B) Grams
+        (_, b_pos), (_, b_neg) = b_rows
+        (a_pos, _), (a_neg, _) = a_rows
+        return float((np.vdot(b_neg, a_pos) + np.vdot(b_pos, a_neg)).real)
+
+    sums, incs, last = [], [], None
     for w in cutoffs:
         # rows of the modes 0 <= n <= w and -w <= n < 0
-        pos, neg = slice(w_max, w_max + w + 1), slice(w_max - w, w_max)
-        square = (np.vdot(gram(build.b, neg), gram(build.a, pos))
-                  + np.vdot(gram(build.b, pos), gram(build.a, neg))).real
-        sums.append(math.sqrt(square))
-    verdict, slope, incs = _trend_verdict(cutoffs, sums)
+        window = (grams(slice(w_max, w_max + w + 1)),
+                  grams(slice(w_max - w, w_max)))
+        sums.append(math.sqrt(cross(window, window)))
+        if last:
+            w_last, last_window = last
+            # rows of the modes w_last < n <= w and -w <= n < -w_last
+            added = (grams(slice(w_max + w_last + 1, w_max + w + 1)),
+                     grams(slice(w_max - w, w_max - w_last)))
+            growth = cross(added, window) + cross(last_window, added)
+            incs.append(growth / (sums[-1] + sums[-2]))
+        last = w, window
+    verdict, slope, incs = _trend_verdict(cutoffs, sums, incs)
     tags = ("plus", "minus")
     return HsStudy(cutoffs, dict.fromkeys(tags, sums),
                    dict.fromkeys(tags, incs), dict.fromkeys(tags, slope),

@@ -19,24 +19,21 @@ A command's samples travel as one (samples, n, n) stack.  The Haar draw is
 one normal draw, one stacked QR and, for SU(k), one stacked determinant,
 with the bits of the per-sample draw.  The compression to h or k is one
 stacked product of the two diagonal blocks of u + conj(u) with the frame's
-dual, and its determinant one stacked det.  The eigenphases come from one
-direct zgees call per sample (the Schur form scipy.linalg.schur computes,
-without its per-call validation and workspace query).  scipy.linalg is
-imported at the first eigenphases call, not with this module, so a command
-that builds no sector table never loads SciPy.
+dual, and its determinant one stacked det.  The eigenphases are one
+np.linalg.eigvals of the stack, so a sector table loads no SciPy.
 
 The characters take a stack of eigenvalue rows, one per sample, so a table
-costs one char_lambda / char_sym call per level.  Their sum order is fixed
-on purpose: products left to right from 1 with the complex multiply written
-in real parts, rows summed in order from 0.  numpy's complex array multiply
-may fuse into FMAs and so round differently from a scalar product; the
-fixed order gives every sample the bits of the scalar sum, and reports stay
-byte-identical.
+costs one char_lambda / char_sym call per level.  e_l and h_l are the
+coefficients of t^l in prod_i (1 + lam_i t) and 1 / prod_i (1 - lam_i t),
+so one pass over the eigenvalues builds them (Macdonald, Symmetric
+Functions and Hall Polynomials, I.2).  The complex multiply is written in
+real parts, because numpy's complex array multiply may fuse into FMAs and
+so round differently from a scalar product; every row then keeps the bits
+of the scalar recurrence, whatever stack it sits in.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +51,6 @@ CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
 # Highest CCR charge level a sector table or bosonic oracle checks.
 CCR_L_MAX = 5
-# Monomials per block of the stacked character sums (bounds their memory).
-_MONOMIAL_BLOCK = 256
 
 
 def _haar_stack(m: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,44 +178,24 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
     return comps[0] if single else comps
 
 
-def _no_sort(*_):
-    return None
-
-
 def eigenphases(compressed: np.ndarray) -> np.ndarray:
-    """Eigenvalues of compressed gauge elements via Schur decomposition.
+    """Eigenvalues of compressed gauge elements.
 
-    compressed is one k x k matrix or a (samples, k, k) stack.  Each matrix
-    gets one direct call of LAPACK's zgees.  scipy.linalg.schur would also
-    validate its input and query the workspace on every call; here the
-    query runs once per stack, so the diagonals keep schur's bits.
+    compressed is one k x k matrix or a (samples, k, k) stack, which one
+    np.linalg.eigvals call takes whole.  A compression that passed the
+    leakage check is unitary up to the square of the leakage, so a
+    unitarity defect ||c* c - 1||_F above COMPRESS_TOL in any matrix raises
+    NotInvariant with the largest defect.
     """
     stack = np.asarray(compressed, dtype=complex)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[np.newaxis]
-    k = stack.shape[-1]
-    if k == 0:
-        eigs = np.zeros(stack.shape[:1] + (0,), dtype=complex)
-        return eigs[0] if single else eigs
-    import scipy.linalg  # deferred: see the module docstring
-    gees, = scipy.linalg.get_lapack_funcs(("gees",), (stack,))
-    lwork = int(gees(_no_sort, stack[0], lwork=-1)[-2][0].real)
-    t = np.empty_like(stack)
-    for out, a in zip(t, stack):
-        out[...], *_, info = gees(_no_sort, a, lwork=lwork)
-        if info:
-            raise np.linalg.LinAlgError(f"zgees failed with info {info}")
-    eigs = np.diagonal(t, axis1=1, axis2=2).copy()
-    diag = np.arange(k)
-    t[:, diag, diag] = 0.0
-    offs = np.linalg.norm(t, axis=(1, 2))
-    bad = np.flatnonzero(offs > COMPRESS_TOL)
-    if bad.size:
+    gram = np.swapaxes(stack, -1, -2).conj() @ stack
+    defect = np.max(np.linalg.norm(gram - np.eye(stack.shape[-1]),
+                                   axis=(-2, -1)), initial=0.0)
+    if defect > COMPRESS_TOL:
         raise NotInvariant(
-            f"compressed action is not normal (defect {offs[bad[0]]:.3e}); "
+            f"compressed action is not unitary (defect {defect:.3e}); "
             "the subspace is not honestly invariant")
-    return eigs[0] if single else eigs
+    return np.linalg.eigvals(stack)
 
 
 def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
@@ -234,37 +209,32 @@ def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
     return complex(dets) if np.ndim(u11) == 2 else dets
 
 
-def _monomial_sum(eigs: np.ndarray, combos) -> complex | np.ndarray:
-    """Sum over index tuples of the product of the indexed eigenvalues.
+def _coefficient(eigs: np.ndarray, level: int,
+                 complete: bool) -> complex | np.ndarray:
+    """The t^level coefficient of prod (1 + lam_i t) or 1 / prod (1 - lam_i t).
 
-    eigs is one eigenvalue vector (the sum comes back as a complex) or a
-    (samples, k) stack (one sum per row).  The arithmetic is fixed so that
-    every row gets the bits of the scalar loop
-    ``sum(math.prod((eigs[i] for i in c), start=1+0j) for c in combos)``:
-    each product runs left to right from 1+0j with the complex multiply
-    written out in real parts (numpy's complex array multiply may fuse it
-    into FMAs), and each row is summed in order from 0j by np.add.accumulate.
-    The monomials come in blocks of _MONOMIAL_BLOCK, each block's first
-    column carrying the running total, so memory stays samples x block.
+    eigs is one eigenvalue vector (the coefficient comes back as a complex)
+    or a (samples, k) stack (one coefficient per row).  Each eigenvalue
+    updates the coefficients 1..level in place, c_j += lam c_{j-1}: over j
+    descending for e_l, so every c_{j-1} is the old one and the update is one
+    slice, and over j ascending for h_l.  The multiply is written in real
+    parts, so every row gets the bits of that scalar loop in Python complex
+    arithmetic.
     """
     vec = np.asarray(eigs, dtype=complex)
     stack = np.atleast_2d(vec)
-    total = np.zeros(len(stack), dtype=complex)
-    re, im = stack.real, stack.imag
-    while block := list(itertools.islice(combos, _MONOMIAL_BLOCK)):
-        idx = np.array(block, dtype=np.intp)
-        prod_re = np.ones((len(stack), len(block)))
-        prod_im = np.zeros_like(prod_re)
-        for col in idx.T:
-            br, bi = re[:, col], im[:, col]
-            prod_re, prod_im = (prod_re * br - prod_im * bi,
-                                prod_re * bi + prod_im * br)
-        terms = np.empty((len(stack), len(block) + 1), dtype=complex)
-        terms[:, 0] = total
-        terms.real[:, 1:] = prod_re
-        terms.imag[:, 1:] = prod_im
-        total = np.add.accumulate(terms, axis=1)[:, -1]
-    return complex(total[0]) if vec.ndim == 1 else np.ascontiguousarray(total)
+    coef = np.zeros((level + 1, len(stack)), dtype=complex)
+    coef[0] = 1.0
+    re, im = coef.real, coef.imag
+    steps = ([(j, j - 1) for j in range(1, level + 1)] if complete
+             else [(slice(1, None), slice(None, -1))])
+    for lr, li in zip(stack.real.T, stack.imag.T):
+        for new, old in steps:
+            prod_re = lr * re[old] - li * im[old]
+            prod_im = lr * im[old] + li * re[old]
+            re[new] += prod_re
+            im[new] += prod_im
+    return complex(coef[level, 0]) if vec.ndim == 1 else coef[level]
 
 
 def char_lambda(eigs: np.ndarray, level: int) -> complex | np.ndarray:
@@ -275,7 +245,7 @@ def char_lambda(eigs: np.ndarray, level: int) -> complex | np.ndarray:
     k = np.shape(eigs)[-1]
     if level < 0 or level > k:
         raise LevelOutOfRange(f"level {level} outside 0..{k}")
-    return _monomial_sum(eigs, itertools.combinations(range(k), level))
+    return _coefficient(eigs, level, complete=False)
 
 
 def char_sym(eigs: np.ndarray, level: int) -> complex | np.ndarray:
@@ -285,9 +255,7 @@ def char_sym(eigs: np.ndarray, level: int) -> complex | np.ndarray:
     """
     if level < 0:
         raise LevelOutOfRange(f"level {level} < 0")
-    k = np.shape(eigs)[-1]
-    return _monomial_sum(
-        eigs, itertools.combinations_with_replacement(range(k), level))
+    return _coefficient(eigs, level, complete=True)
 
 
 @dataclass(frozen=True)

@@ -188,25 +188,14 @@ def kappa_sign(matrix: np.ndarray, domain: SelfDualSpace | None,
     return out
 
 
-def extend_gauge(u11: np.ndarray, space: SelfDualSpace) -> np.ndarray:
-    """Extend a unitary on K1 modes to u + conj(u) on the self-dual space."""
-    n = space.n_modes
-    if u11.shape != (n, n):
-        raise DimensionMismatch(f"u11 shape {u11.shape} != ({n}, {n})")
-    full = np.zeros((space.dim, space.dim), dtype=complex)
-    full[:n, :n] = u11
-    full[n:, n:] = np.conj(u11)
-    return full
-
-
 def apply_gauge(u11: np.ndarray, x: np.ndarray,
                 space: SelfDualSpace) -> np.ndarray:
-    """extend_gauge(u11, space) @ x, without forming the extension.
+    """U x for U = u + conj(u), the extension of u11 to the self-dual space.
 
     u11 is one unitary or a (samples, n, n) stack, and x one matrix or a
-    stack of as many.  The extension is block diagonal, so U x stacks
-    u @ x[:n] over conj(u) @ x[n:]; only the signs of exact zeros can differ
-    from the dense product.
+    stack of as many.  U is block diagonal, so U x stacks u @ x[:n] over
+    conj(u) @ x[n:] without forming U; only the signs of exact zeros can
+    differ from the dense product.
     """
     n = space.n_modes
     if u11.shape[-2:] != (n, n):

@@ -1,10 +1,12 @@
-"""Dense J, P1 and C: the reference for the index operations of selfdual.
+"""Dense J, P1, C and gauge extensions: the reference for selfdual.
 
 The toolkit applies J as a roll of each axis plus a conjugation
-(`selfdual.conjugate_matrix`) and C as a sign flip of the second half
-(`selfdual.kappa_sign`).  Here all three are the 2n x 2n matrices of the
-definitions, multiplied out.  `conjugate_matrix` and `kappa_sign` keep the
-toolkit's signatures, so a test can compare against them or patch them in.
+(`selfdual.conjugate_matrix`), C as a sign flip of the second half
+(`selfdual.kappa_sign`) and a gauge unitary u as u and conj(u) on the two
+halves (`selfdual.apply_gauge`).  Here all of them are the 2n x 2n matrices
+of the definitions, multiplied out.  `conjugate_matrix` and `kappa_sign`
+keep the toolkit's signatures, so a test can compare against them or patch
+them in.
 """
 
 import numpy as np
@@ -50,3 +52,12 @@ def kappa_sign(matrix: np.ndarray, domain, codomain) -> np.ndarray:
     """C A C, with C left out on an axis whose space is None."""
     out = matrix if codomain is None else charge_conjugation(codomain) @ matrix
     return out if domain is None else out @ charge_conjugation(domain)
+
+
+def extend_gauge(u11: np.ndarray, space) -> np.ndarray:
+    """u + conj(u): u11 on the K1 modes extended to the self-dual space."""
+    n = space.n_modes
+    full = np.zeros((space.dim, space.dim), dtype=complex)
+    full[:n, :n] = u11
+    full[n:, n:] = np.conj(u11)
+    return full

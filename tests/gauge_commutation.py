@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dense_selfdual import extend_gauge
 from quasifree.car import CarChargeData
-from quasifree.selfdual import extend_gauge, hs_norm
+from quasifree.selfdual import hs_norm
 
 
 @dataclass(frozen=True)

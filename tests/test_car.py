@@ -24,7 +24,6 @@ from quasifree.selfdual import (
     BlockOperator,
     SelfDualSpace,
     Subspace,
-    extend_gauge,
     hs_norm,
     orthoprojection,
     pinv_on_range,
@@ -39,7 +38,7 @@ def haar_gauge(n, seed):
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     space = SelfDualSpace(n)
-    return BlockOperator(extend_gauge(u, space), space)
+    return BlockOperator(dense.extend_gauge(u, space), space)
 
 
 # --- membership ------------------------------------------------------------

@@ -357,7 +357,7 @@ class TestAnalyze:
         frame = ccr.ccr_charge_data(ccr.ccr_membership(v)).k_frame
         dual = dense.charge_conjugation(v.codomain) @ frame
         u11 = sectors.GaugeAction("u1", 8, charges=charges).elements(8).u11
-        eigs = [np.linalg.eigvals(dual.conj().T @ selfdual.extend_gauge(
+        eigs = [np.linalg.eigvals(dual.conj().T @ dense.extend_gauge(
             u, v.codomain) @ frame) for u in u11]
         for row in data["sector_table"]["levels"]:
             chars = row["characters"]

@@ -116,8 +116,7 @@ def test_gamma_multiplicative_and_covariant():
     assert hs_norm(g1 @ g2 - fock.gamma(q1 @ q2)) < 1e-10
     assert hs_norm(g1 @ g1.conj().T - np.eye(fock.dim)) < 1e-10
     # Gamma(U) pi(f) Gamma(U)* = pi(U_ext f)
-    from quasifree.selfdual import extend_gauge
-    u_ext = extend_gauge(q1, space)
+    u_ext = dense.extend_gauge(q1, space)
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     lhs = g1 @ fock.pi(space, f).toarray() @ g1.conj().T
     rhs = fock.pi(space, u_ext @ f).toarray()

@@ -3,10 +3,10 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import dense_selfdual as dense
 from quasifree import builders, cli, errors, sectors
@@ -35,7 +35,7 @@ from quasifree.sectors import (
     oracle_compare,
     sector_table,
 )
-from quasifree.selfdual import SelfDualSpace, extend_gauge
+from quasifree.selfdual import SelfDualSpace
 
 
 def test_char_det_h_values():
@@ -242,8 +242,28 @@ def test_oracle_compare_solves_with_the_gram():
 
 # --- stacked characters, bit for bit -----------------------------------------
 
+def recurrence_character(eigs, level, complete):
+    """The scalar recurrence the stacked characters reproduce bit for bit.
+
+    e_l (complete False) or h_l of one eigenvalue row in Python complex
+    arithmetic: each eigenvalue updates c_j += lam c_{j-1}, over j
+    descending for e_l and ascending for h_l.
+    """
+    coef = [1.0 + 0.0j] + [0.0j] * level
+    steps = range(1, level + 1) if complete else range(level, 0, -1)
+    for lam in map(complex, eigs):
+        for j in steps:
+            coef[j] += lam * coef[j - 1]
+    return coef[level]
+
+
+def recurrence_characters(stack, level, complete):
+    return np.array([recurrence_character(row, level, complete)
+                     for row in stack], dtype=complex)
+
+
 def loop_character(eigs, level, with_replacement):
-    """The per-row loop the stacked characters reproduce bit for bit."""
+    """The monomial sum: an independent value reference for small k."""
     if level == 0:
         return 1.0 + 0.0j
     combos = (itertools.combinations_with_replacement if with_replacement
@@ -254,11 +274,6 @@ def loop_character(eigs, level, with_replacement):
     return total
 
 
-def loop_characters(stack, level, with_replacement):
-    return np.array([loop_character(row, level, with_replacement)
-                     for row in stack], dtype=complex)
-
-
 def assert_same_bits(got, want):
     """Equal real, imaginary and sign bits (so 0.0 != -0.0, nan == nan)."""
     got = np.ascontiguousarray(got)
@@ -266,14 +281,25 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def assert_near_the_monomial_sum(got, stack, level, with_replacement):
+    """|got - monomial sum| <= 2 k eps e_l(|lam|); h_l(|lam|) for char_sym."""
+    k = stack.shape[1]
+    for value, row in zip(got, stack):
+        scale = loop_character(np.abs(row), level, with_replacement).real
+        err = abs(value - loop_character(row, level, with_replacement))
+        assert err <= 2 * k * np.finfo(float).eps * scale
+
+
 def assert_stack_matches_loop(stack):
     k = stack.shape[1]
     for level in range(k + 1):
-        assert_same_bits(char_lambda(stack, level),
-                         loop_characters(stack, level, False))
+        got = char_lambda(stack, level)
+        assert_same_bits(got, recurrence_characters(stack, level, False))
+        assert_near_the_monomial_sum(got, stack, level, False)
     for level in range(6):
-        assert_same_bits(char_sym(stack, level),
-                         loop_characters(stack, level, True))
+        got = char_sym(stack, level)
+        assert_same_bits(got, recurrence_characters(stack, level, True))
+        assert_near_the_monomial_sum(got, stack, level, True)
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -282,6 +308,10 @@ def test_stacked_characters_equal_the_loop(k):
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(6, k)))
     generic = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
     assert_stack_matches_loop(np.vstack([phases, generic]))
+    # a row keeps its bits in a sub-stack
+    for level in range(k + 1):
+        whole = char_lambda(phases, level)
+        assert_same_bits(char_lambda(phases[2:5], level), whole[2:5])
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -293,15 +323,40 @@ def test_stacked_characters_on_exact_phases_and_signed_zeros(k):
     assert_stack_matches_loop(values[rng.integers(len(values), size=(12, k))])
 
 
-def test_stacked_characters_across_monomial_blocks():
-    k, level = 9, 5
-    assert math.comb(k + level - 1, level) > 2 * sectors._MONOMIAL_BLOCK
-    rng = np.random.default_rng(9)
-    stack = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(64, k)))
-    assert_same_bits(char_sym(stack, level),
-                     loop_characters(stack, level, True))
-    assert_same_bits(char_lambda(stack, level),
-                     loop_characters(stack, level, False))
+def exact_coefficient(row, level, complete):
+    """The recurrence in exact rational arithmetic: (re, im) Fractions."""
+    coef = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * level
+    steps = range(1, level + 1) if complete else range(level, 0, -1)
+    for lam in row:
+        lr, li = Fraction(lam.real), Fraction(lam.imag)
+        for j in steps:
+            (cr, ci), (pr, pi) = coef[j], coef[j - 1]
+            coef[j] = (cr + lr * pr - li * pi, ci + lr * pi + li * pr)
+    return coef[level]
+
+
+def test_characters_at_k_22_against_exact_rationals():
+    # The float eigenvalues are exact dyadic rationals, so the recurrence in
+    # Fractions gives their true e_l and h_l; the error scale is dim_l.  The
+    # rows of one repeated phase are the u1 characters of a shift whose k
+    # modes share one charge (CAR shift 2 -> 24, index 44), where a sum of
+    # the dim_l equal monomials would lose about dim_l eps relative.
+    k = 22
+    lam = 2.0 * math.pi * np.arange(1, 5) / 64
+    rng = np.random.default_rng(22)
+    stack = np.vstack([
+        np.repeat(np.exp(1j * lam)[:, np.newaxis], k, axis=1),
+        np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(2, k)))])
+    cases = [(char_lambda, False, level, math.comb(k, level))
+             for level in range(k + 1)]
+    cases += [(char_sym, True, level, math.comb(k + level - 1, level))
+              for level in range(sectors.CCR_L_MAX + 1)]
+    for char, complete, level, dim in cases:
+        for got, row in zip(char(stack, level), stack):
+            re, im = exact_coefficient(row, level, complete)
+            err = math.hypot(float(Fraction(got.real) - re),
+                             float(Fraction(got.imag) - im))
+            assert err <= 1e-14 * dim, (char.__name__, level)
 
 
 def test_one_vector_gives_a_complex():
@@ -311,7 +366,7 @@ def test_one_vector_gives_a_complex():
             got = char(eigs, level)
             assert type(got) is complex
             assert_same_bits(np.array([got]), np.array(
-                [loop_character(eigs, level, with_replacement)]))
+                [recurrence_character(eigs, level, with_replacement)]))
 
 
 def test_stacked_level_out_of_range():
@@ -329,25 +384,23 @@ def loop_sector_characters(algebra, space, h_frame, k_frame, elements,
     """Each element's characters from its own dense extension, one at a time.
 
     Independent of the stacked helpers: the 2n x 2n extend_gauge product,
-    the dense C of the CCR dual frame, scipy.linalg.schur and the scalar
-    character loop.
+    the dense C of the CCR dual frame, one np.linalg.eigvals per element
+    and the scalar character recurrence.
     """
     dual = (dense.charge_conjugation(space) @ k_frame if algebra == "ccr"
             else k_frame)
     dets, eigs = [], []
     for u11 in elements.u11:
-        u_full = extend_gauge(u11, space)
+        u_full = dense.extend_gauge(u11, space)
         h_comp = h_frame.conj().T @ (u_full @ h_frame)
         dets.append(complex(np.linalg.det(h_comp)) if h_frame.shape[1]
                     else 1.0 + 0.0j)
         k_comp = dual.conj().T @ (u_full @ k_frame)
-        eigs.append(np.diagonal(scipy.linalg.schur(k_comp, output="complex")[0])
-                    if k_frame.shape[1] else np.zeros(0, dtype=complex))
+        eigs.append(np.linalg.eigvals(k_comp))
     if algebra == "car":
-        return [np.array(dets) * np.array([loop_character(e, level, False)
-                                           for e in eigs]) for level in levels]
-    return [np.array([loop_character(e, level, True) for e in eigs])
-            for level in levels]
+        return [np.array(dets) * recurrence_characters(eigs, level, False)
+                for level in levels]
+    return [recurrence_characters(eigs, level, True) for level in levels]
 
 
 def reference_sector_table(algebra, space, h_frame, k_frame, elements):
@@ -536,14 +589,16 @@ def test_chunked_compression_keeps_the_bits(monkeypatch):
     assert_same_bits(compressed_action(elements.u11, frame, v.codomain), whole)
 
 
-def test_stacked_eigenphases_equal_schur_per_matrix():
+def test_stacked_eigenphases_equal_eigvals_per_matrix():
     rng = np.random.default_rng(4)
     stack = np.stack([haar_unitary(4, rng) for _ in range(6)])
     eigs = eigenphases(stack)
     for row, u in zip(eigs, stack):
-        t = scipy.linalg.schur(u, output="complex")[0]
-        assert_same_bits(row, np.diagonal(t).copy())
+        assert_same_bits(row, np.linalg.eigvals(u))
     assert_same_bits(eigenphases(stack[2]), eigs[2])
     with pytest.raises(NotInvariant):
         eigenphases(np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]]))
+    # normal but not unitary: the unitarity defect catches it
+    with pytest.raises(NotInvariant):
+        eigenphases(np.stack([np.eye(2), 2.0 * np.eye(2)]))
     assert eigenphases(np.zeros((3, 0, 0))).shape == (3, 0)
