@@ -330,8 +330,8 @@ def exact_coefficient(row, level, complete):
     for lam in row:
         lr, li = Fraction(lam.real), Fraction(lam.imag)
         for j in steps:
-            (cr, ci), (pr, pi) = coef[j], coef[j - 1]
-            coef[j] = (cr + lr * pr - li * pi, ci + lr * pi + li * pr)
+            (cr, ci), (br, bi) = coef[j], coef[j - 1]
+            coef[j] = (cr + lr * br - li * bi, ci + lr * bi + li * br)
     return coef[level]
 
 
