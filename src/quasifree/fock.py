@@ -8,11 +8,11 @@ intertwining gaps and the completeness Gram instead of being formed, and
 Gamma(U) takes only the minors that the exact-zero block pattern of u11
 allows to be nonzero, matched by one integer key per subset from a block
 pattern taken once per unitary; the oracle needs it only for gauge elements
-that are not diagonal, since a diagonal one acts on Fock space by a phase
-vector.  Implementer columns are built in lowest-bit batches, one sparse
-product per bit instead of one per column, and they and the intertwining
-gaps are read and written through strided views of the columns that pair
-each occupation with and without one bit, with no index arrays.
+that are not diagonal, since a diagonal one acts on either Fock space by one
+phase vector (gamma_vector).  One builder fills the implementer columns of
+both statistics, one sparse product per mode and occupation instead of one
+per column, and it and the fermionic intertwining gaps read and write
+strided views of the columns, with no index arrays.
 
 Fermionic side (n modes, dimension 2^n, basis = occupation subsets encoded as
 bitmasks): creation follows the fixed sign convention
@@ -25,8 +25,8 @@ Klein twist is theta = (1 - i Gamma(-1)) / sqrt(2) and psi(f) = theta pi(f)
 theta*, which commutes with pi(g) whenever <f, g> = <f, Jg> = 0.
 
 Bosonic side (n modes, per-mode occupation cutoff M, dimension (M+1)^n):
-truncated creation operators; the CCR hold exactly below the cutoff; Gamma is
-available for phase-diagonal gauge actions, which commute with the cutoff.
+truncated creation operators; the CCR hold exactly below the cutoff; Gamma
+is available for phase-diagonal gauge actions, which keep the cutoff.
 The charge theorem's targets are compound matrices (CAR) and their twins,
 the symmetric powers in the orthonormal monomial basis (CCR).
 
@@ -97,8 +97,8 @@ def ccr_multi_indices(k_dim: int, l_max: int) -> list[tuple[int, ...]]:
 class _FockSpace:
     """Field operators shared by both statistics.
 
-    Subclasses set n_modes, dim and the per-mode sparse tables _creation and
-    _annihilation; the vacuum is basis state 0.
+    Subclasses set n_modes, dim, _radix (the occupations per mode) and the
+    per-mode sparse tables _creation and _annihilation; state 0 is vacuum.
     """
 
     def creation(self, mode: int) -> sp.csr_matrix:
@@ -131,6 +131,20 @@ class _FockSpace:
         cols = np.concatenate([t.indices for _, t in terms])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
+    def gamma_vector(self, u11: np.ndarray) -> np.ndarray:
+        """Gamma(U) of a diagonal u11 as its diagonal: prod_i u_ii^(occ_i).
+
+        Built one mode at a time as products, which the determinants of
+        FermiFock.gamma match to rounding; exp(i occ . angle) drifts further.
+        """
+        vec = np.ones(1, dtype=complex)
+        for phase in np.diagonal(u11):
+            blocks = [vec]
+            for _ in range(1, self._radix):
+                blocks.append(blocks[-1] * phase)
+            vec = np.concatenate(blocks)
+        return vec
+
 
 def _sign_of_count(masks: np.ndarray) -> np.ndarray:
     """(-1)^(number of set bits) of each bitmask, as floats."""
@@ -147,6 +161,7 @@ class FermiFock(_FockSpace):
                 f"fermionic dimension 2^{n_modes} = {dim} exceeds cap {dim_cap}")
         self.n_modes = n_modes
         self.dim = dim
+        self._radix = 2  # state s holds mode i when bit i of s is set
         self._creation = [self._field_table(i, True) for i in range(n_modes)]
         self._annihilation = [self._field_table(i, False)
                               for i in range(n_modes)]
@@ -250,30 +265,27 @@ class BoseFock(_FockSpace):
         return sp.csr_matrix((vals, (cols + self._radix ** i, cols)),
                              shape=(self.dim, self.dim))
 
-    def gamma_phases(self, phases: np.ndarray) -> np.ndarray:
-        """Diagonal Gamma(U) for U = diag(e^{i phases}) on the modes."""
-        return np.exp(1j * (self._occupations @ np.asarray(phases)))
+    def gamma(self, u11: np.ndarray) -> np.ndarray:
+        """Refused: a u11 that mixes modes breaks the per-mode cutoff."""
+        raise NotGaugeCompatible(
+            "bosonic oracle supports phase-diagonal gauge elements only")
 
     def occupation_projector_diag(self, max_per_mode: int) -> np.ndarray:
         """Diagonal 0/1 vector selecting states below an occupation limit."""
-        return (self._occupations.max(axis=1) <= max_per_mode).astype(float)
+        return (self._occupations.max(axis=1, initial=0)
+                <= max_per_mode).astype(float)
 
 
 # --- vacua -------------------------------------------------------------------
 
 def _pair_exponent(fock, t_block: np.ndarray) -> sp.csr_matrix:
-    """B = 1/2 sum_ij conj(t)_ij a*_i a*_j as a sparse operator."""
+    """B = 1/2 sum_j a*(conj(T) e_j) a*_j as a sparse operator."""
     n = fock.n_modes
     op = sp.csr_matrix((fock.dim, fock.dim), dtype=complex)
-    tc = np.conj(t_block)
-    for j in range(n):
-        if not np.any(tc[:, j]):
-            continue
-        left = sp.csr_matrix((fock.dim, fock.dim), dtype=complex)
-        for i in range(n):
-            if tc[i, j] != 0:
-                left = left + complex(tc[i, j]) * fock._creation[i]
-        op = op + 0.5 * (left @ fock._creation[j])
+    for j, col in enumerate(np.conj(t_block).T):
+        if np.any(col):
+            left = fock.pi(SelfDualSpace(n), np.pad(col, (0, n)))
+            op = op + 0.5 * (left @ fock._creation[j])
     return op
 
 
@@ -318,7 +330,7 @@ def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray
     eye = np.eye(fock.n_modes)
     gram = eye - t_block.conj().T @ t_block
     eigs = np.linalg.eigvalsh(gram)
-    if np.min(eigs) <= 0:
+    if np.min(eigs, initial=np.inf) <= 0:
         raise NormBoundViolation(
             "1 - T*T is not positive definite, so ||T|| >= 1")
     factor = float(np.linalg.det(gram).real) ** 0.25
@@ -448,29 +460,47 @@ class ImplementerSet:
     implementation_residual: float
 
 
+def _implementer_columns(pi_v: list, omega: np.ndarray,
+                         fock_dom: _FockSpace) -> np.ndarray:
+    """Columns of one implementer: column 0 is omega, pi_v[i] = pi(V e_i).
+
+    A state whose lowest occupied mode i holds m quanta takes pi_v[i]
+    applied to the column with m - 1 there, over sqrt(m).  From the highest
+    mode down, for m = 1 ... radix - 1, one sparse-dense product fills all
+    such columns, each as a matvec would: in the view reshape(dim_c, -1,
+    radix, radix^i) they are the slots [:, :, m, 0], filled from
+    [:, :, m - 1, 0], so no index array is formed.
+    """
+    if len(pi_v) != 2 * fock_dom.n_modes:
+        raise CapExceeded("space does not match this Fock space")
+    radix = fock_dom._radix
+    cols = np.zeros((len(omega), fock_dom.dim), dtype=complex)
+    cols[:, 0] = omega
+    for mode in reversed(range(fock_dom.n_modes)):
+        view = cols.reshape(len(omega), -1, radix, radix ** mode)
+        for m in range(1, radix):
+            view[:, :, m, 0] = pi_v[mode] @ view[:, :, m - 1, 0] / math.sqrt(m)
+    return cols
+
+
 def car_implementers(v: BlockOperator, fock_dom: FermiFock,
                      fock_cod: FermiFock, omega_alphas: list[np.ndarray],
                      alphas: list[tuple[int, ...]]) -> ImplementerSet:
     """Solve for the fermionic implementers and measure their relations.
 
     The four residuals are returned, not judged: the caller gates them.
-
-    Column s of Psi_alpha is pi(V e_low) applied to column s ^ low, low the
-    lowest set bit of s; column 0 is Omega_alpha.  From the highest bit b
-    down, one sparse-dense product fills every column whose lowest set bit
-    is b from columns with no set bit at or below b, each as a matvec would.
-    In the view reshape(dim_c, -1, 2, 2^b) of the columns those are the
-    slots [:, :, 1, 0] and [:, :, 0, 0], so no index array is formed.
+    The columns of each Psi_alpha come from _implementer_columns.
 
     The fields stay sparse.  pi_c = pi(V f) of a domain basis vector f is
     built once, for the columns and the gaps; pi_d = pi(f) is a*(e_b) or
     a(e_b) on the domain, a signed partial permutation that pairs each
     column without bit b with the one with it, signed by the parity of the
-    bits below b.  On the same view psi @ pi_d moves slot 1 to slot 0
-    (a*) or slot 0 to slot 1 (a) times the sign of the last index, exact
-    because each entry has one term, and is subtracted in place from
-    pi_c @ psi.  That gap has the opposite sign of psi @ pi_d - pi_c @ psi,
-    and IEEE subtraction is antisymmetric, so hs_norm gives the same bits.
+    bits below b.  On the view reshape(dim_c, -1, 2, 2^b) psi @ pi_d moves
+    slot 1 to slot 0 (a*) or slot 0 to slot 1 (a) times the sign of the
+    last index, exact because each entry has one term, and is subtracted in
+    place from pi_c @ psi.  That gap has the opposite sign of
+    psi @ pi_d - pi_c @ psi, and IEEE subtraction is antisymmetric, so
+    hs_norm gives the same bits.
     Isometry and completeness come from the one Gram W*W of the stacked
     W = [Psi_1 ... Psi_r]: tr (W W*)^j = tr (W*W)^j gives
 
@@ -491,17 +521,9 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
 
     comp = |C|_HS, and implementation_residual is the largest of these.
     """
-    if v.domain.n_modes != fock_dom.n_modes:
-        raise CapExceeded("space does not match this Fock space")
     pi_v = [fock_cod.pi(v.codomain, col) for col in v.matrix.T]
-    psis = []
-    for omega in omega_alphas:
-        cols = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
-        cols[:, 0] = omega
-        for bit in reversed(range(fock_dom.n_modes)):
-            c4 = cols.reshape(fock_cod.dim, -1, 2, 1 << bit)
-            c4[:, :, 1, 0] = pi_v[bit] @ c4[:, :, 0, 0]
-        psis.append(cols)
+    psis = [_implementer_columns(pi_v, omega, fock_dom)
+            for omega in omega_alphas]
 
     stacked = np.hstack(psis)
     gram_gap = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
@@ -544,30 +566,18 @@ def bose_implementer(v: BlockOperator, fock_dom: BoseFock, fock_cod: BoseFock,
     high-occupation weight); it converges to zero as the cutoff grows and is
     reported as a cutoff-limited diagnostic rather than asserted exactly.
     """
-    nd = fock_dom.n_modes
-    pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i]) for i in range(nd)]
-    psi = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
-    psi[:, 0] = omega_alpha
-    for s in range(1, fock_dom.dim):
-        occ = fock_dom._occupations[s]
-        i = int(np.argmax(occ > 0))
-        prev = s - fock_dom._radix ** i
-        psi[:, s] = (pi_v[i] @ psi[:, prev]) / math.sqrt(occ[i])
+    pi_v = [fock_cod.pi(v.codomain, col) for col in v.matrix.T]
+    psi = _implementer_columns(pi_v, omega_alpha, fock_dom)
 
-    low_d = fock_dom.occupation_projector_diag(occ_probe)
-    low_c = fock_cod.occupation_projector_diag(occ_probe)
-    rows, cols = np.flatnonzero(low_c), np.flatnonzero(low_d)
+    rows = np.flatnonzero(fock_cod.occupation_projector_diag(occ_probe))
+    cols = np.flatnonzero(fock_dom.occupation_projector_diag(occ_probe))
     psi_rows, psi_cols = psi[rows], psi[:, cols]
     inter = 0.0
-    for idx in range(v.domain.dim):
-        f = np.zeros(v.domain.dim, dtype=complex)
-        f[idx] = 1.0
-        # The fields stay sparse and only the probe window is formed.
-        # pi_d has at most one entry per row and column, so psi @ pi_d is
-        # exact either way; pi_c @ psi sums only its nonzero terms.
-        pi_d = fock_dom.pi(v.domain, f)[:, cols]
-        pi_c = fock_cod.pi(v.codomain, v.matrix @ f)[rows]
-        gap = psi_rows @ pi_d - pi_c @ psi_cols
+    for pi_c, pi_d in zip(pi_v, fock_dom._creation + fock_dom._annihilation):
+        # The fields stay sparse and only the probe window is formed.  pi_d,
+        # the domain's a*(e_i) or a(e_i) table, has at most one entry per row
+        # and column, so psi @ pi_d is exact; pi_c @ psi sums only nonzeros.
+        gap = psi_rows @ pi_d[:, cols] - pi_c[rows] @ psi_cols
         inter = max(inter, float(np.max(np.abs(gap))))
     gram = psi_cols.conj().T @ psi_cols - np.eye(len(cols))
     iso = float(np.max(np.abs(gram)))

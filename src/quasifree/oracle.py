@@ -9,8 +9,8 @@ G^-1 M of Gamma(U) on the span of the Omega_alpha against det_h Lambda^l(c)
 report holds each comparison's value; the summary lines print its relation
 and tolerance.  The default gauge is the all-ones U(1) when it leaves the
 vacuum's basis projection invariant, else the identity alone.  A diagonal
-gauge element acts on Fock space by a phase vector; only the fermionic
-elements that are not diagonal take a dense Gamma(U).
+gauge element acts on either Fock space by a phase vector; one that is not
+diagonal takes a dense Gamma(U), which only the fermionic space builds.
 
 Only ``cli.cmd_oracle`` imports this module, when it runs, so the other
 commands load neither the Fock code nor scipy.sparse.  It imports nothing
@@ -71,7 +71,7 @@ def _vacuum_leaks(u11: np.ndarray, space, p_full: np.ndarray) -> np.ndarray:
         u = u11[chunk]
         up_adj = np.conj(apply_gauge(u, p_full, space)).swapaxes(1, 2)
         upu = np.conj(apply_gauge(u, up_adj, space)).swapaxes(1, 2)
-        leaks.append(np.max(np.abs(upu - p_full), axis=(1, 2)))
+        leaks.append(np.abs(upu - p_full).max(axis=(1, 2), initial=0.0))
     return np.concatenate(leaks)
 
 
@@ -112,18 +112,30 @@ def _oracle_gauge(model, seed: int, v, p_full: np.ndarray) -> GaugeSample:
     return elements
 
 
+def _gamma_action(fock: FermiFock | BoseFock, u11: np.ndarray):
+    """Gamma(U) as a callable on vectors: a phase product when u11 is diagonal.
+
+    Diagonal means every off-diagonal entry is exactly zero, the exact-zero
+    rule of the minors' block pattern; other elements take fock.gamma.
+    """
+    if np.array_equal(u11, np.diag(np.diagonal(u11))):
+        return fock.gamma_vector(u11).__mul__
+    return fock.gamma(u11).__matmul__
+
+
 def _charge_theorem(args, elements: GaugeSample, alphas: list, omegas: list,
-                    act, target, payload: dict, lines: list) -> None:
+                    fock, target, payload: dict, lines: list) -> None:
     """Check the charge theorem blockwise; write its record and summary line.
 
-    act(u11) applies Gamma(U) to a vector, and target(l) is the theorem's
-    (samples, d, d) stack of level-l matrices.  Each level's Gram
+    Gamma(U) acts on fock's vectors by _gamma_action, and target(l) is the
+    theorem's (samples, d, d) stack of level-l matrices.  Each level's Gram
     G_l = <Omega_a, Omega_b> is formed once; oracle_compare solves it
     against every element's block M_l = <Omega_a, Gamma(U) Omega_b>.
     """
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
     blocks = parallel_map(
-        lambda u11: charge_rep_blocks(omegas, alphas, act(u11)),
+        lambda u11: charge_rep_blocks(omegas, alphas,
+                                      _gamma_action(fock, u11)),
         elements.u11, args.threads)
     worst = oracle_compare(grams, blocks,
                            {level: target(level) for level in grams})
@@ -138,30 +150,6 @@ def _charge_theorem(args, elements: GaugeSample, alphas: list, omegas: list,
         f"charge theorem: max blockwise deviation "
         f"{relation(record['max_block_deviation'])} 1e-8 "
         f"over {count} gauge elements")
-
-
-def _fermi_gamma_vector(u11: np.ndarray) -> np.ndarray:
-    """Gamma(U) of a diagonal u11 as its diagonal: prod_{i in S} u_ii at |S>.
-
-    Built one mode at a time as products, which the determinants of
-    FermiFock.gamma match to rounding; exp(i occ . angle) drifts further.
-    """
-    vec = np.ones(1, dtype=complex)
-    for phase in np.diagonal(u11):
-        vec = np.concatenate([vec, vec * phase])
-    return vec
-
-
-def _fermi_gamma_action(fock: FermiFock, u11: np.ndarray):
-    """Gamma(U) as a callable on vectors: a phase product when u11 is diagonal.
-
-    Diagonal means every off-diagonal entry is exactly zero, the exact-zero
-    rule of the minors' block pattern; any other element takes the dense
-    Gamma(U).
-    """
-    if np.array_equal(u11, np.diag(np.diagonal(u11))):
-        return _fermi_gamma_vector(u11).__mul__
-    return fock.gamma(u11).__matmul__
 
 
 def car_oracle(args, model, mem, payload, lines) -> None:
@@ -197,19 +185,10 @@ def car_oracle(args, model, mem, payload, lines) -> None:
     dets_h = char_det_h(elements.u11, data.h.frame, v.codomain)
     comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
     _charge_theorem(
-        args, elements, alphas, omegas,
-        lambda u11: _fermi_gamma_action(fock_c, u11),
+        args, elements, alphas, omegas, fock_c,
         lambda level: dets_h[:, None, None] * np.stack(
             [compound_matrix(comp, level) for comp in comps_k]),
         payload, lines)
-
-
-def _bose_gamma_vector(fock: BoseFock, u11: np.ndarray) -> np.ndarray:
-    diag = np.diagonal(u11)
-    if not np.allclose(u11, np.diag(diag), atol=1e-12):
-        raise NotGaugeCompatible(
-            "bosonic oracle supports phase-diagonal gauge elements only")
-    return fock.gamma_phases(np.angle(diag))
 
 
 def ccr_oracle(args, model, mem, payload, lines) -> None:
@@ -252,7 +231,6 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
 
     comps_k = compressed_action(elements.u11, data.k_frame, v.codomain, "ccr")
     _charge_theorem(
-        args, elements, alphas, omegas,
-        lambda u11: _bose_gamma_vector(fock_c, u11).__mul__,
+        args, elements, alphas, omegas, fock_c,
         lambda level: symmetric_power(comps_k, level),
         payload, lines)

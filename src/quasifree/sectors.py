@@ -22,14 +22,14 @@ stacked product of the two diagonal blocks of u + conj(u) with the frame's
 dual, and its determinant one stacked det.  The eigenphases are one
 np.linalg.eigvals of the stack, so a sector table loads no SciPy.
 
-The characters take a stack of eigenvalue rows, one per sample, so a table
-costs one char_lambda / char_sym call per level.  e_l and h_l are the
-coefficients of t^l in prod_i (1 + lam_i t) and 1 / prod_i (1 - lam_i t),
-so one pass over the eigenvalues builds them (Macdonald, Symmetric
-Functions and Hall Polynomials, I.2).  The complex multiply is written in
-real parts, because numpy's complex array multiply may fuse into FMAs and
-so round differently from a scalar product; every row then keeps the bits
-of the scalar recurrence, whatever stack it sits in.
+The characters take a stack of eigenvalue rows, one per sample.  e_l and
+h_l are the coefficients of t^l in prod_i (1 + lam_i t) and
+1 / prod_i (1 - lam_i t), so one pass over the eigenvalues builds all levels
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2): a table costs
+one pass.  The complex multiply is written in real parts, because numpy's
+complex array multiply may fuse into FMAs and so round differently from a
+scalar product; every row then keeps the bits of the scalar recurrence,
+whatever stack it sits in.
 """
 
 from __future__ import annotations
@@ -209,24 +209,23 @@ def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
     return complex(dets) if np.ndim(u11) == 2 else dets
 
 
-def _coefficient(eigs: np.ndarray, level: int,
-                 complete: bool) -> complex | np.ndarray:
-    """The t^level coefficient of prod (1 + lam_i t) or 1 / prod (1 - lam_i t).
+def _coefficients(eigs: np.ndarray, top: int, complete: bool) -> np.ndarray:
+    """e_0 ... e_top, or h_0 ... h_top when complete, as rows.
 
-    eigs is one eigenvalue vector (the coefficient comes back as a complex)
-    or a (samples, k) stack (one coefficient per row).  Each eigenvalue
-    updates the coefficients 1..level in place, c_j += lam c_{j-1}: over j
-    descending for e_l, so every c_{j-1} is the old one and the update is one
-    slice, and over j ascending for h_l.  The multiply is written in real
-    parts, so every row gets the bits of that scalar loop in Python complex
-    arithmetic.
+    They are the t^j coefficients of prod (1 + lam_i t) and
+    1 / prod (1 - lam_i t); eigs is one eigenvalue vector (one column) or a
+    (samples, k) stack (one column per row).  Each eigenvalue updates the
+    coefficients 1..top in place, c_j += lam c_{j-1}: over j descending for
+    e_l, so every c_{j-1} is the old one and the update is one slice, and
+    over j ascending for h_l.  Row j never reads a row above it, so its bits
+    do not depend on top.  The multiply is written in real parts, so every
+    row gets the bits of that scalar loop in Python complex arithmetic.
     """
-    vec = np.asarray(eigs, dtype=complex)
-    stack = np.atleast_2d(vec)
-    coef = np.zeros((level + 1, len(stack)), dtype=complex)
+    stack = np.atleast_2d(np.asarray(eigs, dtype=complex))
+    coef = np.zeros((top + 1, len(stack)), dtype=complex)
     coef[0] = 1.0
     re, im = coef.real, coef.imag
-    steps = ([(j, j - 1) for j in range(1, level + 1)] if complete
+    steps = ([(j, j - 1) for j in range(1, top + 1)] if complete
              else [(slice(1, None), slice(None, -1))])
     for lr, li in zip(stack.real.T, stack.imag.T):
         for new, old in steps:
@@ -234,7 +233,7 @@ def _coefficient(eigs: np.ndarray, level: int,
             prod_im = lr * im[old] + li * re[old]
             re[new] += prod_re
             im[new] += prod_im
-    return complex(coef[level, 0]) if vec.ndim == 1 else coef[level]
+    return coef
 
 
 def char_lambda(eigs: np.ndarray, level: int) -> complex | np.ndarray:
@@ -245,7 +244,8 @@ def char_lambda(eigs: np.ndarray, level: int) -> complex | np.ndarray:
     k = np.shape(eigs)[-1]
     if level < 0 or level > k:
         raise LevelOutOfRange(f"level {level} outside 0..{k}")
-    return _coefficient(eigs, level, complete=False)
+    row = _coefficients(eigs, level, complete=False)[level]
+    return complex(row[0]) if np.ndim(eigs) == 1 else row
 
 
 def char_sym(eigs: np.ndarray, level: int) -> complex | np.ndarray:
@@ -255,7 +255,8 @@ def char_sym(eigs: np.ndarray, level: int) -> complex | np.ndarray:
     """
     if level < 0:
         raise LevelOutOfRange(f"level {level} < 0")
-    return _coefficient(eigs, level, complete=True)
+    row = _coefficients(eigs, level, complete=True)[level]
+    return complex(row[0]) if np.ndim(eigs) == 1 else row
 
 
 @dataclass(frozen=True)
@@ -293,23 +294,21 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
     if algebra not in ("car", "ccr"):
         raise MalformedInput(f"unknown algebra {algebra!r}")
     k_dim = k_frame.shape[1]
-    if algebra == "car":
-        levels = list(range(k_dim + 1))
-    else:
-        levels = list(range(CCR_L_MAX + 1))
+    top = k_dim if algebra == "car" else CCR_L_MAX
 
     dets = char_det_h(elements.u11, h_frame, space)
     eig_stack = eigenphases(compressed_action(elements.u11, k_frame, space,
                                               algebra))
+    coefs = _coefficients(eig_stack, top, complete=algebra == "ccr")
 
     rows = []
-    for level in levels:
+    for level in range(top + 1):
         if algebra == "car":
             dim = math.comb(k_dim, level)
-            chars = dets * char_lambda(eig_stack, level)
+            chars = dets * coefs[level]
         else:
             dim = math.comb(k_dim + level - 1, level) if k_dim else int(level == 0)
-            chars = char_sym(eig_stack, level)
+            chars = coefs[level]
         rows.append(SectorRow(level, dim, chars))
 
     meta = {"samples": len(elements.labels), "seed": elements.seed,

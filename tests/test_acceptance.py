@@ -207,8 +207,7 @@ def test_criterion_5_ccr_charge_theorem(capsys):
     targets = {level: symmetric_power(comps, level) for level in grams}
     blocks = []
     for u11 in elements.u11:
-        phases = np.angle(np.diagonal(u11))
-        gvec = fock.gamma_phases(phases)
+        gvec = fock.gamma_vector(u11)
         blocks.append(charge_rep_blocks(omegas, alphas,
                                         lambda vec: gvec * vec))
     worst = oracle_compare(grams, blocks, targets)

@@ -60,6 +60,13 @@ def matrix_model(tmp_path, algebra, v, gauge) -> str:
                   "codomain_modes": v.codomain.n_modes}})
 
 
+def tiny_off_diagonal_unitary():
+    """A diagonal phase unitary on 4 modes plus one 1e-300 entry below it."""
+    u = np.diag(np.exp([0.3j, -1.1j, 0.4j, 2.0j]))
+    u[3, 2] = 1e-300
+    return u
+
+
 def analyze_bogoliubov(tmp_path, theta, n_modes):
     """charge_data of `analyze` on bogoliubov(theta) under u1, charges 1."""
     path = write_model(tmp_path, "m.json", {
@@ -744,6 +751,40 @@ class TestOracle:
                          "--report", out]) == 0
         data = json.loads(open(out, encoding="utf-8").read())
         assert data["caps"]["fock_cap"] == FERMI_DIM_CAP
+
+    @pytest.mark.parametrize("algebra", ["car", "ccr"])
+    def test_zero_mode_model(self, tmp_path, algebra):
+        path = write_model(tmp_path, "m.json", {
+            "algebra": algebra,
+            "isometry": {"builder": "identity", "params": {"n_modes": 0}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "ok"
+        assert data["charge_theorem"]["levels"] == [0]
+        assert report.failed_comparisons(data) == []
+
+    @pytest.mark.parametrize("gauge", [
+        # SU(2) on the species index mixes modes.
+        {"group": "sun", "species": 2, "samples": 4},
+        # Diagonal means exactly diagonal: one 1e-300 entry mixes modes.
+        {"group": "custom", "unitaries": [
+            report.complex_array_payload(tiny_off_diagonal_unitary())]},
+    ], ids=["sun", "custom-tiny-off-diagonal"])
+    def test_ccr_gauge_element_mixing_modes_exit_2(self, tmp_path, capsys,
+                                                   gauge):
+        # Shift 1 -> 2 with two species: the per-mode cutoff keeps only
+        # phase-diagonal gauge elements.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr", "gauge": gauge,
+            "isometry": {"builder": "shift",
+                         "params": {"n_sites_in": 1, "species": 2}}})
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", path, "--report", str(out),
+                         "--bose-cutoff", "5"]) == 2
+        assert ("bosonic oracle supports phase-diagonal gauge elements only"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestMain:

@@ -162,12 +162,25 @@ def test_bose_charge_blocks_are_gauge_phases():
     alphas, omegas, _ = omega_alphas_bose(
         fock, v.codomain, omega_p, data.k_frame, l_max=3, pair=pair)
     phi = 0.9
-    gamma = np.diag(fock.gamma_phases(np.array([phi, 0.0])))
+    gamma = np.diag(fock.gamma_vector(np.diag(np.exp([1j * phi, 0.0]))))
     blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
     for level, block in blocks.items():
         assert block.shape == (1, 1)
         assert block[0, 0] == pytest.approx(np.exp(1j * level * phi),
                                             abs=1e-12)
+
+
+@pytest.mark.parametrize("n_modes", [0, 1, 2, 3])
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 8])
+def test_gamma_vector_is_the_phase_of_the_occupations(n_modes, cutoff):
+    fock = BoseFock(n_modes, cutoff)
+    rng = np.random.default_rng(10 * n_modes + cutoff)
+    for _ in range(3):
+        phi = rng.uniform(-np.pi, np.pi, n_modes)
+        vec = fock.gamma_vector(np.diag(np.exp(1j * phi)))
+        want = np.exp(1j * (fock._occupations @ phi))
+        assert vec.shape == (fock.dim,)
+        assert np.max(np.abs(vec - want)) <= 1e-14
 
 
 def test_ccr_multi_indices():
@@ -338,6 +351,24 @@ def test_bose_implementer_matches_dense_products(v):
                                        occ_probe=2)
     ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
         v, fock_d, fock_c, omega_p, occ_probe=2)
+    assert np.array_equal(psi, ref_psi)
+    assert abs(inter - ref_inter) <= 1e-14
+    assert iso == ref_iso
+
+
+@pytest.mark.parametrize("v", [
+    builders.shift(2),
+    builders.squeeze(0.4, n_modes=3, mode=3) @ builders.shift(2),
+], ids=["shift-2-3", "squeeze-shift-2-3"])
+def test_bose_implementer_on_two_domain_modes(v):
+    # The column batches must run from the highest domain mode down.
+    data = ccr_charge_data(ccr_membership(v))
+    fock_d, fock_c = BoseFock(2, 4), BoseFock(3, 4)
+    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
+                                       occ_probe=1)
+    ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
+        v, fock_d, fock_c, omega_p, occ_probe=1)
     assert np.array_equal(psi, ref_psi)
     assert abs(inter - ref_inter) <= 1e-14
     assert iso == ref_iso

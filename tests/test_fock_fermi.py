@@ -410,7 +410,7 @@ def test_phase_vector_is_the_diagonal_of_gamma(n):
         u11 = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
         gamma = fock_n.gamma(u11)
         assert not np.any(gamma - np.diag(np.diagonal(gamma)))
-        vec = oracle._fermi_gamma_vector(u11)
+        vec = fock_n.gamma_vector(u11)
         assert np.max(np.abs(vec - np.diagonal(gamma))) <= 1e-15
 
 
@@ -431,10 +431,10 @@ def test_a_tiny_off_diagonal_entry_takes_the_dense_gamma(monkeypatch):
     fock_3 = FermiFock(3)
     u11 = np.diag(np.exp([0.3j, -1.1j, 2.0j]))
     vec = np.random.default_rng(5).normal(size=8) + 0j
-    phase = oracle._fermi_gamma_action(fock_3, u11)(vec)
+    phase = oracle._gamma_action(fock_3, u11)(vec)
     assert calls == []
     u11[2, 0] = 1e-300
-    dense = oracle._fermi_gamma_action(fock_3, u11)(vec)
+    dense = oracle._gamma_action(fock_3, u11)(vec)
     assert len(calls) == 1
     assert np.max(np.abs(dense - phase)) <= 1e-15
 
@@ -462,7 +462,7 @@ def test_phase_path_reports_the_dense_path_bytes(tmp_path, monkeypatch,
     calls = count_gamma_calls(monkeypatch)
     phase = run()
     assert calls == []
-    monkeypatch.setattr(oracle, "_fermi_gamma_action",
+    monkeypatch.setattr(oracle, "_gamma_action",
                         lambda fock_c, u11: fock_c.gamma(u11).__matmul__)
     dense = run()
     assert len(calls) == (7 if gauge else 20)

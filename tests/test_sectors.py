@@ -468,17 +468,16 @@ def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
                         species=block.get("species", 0))
     elements = gauge.elements(samples=samples, seed=block["seed"])
     calls = []
-    for name in ("char_lambda", "char_sym"):
-        original = getattr(sectors, name)
+    original = sectors._coefficients
 
-        def counted(eigs, level, original=original, name=name):
-            calls.append(name)
-            return original(eigs, level)
-        monkeypatch.setattr(sectors, name, counted)
+    def counted(eigs, top, complete):
+        calls.append((top, complete))
+        return original(eigs, top, complete)
+    monkeypatch.setattr(sectors, "_coefficients", counted)
     table = sector_table(algebra, v.codomain, h_frame, k_frame, elements)
     levels = [row.level for row in table.rows]
-    name = "char_lambda" if algebra == "car" else "char_sym"
-    assert calls == [name] * len(levels)
+    # One recurrence pass per table, up to its last level.
+    assert calls == [(levels[-1], algebra == "ccr")]
     want = loop_sector_characters(algebra, v.codomain, h_frame, k_frame,
                                   elements, levels)
     for row, ref in zip(table.rows, want):

@@ -1,9 +1,10 @@
 """What a fresh interpreter loads, and the CLI run as ``python -m``.
 
 ``import quasifree.cli`` loads numpy and the standard library only: the Fock
-oracle (and with it scipy.sparse) is imported by the ``oracle`` command, and
-no other command loads SciPy.  Each check starts a new interpreter and reads
-its ``sys.modules``; none of them times anything.
+oracle (and with it scipy.sparse) is imported by the ``oracle`` command,
+which loads no scipy.linalg for either algebra, and no other command loads
+SciPy.  Each check starts a new interpreter and reads its ``sys.modules``;
+none of them times anything.
 """
 
 import json
@@ -76,6 +77,8 @@ def test_each_command_loads_scipy_only_where_it_calls_it(tmp_path):
         (["analyze", "--input", malformed], 2),
         (["analyze", "--input", gauged], 0),
         (["oracle", "--input", shift_model(tmp_path, "car", 2)], 0),
+        (["oracle", "--input", shift_model(tmp_path, "ccr", 1),
+          "--bose-cutoff", "5"], 0),
     ]
     proc = fresh_python(["-c", RUNNER, json.dumps([a for a, _ in runs])],
                         tmp_path)
@@ -88,8 +91,11 @@ def test_each_command_loads_scipy_only_where_it_calls_it(tmp_path):
     # dirac and the four analyze runs, gauged or not: no SciPy at all.
     for _, loaded in after[:5]:
         assert loaded == []
-    assert {"quasifree.fock", "quasifree.oracle",
-            "scipy.sparse"} <= set(after[5][1])
+    # Both oracles load scipy.sparse and never scipy.linalg.
+    for _, loaded in after[5:]:
+        assert {"quasifree.fock", "quasifree.oracle",
+                "scipy.sparse"} <= set(loaded)
+        assert "scipy.linalg" not in loaded
 
 
 @pytest.mark.parametrize("algebra, n_sites_in", [("car", 3), ("ccr", 1)],
