@@ -3,9 +3,8 @@
 Exit codes: 0 success, 2 malformed input or cap exceeded, 3 operator not in
 the semigroup, 4 numerical failure (an invariant self-check failed, or a
 comparison in the report did: the report then has status "fail").  Reports
-are canonical JSON (sorted keys, fixed indent), so identical inputs, seed and
-version produce byte-identical files; --threads only bounds parallelism and
-never changes output bytes.
+are canonical JSON (sorted keys, fixed indent), so identical inputs, seed,
+version and BLAS thread count produce byte-identical files.
 
 Importing this module loads numpy and the standard library only.  The Fock
 oracle (:mod:`quasifree.oracle`, which loads scipy.sparse) is imported by
@@ -35,7 +34,6 @@ from .errors import (
     QuasifreeError,
     ShapeMismatch,
     WindowTooSmall,
-    parallel_map,
 )
 from .report import (
     SCHEMA_VERSION,
@@ -238,7 +236,9 @@ def cmd_dirac(args) -> int:
     payload["cutoffs"] = list(cutoffs)
     payload["cayley_audit"] = dirac.cayley_audit()
 
-    builds = parallel_map(dirac.build_v, cutoffs, args.threads)
+    # Largest window first: build_v refuses a window over the dense budget
+    # before it allocates, so an oversized cutoff exits before any build.
+    builds = [dirac.build_v(w) for w in reversed(cutoffs)][::-1]
     per_cutoff = {}
     for build in builds:
         diag = build.diagnostics
@@ -318,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="primary tolerance override")
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism bound (never affects output bytes)")
 
     p_analyze = sub.add_parser(
         "analyze", help="membership, charge data, sector table")

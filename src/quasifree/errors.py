@@ -1,9 +1,9 @@
 """Exception hierarchy and size budgets for the quasifree toolkit.
 
 Every failure mode that callers are expected to branch on gets its own class;
-the CLI maps them onto exit codes (see :mod:`quasifree.cli`).  The size caps,
-the sample chunking and the order-preserving thread map live here too, so
-every layer can use them without importing another layer.
+the CLI maps them onto exit codes (see :mod:`quasifree.cli`).  The size caps
+and the sample chunking live here too, so every layer can use them without
+importing another layer.
 """
 
 
@@ -125,13 +125,3 @@ def sample_chunks(count: int, sample_bytes: int) -> list[slice]:
     step = max(1, STACK_CHUNK_BYTES // max(sample_bytes, 1))
     return [slice(start, start + step) for start in range(0, count, step)]
 
-
-def parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map; thread count never affects the result list."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # Imported here: most commands run on one thread and never need it.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -37,17 +37,18 @@ Vacua: for fermionic charge data (h, T) the representing vector is
 
 and for bosonic data Omega_P = det(1 - T*T)^{+1/4} exp(-B) Omega.  Charged
 vectors Omega_alpha apply twisted fields over the k frame (strictly
-increasing multi-indices, CAR) or polar isometries of pi(g_j) (non-decreasing
-multi-indices, CCR; the monomial route is kept as a cross-check and its
-proportionality constant is reported, not assumed).
+increasing multi-indices, CAR) or the normalised pi-monomials
+prod_j pi(g_alpha_j) Omega_P / sqrt(m_alpha!) (non-decreasing multi-indices,
+CCR), one sparse pi(g_j) per k column.
 
-The bosonic polar isometries are mode-local.  pi(g) acts only on the modes S
-where g[i] or g[n + i] is nonzero, and on the truncated space it equals
-pi_S(g|S) (x) 1, so its SVD is that of the (M+1)^|S| square factor tensored
-with 1.  The polar factor W_S (x) 1 is the unique one on (ker pi(g))^perp;
-the kernel holds only states at the cutoff, and there the completion is the
-one LAPACK gives for W_S, extended by 1 on the other modes.  The
-(M+1)^n square matrix is never formed.  The bosonic implementer applies its
+The bosonic monomials are exact on the truncated space for every gauge
+element the oracle applies there.  A diagonal Gamma(U) commutes with the
+per-mode cutoff, so Gamma(U) pi(g) Gamma(U)* = pi(Ug) holds exactly below
+it; the span of the monomials is then invariant, and the matrix of Gamma(U)
+on it, in the normalised basis, is S^l(c) with c the compressed action on
+k.  The truncation tail only makes the Omega_alpha fail to be orthonormal,
+and the charge comparison's G^-1 M removes that.  Elements that are not
+diagonal are refused by BoseFock.gamma.  The bosonic implementer applies its
 fields as sparse matrices on the probe window only.
 """
 
@@ -321,11 +322,10 @@ def omega_p_fermi(fock: FermiFock, space: SelfDualSpace, h_frame: np.ndarray,
 
 
 def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray
-                 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Bosonic vacuum, its truncation tail 1 - ||.||^2, and exp(-B) Omega.
+                 ) -> tuple[np.ndarray, float]:
+    """Bosonic vacuum and its truncation tail 1 - ||.||^2.
 
-    The vacuum is det(1 - T*T)^{1/4} exp(-B) Omega; the unnormalised series
-    is returned too, so omega_alphas_bose need not sum it again.
+    The vacuum is det(1 - T*T)^{1/4} exp(-B) Omega.
     """
     eye = np.eye(fock.n_modes)
     gram = eye - t_block.conj().T @ t_block
@@ -334,10 +334,9 @@ def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray
         raise NormBoundViolation(
             "1 - T*T is not positive definite, so ||T|| >= 1")
     factor = float(np.linalg.det(gram).real) ** 0.25
-    pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
-    vec = factor * pair
+    vec = factor * _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
     tail = max(0.0, 1.0 - float(np.linalg.norm(vec)) ** 2)
-    return vec, tail, pair
+    return vec, tail
 
 
 def polar_isometry(matrix: np.ndarray) -> np.ndarray:
@@ -345,41 +344,12 @@ def polar_isometry(matrix: np.ndarray) -> np.ndarray:
 
     The factor is unique on (ker matrix)^perp; on the kernel it is the
     completion LAPACK's singular vectors give, deterministic for a given
-    input.  omega_alphas_bose calls this on the modes a charge vector
-    touches only (see _mode_local_polar).
+    input.  No code in the package calls it: the bosonic charged vectors
+    are normalised pi-monomials (omega_alphas_bose), and the tests use it as
+    the dense polar reference.
     """
     u, _, vh = np.linalg.svd(matrix)
     return u @ vh
-
-
-def _mode_local_polar(fock: BoseFock, g: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Polar factor of pi(g) on the modes S where g is nonzero.
-
-    pi(g) = pi_S(g|S) (x) 1 on the truncated space, so its SVD is that of the
-    (M+1)^|S| square factor tensored with 1.  Returns the tensor axes of S
-    in a state vector reshaped to (M+1,)*n (C order: axis k is mode n-1-k)
-    and W_S; W_S (x) 1 is the polar factor with the kernel completion taken
-    mode by mode.
-    """
-    n = fock.n_modes
-    modes = [i for i in range(n) if g[i] != 0 or g[n + i] != 0]
-    local = BoseFock(len(modes), fock.cutoff, dim_cap=fock.dim)
-    g_local = np.concatenate([g[modes], g[[n + i for i in modes]]])
-    w = polar_isometry(local.pi(SelfDualSpace(len(modes)), g_local).toarray())
-    # Ascending axes are descending modes, as in the local C order.
-    return np.array([n - 1 - i for i in reversed(modes)], dtype=np.intp), w
-
-
-def _apply_on_axes(fock: BoseFock, axes: np.ndarray, matrix: np.ndarray,
-                   vec: np.ndarray) -> np.ndarray:
-    """(matrix on the given tensor axes) (x) 1, applied to a state vector."""
-    front = range(len(axes))
-    tensor = np.moveaxis(vec.reshape((fock._radix,) * fock.n_modes),
-                         axes, front)
-    shape = tensor.shape
-    out = matrix @ tensor.reshape(matrix.shape[1], -1)
-    return np.moveaxis(out.reshape(shape), front, axes).reshape(-1)
 
 
 def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
@@ -403,39 +373,24 @@ def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
 
 
 def omega_alphas_bose(fock: BoseFock, space: SelfDualSpace,
-                      omega_p: np.ndarray, k_frame: np.ndarray, l_max: int,
-                      pair: np.ndarray
-                      ) -> tuple[list[tuple[int, ...]], list[np.ndarray],
-                                 list[dict]]:
-    """Charged vectors via polar isometries, plus the monomial cross-check.
+                      omega_p: np.ndarray, k_frame: np.ndarray, l_max: int
+                      ) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """Charged vectors prod_j pi(g_alpha_j) Omega_P / sqrt(m_alpha!).
 
-    ``pair`` is the series exp(-B) Omega that omega_p_bose returns.  Returns
-    (alphas, vectors, route_records); each record carries the numerically
-    determined proportionality constant between the polar-isometry route and
-    the normalized pi-monomial route, and their angular defect.
+    Non-decreasing multi-indices alpha up to level l_max, g_j the k frame's
+    columns and m_alpha! the product of the factorials of alpha's
+    multiplicities: the basis in which symmetric_power writes S^l.  The
+    monomial of alpha is pi(g_alpha_0) applied to that of alpha[1:], a lower
+    level, so each takes one sparse product.
     """
-    k_dim = k_frame.shape[1]
-    alphas = ccr_multi_indices(k_dim, l_max)
-    isoms = [_mode_local_polar(fock, k_frame[:, j]) for j in range(k_dim)]
-    pis = [fock.pi(space, k_frame[:, j]) for j in range(k_dim)]
-    vectors, records = [], []
-    for alpha in alphas:
-        vec = omega_p.copy()
-        for j in reversed(alpha):
-            vec = _apply_on_axes(fock, *isoms[j], vec)
-        vectors.append(vec)
-        raw = pair.copy()
-        for j in reversed(alpha):
-            raw = pis[j] @ raw
-        raw_norm = float(np.linalg.norm(raw))
-        if raw_norm > 0:
-            const = complex(np.vdot(vec, raw))
-            defect = float(np.linalg.norm(raw - const * vec)) / raw_norm
-        else:
-            const, defect = 0.0j, math.inf
-        records.append({"alpha": alpha, "constant": const,
-                        "angular_defect": defect})
-    return alphas, vectors, records
+    alphas = ccr_multi_indices(k_frame.shape[1], l_max)
+    pis = [fock.pi(space, col) for col in k_frame.T]
+    monomials = {(): omega_p}
+    for alpha in alphas[1:]:
+        monomials[alpha] = pis[alpha[0]] @ monomials[alpha[1:]]
+    vectors = [monomials[alpha] / math.sqrt(math.prod(
+        math.factorial(alpha.count(j)) for j in set(alpha))) for alpha in alphas]
+    return alphas, vectors
 
 
 # --- implementers -------------------------------------------------------------

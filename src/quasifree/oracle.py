@@ -10,7 +10,9 @@ report holds each comparison's value; the summary lines print its relation
 and tolerance.  The default gauge is the all-ones U(1) when it leaves the
 vacuum's basis projection invariant, else the identity alone.  A diagonal
 gauge element acts on either Fock space by a phase vector; one that is not
-diagonal takes a dense Gamma(U), which only the fermionic space builds.
+diagonal takes a dense Gamma(U), which only the fermionic space builds, up
+to GAMMA_DIM_CAP.  The bosonic charged vectors are normalised pi-monomials,
+exact on the truncated space for diagonal elements (see quasifree.fock).
 
 Only ``cli.cmd_oracle`` imports this module, when it runs, so the other
 commands load neither the Fock code nor scipy.sparse.  It imports nothing
@@ -29,7 +31,6 @@ from .errors import (
     CapExceeded,
     MalformedInput,
     NotGaugeCompatible,
-    parallel_map,
     sample_chunks,
 )
 from .fock import (
@@ -112,18 +113,26 @@ def _oracle_gauge(model, seed: int, v, p_full: np.ndarray) -> GaugeSample:
     return elements
 
 
+def _is_diagonal(u11: np.ndarray) -> bool:
+    """Whether u11 is diagonal: every off-diagonal entry is exactly zero.
+
+    This is the exact-zero rule of the minors' block pattern.  car_oracle's
+    early Gamma(U) refusal and _gamma_action both decide by it.
+    """
+    return np.array_equal(u11, np.diag(np.diagonal(u11)))
+
+
 def _gamma_action(fock: FermiFock | BoseFock, u11: np.ndarray):
     """Gamma(U) as a callable on vectors: a phase product when u11 is diagonal.
 
-    Diagonal means every off-diagonal entry is exactly zero, the exact-zero
-    rule of the minors' block pattern; other elements take fock.gamma.
+    Other elements take fock.gamma.
     """
-    if np.array_equal(u11, np.diag(np.diagonal(u11))):
+    if _is_diagonal(u11):
         return fock.gamma_vector(u11).__mul__
     return fock.gamma(u11).__matmul__
 
 
-def _charge_theorem(args, elements: GaugeSample, alphas: list, omegas: list,
+def _charge_theorem(elements: GaugeSample, alphas: list, omegas: list,
                     fock, target, payload: dict, lines: list) -> None:
     """Check the charge theorem blockwise; write its record and summary line.
 
@@ -133,10 +142,8 @@ def _charge_theorem(args, elements: GaugeSample, alphas: list, omegas: list,
     against every element's block M_l = <Omega_a, Gamma(U) Omega_b>.
     """
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
-    blocks = parallel_map(
-        lambda u11: charge_rep_blocks(omegas, alphas,
-                                      _gamma_action(fock, u11)),
-        elements.u11, args.threads)
+    blocks = [charge_rep_blocks(omegas, alphas, _gamma_action(fock, u11))
+              for u11 in elements.u11]
     worst = oracle_compare(grams, blocks,
                            {level: target(level) for level in grams})
     count = len(elements.labels)
@@ -159,9 +166,10 @@ def car_oracle(args, model, mem, payload, lines) -> None:
     fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
     fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
     # A gauge element that is not diagonal takes a dense Gamma(U) on the
-    # codomain; refuse its size for every gauge, before the implementers,
-    # with FermiFock.gamma's message.
-    if fock_c.dim > GAMMA_DIM_CAP:
+    # codomain; refuse its size before the implementers, with
+    # FermiFock.gamma's message.  Diagonal elements take phase vectors.
+    if (fock_c.dim > GAMMA_DIM_CAP
+            and not all(map(_is_diagonal, elements.u11))):
         raise CapExceeded(
             f"Gamma on dimension {fock_c.dim} exceeds cap {GAMMA_DIM_CAP}")
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
@@ -185,7 +193,7 @@ def car_oracle(args, model, mem, payload, lines) -> None:
     dets_h = char_det_h(elements.u11, data.h.frame, v.codomain)
     comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
     _charge_theorem(
-        args, elements, alphas, omegas, fock_c,
+        elements, alphas, omegas, fock_c,
         lambda level: dets_h[:, None, None] * np.stack(
             [compound_matrix(comp, level) for comp in comps_k]),
         payload, lines)
@@ -203,18 +211,10 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, tail, pair = omega_p_bose(fock_c, v.codomain, data.t)
-    alphas, omegas, routes = omega_alphas_bose(
-        fock_c, v.codomain, omega_p, data.k_frame, l_max, pair)
-    route_defect = max((r["angular_defect"] for r in routes), default=0.0)
-    payload["vacuum"] = {
-        "tail": float(tail),
-        "route_cross_check": {
-            "max_angular_defect": float(route_defect),
-            "constants": [{"alpha": list(r["alpha"]),
-                           "constant": r["constant"]} for r in routes],
-        },
-    }
+    omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
+    alphas, omegas = omega_alphas_bose(fock_c, v.codomain, omega_p,
+                                       data.k_frame, l_max)
+    payload["vacuum"] = {"tail": float(tail)}
     lines.append(f"bosonic vacuum tail bound: {tail:.3e} (cutoff M = {cutoff})")
 
     # Probe below the cutoff: states at the edge carry truncation noise only.
@@ -231,6 +231,6 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
 
     comps_k = compressed_action(elements.u11, data.k_frame, v.codomain, "ccr")
     _charge_theorem(
-        args, elements, alphas, omegas, fock_c,
+        elements, alphas, omegas, fock_c,
         lambda level: symmetric_power(comps_k, level),
         payload, lines)

@@ -198,9 +198,9 @@ def test_criterion_5_ccr_charge_theorem(capsys):
     data = ccr_charge_data(ccr_membership(v))
     cutoff = 8
     fock = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, tail, pair = omega_p_bose(fock, v.codomain, data.t)
-    alphas, omegas, _ = omega_alphas_bose(fock, v.codomain, omega_p,
-                                          data.k_frame, 5, pair)
+    omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
+    alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p,
+                                       data.k_frame, 5)
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=20)
     comps = compressed_action(elements.u11, data.k_frame, v.codomain, "ccr")
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
@@ -297,23 +297,23 @@ def test_criterion_8_byte_determinism(capsys, tmp_path):
         return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
     hashes = set()
-    for i, threads in enumerate(("1", "1", "3")):
+    for i in range(3):
         out = str(tmp_path / f"a{i}.json")
-        assert cli.main(["analyze", "--input", str(model), "--report", out,
-                         "--threads", threads]) == 0
+        assert cli.main(["analyze", "--input", str(model), "--report",
+                         out]) == 0
         hashes.add(digest(out))
     analyze_ok = len(hashes) == 1
 
     hashes = set()
-    for i, threads in enumerate(("1", "4")):
+    for i in range(2):
         out = str(tmp_path / f"d{i}.json")
-        assert cli.main(["dirac", "--cutoffs", "32,64", "--report", out,
-                         "--threads", threads]) == 0
+        assert cli.main(["dirac", "--cutoffs", "32,64", "--report",
+                         out]) == 0
         hashes.add(digest(out))
     dirac_ok = len(hashes) == 1
 
     elapsed = time.perf_counter() - start
     ok = analyze_ok and dirac_ok
     announce(capsys, "criterion 8 (byte determinism)", ok,
-             f"repeated analyze and dirac reports hash-identical under "
-             f"--threads 1/3/4, runtime {elapsed:.2f}s")
+             f"repeated analyze and dirac reports hash-identical, "
+             f"runtime {elapsed:.2f}s")

@@ -654,13 +654,59 @@ class TestOracle:
         data = json.loads(open(out, encoding="utf-8").read())
         assert (data["caps"]["bose_cutoff"] + 1) ** 4 == BOSE_DIM_CAP
         assert data["status"] == "ok"
-        routes = data["vacuum"]["route_cross_check"]["constants"]
-        assert [len(r["alpha"]) for r in routes] == list(range(6))
-        for route in routes:
-            level = len(route["alpha"])
-            assert route["constant"]["re"] == pytest.approx(
-                math.sqrt(math.factorial(level)), abs=1e-12)
-            assert abs(route["constant"]["im"]) < 1e-12
+        assert data["vacuum"] == {"tail": 0.0}
+        theorem = data["charge_theorem"]
+        assert theorem["levels"] == list(range(6))
+        assert theorem["max_block_deviation"]["value"] <= 1e-12
+
+    @pytest.mark.parametrize("seed, scale, cutoff", [
+        (7, 0.1, 5), (7, 0.1, 6), (3, 0.13, 5), (3, 0.13, 6)])
+    def test_ccr_member_with_pairing_on_k(self, tmp_path, seed, scale,
+                                          cutoff):
+        # u1-invariant members whose pairing touches k's modes: the
+        # normalised pi-monomials are exact on the truncated space, so the
+        # charge theorem holds to rounding at any cutoff.
+        charges = [1, -1, 1, -1]
+        v = random_member("ccr", 4, 2, seed, scale, charges=charges)
+        gauge = {"group": "u1", "charges": charges, "samples": 8}
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input",
+                         matrix_model(tmp_path, "ccr", v, gauge),
+                         "--bose-cutoff", str(cutoff), "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert ccr.ccr_charge_data(ccr.ccr_membership(v)).t_norm > 0.02
+        assert data["charge_theorem"]["max_block_deviation"]["value"] <= 1e-12
+
+    def test_ccr_member_with_pairing_on_k_at_the_bosonic_cap(self, tmp_path):
+        charges = [1, -1, 1, -1]
+        v = random_member("ccr", 4, 2, 7, 0.1, charges=charges)
+        gauge = {"group": "u1", "charges": charges, "samples": 8}
+        out = str(tmp_path / "r.json")
+        start = time.perf_counter()
+        assert cli.main(["oracle", "--input",
+                         matrix_model(tmp_path, "ccr", v, gauge),
+                         "--report", out]) == 0
+        assert time.perf_counter() - start < 10.0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert (data["caps"]["bose_cutoff"] + 1) ** 4 == BOSE_DIM_CAP
+        assert data["charge_theorem"]["max_block_deviation"]["value"] <= 1e-12
+
+    def test_wrong_level_1_ccr_target_fails_with_pairing_on_k(
+            self, tmp_path, capsys, monkeypatch):
+        def conjugated(matrix, level):
+            power = oracle_symmetric_power(matrix, level)
+            return power.conj() if level == 1 else power
+
+        oracle_symmetric_power = oracle.symmetric_power
+        monkeypatch.setattr(oracle, "symmetric_power", conjugated)
+        charges = [1, -1, 1, -1]
+        v = random_member("ccr", 4, 2, 7, 0.1, charges=charges)
+        gauge = {"group": "u1", "charges": charges, "samples": 8}
+        assert cli.main(["oracle", "--input",
+                         matrix_model(tmp_path, "ccr", v, gauge),
+                         "--bose-cutoff", "5"]) == 4
+        assert ("charge_theorem.max_block_deviation"
+                in capsys.readouterr().err)
 
     def test_car_shift_at_the_gamma_cap(self, tmp_path):
         # Shift 9 -> 10 with the default U(1) gauge: Fock dimension
@@ -730,19 +776,36 @@ class TestOracle:
 
     def test_car_shift_above_the_gamma_cap_exit_2_early(self, tmp_path,
                                                         capsys):
-        # Shift 10 -> 11: dimension 2048 fits FERMI_DIM_CAP but not
-        # GAMMA_DIM_CAP; it is refused before any implementer is built.
+        # Shift 5 -> 6 with two species under U(2): dimension 4096 fits
+        # FERMI_DIM_CAP, but its elements mix modes and need a dense
+        # Gamma(U) above GAMMA_DIM_CAP; refused before any implementer.
         path = write_model(tmp_path, "m.json", {
             "algebra": "car",
-            "isometry": {"builder": "shift", "params": {"n_sites_in": 10}}})
+            "isometry": {"builder": "shift",
+                         "params": {"n_sites_in": 5, "species": 2}},
+            "gauge": {"group": "un", "species": 2, "samples": 4}})
         out = tmp_path / "r.json"
         start = time.perf_counter()
         code = cli.main(["oracle", "--input", path, "--report", str(out)])
         assert time.perf_counter() - start < 2.0
         assert code == 2
-        assert ("Gamma on dimension 2048 exceeds cap 1024"
+        assert ("Gamma on dimension 4096 exceeds cap 1024"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_car_shift_above_the_gamma_cap_with_phase_elements(self,
+                                                               tmp_path):
+        # Shift 10 -> 11 under the default U(1): dimension 2048 is above
+        # GAMMA_DIM_CAP, but diagonal elements take phase vectors.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 10}}})
+        out = str(tmp_path / "r.json")
+        assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+        data = json.loads(open(out, encoding="utf-8").read())
+        assert data["status"] == "ok"
+        assert data["charge_theorem"]["gauge"] == "u1"
+        assert data["implementers"]["count"] == 2
 
     def test_fock_cap_default_is_the_fermionic_cap(self, tmp_path):
         out = str(tmp_path / "r.json")
@@ -909,6 +972,14 @@ class TestDirac:
         assert err.startswith("error (input): circle window: a dense "
                               "200000001 x 50000001")
 
+    def test_oversized_window_exit_2_before_any_build(self, capsys):
+        # 8192 fits the dense budget and 16384 does not: the largest window
+        # is built first, so the refusal comes before the 8192 build.
+        start = time.perf_counter()
+        assert cli.main(["dirac", "--cutoffs", "8192,16384"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "circle window: a dense 32769 x" in capsys.readouterr().err
+
     def test_out_of_order_cutoffs_exit_2(self):
         assert cli.main(["dirac", "--cutoffs", "64,32"]) == 2
 
@@ -950,14 +1021,24 @@ class TestDeterminism:
         model = shift_car_model(tmp_path)
         r1, r2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert cli.main(["analyze", "--input", model, "--report", r1]) == 0
-        assert cli.main(["analyze", "--input", model, "--report", r2,
-                         "--threads", "3"]) == 0
+        assert cli.main(["analyze", "--input", model, "--report", r2]) == 0
         assert open(r1, "rb").read() == open(r2, "rb").read()
 
-    def test_dirac_reports_byte_identical_across_threads(self, tmp_path):
+    def test_dirac_reports_byte_identical(self, tmp_path):
         r1, r2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert cli.main(["dirac", "--cutoffs", "32,64",
                          "--report", r1]) == 0
-        assert cli.main(["dirac", "--cutoffs", "32,64", "--report", r2,
-                         "--threads", "4"]) == 0
+        assert cli.main(["dirac", "--cutoffs", "32,64",
+                         "--report", r2]) == 0
         assert open(r1, "rb").read() == open(r2, "rb").read()
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle", "dirac"])
+    def test_threads_flag_is_refused(self, tmp_path, capsys, command):
+        # No --threads option: argparse exits 2 on it.
+        argv = [command, "--threads", "2"]
+        if command != "dirac":
+            argv += ["--input", shift_car_model(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err

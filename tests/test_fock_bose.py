@@ -12,10 +12,6 @@ from quasifree.ccr import ccr_charge_data, ccr_membership
 from quasifree.errors import CapExceeded, NormBoundViolation
 from quasifree.fock import (
     BoseFock,
-    _apply_on_axes,
-    _exp_apply,
-    _mode_local_polar,
-    _pair_exponent,
     bose_implementer,
     ccr_multi_indices,
     charge_rep_blocks,
@@ -24,7 +20,12 @@ from quasifree.fock import (
     polar_isometry,
     symmetric_power,
 )
-from quasifree.sectors import haar_unitary
+from quasifree.sectors import (
+    GaugeAction,
+    compressed_action,
+    haar_unitary,
+    oracle_compare,
+)
 from quasifree.selfdual import SelfDualSpace, hs_norm
 
 
@@ -62,7 +63,7 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
     v = builders.squeeze(r)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(1, 16, dim_cap=32)
-    omega, tail, _ = omega_p_bose(fock, v.codomain, data.t)
+    omega, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-5
     # bare-vacuum overlap is exactly (1 - t^2)^{1/4} at any cutoff
     assert np.vdot(fock.vacuum(), omega) == pytest.approx(
@@ -88,38 +89,102 @@ def test_polar_isometry_of_creation_is_unilateral_shift():
         assert u[m + 1, m] == pytest.approx(1.0, abs=1e-12)
 
 
+def _monomial_routes(fock, space, omega_p, k_frame, l_max):
+    """Reference: prod_j pi(g_alpha_j) Omega_P, one chain per alpha, and the
+    same chain with polar_isometry of the dense pi(g_j) in place of pi(g_j)."""
+    pis = [fock.pi(space, k_frame[:, j]) for j in range(k_frame.shape[1])]
+    isoms = [polar_isometry(pi.toarray()) for pi in pis]
+    raws, polars = [], []
+    for alpha in ccr_multi_indices(k_frame.shape[1], l_max):
+        raw, polar = omega_p.copy(), omega_p.copy()
+        for j in reversed(alpha):
+            raw = pis[j] @ raw
+            polar = isoms[j] @ polar
+        raws.append(raw)
+        polars.append(polar)
+    return raws, polars
+
+
 def test_shift_charged_vectors_and_route_constants():
     v = builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
-    omega_p, tail, pair = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-14  # t = 0, no pair content
-    alphas, omegas, records = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=3, pair=pair)
+    alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p,
+                                       data.k_frame, l_max=3)
     assert alphas == [(), (0,), (0, 0), (0, 0, 0)]
     # Omega_(0...0) with l quanta is the pure occupation state |l, 0>
     for level in range(4):
         idx = fock.state_index((level, 0))
         assert omegas[level][idx] == pytest.approx(1.0, abs=1e-12)
-    # monomial-route proportionality constants are sqrt(l!)
-    for level, rec in enumerate(records):
-        assert rec["angular_defect"] < 1e-12
-        assert rec["constant"] == pytest.approx(math.sqrt(math.factorial(level)),
-                                                abs=1e-12)
+    # the unnormalised monomials are sqrt(l!) times the charged vectors
+    raws, _ = _monomial_routes(fock, v.codomain, omega_p, data.k_frame, 3)
+    for level, (raw, vec) in enumerate(zip(raws, omegas)):
+        const = np.vdot(vec, raw)
+        assert const == pytest.approx(math.sqrt(math.factorial(level)),
+                                      abs=1e-12)
+        assert np.linalg.norm(raw - const * vec) < 1e-12
 
 
 def test_squeezed_route_cross_check():
+    # The polar route, kept here as a reference only: it agrees with the
+    # monomials in direction up to the truncation tail.
     v = builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 8, dim_cap=81)
-    omega_p, tail, pair = omega_p_bose(fock, v.codomain, data.t)
+    omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-4
-    alphas, omegas, records = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=2, pair=pair)
-    for rec in records:
-        # the two routes agree in direction up to the truncation tail
-        assert rec["angular_defect"] < 1e-3
-        assert abs(rec["constant"]) > 0.5
+    _, omegas = omega_alphas_bose(fock, v.codomain, omega_p, data.k_frame,
+                                  l_max=2)
+    _, polars = _monomial_routes(fock, v.codomain, omega_p, data.k_frame, 2)
+    for vec, polar in zip(omegas, polars):
+        const = np.vdot(polar, vec)
+        assert np.linalg.norm(vec - const * polar) < 1e-3 * np.linalg.norm(vec)
+        assert abs(const) > 0.5
+
+
+@pytest.mark.parametrize("steps, cutoff", [(1, 6), (2, 5)])
+def test_shift_charged_vectors_are_occupation_states(steps, cutoff):
+    # T = 0, so Omega_alpha is the occupation state with alpha.count(j)
+    # quanta in the mode of the k frame's column j, to rounding.
+    v = builders.shift(1, steps=steps)
+    data = ccr_charge_data(ccr_membership(v))
+    fock = BoseFock(v.codomain.n_modes, cutoff)
+    omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
+    alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p,
+                                       data.k_frame, l_max=cutoff)
+    modes = np.argmax(np.abs(data.k_frame[:fock.n_modes]), axis=0)
+    assert len(alphas) == math.comb(steps + cutoff, cutoff)
+    for alpha, vec in zip(alphas, omegas):
+        occupation = np.zeros(fock.n_modes, dtype=int)
+        np.add.at(occupation, modes[list(alpha)], 1)
+        want = np.zeros(fock.dim)
+        want[fock.state_index(occupation)] = 1.0
+        assert np.max(np.abs(vec - want)) <= 1e-15
+
+
+def test_charge_theorem_in_a_rotated_k_frame():
+    # Shift 1 -> 3 with charges (1, 2, 0): the k modes carry charges 1 and
+    # 2.  Rotating the k frame by a fixed unitary makes the compressed
+    # action c non-diagonal, so the monomials' 1/sqrt(m_alpha!) matters.
+    v = builders.shift(1, steps=2)
+    data = ccr_charge_data(ccr_membership(v))
+    rotation = np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([1.0, 1j])
+    frame = data.k_frame @ rotation
+    fock = BoseFock(3, 5)
+    omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
+    alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p, frame, 5)
+    elements = GaugeAction("u1", 3, charges=(1, 2, 0)).elements(samples=8)
+    comps = compressed_action(elements.u11, frame, v.codomain, "ccr")
+    assert np.max(np.abs(comps[1] - np.diag(np.diagonal(comps[1])))) > 0.1
+    grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
+    blocks = [charge_rep_blocks(omegas, alphas,
+                                lambda vec, u=u: fock.gamma_vector(u) * vec)
+              for u in elements.u11]
+    targets = {level: symmetric_power(comps, level) for level in grams}
+    assert max(grams) == 5
+    assert oracle_compare(grams, blocks, targets) <= 1e-12
 
 
 def test_shift_implementer_exact_below_cutoff():
@@ -127,7 +192,7 @@ def test_shift_implementer_exact_below_cutoff():
     fock_d = BoseFock(1, 6)
     fock_c = BoseFock(2, 6)
     data = ccr_charge_data(ccr_membership(v))
-    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                        occ_probe=5)
     assert inter < 1e-12
@@ -144,7 +209,7 @@ def test_squeeze_implementer_residual_tracks_tail():
     defects = []
     for cutoff in (16, 24):
         fock = BoseFock(1, cutoff, dim_cap=40)
-        omega_p, tail, _ = omega_p_bose(fock, v.codomain, data.t)
+        omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
         psi, inter, iso = bose_implementer(v, fock, fock, omega_p, occ_probe=6)
         # probe-window matrix elements of the intertwining law are exact
         assert inter < 1e-12
@@ -158,9 +223,9 @@ def test_bose_charge_blocks_are_gauge_phases():
     v = builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     fock = BoseFock(2, 6)
-    omega_p, _, pair = omega_p_bose(fock, v.codomain, data.t)
-    alphas, omegas, _ = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=3, pair=pair)
+    omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
+    alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p,
+                                       data.k_frame, l_max=3)
     phi = 0.9
     gamma = np.diag(fock.gamma_vector(np.diag(np.exp([1j * phi, 0.0]))))
     blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
@@ -238,29 +303,7 @@ def test_symmetric_power_equals_the_permanent_reference(name, level):
     assert np.allclose(stacked, [got, got.T], rtol=0.0, atol=1e-14)
 
 
-# --- mode-local polar isometries and sparse implementer fields -------------
-
-def _dense_omega_alphas(fock, space, omega_p, k_frame, l_max, t_block):
-    """The dense route: polar factor of pi(g) on the whole Fock space."""
-    isoms = [polar_isometry(fock.pi(space, k_frame[:, j]).toarray())
-             for j in range(k_frame.shape[1])]
-    pis = [fock.pi(space, k_frame[:, j]) for j in range(k_frame.shape[1])]
-    pair = _exp_apply(-_pair_exponent(fock, t_block), fock.vacuum())
-    vectors, records = [], []
-    for alpha in ccr_multi_indices(k_frame.shape[1], l_max):
-        vec = omega_p.copy()
-        raw = pair.copy()
-        for j in reversed(alpha):
-            vec = isoms[j] @ vec
-            raw = pis[j] @ raw
-        const = complex(np.vdot(vec, raw))
-        defect = float(np.linalg.norm(raw - const * vec)
-                       / np.linalg.norm(raw))
-        vectors.append(vec)
-        records.append({"alpha": alpha, "constant": const,
-                        "angular_defect": defect})
-    return vectors, records
-
+# --- sparse implementer fields ---------------------------------------------
 
 def _dense_bose_implementer(v, fock_dom, fock_cod, omega_alpha, occ_probe):
     """Implementer columns and residuals from dense field matrices."""
@@ -288,56 +331,6 @@ def _dense_bose_implementer(v, fock_dom, fock_cod, omega_alpha, occ_probe):
     return psi, inter, float(np.max(np.abs(gram)))
 
 
-def _charge_vector(n, creation=(), annihilation=()):
-    g = np.zeros(2 * n, dtype=complex)
-    for mode, coef in creation:
-        g[mode] = coef
-    for mode, coef in annihilation:
-        g[n + mode] = coef
-    return g
-
-
-@pytest.mark.parametrize("g", [
-    _charge_vector(3, creation=[(0, 1.0)]),
-    _charge_vector(3, creation=[(1, 0.6 - 0.8j)]),
-    _charge_vector(3, creation=[(0, 0.3 + 0.4j)], annihilation=[(2, -0.7)]),
-    _charge_vector(3, creation=[(0, 0.5), (2, 1j)],
-                   annihilation=[(0, 0.2 - 0.1j), (1, 0.9)]),
-], ids=["mode0", "mode1", "modes02-both-parts", "all-modes"])
-def test_mode_local_polar_matches_dense_factor(g):
-    fock = BoseFock(3, 3)
-    space = SelfDualSpace(3)
-    pi = fock.pi(space, g).toarray()
-    dense = polar_isometry(pi)
-    axes, local = _mode_local_polar(fock, g)
-    _, sing, vh = np.linalg.svd(pi)
-    row_space = vh[sing > 1e-10 * sing[0]].conj().T
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        x = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
-        y = _apply_on_axes(fock, axes, local, x)
-        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12
-        # The polar factor is unique on (ker pi(g))^perp.
-        x_perp = row_space @ (row_space.conj().T @ x)
-        gap = _apply_on_axes(fock, axes, local, x_perp) - dense @ x_perp
-        assert np.max(np.abs(gap)) < 1e-12
-
-
-def test_omega_alphas_bose_bit_equal_to_dense_route():
-    v = builders.shift(1)
-    data = ccr_charge_data(ccr_membership(v))
-    fock = BoseFock(2, 6)
-    omega_p, _, pair = omega_p_bose(fock, v.codomain, data.t)
-    alphas, omegas, records = omega_alphas_bose(
-        fock, v.codomain, omega_p, data.k_frame, l_max=5, pair=pair)
-    ref_vectors, ref_records = _dense_omega_alphas(
-        fock, v.codomain, omega_p, data.k_frame, 5, data.t)
-    assert alphas == ccr_multi_indices(1, 5)
-    for vec, ref in zip(omegas, ref_vectors):
-        assert np.array_equal(vec, ref)
-    assert records == ref_records
-
-
 @pytest.mark.parametrize("v", [
     builders.shift(1),
     builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1),
@@ -346,7 +339,7 @@ def test_bose_implementer_matches_dense_products(v):
     data = ccr_charge_data(ccr_membership(v))
     fock_d = BoseFock(v.domain.n_modes, 6)
     fock_c = BoseFock(v.codomain.n_modes, 6)
-    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                        occ_probe=2)
     ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
@@ -364,7 +357,7 @@ def test_bose_implementer_on_two_domain_modes(v):
     # The column batches must run from the highest domain mode down.
     data = ccr_charge_data(ccr_membership(v))
     fock_d, fock_c = BoseFock(2, 4), BoseFock(3, 4)
-    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
     psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                        occ_probe=1)
     ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
@@ -388,7 +381,7 @@ def test_bose_gram_defect_equals_masked_full_gram(make_v, cutoff):
     data = ccr_charge_data(ccr_membership(v))
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
-    omega_p, _, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
     occ_probe = max(1, cutoff // 2 - 1)
     psi, _, iso = bose_implementer(v, fock_d, fock_c, omega_p,
                                    occ_probe=occ_probe)

@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from fock_invariance import (implementer_invariance_residual,
                             span_invariance_residual)
 from implementer_reference import reference_car_implementers
 from test_random_members import random_member
+from test_startup import SRC
 
 TOL = 1e-12
 
@@ -753,6 +757,8 @@ def test_implementation_bound_is_sound_and_tight(monkeypatch, make_v, eps):
 
 
 def test_oracle_report_independent_of_threads(tmp_path):
+    # The U(2) pass takes dense Gamma(U) products; fresh processes at one
+    # and at two BLAS threads write the same report.
     model = tmp_path / "m.json"
     model.write_text(json.dumps({
         "label": "shift-3-4x2", "algebra": "car",
@@ -763,8 +769,12 @@ def test_oracle_report_independent_of_threads(tmp_path):
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"r{threads}.json"
-        assert cli.main(["oracle", "--input", str(model), "--report", str(out),
-                         "--threads", threads]) == 0
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH",
+                                                                ""))
+        subprocess.run([sys.executable, "-m", "quasifree.cli", "oracle",
+                        "--input", str(model), "--report", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     data = json.loads(reports[0])
