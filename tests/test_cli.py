@@ -67,6 +67,15 @@ def tiny_off_diagonal_unitary():
     return u
 
 
+def pairing_on_k_model(tmp_path, seed, scale) -> str:
+    """A u1-invariant CCR member on 4 modes whose pairing touches k."""
+    charges = [1, -1, 1, -1]
+    v = random_member("ccr", 4, 2, seed, scale, charges=charges)
+    assert ccr.ccr_charge_data(ccr.ccr_membership(v)).t_norm > 0.02
+    return matrix_model(tmp_path, "ccr", v,
+                        {"group": "u1", "charges": charges, "samples": 8})
+
+
 def analyze_bogoliubov(tmp_path, theta, n_modes):
     """charge_data of `analyze` on bogoliubov(theta) under u1, charges 1."""
     path = write_model(tmp_path, "m.json", {
@@ -666,25 +675,18 @@ class TestOracle:
         # u1-invariant members whose pairing touches k's modes: the
         # normalised pi-monomials are exact on the truncated space, so the
         # charge theorem holds to rounding at any cutoff.
-        charges = [1, -1, 1, -1]
-        v = random_member("ccr", 4, 2, seed, scale, charges=charges)
-        gauge = {"group": "u1", "charges": charges, "samples": 8}
         out = str(tmp_path / "r.json")
         assert cli.main(["oracle", "--input",
-                         matrix_model(tmp_path, "ccr", v, gauge),
+                         pairing_on_k_model(tmp_path, seed, scale),
                          "--bose-cutoff", str(cutoff), "--report", out]) == 0
         data = json.loads(open(out, encoding="utf-8").read())
-        assert ccr.ccr_charge_data(ccr.ccr_membership(v)).t_norm > 0.02
         assert data["charge_theorem"]["max_block_deviation"]["value"] <= 1e-12
 
     def test_ccr_member_with_pairing_on_k_at_the_bosonic_cap(self, tmp_path):
-        charges = [1, -1, 1, -1]
-        v = random_member("ccr", 4, 2, 7, 0.1, charges=charges)
-        gauge = {"group": "u1", "charges": charges, "samples": 8}
         out = str(tmp_path / "r.json")
         start = time.perf_counter()
         assert cli.main(["oracle", "--input",
-                         matrix_model(tmp_path, "ccr", v, gauge),
+                         pairing_on_k_model(tmp_path, 7, 0.1),
                          "--report", out]) == 0
         assert time.perf_counter() - start < 10.0
         data = json.loads(open(out, encoding="utf-8").read())
@@ -693,17 +695,15 @@ class TestOracle:
 
     def test_wrong_level_1_ccr_target_fails_with_pairing_on_k(
             self, tmp_path, capsys, monkeypatch):
+        original = oracle.symmetric_power
+
         def conjugated(matrix, level):
-            power = oracle_symmetric_power(matrix, level)
+            power = original(matrix, level)
             return power.conj() if level == 1 else power
 
-        oracle_symmetric_power = oracle.symmetric_power
         monkeypatch.setattr(oracle, "symmetric_power", conjugated)
-        charges = [1, -1, 1, -1]
-        v = random_member("ccr", 4, 2, 7, 0.1, charges=charges)
-        gauge = {"group": "u1", "charges": charges, "samples": 8}
         assert cli.main(["oracle", "--input",
-                         matrix_model(tmp_path, "ccr", v, gauge),
+                         pairing_on_k_model(tmp_path, 7, 0.1),
                          "--bose-cutoff", "5"]) == 4
         assert ("charge_theorem.max_block_deviation"
                 in capsys.readouterr().err)

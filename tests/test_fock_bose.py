@@ -90,8 +90,12 @@ def test_polar_isometry_of_creation_is_unilateral_shift():
 
 
 def _monomial_routes(fock, space, omega_p, k_frame, l_max):
-    """Reference: prod_j pi(g_alpha_j) Omega_P, one chain per alpha, and the
-    same chain with polar_isometry of the dense pi(g_j) in place of pi(g_j)."""
+    """Reference chains over the multi-indices alpha up to l_max.
+
+    raws holds prod_j pi(g_alpha_j) Omega_P, applied one field at a time;
+    polars the same chain with polar_isometry of the dense pi(g_j) in place
+    of each pi(g_j).
+    """
     pis = [fock.pi(space, k_frame[:, j]) for j in range(k_frame.shape[1])]
     isoms = [polar_isometry(pi.toarray()) for pi in pis]
     raws, polars = [], []
@@ -144,18 +148,18 @@ def test_squeezed_route_cross_check():
         assert abs(const) > 0.5
 
 
-@pytest.mark.parametrize("steps, cutoff", [(1, 6), (2, 5)])
-def test_shift_charged_vectors_are_occupation_states(steps, cutoff):
-    # T = 0, so Omega_alpha is the occupation state with alpha.count(j)
-    # quanta in the mode of the k frame's column j, to rounding.
-    v = builders.shift(1, steps=steps)
+def test_shift_charged_vectors_are_occupation_states():
+    # Shift 1 -> 3 has T = 0 and dim k = 2, so Omega_alpha is the occupation
+    # state with alpha.count(j) quanta in the mode of the k frame's column
+    # j, to rounding, up to the cutoff.
+    v = builders.shift(1, steps=2)
     data = ccr_charge_data(ccr_membership(v))
-    fock = BoseFock(v.codomain.n_modes, cutoff)
+    fock = BoseFock(v.codomain.n_modes, 5)
     omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p,
-                                       data.k_frame, l_max=cutoff)
+                                       data.k_frame, l_max=5)
     modes = np.argmax(np.abs(data.k_frame[:fock.n_modes]), axis=0)
-    assert len(alphas) == math.comb(steps + cutoff, cutoff)
+    assert len(alphas) == math.comb(2 + 5, 5)
     for alpha, vec in zip(alphas, omegas):
         occupation = np.zeros(fock.n_modes, dtype=int)
         np.add.at(occupation, modes[list(alpha)], 1)
