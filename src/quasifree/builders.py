@@ -12,13 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MalformedInput, ShapeMismatch, require_dense_bytes
-from .selfdual import BlockOperator, SelfDualSpace
+from .selfdual import BlockOperator, SelfDualSpace, conjugate_matrix
+
+
+def _from_k1(k1: np.ndarray, domain: SelfDualSpace,
+             codomain: SelfDualSpace) -> BlockOperator:
+    """The member with K1 columns k1: V J = J V gives the K2 columns."""
+    return BlockOperator(np.hstack([k1, conjugate_matrix(k1, None, codomain)]),
+                         domain, codomain)
 
 
 def identity(n_modes: int) -> BlockOperator:
     space = SelfDualSpace(n_modes)
     require_dense_bytes(space.dim, space.dim, "identity")
-    return BlockOperator(np.eye(space.dim, dtype=complex), space)
+    return _from_k1(np.eye(space.dim, n_modes), space, space)
 
 
 def shift(n_sites_in: int, steps: int = 1, species: int = 1) -> BlockOperator:
@@ -26,15 +33,9 @@ def shift(n_sites_in: int, steps: int = 1, species: int = 1) -> BlockOperator:
     if n_sites_in < 1 or steps < 1 or species < 1:
         raise ShapeMismatch("shift needs n_sites_in, steps, species >= 1")
     nd = n_sites_in * species
-    nc = (n_sites_in + steps) * species
-    dom, cod = SelfDualSpace(nd), SelfDualSpace(nc)
+    dom, cod = SelfDualSpace(nd), SelfDualSpace((n_sites_in + steps) * species)
     require_dense_bytes(cod.dim, dom.dim, "shift")
-    m = np.zeros((cod.dim, dom.dim), dtype=complex)
-    off = steps * species
-    for i in range(nd):
-        m[i + off, i] = 1.0
-        m[nc + i + off, nd + i] = 1.0
-    return BlockOperator(m, dom, cod)
+    return _from_k1(np.eye(cod.dim, nd, -steps * species), dom, cod)
 
 
 def flip(n_modes: int, mode: int = 1) -> BlockOperator:
@@ -43,13 +44,11 @@ def flip(n_modes: int, mode: int = 1) -> BlockOperator:
         raise ShapeMismatch(f"mode {mode} outside 1..{n_modes}")
     space = SelfDualSpace(n_modes)
     require_dense_bytes(space.dim, space.dim, "flip")
-    m = np.eye(space.dim, dtype=complex)
+    k1 = np.eye(space.dim, n_modes)
     i = mode - 1
-    m[i, i] = 0.0
-    m[n_modes + i, n_modes + i] = 0.0
-    m[n_modes + i, i] = 1.0
-    m[i, n_modes + i] = 1.0
-    return BlockOperator(m, space)
+    k1[i, i] = 0.0
+    k1[n_modes + i, i] = 1.0
+    return _from_k1(k1, space, space)
 
 
 def bogoliubov(theta: float, n_modes: int = 2) -> BlockOperator:
@@ -63,18 +62,12 @@ def bogoliubov(theta: float, n_modes: int = 2) -> BlockOperator:
     require_dense_bytes(space.dim, space.dim, "bogoliubov")
     n = n_modes
     c, s = np.cos(theta), np.sin(theta)
-    m = np.eye(space.dim, dtype=complex)
-    for i in (0, 1, n, n + 1):
-        m[i, i] = 0.0
-    m[0, 0] = c
-    m[n + 1, 0] = s          # e1 -> c e1 + s e2*
-    m[1, 1] = c
-    m[n, 1] = -s             # e2 -> c e2 - s e1*
-    m[n, n] = c
-    m[1, n] = s              # e1* -> c e1* + s e2
-    m[n + 1, n + 1] = c
-    m[0, n + 1] = -s         # e2* -> c e2* - s e1
-    return BlockOperator(m, space)
+    k1 = np.eye(space.dim, n)
+    k1[0, 0] = c
+    k1[n + 1, 0] = s         # e1 -> c e1 + s e2*
+    k1[1, 1] = c
+    k1[n, 1] = -s            # e2 -> c e2 - s e1*
+    return _from_k1(k1, space, space)
 
 
 def squeeze(r: float, n_modes: int = 1, mode: int = 1) -> BlockOperator:
@@ -83,15 +76,11 @@ def squeeze(r: float, n_modes: int = 1, mode: int = 1) -> BlockOperator:
         raise ShapeMismatch(f"mode {mode} outside 1..{n_modes}")
     space = SelfDualSpace(n_modes)
     require_dense_bytes(space.dim, space.dim, "squeeze")
-    n = n_modes
-    ch, sh = np.cosh(r), np.sinh(r)
-    m = np.eye(space.dim, dtype=complex)
+    k1 = np.eye(space.dim, n_modes)
     i = mode - 1
-    m[i, i] = ch
-    m[n + i, i] = sh
-    m[i, n + i] = sh
-    m[n + i, n + i] = ch
-    return BlockOperator(m, space)
+    k1[i, i] = np.cosh(r)
+    k1[n_modes + i, i] = np.sinh(r)
+    return _from_k1(k1, space, space)
 
 
 def build(name: str, params: dict) -> BlockOperator:

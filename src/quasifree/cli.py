@@ -200,7 +200,7 @@ def cmd_oracle(args) -> int:
     payload = _base_payload("oracle", model)
     payload["algebra"] = algebra
     payload["seed"] = _effective_seed(args, model)
-    payload["caps"] = {"fock_cap": args.fock_cap,
+    payload["caps"] = {"fock_cap": FERMI_DIM_CAP,
                        "bose_cutoff": args.bose_cutoff}
     lines = []
     # Imported here, not at the top: it loads the Fock code and scipy.sparse.
@@ -326,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="Fock-space verification of the charge machinery")
     common(p_oracle, needs_input=True)
-    p_oracle.add_argument("--fock-cap", type=int, default=FERMI_DIM_CAP,
-                          help="fermionic Fock dimension cap")
     p_oracle.add_argument("--bose-cutoff", type=int, default=8,
                           help="bosonic per-mode occupation cutoff")
 

@@ -93,8 +93,8 @@ class MalformedInput(QuasifreeError):
 
 # Fock-space dimension caps: a fermionic space of at most 12 modes, a
 # bosonic one of at most 6561 = 9^4 states, and a dense Gamma(U) of at most
-# 10 fermionic modes.  The CLI's --fock-cap default reads FERMI_DIM_CAP from
-# here, so building the parser loads no Fock code.
+# 10 fermionic modes.  The oracle report's caps.fock_cap reads FERMI_DIM_CAP
+# from here, so the CLI loads no Fock code before the oracle runs.
 FERMI_DIM_CAP = 4096
 BOSE_DIM_CAP = 6561
 GAMMA_DIM_CAP = 1024

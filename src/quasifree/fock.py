@@ -12,7 +12,9 @@ that are not diagonal, since a diagonal one acts on either Fock space by one
 phase vector (gamma_vector).  One builder fills the implementer columns of
 both statistics, one sparse product per mode and occupation instead of one
 per column, and it and the fermionic intertwining gaps read and write
-strided views of the columns, with no index arrays.
+strided views of the columns, with no index arrays.  Both statistics share
+one occupation encoding, state s holding (s // radix^i) % radix quanta in
+mode i (radix 2 for fermions, M + 1 for bosons), and one field-table builder.
 
 Fermionic side (n modes, dimension 2^n, basis = occupation subsets encoded as
 bitmasks): creation follows the fixed sign convention
@@ -48,8 +50,8 @@ it; the span of the monomials is then invariant, and the matrix of Gamma(U)
 on it, in the normalised basis, is S^l(c) with c the compressed action on
 k.  The truncation tail only makes the Omega_alpha fail to be orthonormal,
 and the charge comparison's G^-1 M removes that.  Elements that are not
-diagonal are refused by BoseFock.gamma.  The bosonic implementer applies its
-fields as sparse matrices on the probe window only.
+diagonal are refused by BoseFock.gamma.  The bosonic implementer builds Psi
+only on the probe window and one quantum above it, all that its checks read.
 """
 
 from __future__ import annotations
@@ -96,11 +98,44 @@ def ccr_multi_indices(k_dim: int, l_max: int) -> list[tuple[int, ...]]:
 
 
 class _FockSpace:
-    """Field operators shared by both statistics.
+    """Occupation encoding and field operators shared by both statistics.
 
-    Subclasses set n_modes, dim, _radix (the occupations per mode) and the
-    per-mode sparse tables _creation and _annihilation; state 0 is vacuum.
+    State s holds (s // radix^i) % radix quanta in mode i, so state 0 is the
+    vacuum; a fermionic space is the radix-2 case, and its states are the
+    bitmasks of occupied modes.  _signed adds the Jordan-Wigner sign.
     """
+
+    _signed = False
+
+    def __init__(self, n_modes: int, radix: int):
+        self.n_modes = n_modes
+        self.dim = radix ** n_modes
+        self._radix = radix
+        self._occupations = (np.arange(self.dim)[:, None]
+                             // radix ** np.arange(n_modes) % radix)
+        self._creation = [self._field_table(i, True) for i in range(n_modes)]
+        self._annihilation = [self._field_table(i, False)
+                              for i in range(n_modes)]
+
+    def _field_table(self, i: int, create: bool) -> sp.csr_matrix:
+        """a*(e_i) (create) or a(e_i), written straight into CSR form.
+
+        Each row holds at most one entry.  With m the quanta of mode i in
+        state s, row s of a*(e_i) takes column s - radix^i and sqrt(m) when
+        m > 0, row s of a(e_i) column s + radix^i and sqrt(m + 1) when
+        m < radix - 1.  Fermions add the sign (-1)^{#{j in S : j < i}}.
+        """
+        step = self._radix ** i
+        occ = self._occupations[:, i]
+        rows = occ > 0 if create else occ < self._radix - 1
+        indptr = np.zeros(self.dim + 1, dtype=np.int32)
+        np.cumsum(rows, out=indptr[1:])
+        states = np.flatnonzero(rows)
+        cols = (states - step if create else states + step).astype(np.int32)
+        vals = np.sqrt(occ[rows] + (0.0 if create else 1.0))
+        if self._signed:
+            vals *= _sign_of_count(states & (step - 1))
+        return sp.csr_matrix((vals, cols, indptr), shape=(self.dim, self.dim))
 
     def creation(self, mode: int) -> sp.csr_matrix:
         return self._creation[mode - 1]
@@ -112,6 +147,14 @@ class _FockSpace:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
         return v
+
+    def state_index(self, occupation) -> int:
+        return sum(int(m) * self._radix ** i for i, m in enumerate(occupation))
+
+    def occupation_projector_diag(self, max_per_mode: int) -> np.ndarray:
+        """Diagonal 0/1 vector selecting states below an occupation limit."""
+        return (self._occupations.max(axis=1, initial=0)
+                <= max_per_mode).astype(float)
 
     def pi(self, space: SelfDualSpace, f: np.ndarray) -> sp.csr_matrix:
         """Self-dual field pi(f) = a*(P1 f) + a(P1 Jf).
@@ -155,42 +198,22 @@ def _sign_of_count(masks: np.ndarray) -> np.ndarray:
 class FermiFock(_FockSpace):
     """Fermionic Fock space on n modes with memoized operator tables."""
 
-    def __init__(self, n_modes: int, dim_cap: int = FERMI_DIM_CAP):
+    _signed = True
+
+    def __init__(self, n_modes: int):
         dim = 2 ** n_modes
-        if dim > dim_cap:
-            raise CapExceeded(
-                f"fermionic dimension 2^{n_modes} = {dim} exceeds cap {dim_cap}")
-        self.n_modes = n_modes
-        self.dim = dim
-        self._radix = 2  # state s holds mode i when bit i of s is set
-        self._creation = [self._field_table(i, True) for i in range(n_modes)]
-        self._annihilation = [self._field_table(i, False)
-                              for i in range(n_modes)]
-        parity = _sign_of_count(np.arange(dim))
-        self._parity_diag = parity
-        self._theta_diag = (1.0 - 1j * parity) / math.sqrt(2.0)
+        if dim > FERMI_DIM_CAP:
+            raise CapExceeded(f"fermionic dimension 2^{n_modes} = {dim} "
+                              f"exceeds cap {FERMI_DIM_CAP}")
+        super().__init__(n_modes, 2)
+        self._parity_diag = _sign_of_count(np.arange(dim))
+        self._theta_diag = (1.0 - 1j * self._parity_diag) / math.sqrt(2.0)
         # The mode subsets of each particle number l in lexicographic order
         # (the row order of compound_matrix), and their basis states.
         self._level_combs = [_combinations(n_modes, level)
                              for level in range(n_modes + 1)]
         self._level_states = [(1 << combs).sum(axis=1)
                               for combs in self._level_combs]
-
-    def _field_table(self, i: int, create: bool) -> sp.csr_matrix:
-        """a*(e_i) (create) or a(e_i), written straight into CSR form.
-
-        Each row holds at most one entry: row S of a*(e_i) takes column
-        S minus {i} when i is in S, row S of a(e_i) column S u {i} when it
-        is not, both with the sign (-1)^{#{j in S : j < i}}.
-        """
-        bit = 1 << i
-        states = np.arange(self.dim)
-        rows = ((states & bit) != 0) == create
-        indptr = np.zeros(self.dim + 1, dtype=np.int32)
-        np.cumsum(rows, out=indptr[1:])
-        cols = (states[rows] ^ bit).astype(np.int32)
-        vals = _sign_of_count(cols & (bit - 1))
-        return sp.csr_matrix((vals, cols, indptr), shape=(self.dim, self.dim))
 
     def parity(self) -> np.ndarray:
         """Gamma(-1) as a diagonal vector."""
@@ -237,44 +260,18 @@ class FermiFock(_FockSpace):
 class BoseFock(_FockSpace):
     """Truncated bosonic Fock space: per-mode occupation cutoff M."""
 
-    def __init__(self, n_modes: int, cutoff: int, dim_cap: int = BOSE_DIM_CAP):
+    def __init__(self, n_modes: int, cutoff: int):
         dim = (cutoff + 1) ** n_modes
-        if dim > dim_cap:
+        if dim > BOSE_DIM_CAP:
             raise CapExceeded(
-                f"bosonic dimension {dim} exceeds cap {dim_cap}")
-        self.n_modes = n_modes
+                f"bosonic dimension {dim} exceeds cap {BOSE_DIM_CAP}")
+        super().__init__(n_modes, cutoff + 1)
         self.cutoff = cutoff
-        self.dim = dim
-        self._radix = cutoff + 1
-        # State s has occupation (s // radix^i) % radix in mode i.
-        self._occupations = (np.arange(dim)[:, None]
-                             // self._radix ** np.arange(n_modes)
-                             % self._radix)
-        self._creation = [self._build_creation(i) for i in range(n_modes)]
-        self._annihilation = [m.conj().T.tocsr() for m in self._creation]
-
-    def state_index(self, occupation) -> int:
-        idx = 0
-        for i, m in reversed(list(enumerate(occupation))):
-            idx = idx * self._radix + int(m)
-        return idx
-
-    def _build_creation(self, i: int) -> sp.csr_matrix:
-        occ = self._occupations[:, i]
-        cols = np.flatnonzero(occ < self.cutoff)
-        vals = np.sqrt(occ[cols] + 1.0)
-        return sp.csr_matrix((vals, (cols + self._radix ** i, cols)),
-                             shape=(self.dim, self.dim))
 
     def gamma(self, u11: np.ndarray) -> np.ndarray:
         """Refused: a u11 that mixes modes breaks the per-mode cutoff."""
         raise NotGaugeCompatible(
             "bosonic oracle supports phase-diagonal gauge elements only")
-
-    def occupation_projector_diag(self, max_per_mode: int) -> np.ndarray:
-        """Diagonal 0/1 vector selecting states below an occupation limit."""
-        return (self._occupations.max(axis=1, initial=0)
-                <= max_per_mode).astype(float)
 
 
 # --- vacua -------------------------------------------------------------------
@@ -509,10 +506,10 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     return ImplementerSet(alphas, psis, inter, iso, comp, impl)
 
 
-def bose_implementer(v: BlockOperator, fock_dom: BoseFock, fock_cod: BoseFock,
+def bose_implementer(v: BlockOperator, fock_cod: BoseFock,
                      omega_alpha: np.ndarray, occ_probe: int
                      ) -> tuple[np.ndarray, float, float]:
-    """One bosonic implementer column set, with truncation-aware residuals.
+    """One bosonic implementer on the probe window, with its residuals.
 
     The intertwining gap is measured on matrix elements between states with
     per-mode occupation <= occ_probe on both sides; entries near the cutoff
@@ -520,7 +517,13 @@ def bose_implementer(v: BlockOperator, fock_dom: BoseFock, fock_cod: BoseFock,
     the probe-window columns (full rows kept, since the columns have genuine
     high-occupation weight); it converges to zero as the cutoff grows and is
     reported as a cutoff-limited diagnostic rather than asserted exactly.
+
+    Psi is built on BoseFock(n_d, min(occ_probe + 1, cutoff)) only: the window
+    and the one extra quantum that Psi a*(e_i) reads there.  Those columns
+    chain only from each other, so each keeps the bits of a full build; they
+    come in that space's state order.
     """
+    fock_dom = BoseFock(v.domain.n_modes, min(occ_probe + 1, fock_cod.cutoff))
     pi_v = [fock_cod.pi(v.codomain, col) for col in v.matrix.T]
     psi = _implementer_columns(pi_v, omega_alpha, fock_dom)
 

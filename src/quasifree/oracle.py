@@ -163,8 +163,8 @@ def car_oracle(args, model, mem, payload, lines) -> None:
     data = car_charge_data(mem)
     v = data.v
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
-    fock_d = FermiFock(v.domain.n_modes, dim_cap=args.fock_cap)
-    fock_c = FermiFock(v.codomain.n_modes, dim_cap=args.fock_cap)
+    fock_d = FermiFock(v.domain.n_modes)
+    fock_c = FermiFock(v.codomain.n_modes)
     # A gauge element that is not diagonal takes a dense Gamma(U) on the
     # codomain; refuse its size before the implementers, with
     # FermiFock.gamma's message.  Diagonal elements take phase vectors.
@@ -209,7 +209,6 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
             f"--bose-cutoff must be at least {l_max}, the highest charge "
             f"level checked, got {cutoff}")
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
-    fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
     alphas, omegas = omega_alphas_bose(fock_c, v.codomain, omega_p,
@@ -219,8 +218,7 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
 
     # Probe below the cutoff: states at the edge carry truncation noise only.
     occ_probe = max(1, cutoff // 2 - 1) if cutoff > 1 else 0
-    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                       occ_probe=occ_probe)
+    _, inter, iso = bose_implementer(v, fock_c, omega_p, occ_probe=occ_probe)
     payload["implementer_probe"] = {
         "intertwining": comparison(inter, 1e-6),
         "gram_defect_cutoff_limited": float(iso),

@@ -44,10 +44,10 @@ def announce(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def fermi_pipeline(v, dim_cap=4096):
+def fermi_pipeline(v):
     data = car_charge_data(car_membership(v))
-    fock_d = FermiFock(v.domain.n_modes, dim_cap=dim_cap)
-    fock_c = FermiFock(v.codomain.n_modes, dim_cap=dim_cap)
+    fock_d = FermiFock(v.domain.n_modes)
+    fock_c = FermiFock(v.codomain.n_modes)
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k.frame)

@@ -768,11 +768,25 @@ class TestOracle:
         assert report.failed_comparisons(data) == []
         assert data["implementer_probe"]["intertwining"]["pass"] is True
 
-    def test_fock_cap_exit_2(self, tmp_path):
-        code = cli.main(["oracle", "--input",
-                         shift_car_model(tmp_path, gauge=False),
-                         "--fock-cap", "8"])
-        assert code == 2
+    def test_fock_cap_exit_2(self, tmp_path, capsys):
+        # Shift 12 -> 13: the codomain's 2^13 states exceed FERMI_DIM_CAP.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "car",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 12}}})
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", path, "--report", str(out)]) == 2
+        assert ("fermionic dimension 2^13 = 8192 exceeds cap 4096"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_fock_cap_flag_is_refused(self, tmp_path, capsys):
+        # No --fock-cap option: argparse exits 2 on it.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--input", shift_car_model(tmp_path),
+                      "--fock-cap", "8"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --fock-cap 8"
+                in capsys.readouterr().err)
 
     def test_car_shift_above_the_gamma_cap_exit_2_early(self, tmp_path,
                                                         capsys):

@@ -51,7 +51,7 @@ CASES = {
 
 
 # Every module that binds a primitive, so the patch reaches every caller.
-PATCHED = {"conjugate_matrix": (selfdual, car, ccr),
+PATCHED = {"conjugate_matrix": (selfdual, builders, car, ccr),
            "kappa_sign": (selfdual, ccr, sectors)}
 
 

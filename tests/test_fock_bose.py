@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_squeeze_vacuum_amplitude_and_annihilation():
     t = math.tanh(r)
     v = builders.squeeze(r)
     data = ccr_charge_data(ccr_membership(v))
-    fock = BoseFock(1, 16, dim_cap=32)
+    fock = BoseFock(1, 16)
     omega, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-5
     # bare-vacuum overlap is exactly (1 - t^2)^{1/4} at any cutoff
@@ -136,7 +137,7 @@ def test_squeezed_route_cross_check():
     # monomials in direction up to the truncation tail.
     v = builders.squeeze(0.4, n_modes=2, mode=2) @ builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
-    fock = BoseFock(2, 8, dim_cap=81)
+    fock = BoseFock(2, 8)
     omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
     assert tail < 1e-4
     _, omegas = omega_alphas_bose(fock, v.codomain, omega_p, data.k_frame,
@@ -193,16 +194,18 @@ def test_charge_theorem_in_a_rotated_k_frame():
 
 def test_shift_implementer_exact_below_cutoff():
     v = builders.shift(1)
-    fock_d = BoseFock(1, 6)
     fock_c = BoseFock(2, 6)
     data = ccr_charge_data(ccr_membership(v))
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
-    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                       occ_probe=5)
+    psi, inter, iso = bose_implementer(v, fock_c, omega_p, occ_probe=3)
     assert inter < 1e-12
     assert iso < 1e-12
+    # Psi is built on the states |m> with m <= occ_probe + 1 = 4.
+    assert psi.shape == (fock_c.dim, 5)
+    ref_psi = _dense_bose_columns(v, BoseFock(1, 6), fock_c, omega_p)
+    assert np.array_equal(psi, _window_columns(ref_psi, 1, 6, 3))
     # Psi |m> = |0, m> exactly
-    for m in range(7):
+    for m in range(5):
         assert psi[fock_c.state_index((0, m)), m] == pytest.approx(1.0,
                                                                    abs=1e-12)
 
@@ -212,9 +215,9 @@ def test_squeeze_implementer_residual_tracks_tail():
     data = ccr_charge_data(ccr_membership(v))
     defects = []
     for cutoff in (16, 24):
-        fock = BoseFock(1, cutoff, dim_cap=40)
+        fock = BoseFock(1, cutoff)
         omega_p, tail = omega_p_bose(fock, v.codomain, data.t)
-        psi, inter, iso = bose_implementer(v, fock, fock, omega_p, occ_probe=6)
+        psi, inter, iso = bose_implementer(v, fock, omega_p, occ_probe=6)
         # probe-window matrix elements of the intertwining law are exact
         assert inter < 1e-12
         defects.append(iso)
@@ -309,8 +312,8 @@ def test_symmetric_power_equals_the_permanent_reference(name, level):
 
 # --- sparse implementer fields ---------------------------------------------
 
-def _dense_bose_implementer(v, fock_dom, fock_cod, omega_alpha, occ_probe):
-    """Implementer columns and residuals from dense field matrices."""
+def _dense_bose_columns(v, fock_dom, fock_cod, omega_alpha):
+    """Every implementer column over fock_dom, one matvec at a time."""
     pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i])
             for i in range(fock_dom.n_modes)]
     psi = np.zeros((fock_cod.dim, fock_dom.dim), dtype=complex)
@@ -320,6 +323,23 @@ def _dense_bose_implementer(v, fock_dom, fock_cod, omega_alpha, occ_probe):
         i = int(np.argmax(occ > 0))
         psi[:, s] = (pi_v[i] @ psi[:, s - fock_dom._radix ** i]
                      / math.sqrt(occ[i]))
+    return psi
+
+
+def _window_columns(psi, n_modes, cutoff, occ_probe):
+    """psi's columns at the states bose_implementer builds, in its order.
+
+    Those are the states with at most occ_probe + 1 quanta per mode (at most
+    the cutoff), ordered as in a BoseFock of that cutoff.
+    """
+    full = BoseFock(n_modes, cutoff)
+    window = BoseFock(n_modes, min(occ_probe + 1, cutoff))
+    return psi[:, [full.state_index(occ) for occ in window._occupations]]
+
+
+def _dense_bose_implementer(v, fock_dom, fock_cod, omega_alpha, occ_probe):
+    """Implementer columns and residuals from dense field matrices."""
+    psi = _dense_bose_columns(v, fock_dom, fock_cod, omega_alpha)
     low_d = fock_dom.occupation_projector_diag(occ_probe)
     low_c = fock_cod.occupation_projector_diag(occ_probe)
     inter = 0.0
@@ -344,11 +364,10 @@ def test_bose_implementer_matches_dense_products(v):
     fock_d = BoseFock(v.domain.n_modes, 6)
     fock_c = BoseFock(v.codomain.n_modes, 6)
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
-    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                       occ_probe=2)
+    psi, inter, iso = bose_implementer(v, fock_c, omega_p, occ_probe=2)
     ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
         v, fock_d, fock_c, omega_p, occ_probe=2)
-    assert np.array_equal(psi, ref_psi)
+    assert np.array_equal(psi, _window_columns(ref_psi, fock_d.n_modes, 6, 2))
     assert abs(inter - ref_inter) <= 1e-14
     assert iso == ref_iso
 
@@ -362,11 +381,10 @@ def test_bose_implementer_on_two_domain_modes(v):
     data = ccr_charge_data(ccr_membership(v))
     fock_d, fock_c = BoseFock(2, 4), BoseFock(3, 4)
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
-    psi, inter, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                       occ_probe=1)
+    psi, inter, iso = bose_implementer(v, fock_c, omega_p, occ_probe=1)
     ref_psi, ref_inter, ref_iso = _dense_bose_implementer(
         v, fock_d, fock_c, omega_p, occ_probe=1)
-    assert np.array_equal(psi, ref_psi)
+    assert np.array_equal(psi, _window_columns(ref_psi, 2, 4, 1))
     assert abs(inter - ref_inter) <= 1e-14
     assert iso == ref_iso
 
@@ -379,20 +397,40 @@ def test_bose_implementer_on_two_domain_modes(v):
       for r in (0.5, 0.3) for m in (2, 3, 5, 8, 12, 16)],
 ])
 def test_bose_gram_defect_equals_masked_full_gram(make_v, cutoff):
-    # The probe-window Gram, bit for bit against the full psi* psi masked to
-    # the window, at the oracle's own probe size.
+    # The probe-window Gram, bit for bit against the full psi* psi of the
+    # dense reference masked to the window, at the oracle's own probe size.
     v = make_v()
     data = ccr_charge_data(ccr_membership(v))
     fock_d = BoseFock(v.domain.n_modes, cutoff)
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
     occ_probe = max(1, cutoff // 2 - 1)
-    psi, _, iso = bose_implementer(v, fock_d, fock_c, omega_p,
-                                   occ_probe=occ_probe)
+    psi, _, iso = bose_implementer(v, fock_c, omega_p, occ_probe=occ_probe)
+    ref_psi = _dense_bose_columns(v, fock_d, fock_c, omega_p)
+    assert np.array_equal(psi, _window_columns(ref_psi, fock_d.n_modes,
+                                               cutoff, occ_probe))
     low = fock_d.occupation_projector_diag(occ_probe)
-    full = (psi.conj().T @ psi - np.eye(fock_d.dim)) * low[None, :] \
+    full = (ref_psi.conj().T @ ref_psi - np.eye(fock_d.dim)) * low[None, :] \
         * low[:, None]
     assert iso == float(np.max(np.abs(full)))
+
+
+def test_bose_implementer_memory_stays_on_the_window():
+    # CCR shift 3 -> 4 at cutoff 8, the oracle's probe 3: Psi over the 5^3
+    # domain states within one quantum of the window, not all 9^3.
+    v = builders.shift(3)
+    data = ccr_charge_data(ccr_membership(v))
+    fock_c = BoseFock(v.codomain.n_modes, 8)
+    omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
+    tracemalloc.start()
+    try:
+        psi, inter, _ = bose_implementer(v, fock_c, omega_p, occ_probe=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.shape == (fock_c.dim, 5 ** 3)
+    assert inter < 1e-12
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 6), (2, 3), (3, 5)])
