@@ -779,6 +779,18 @@ class TestOracle:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_ccr_shift_above_the_bosonic_cap_exit_2(self, tmp_path, capsys):
+        # Shift 5 -> 6 at the default cutoff 8: the codomain's 9^6 states
+        # exceed BOSE_DIM_CAP, refused before any report is written.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 5}}})
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", path, "--report", str(out)]) == 2
+        assert ("bosonic dimension 531441 exceeds cap 6561"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_fock_cap_flag_is_refused(self, tmp_path, capsys):
         # No --fock-cap option: argparse exits 2 on it.
         with pytest.raises(SystemExit) as exc:

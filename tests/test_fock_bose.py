@@ -197,15 +197,15 @@ def test_shift_implementer_exact_below_cutoff():
     fock_c = BoseFock(2, 6)
     data = ccr_charge_data(ccr_membership(v))
     omega_p, _ = omega_p_bose(fock_c, v.codomain, data.t)
-    psi, inter, iso = bose_implementer(v, fock_c, omega_p, occ_probe=3)
+    psi, inter, iso = bose_implementer(v, fock_c, omega_p, occ_probe=5)
     assert inter < 1e-12
     assert iso < 1e-12
-    # Psi is built on the states |m> with m <= occ_probe + 1 = 4.
-    assert psi.shape == (fock_c.dim, 5)
+    # Psi is built on the states |m> with m <= min(occ_probe + 1, 6) = 6.
+    assert psi.shape == (fock_c.dim, 7)
     ref_psi = _dense_bose_columns(v, BoseFock(1, 6), fock_c, omega_p)
-    assert np.array_equal(psi, _window_columns(ref_psi, 1, 6, 3))
+    assert np.array_equal(psi, _window_columns(ref_psi, 1, 6, 5))
     # Psi |m> = |0, m> exactly
-    for m in range(5):
+    for m in range(7):
         assert psi[fock_c.state_index((0, m)), m] == pytest.approx(1.0,
                                                                    abs=1e-12)
 
