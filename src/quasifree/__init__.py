@@ -2,7 +2,8 @@
 
 Library layout:
 
-* :mod:`quasifree.selfdual` -- spaces, block operators, rank-revealing helpers
+* :mod:`quasifree.selfdual` -- spaces, block operators, rank-revealing
+  helpers, the membership and charge records (`ChargeData`) of both algebras
 * :mod:`quasifree.car` / :mod:`quasifree.ccr` -- semigroup membership and
   charge data (h, T, P, k, index, statistics dimension)
 * :mod:`quasifree.fock` -- finite Fock-space oracle (fields, twist, vacua,
@@ -16,7 +17,7 @@ Library layout:
   JSON reports, command line front end
 """
 
-from .selfdual import BlockOperator, SelfDualSpace, Subspace
+from .selfdual import BlockOperator, ChargeData, SelfDualSpace
 from .car import car_charge_data, car_membership
 from .ccr import ccr_charge_data, ccr_membership
 
@@ -24,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockOperator",
+    "ChargeData",
     "SelfDualSpace",
-    "Subspace",
     "car_charge_data",
     "car_membership",
     "ccr_charge_data",

@@ -19,22 +19,21 @@ index 0 the Z2 index is (-1)^{dim h}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
     NonzeroIndex,
+    OrthonormalityFailure,
     RecoveryMismatch,
 )
 from .selfdual import (
     BlockOperator,
+    ChargeData,
     DEFAULT_TOL,
     Membership,
     SelfDualSpace,
-    Subspace,
     cokernel_basis,
     conjugate_matrix,
     hs_norm,
@@ -94,8 +93,8 @@ def compute_p(v: BlockOperator, p_k: np.ndarray) -> np.ndarray:
 
 
 def compute_t(p: np.ndarray, space: SelfDualSpace
-              ) -> tuple[Subspace, np.ndarray]:
-    """(h, T) from one SVD of P's K1 columns X = [P11; P21], X* X = P11.
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(h frame, T) from one SVD of P's K1 columns X = [P11; P21], X* X = P11.
 
     h = ker X = ker P11 and T = P21 P11^+ is the K2 block of (X^+)*; the rank
     rule sees sigma(X) = sqrt(sigma(P11)), which scales like P21.  T must give
@@ -105,7 +104,6 @@ def compute_t(p: np.ndarray, space: SelfDualSpace
     n = space.n_modes
     p11, p21 = p[:n, :n], p[n:, :n]
     ker, x_pinv = kernel_and_pinv(p[:, :n])
-    h = Subspace(space, np.vstack([ker, np.zeros_like(ker)]))
     t = x_pinv[:, n:].conj().T
     scale = max(1.0, hs_norm(t))
     recovery = hs_norm(p21 - t @ p11)
@@ -119,7 +117,7 @@ def compute_t(p: np.ndarray, space: SelfDualSpace
     if on_h > CHECK_TOL * scale:
         raise AntisymmetryViolation(
             f"T does not annihilate h (defect {on_h:.3e})")
-    return h, t
+    return np.vstack([ker, np.zeros_like(ker)]), t
 
 
 def statistics_dimension(index: int) -> int:
@@ -127,49 +125,31 @@ def statistics_dimension(index: int) -> int:
     return 2 ** (index // 2)
 
 
-@dataclass(frozen=True)
-class CarChargeData:
-    """Everything the charge analysis derives from a semigroup member."""
-
-    membership: Membership
-    h: Subspace
-    t: np.ndarray
-    t_norm: float
-    p: np.ndarray
-    k: Subspace
-
-    @property
-    def v(self) -> BlockOperator:
-        return self.membership.v
-
-    @property
-    def index(self) -> int:
-        return self.membership.index
-
-    @property
-    def statistics_dimension(self) -> int:
-        return statistics_dimension(self.index)
-
-
-def car_charge_data(membership: Membership) -> CarChargeData:
+def car_charge_data(membership: Membership) -> ChargeData:
     """h, T, P, k of a tested member (NotInSemigroup for a non-member).
 
-    k is framed as P(ker V*), and its dimension must be IND V / 2.
+    k is framed as P(ker V*), and its dimension must be IND V / 2.  Both
+    frames must be orthonormal (OrthonormalityFailure).
     """
     v = membership.require().v
     ker = membership.cokernel
     p = compute_p(v, k_projection(v, ker))
     h, t = compute_t(p, v.codomain)
     t_norm = float(np.linalg.norm(t, 2)) if t.size else 0.0
-    k = Subspace(v.codomain, orthonormal_range(p @ ker))
-    if k.dim != membership.index // 2:
+    k = orthonormal_range(p @ ker)
+    for frame in (h, k):
+        if not np.allclose(frame.conj().T @ frame, np.eye(frame.shape[1]),
+                           atol=1e-9):
+            raise OrthonormalityFailure("frame columns are not orthonormal")
+    if k.shape[1] != membership.index // 2:
         raise DimensionMismatch(
-            f"dim k = {k.dim} != IND V / 2 = {membership.index // 2}")
-    return CarChargeData(membership, h, t, t_norm, p, k)
+            f"dim k = {k.shape[1]} != IND V / 2 = {membership.index // 2}")
+    return ChargeData(membership, h, k, p, t, t_norm,
+                      statistics_dimension(membership.index))
 
 
-def z2_index(data: CarChargeData) -> int:
+def z2_index(data: ChargeData) -> int:
     """(-1)^{dim h}, h = ker V11* here; defined only when IND V = 0."""
     if data.index != 0:
         raise NonzeroIndex(f"Z2 index needs IND V = 0, got {data.index}")
-    return -1 if data.h.dim % 2 else 1
+    return -1 if data.h_frame.shape[1] % 2 else 1

@@ -15,7 +15,6 @@ projection is P = V P1 V+ + p, and the pairing operator T = P21 P11^{-1} is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .selfdual import (
     BlockOperator,
+    ChargeData,
     DEFAULT_TOL,
     Membership,
     SelfDualSpace,
@@ -145,39 +145,12 @@ def statistics_dimension(index: int) -> float:
     return 1.0 if index == 0 else math.inf
 
 
-@dataclass(frozen=True)
-class CcrChargeData:
-    """Charge data of a member; ``a`` is the kappa-Gram G of `kappa_split`."""
-
-    membership: Membership
-    a: np.ndarray
-    p_defect: np.ndarray
-    p: np.ndarray
-    t: np.ndarray
-    t_norm: float
-    k_frame: np.ndarray
-
-    @property
-    def v(self) -> BlockOperator:
-        return self.membership.v
-
-    @property
-    def index(self) -> int:
-        return self.membership.index
-
-    @property
-    def statistics_dimension(self) -> float:
-        return statistics_dimension(self.index)
-
-    @property
-    def k_dim(self) -> int:
-        return self.k_frame.shape[1]
-
-
-def ccr_charge_data(membership: Membership) -> CcrChargeData:
+def ccr_charge_data(membership: Membership) -> ChargeData:
     """Bosonic charge data of a tested member (NotInSemigroup otherwise)."""
     v = membership.require().v
-    g, k_frame, p_op = kappa_split(v.codomain, membership.cokernel)
+    _, k_frame, p_op = kappa_split(v.codomain, membership.cokernel)
     p = compute_projection(v, p_op)
     t, t_norm = compute_t(p, v.codomain)
-    return CcrChargeData(membership, g, p_op, p, t, t_norm, k_frame)
+    return ChargeData(membership, np.zeros((v.codomain.dim, 0), dtype=complex),
+                      k_frame, p, t, t_norm,
+                      statistics_dimension(membership.index))

@@ -18,8 +18,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, dirac
 from .car import RECOVERY_TOL, car_charge_data, car_membership, z2_index
 from .ccr import ccr_charge_data, ccr_membership
@@ -30,7 +28,6 @@ from .errors import (
     MalformedInput,
     NotGaugeCompatible,
     NotInSemigroup,
-    NotInvariant,
     QuasifreeError,
     ShapeMismatch,
     WindowTooSmall,
@@ -43,7 +40,7 @@ from .report import (
     load_model,
     relation,
 )
-from .sectors import CHAR_TOL, sector_table
+from .sectors import CHAR_TOL, charge_spaces_preserved, sector_table
 from .selfdual import DEFAULT_TOL, Membership
 
 # The report writes the statistics dimension 2^N of N species (the circle's
@@ -117,8 +114,6 @@ def _sector_payload(table) -> dict:
 
 def _effective_seed(args, model) -> int:
     if args.seed is not None:
-        if args.seed < 0:
-            raise MalformedInput(f"--seed must be at least 0, got {args.seed}")
         return args.seed
     return model.gauge_seed if model.gauge is not None else 0
 
@@ -149,18 +144,13 @@ def cmd_analyze(args) -> int:
             f"(failures: {', '.join(mem.failures)})"])
         return 3
 
-    if algebra == "car":
-        data = car_charge_data(mem)
-        h_frame, k_frame = data.h.frame, data.k.frame
-    else:
-        data = ccr_charge_data(mem)
-        h_frame, k_frame = np.zeros((v.codomain.dim, 0)), data.k_frame
-    dim_h = h_frame.shape[1]
+    data = (car_charge_data if algebra == "car" else ccr_charge_data)(mem)
+    dim_h, dim_k = data.h_frame.shape[1], data.k_frame.shape[1]
     stat_dim = data.statistics_dimension
     t_norm = data.t_norm
     charge = {
         "dim_h": dim_h,
-        "dim_k": k_frame.shape[1],
+        "dim_k": dim_k,
         "index": data.index,
         "statistics_dimension": stat_dim,
         "t_norm": t_norm,
@@ -171,20 +161,17 @@ def cmd_analyze(args) -> int:
     payload["charge_data"] = charge
 
     if model.gauge is not None:
-        try:
+        with charge_spaces_preserved():
             table = sector_table(
-                algebra, v.codomain, h_frame, k_frame,
+                algebra, v.codomain, data.h_frame, data.k_frame,
                 model.gauge.elements(samples=model.gauge_samples, seed=seed))
-        except NotInvariant as exc:
-            raise NotGaugeCompatible(
-                f"gauge does not preserve the charge spaces: {exc}") from exc
         payload["sector_table"] = _sector_payload(table)
 
     stat_text = ("infinite" if stat_dim == math.inf
                  else f"{stat_dim:g}")
     lines = [
         f"{model.label}: member of the {algebra} semigroup, index {data.index}",
-        f"dim h = {dim_h}, dim k = {k_frame.shape[1]}, "
+        f"dim h = {dim_h}, dim k = {dim_k}, "
         f"statistics dimension = {stat_text}, |T| = {t_norm:.6f}",
     ]
     if "sector_table" in payload:
@@ -354,6 +341,8 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0.0 < args.tol < math.inf:  # NaN fails too
             raise MalformedInput(
                 f"--tol must be a finite number > 0, got {args.tol}")
+        if args.seed is not None and args.seed < 0:
+            raise MalformedInput(f"--seed must be at least 0, got {args.seed}")
         return command(args)
     except INPUT_ERRORS as exc:
         print(f"error (input): {exc}", file=sys.stderr)

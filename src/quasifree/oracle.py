@@ -52,6 +52,7 @@ from .sectors import (
     GaugeAction,
     GaugeSample,
     char_det_h,
+    charge_spaces_preserved,
     compressed_action,
     oracle_compare,
 )
@@ -163,6 +164,10 @@ def car_oracle(args, model, mem, payload, lines) -> None:
     data = car_charge_data(mem)
     v = data.v
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
+    # Before any Fock space: a gauge that moves h or k exits as in analyze.
+    with charge_spaces_preserved():
+        dets_h = char_det_h(elements.u11, data.h_frame, v.codomain)
+        comps_k = compressed_action(elements.u11, data.k_frame, v.codomain)
     fock_d = FermiFock(v.domain.n_modes)
     fock_c = FermiFock(v.codomain.n_modes)
     # A gauge element that is not diagonal takes a dense Gamma(U) on the
@@ -172,9 +177,9 @@ def car_oracle(args, model, mem, payload, lines) -> None:
             and not all(map(_is_diagonal, elements.u11))):
         raise CapExceeded(
             f"Gamma on dimension {fock_c.dim} exceeds cap {GAMMA_DIM_CAP}")
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
     payload["implementers"] = {
         "count": len(imp.psis),
@@ -190,8 +195,6 @@ def car_oracle(args, model, mem, payload, lines) -> None:
         f"{relation(payload['implementers']['implementation'])} "
         f"{DEFAULT_TOL:.0e}")
 
-    dets_h = char_det_h(elements.u11, data.h.frame, v.codomain)
-    comps_k = compressed_action(elements.u11, data.k.frame, v.codomain)
     _charge_theorem(
         elements, alphas, omegas, fock_c,
         lambda level: dets_h[:, None, None] * np.stack(
@@ -202,13 +205,16 @@ def car_oracle(args, model, mem, payload, lines) -> None:
 def ccr_oracle(args, model, mem, payload, lines) -> None:
     data = ccr_charge_data(mem)
     v = data.v
-    l_max = CCR_L_MAX if data.k_dim else 0
+    l_max = CCR_L_MAX if data.k_frame.shape[1] else 0
     cutoff = args.bose_cutoff
     if cutoff < l_max:
         raise MalformedInput(
             f"--bose-cutoff must be at least {l_max}, the highest charge "
             f"level checked, got {cutoff}")
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
+    with charge_spaces_preserved():
+        comps_k = compressed_action(elements.u11, data.k_frame, v.codomain,
+                                    "ccr")
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
     alphas, omegas = omega_alphas_bose(fock_c, v.codomain, omega_p,
@@ -227,7 +233,6 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
         f"implementer probe: intertwining "
         f"{relation(payload['implementer_probe']['intertwining'])} 1e-6")
 
-    comps_k = compressed_action(elements.u11, data.k_frame, v.codomain, "ccr")
     _charge_theorem(
         elements, alphas, omegas, fock_c,
         lambda level: symmetric_power(comps_k, level),

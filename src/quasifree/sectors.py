@@ -34,6 +34,7 @@ whatever stack it sits in.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ import numpy as np
 from .errors import (
     LevelOutOfRange,
     MalformedInput,
+    NotGaugeCompatible,
     NotInvariant,
     sample_chunks,
 )
@@ -176,6 +178,16 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
                 f"gauge element moves the subspace: leakage {leaks[bad[0]]:.3e}")
         comps[chunk] = comp
     return comps[0] if single else comps
+
+
+@contextlib.contextmanager
+def charge_spaces_preserved():
+    """Turn NotInvariant into NotGaugeCompatible: both commands' refusal."""
+    try:
+        yield
+    except NotInvariant as exc:
+        raise NotGaugeCompatible(
+            f"gauge does not preserve the charge spaces: {exc}") from exc
 
 
 def eigenphases(compressed: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ singular value of the same SVD that the decision is read from (0 if it is
 empty); `kernel_and_pinv` reads a kernel frame and a pseudo-inverse off one
 decision.  Membership is decided once per operator by `semigroup_membership`;
 its `Membership` record carries the operator, the index and the kernel frame
-of the adjoint to everything downstream.  Norms are accumulated with
+of the adjoint to everything downstream, and the charge pipelines of both
+statistics return one `ChargeData` record.  Norms are accumulated with
 `math.fsum` in a fixed order so repeated runs produce identical bytes in
 reports; `hs_norm` skips the exact zeros, which leaves its value unchanged
 because `fsum` is exactly rounded.
@@ -34,7 +35,6 @@ from .errors import (
     IndexMismatch,
     NotInSemigroup,
     OddIndex,
-    OrthonormalityFailure,
     ShapeMismatch,
 )
 
@@ -290,6 +290,34 @@ class Membership:
         return self
 
 
+@dataclass(frozen=True)
+class ChargeData:
+    """Charge data of a semigroup member, for either statistics.
+
+    ``h_frame`` is an orthonormal frame of h, the subspace swapped into the
+    new particle space (empty, 2n x 0, for CCR), and ``k_frame`` a frame of
+    the charge space k: orthonormal for CAR, kappa-orthonormal for CCR.
+    ``p`` is the new (kappa-)basis projection, ``t`` the pairing operator
+    and ``t_norm`` its operator norm.
+    """
+
+    membership: Membership
+    h_frame: np.ndarray
+    k_frame: np.ndarray
+    p: np.ndarray
+    t: np.ndarray
+    t_norm: float
+    statistics_dimension: int | float
+
+    @property
+    def v(self) -> BlockOperator:
+        return self.membership.v
+
+    @property
+    def index(self) -> int:
+        return self.membership.index
+
+
 def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
                          tol: float) -> Membership:
     """Classify V against the semigroup whose isometry law is adjoint V = 1.
@@ -319,41 +347,3 @@ def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
         raise IndexMismatch(
             f"kernel count {count} != structural index {structural}")
     return Membership(v, tol, True, iso, sd, hs, count, cokernel)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of a self-dual space, held as an orthonormal column frame."""
-
-    space: SelfDualSpace
-    frame: np.ndarray
-
-    def __post_init__(self):
-        fr = np.asarray(self.frame, dtype=complex)
-        if fr.ndim != 2 or fr.shape[0] != self.space.dim:
-            raise ShapeMismatch(
-                f"frame shape {fr.shape} incompatible with dim {self.space.dim}")
-        if fr.shape[1] > 0:
-            gram = fr.conj().T @ fr
-            if not np.allclose(gram, np.eye(fr.shape[1]), atol=1e-9):
-                raise OrthonormalityFailure(
-                    "frame columns are not orthonormal")
-        fr = fr.copy()
-        fr.setflags(write=False)
-        object.__setattr__(self, "frame", fr)
-
-    @classmethod
-    def empty(cls, space: SelfDualSpace) -> "Subspace":
-        return cls(space, np.zeros((space.dim, 0), dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return orthoprojection(self.frame)
-
-    def conjugate(self) -> "Subspace":
-        """The subspace J(this) = {f* : f in this}."""
-        return Subspace(self.space,
-                        conjugate_matrix(self.frame, None, self.space))

@@ -17,7 +17,6 @@ from quasifree.errors import (
     RecoveryMismatch,
 )
 from quasifree.selfdual import (
-    Subspace,
     cokernel_basis,
     conjugate_matrix,
     hs_norm,
@@ -28,20 +27,20 @@ from quasifree.selfdual import (
 )
 
 
-def compute_h(v) -> Subspace:
+def compute_h(v) -> np.ndarray:
     """h = V12(ker V22), an orthonormal frame inside K1 of the codomain."""
     ker22 = kernel_basis(v.block(2, 2))
     if ker22.shape[1] == 0:
-        return Subspace.empty(v.codomain)
+        return np.zeros((v.codomain.dim, 0), dtype=complex)
     image = v.block(1, 2) @ ker22
     nc = v.codomain.n_modes
     frame_modes = orthonormal_range(image)
     frame = np.zeros((v.codomain.dim, frame_modes.shape[1]), dtype=complex)
     frame[:nc] = frame_modes
-    return Subspace(v.codomain, frame)
+    return frame
 
 
-def compute_t(v, h: Subspace | None = None) -> np.ndarray:
+def compute_t(v, h: np.ndarray | None = None) -> np.ndarray:
     """T = V21 V11^+ - V22^{+*} V12* [ker V11*], antisymmetric, T h = 0."""
     v11, v12 = v.block(1, 1), v.block(1, 2)
     v21, v22 = v.block(2, 1), v.block(2, 2)
@@ -55,22 +54,22 @@ def compute_t(v, h: Subspace | None = None) -> np.ndarray:
     if anti > CHECK_TOL * scale:
         raise AntisymmetryViolation(
             f"T antisymmetry defect {anti:.3e} exceeds {CHECK_TOL:.1e}")
-    if h is not None and h.dim > 0:
+    if h is not None and h.shape[1] > 0:
         nc = v.codomain.n_modes
-        on_h = hs_norm(t @ h.frame[:nc])
+        on_h = hs_norm(t @ h[:nc])
         if on_h > CHECK_TOL * scale:
             raise AntisymmetryViolation(
                 f"T does not annihilate h (defect {on_h:.3e})")
     return t
 
 
-def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
+def compute_p(space, h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """P = (P1 + T)(P1 + T*T)^{-1}(P1 + T*) - [h] + [h*], self-checked.
 
-    P must be an orthogonal projection with J P J = 1 - P, and (h, T) must
-    come back from P as ker P11 and P21 P11^{-1}.
+    h is a frame of h in ``space``.  P must be an orthogonal projection with
+    J P J = 1 - P, and (h, T) must come back from P as ker P11 and
+    P21 P11^{-1}.
     """
-    space = h.space
     n = space.n_modes
     p1_t = np.zeros((space.dim, space.dim), dtype=complex)
     p1_t[n:, :n] = t
@@ -80,7 +79,8 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
     p1_t += 0.0
     middle = pinv_on_range(p1_tt)
     p = (p1_t @ middle @ (p1_t.conj().T + 0.0)
-         - h.projector() + h.conjugate().projector())
+         - orthoprojection(h)
+         + orthoprojection(conjugate_matrix(h, None, space)))
 
     idem = hs_norm(p @ p - p)
     herm = hs_norm(p - p.conj().T)
@@ -93,12 +93,12 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
 
     p11, p21 = p[:n, :n], p[n:, :n]
     ker_p11 = kernel_basis(p11)
-    if ker_p11.shape[1] != h.dim:
+    if ker_p11.shape[1] != h.shape[1]:
         raise RecoveryMismatch(
-            f"dim ker P11 = {ker_p11.shape[1]} != dim h = {h.dim}")
-    if h.dim > 0:
+            f"dim ker P11 = {ker_p11.shape[1]} != dim h = {h.shape[1]}")
+    if h.shape[1] > 0:
         proj_gap = hs_norm(orthoprojection(ker_p11)
-                           - orthoprojection(h.frame[:n]))
+                           - orthoprojection(h[:n]))
         if proj_gap > RECOVERY_TOL:
             raise RecoveryMismatch(f"h recovery defect {proj_gap:.3e}")
     t_back = p21 @ pinv_on_range(p11)
@@ -108,22 +108,22 @@ def compute_p(h: Subspace, t: np.ndarray) -> np.ndarray:
     return p
 
 
-def compute_k(v, p: np.ndarray, ker_vstar: np.ndarray) -> Subspace:
+def compute_k(v, p: np.ndarray, ker_vstar: np.ndarray) -> np.ndarray:
     """k = P(ker V*); its dimension must equal IND(V)/2 = dim ker V* / 2."""
     index = ker_vstar.shape[1]
     if index == 0:
-        return Subspace.empty(v.codomain)
-    k = Subspace(v.codomain, orthonormal_range(p @ ker_vstar))
-    if k.dim != index // 2:
+        return np.zeros((v.codomain.dim, 0), dtype=complex)
+    k = orthonormal_range(p @ ker_vstar)
+    if k.shape[1] != index // 2:
         raise DimensionMismatch(
-            f"dim k = {k.dim} != IND V / 2 = {index // 2}")
+            f"dim k = {k.shape[1]} != IND V / 2 = {index // 2}")
     return k
 
 
-def reference_chart(v, ker: np.ndarray) -> tuple[Subspace, np.ndarray,
-                                                 np.ndarray, Subspace]:
-    """(h, T, P, k) of a member, P built from the chart (h, T)."""
+def reference_chart(v, ker: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray, np.ndarray]:
+    """(h, T, P, k) of a member, h and k as frames, P built from (h, T)."""
     h = compute_h(v)
     t = compute_t(v, h)
-    p = compute_p(h, t)
+    p = compute_p(v.codomain, h, t)
     return h, t, p, compute_k(v, p, ker)

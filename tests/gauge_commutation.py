@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dense_selfdual import extend_gauge
-from quasifree.car import CarChargeData
-from quasifree.selfdual import hs_norm
+from quasifree.selfdual import ChargeData, hs_norm, orthoprojection
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class GaugeCommutationReport:
     propagation_constant: float
 
 
-def gauge_commutation_report(data: CarChargeData,
+def gauge_commutation_report(data: ChargeData,
                              u11: np.ndarray) -> GaugeCommutationReport:
     """Measure ||[V,U]|| and the induced defects on T, P, h and k."""
     v = data.v
@@ -38,8 +37,8 @@ def gauge_commutation_report(data: CarChargeData,
     comm_t = hs_norm(np.conj(u11) @ data.t - data.t @ u11)
     comm_p = hs_norm(u_cod @ data.p - data.p @ u_cod)
     eye = np.eye(v.codomain.dim)
-    ph = data.h.projector()
-    pk = data.k.projector()
+    ph = orthoprojection(data.h_frame)
+    pk = orthoprojection(data.k_frame)
     h_inv = hs_norm((eye - ph) @ u_cod @ ph)
     k_inv = hs_norm((eye - pk) @ u_cod @ pk)
     worst = max(comm_t, comm_p, h_inv, k_inv)

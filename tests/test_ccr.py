@@ -41,7 +41,7 @@ def test_squeeze_charge_data():
     r = 0.5
     data = ccr_charge_data(ccr_membership(builders.squeeze(r)))
     assert data.index == 0
-    assert data.k_dim == 0
+    assert data.k_frame.shape[1] == 0
     assert data.statistics_dimension == 1.0
     # T = tanh(r), symmetric single entry
     assert data.t.shape == (1, 1)
@@ -61,10 +61,12 @@ def test_projection_bits_equal_the_dense_formula(make_v):
     # P = V P1 V+ + p with dense P1 and C, bit for bit.  At 130 modes a
     # product over the K1 columns alone rounds differently.
     v = make_v()
-    data = ccr_charge_data(ccr_membership(v))
+    membership = ccr_membership(v)
+    data = ccr_charge_data(membership)
+    _, _, p_defect = kappa_split(v.codomain, membership.cokernel)
     v_plus = (dense.charge_conjugation(v.domain) @ v.matrix.conj().T
               @ dense.charge_conjugation(v.codomain))
-    want = v.matrix @ dense.p1(v.domain) @ v_plus + data.p_defect
+    want = v.matrix @ dense.p1(v.domain) @ v_plus + p_defect
     assert np.array_equal(data.p.view(np.uint64), want.view(np.uint64))
 
 
@@ -72,18 +74,19 @@ def test_bosonic_shift_charge_data():
     v = builders.shift(3)
     data = ccr_charge_data(ccr_membership(v))
     assert data.index == 2
-    assert data.k_dim == 1
+    assert data.k_frame.shape[1] == 1
     assert data.statistics_dimension == np.inf
     # A = K G K* = diag(1, -1) on span{e1, e1*}; A_+ = E_{e1}; p = E_{e1};
     # P = P1
     space = v.codomain
     ker = data.membership.cokernel
-    a = ker @ data.a @ ker.conj().T
+    g, _, p_defect = kappa_split(space, ker)
+    a = ker @ g @ ker.conj().T
     e1 = space.basis_vector(1)
     e1s = space.basis_vector(1, conjugate=True)
     assert np.isclose(np.vdot(e1, a @ e1).real, 1.0)
     assert np.isclose(np.vdot(e1s, a @ e1s).real, -1.0)
-    assert np.allclose(data.p_defect, np.outer(e1, e1.conj()), atol=1e-12)
+    assert np.allclose(p_defect, np.outer(e1, e1.conj()), atol=1e-12)
     assert np.allclose(data.p, dense.p1(space), atol=1e-12)
     assert np.allclose(data.t, 0.0)
     # k frame: e1 with kappa-norm one
@@ -95,7 +98,7 @@ def test_squeeze_then_shift_pipeline():
     v = builders.squeeze(0.3, n_modes=4, mode=2) @ builders.shift(3)
     data = ccr_charge_data(ccr_membership(v))
     assert data.index == 2
-    assert data.k_dim == 1
+    assert data.k_frame.shape[1] == 1
     # kappa-orthonormality of the k frame
     c = dense.charge_conjugation(v.codomain)
     gram = data.k_frame.conj().T @ c @ data.k_frame
@@ -148,12 +151,13 @@ def test_kappa_split_matches_the_2n_reference(name):
     data = ccr_charge_data(membership)
     ker = membership.cokernel
     a_ref, p_ref, k_ref = reference_split(v, ker)
-    assert data.k_dim == k_ref.shape[1] == membership.index // 2
-    assert hs_norm(ker @ data.a @ ker.conj().T - a_ref) <= 1e-12
-    assert hs_norm(data.p_defect - p_ref) <= 1e-12
+    g, _, p_defect = kappa_split(v.codomain, ker)
+    assert data.k_frame.shape[1] == k_ref.shape[1] == membership.index // 2
+    assert hs_norm(ker @ g @ ker.conj().T - a_ref) <= 1e-12
+    assert hs_norm(p_defect - p_ref) <= 1e-12
     # the same k: the kappa-projection onto the reference frame's span is p
     c = dense.charge_conjugation(v.codomain)
-    assert hs_norm(k_ref @ (c @ k_ref).conj().T - data.p_defect) <= 1e-12
+    assert hs_norm(k_ref @ (c @ k_ref).conj().T - p_defect) <= 1e-12
 
 
 def test_kappa_split_rejects_a_wrong_signature():

@@ -617,6 +617,31 @@ class TestOracle:
         assert "does not preserve the vacuum" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algebra", ["car", "ccr"])
+    def test_gauge_moving_the_charge_space_exit_2_before_any_fock_space(
+            self, tmp_path, capsys, monkeypatch, algebra):
+        # U(2) on the two modes of shift 1 -> 2 leaves the vacuum alone but
+        # mixes k with the other mode; oracle refuses it as analyze does.
+        path = write_model(tmp_path, "m.json", {
+            "algebra": algebra,
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 1}},
+            "gauge": {"group": "un", "species": 2}})
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", "--input", path, "--report",
+                         str(out)]) == 2
+        refusal = capsys.readouterr().err
+        assert refusal.startswith(
+            "error (input): gauge does not preserve the charge spaces: ")
+
+        def no_fock(*args, **kwargs):
+            raise AssertionError("a Fock space was built")
+        monkeypatch.setattr(oracle, "FermiFock", no_fock)
+        monkeypatch.setattr(oracle, "BoseFock", no_fock)
+        assert cli.main(["oracle", "--input", path, "--report",
+                         str(out)]) == 2
+        assert capsys.readouterr().err == refusal
+        assert not out.exists()
+
     def test_failed_comparison_sets_fail_and_exit_4(self, tmp_path, capsys,
                                                     monkeypatch):
         def doubled(matrix, level):
@@ -910,6 +935,19 @@ class TestMain:
         out = tmp_path / "r.json"
         assert cli.main(argv + [f"--tol={tol}", "--report", str(out)]) == 2
         assert "--tol must be a finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle", "dirac"])
+    def test_negative_seed_exit_2_before_the_command_runs(self, tmp_path,
+                                                          capsys, command):
+        # main checks --seed beside --tol, so dirac, which draws nothing,
+        # refuses it too, and the seed is named before a missing model.
+        argv = ([command, "--cutoffs", "16,32"] if command == "dirac"
+                else [command, "--input", str(tmp_path / "missing.json")])
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--seed", "-1", "--report", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (input): --seed must be at least 0, got -1\n")
         assert not out.exists()
 
     def test_replaced_command_is_the_one_called(self, tmp_path,

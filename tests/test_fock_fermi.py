@@ -142,7 +142,7 @@ def test_bogoliubov_vacuum():
     v = builders.bogoliubov(theta)
     data = car_charge_data(car_membership(v))
     fock = FermiFock(2)
-    omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     # overlap with the bare vacuum is cos(theta) = sqrt(3)/2
     assert np.vdot(fock.vacuum(), omega) == pytest.approx(math.sqrt(3) / 2,
                                                           abs=1e-12)
@@ -156,7 +156,7 @@ def test_flip_vacuum_is_charged_one_particle():
     v = builders.flip(1)
     data = car_charge_data(car_membership(v))
     fock = FermiFock(1)
-    omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     # psi(e1) Omega = i |{1}>
     assert omega[1] == pytest.approx(1j, abs=1e-12)
     assert abs(omega[0]) < 1e-12
@@ -166,9 +166,9 @@ def test_shift_implementers_explicit():
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     fock_d, fock_c = FermiFock(1), FermiFock(2)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     assert alphas == [(), (0,)]
     imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
     assert imp.intertwining_residual < 1e-12
@@ -189,9 +189,9 @@ def test_bogoliubov_single_implementer_is_unitary():
     v = builders.bogoliubov(0.4)
     data = car_charge_data(car_membership(v))
     fock = FermiFock(2)
-    omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     assert alphas == [()]
     imp = car_implementers(v, fock, fock, omegas, alphas)
     u = imp.psis[0]
@@ -202,9 +202,9 @@ def test_composed_member_implementers():
     v = builders.bogoliubov(0.3, n_modes=4) @ builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     fock_d, fock_c = FermiFock(2), FermiFock(4)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     assert len(alphas) == 4  # k_dim = 2 -> levels 0,1,1,2
     imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
     assert imp.implementation_residual < 1e-10
@@ -234,7 +234,7 @@ def test_flip_charge_matrix_is_gauge_phase():
     v = builders.flip(1)
     data = car_charge_data(car_membership(v))
     fock = FermiFock(1)
-    omega = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     lam = 0.8
     gamma = fock.gamma(np.array([[np.exp(1j * lam)]]))
     blocks = charge_rep_blocks([omega], [()], gamma.__matmul__)
@@ -245,16 +245,16 @@ def test_shift_charge_blocks_match_determinant_formula():
     v = builders.shift(1, species=2)  # k two-dimensional
     data = car_charge_data(car_membership(v))
     fock = FermiFock(v.codomain.n_modes)
-    omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     rng = np.random.default_rng(7)
     u_small, _ = np.linalg.qr(rng.normal(size=(2, 2))
                               + 1j * rng.normal(size=(2, 2)))
     u11 = np.eye(v.codomain.n_modes, dtype=complex)
     u11[:2, :2] = u_small  # acts on the k modes (first site), fixes the rest
     blocks = charge_rep_blocks(omegas, alphas, fock.gamma(u11).__matmul__)
-    k1 = data.k.frame[:v.codomain.n_modes, :]
+    k1 = data.k_frame[:v.codomain.n_modes, :]
     u_k = k1.conj().T @ u11 @ k1
     for level, block in blocks.items():
         assert hs_norm(block - compound_matrix(u_k, level)) < 1e-10
@@ -264,9 +264,9 @@ def test_span_invariance_residuals():
     v = builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     fock = FermiFock(v.codomain.n_modes)
-    omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     n = v.codomain.n_modes
     # gauge mixing only the two k modes leaves the span invariant
     rng = np.random.default_rng(3)
@@ -287,9 +287,9 @@ def test_implementer_invariance_residual():
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     fock_d, fock_c = FermiFock(1), FermiFock(2)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
     lam = 0.6
     g_cod = fock_c.gamma(np.exp(1j * lam) * np.eye(2))
@@ -667,9 +667,9 @@ def oracle_inputs(v):
     data = car_charge_data(car_membership(v))
     fock_d = FermiFock(v.domain.n_modes)
     fock_c = FermiFock(v.codomain.n_modes)
-    omega_p = omega_p_fermi(fock_c, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     return v, fock_d, fock_c, omegas, alphas
 
 

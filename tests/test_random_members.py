@@ -11,9 +11,16 @@ The generator's operator norm is scaled to at most 1 (CAR) or 0.3 (CCR).
 Given integer mode charges, the generator is masked to commute with that
 U(1) gauge: its particle block couples modes of equal charge, its pairing
 block modes of opposite charge.
+
+Composed members check `analyze`'s charge data without a Fock space: for
+gauge-invariant V1 and V2 the charged spaces of V = V2 V1 carry the tensor
+product of theirs (Doplicher-Roberts, CMP 131 (1990) 51; Longo, CMP 126
+(1989) 217), so indices add, statistics dimensions multiply, and so does the
+graded character det_h(u) det(1 + s t c_k(u)), s = +1 for CAR and -1 for CCR.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +28,7 @@ from hypothesis import strategies as st
 import dense_selfdual as dense
 from quasifree.car import car_charge_data, car_membership
 from quasifree.ccr import ccr_charge_data, ccr_membership
+from quasifree.sectors import GaugeAction, char_det_h, compressed_action
 from quasifree.selfdual import BlockOperator, SelfDualSpace
 
 
@@ -72,7 +80,7 @@ def test_random_car_members(case):
     assert rec.is_member
     assert rec.index == 2 * steps
     data = car_charge_data(car_membership(v))
-    assert data.k.dim == steps
+    assert data.k_frame.shape[1] == steps
 
 
 @PROPERTY
@@ -83,4 +91,49 @@ def test_random_ccr_members(case):
     assert rec.is_member
     assert rec.index == 2 * steps
     data = ccr_charge_data(ccr_membership(v))
-    assert data.k_dim == steps
+    assert data.k_frame.shape[1] == steps
+
+
+PIPELINES = {"car": (car_membership, car_charge_data, 1.0),
+             "ccr": (ccr_membership, ccr_charge_data, -1.0)}
+
+
+def graded_characters(algebra, v, u11, ts):
+    """Charge data of V and det_h(u) det(1 + s t c_k(u)) per element and t.
+
+    u11 is a gauge stack on at least V's codomain modes; its leading blocks
+    act there.
+    """
+    membership, charge_data, sign = PIPELINES[algebra]
+    data = charge_data(membership(v))
+    n = v.codomain.n_modes
+    u = u11[:, :n, :n]
+    det_h = char_det_h(u, data.h_frame, v.codomain)
+    comp = compressed_action(u, data.k_frame, v.codomain, algebra)
+    eye = np.eye(comp.shape[-1])
+    return data, np.stack([det_h * np.linalg.det(eye + sign * t * comp)
+                           for t in ts])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("algebra, n1, scale", [
+    ("car", 9, 1.0), ("car", 40, 1.0), ("ccr", 7, 0.3), ("ccr", 30, 0.3)])
+def test_composition_laws(algebra, n1, scale, seed):
+    # Charges alternate, so V1's shift by 2 sites and V2's by 4 map each
+    # mode to one of equal charge, and V1's codomain gauge is V2's domain's.
+    q = [(-1) ** i for i in range(n1 + 4)]
+    v1 = random_member(algebra, n1, 2, seed, scale, charges=q[:n1])
+    v2 = random_member(algebra, n1 + 4, 4, seed + 100, scale, charges=q)
+    u11 = GaugeAction("u1", n1 + 4, charges=tuple(q)).elements(
+        samples=8, seed=seed).u11
+    ts = (0.37, -1.3)
+    d1, c1 = graded_characters(algebra, v1, u11, ts)
+    d2, c2 = graded_characters(algebra, v2, u11, ts)
+    d, c = graded_characters(algebra, v2 @ v1, u11, ts)
+    assert min(d1.t_norm, d2.t_norm) > 0.1
+    assert d.index == d1.index + d2.index == 12
+    assert d.statistics_dimension == (d1.statistics_dimension
+                                      * d2.statistics_dimension)
+    product = c1 * c2
+    assert np.all(np.abs(c - product)
+                  <= 1e-10 * np.maximum(1.0, np.abs(product)))

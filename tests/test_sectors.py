@@ -121,7 +121,7 @@ def test_compressed_action_detects_leakage():
     u[0, 0] = u[2, 2] = math.cos(mu)
     u[0, 2], u[2, 0] = -math.sin(mu), math.sin(mu)
     with pytest.raises(NotInvariant):
-        compressed_action(u, data.k.frame, space)
+        compressed_action(u, data.k_frame, space)
 
 
 def test_eigenphases_schur():
@@ -138,7 +138,7 @@ def test_sector_table_car_shift_u1():
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
-    table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
+    table = sector_table("car", v.codomain, data.h_frame, data.k_frame,
                          gauge.elements(samples=64))
     assert [row.level for row in table.rows] == [0, 1]
     assert [row.dimension for row in table.rows] == [1, 1]
@@ -165,7 +165,7 @@ def test_sector_table_su2_period_two():
     v = builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("sun", 4, species=2)
-    table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
+    table = sector_table("car", v.codomain, data.h_frame, data.k_frame,
                          gauge.elements(samples=50, seed=3))
     assert table.equivalence_classes == [[0, 2], [1]]
 
@@ -174,7 +174,7 @@ def test_sector_table_u2_all_distinct():
     v = builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
-    table = sector_table("car", v.codomain, data.h.frame, data.k.frame,
+    table = sector_table("car", v.codomain, data.h_frame, data.k_frame,
                          gauge.elements(samples=50, seed=3))
     assert table.equivalence_classes == [[0], [1], [2]]
 
@@ -184,11 +184,11 @@ def test_sector_table_basis_independent():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
     elements = gauge.elements(samples=10, seed=3)
-    table1 = sector_table("car", v.codomain, data.h.frame, data.k.frame,
+    table1 = sector_table("car", v.codomain, data.h_frame, data.k_frame,
                           elements)
     rot = haar_unitary(2, np.random.default_rng(77))
-    table2 = sector_table("car", v.codomain, data.h.frame,
-                          data.k.frame @ rot, elements)
+    table2 = sector_table("car", v.codomain, data.h_frame,
+                          data.k_frame @ rot, elements)
     for r1, r2 in zip(table1.rows, table2.rows):
         assert np.max(np.abs(r1.characters - r2.characters)) < 1e-10
 
@@ -198,8 +198,8 @@ def shift_targets(samples: int):
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=samples)
-    dets = char_det_h(elements.u11, data.h.frame, v.codomain)
-    comps = compressed_action(elements.u11, data.k.frame, v.codomain)
+    dets = char_det_h(elements.u11, data.h_frame, v.codomain)
+    comps = compressed_action(elements.u11, data.k_frame, v.codomain)
     targets = {level: np.stack([d * compound_matrix(c, level)
                                 for d, c in zip(dets, comps)])
                for level in (0, 1)}
@@ -209,9 +209,9 @@ def shift_targets(samples: int):
 def test_oracle_compare_shift_full_pipeline():
     v, data, elements, targets = shift_targets(8)
     fock = FermiFock(2)
-    omega_p = omega_p_fermi(fock, v.codomain, data.h.frame, data.t)
+    omega_p = omega_p_fermi(fock, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
-                                        data.k.frame)
+                                        data.k_frame)
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
     blocks = [charge_rep_blocks(omegas, alphas, fock.gamma(u11).__matmul__)
               for u11 in elements.u11]
@@ -457,12 +457,10 @@ def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
     params, block = shift_gauge_case(steps, species, group)
     v = builders.shift(**params)
     n = v.codomain.n_modes
-    if algebra == "car":
-        data = car_charge_data(car_membership(v))
-        h_frame, k_frame = data.h.frame, data.k.frame
-    else:
-        data = ccr_charge_data(ccr_membership(v))
-        h_frame, k_frame = np.zeros((v.codomain.dim, 0)), data.k_frame
+    data = (car_charge_data(car_membership(v)) if algebra == "car"
+            else ccr_charge_data(ccr_membership(v)))
+    h_frame, k_frame = data.h_frame, data.k_frame
+    assert h_frame.shape == (v.codomain.dim, 0) or algebra == "car"
     assert k_frame.shape[1] == steps * species
     gauge = GaugeAction(group, n, charges=tuple(block.get("charges", ())),
                         species=block.get("species", 0))
@@ -570,16 +568,16 @@ def test_one_leaking_element_of_a_stack_raises(monkeypatch, chunk_bytes):
     leaky[0, 2], leaky[2, 0] = -math.sin(mu), math.sin(mu)
     elements = GaugeAction("custom", 4, unitaries=(
         np.eye(4, dtype=complex), leaky)).elements()
-    compressed_action(elements.u11[:1], data.k.frame, v.codomain)
+    compressed_action(elements.u11[:1], data.k_frame, v.codomain)
     with pytest.raises(NotInvariant):
-        compressed_action(elements.u11, data.k.frame, v.codomain)
+        compressed_action(elements.u11, data.k_frame, v.codomain)
     with pytest.raises(NotInvariant):
-        sector_table("car", v.codomain, data.h.frame, data.k.frame, elements)
+        sector_table("car", v.codomain, data.h_frame, data.k_frame, elements)
 
 
 def test_chunked_compression_keeps_the_bits(monkeypatch):
     v = builders.shift(3, steps=2, species=2)
-    frame = car_charge_data(car_membership(v)).k.frame
+    frame = car_charge_data(car_membership(v)).k_frame
     elements = GaugeAction("un", v.codomain.n_modes, species=2).elements(
         samples=40, seed=1)
     whole = compressed_action(elements.u11, frame, v.codomain)
