@@ -6,9 +6,9 @@ comparison in the report did: the report then has status "fail").  Reports
 are canonical JSON (sorted keys, fixed indent), so identical inputs, seed,
 version and BLAS thread count produce byte-identical files.
 
-Importing this module loads numpy and the standard library only.  The Fock
-oracle (:mod:`quasifree.oracle`, which loads scipy.sparse) is imported by
-cmd_oracle when it runs, so analyze and dirac never load SciPy.
+Importing this module loads numpy and the standard library only: the Fock
+oracle (:mod:`quasifree.oracle`, which loads scipy.sparse) and the circle
+model (:mod:`quasifree.dirac`) are imported by the commands that run them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 
-from . import __version__, dirac
+from . import __version__
 from .car import RECOVERY_TOL, car_charge_data, car_membership, z2_index
 from .ccr import ccr_charge_data, ccr_membership
 from .errors import (
@@ -221,6 +221,7 @@ def cmd_dirac(args) -> int:
                else 1e-3 * 512.0 / cutoffs[-1])
     payload = _base_payload("dirac")
     payload["cutoffs"] = list(cutoffs)
+    from . import dirac
     payload["cayley_audit"] = dirac.cayley_audit()
 
     # Largest window first: build_v refuses a window over the dense budget

@@ -25,10 +25,12 @@ comes from these (2W+1) x m_loc factors in O(W m_loc^2) work; the dense
 (2W+1)^2 matrix is built only on request (`DiracBuild.dense`), as the tests'
 oracle.  The window fixes m_loc = W // 4.  The overlaps and the complement
 probes are real in closed form, so the table, both factors and every
-product of the model are float64.  One Gram of the table serves both its
+product of the model are float64.  One Gram of the table serves its
 orthonormality diagnostics and, through a Cholesky factor of its frame
-block, the singular values of V.  The products keep their conjugates, which
-cost nothing on real arrays, so a complex build gives the same quantities.
+block, the singular values of V, the probe defects and the shift overlaps,
+so V* never acts on a window-sized array.  The products keep their
+conjugates, which cost nothing on real arrays, so a complex build gives the
+same quantities.
 
 Truncating the m-sum leaves an exact seam: the pair (f_{m_loc-1}, f_{m_loc})
 is mapped onto the single direction f_{m_loc}, so the full operator-norm
@@ -128,10 +130,9 @@ def local_mode_table(w: int, m_values) -> np.ndarray:
     return runs[m % 2, 2 * m - w - d_min].T
 
 
-def complement_probe(w: int, k: int) -> np.ndarray:
-    """Fourier coefficients of e_k restricted to the complementary arc."""
-    n = np.arange(-w, w + 1)
-    d = k - n
+def complement_probe(w: int, k: int | np.ndarray) -> np.ndarray:
+    """Fourier coefficients of e_k on the complementary arc, a column per k."""
+    d = np.add.outer(-np.arange(-w, w + 1), k)  # d = k - n
     odd = d % 2 != 0
     sin_half = np.where(d % 4 == 1, 1.0, -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,12 +142,12 @@ def complement_probe(w: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleWindow:
-    """Mode window |n| <= w with the local-mode overlap table, m_loc = w // 4."""
+    """Mode window |n| <= w: f_m table (m_loc = w // 4), complement probes."""
 
     w: int
     m_loc: int
     f_table: np.ndarray = field(repr=False)
-    m_values: np.ndarray = field(repr=False)
+    complement: np.ndarray = field(repr=False)
 
     @classmethod
     def create(cls, w: int) -> "CircleWindow":
@@ -156,7 +157,8 @@ class CircleWindow:
                 f"need 2 <= m_loc <= w/4, got m_loc={m_loc}, w={w}")
         m_values = np.arange(-m_loc, m_loc + 1)
         require_dense_bytes(2 * w + 1, m_values.size, "circle window")
-        return cls(w, m_loc, local_mode_table(w, m_values), m_values)
+        return cls(w, m_loc, local_mode_table(w, m_values),
+                   complement_probe(w, np.arange(-8, 9)))
 
     @property
     def dim(self) -> int:
@@ -173,8 +175,8 @@ class DiracBuild:
     build_v sets A = U - L and B = L, where the columns of L are f_m and
     those of U are f_{m+1} for start_m <= m < m_loc, and records all 2W+1
     singular values of V (None for factors assembled by hand).  Nothing of
-    size dim x dim is stored: V acts through `apply` / `apply_adjoint`, and
-    `dense` materializes it only for the tests' oracle.
+    size dim x dim is stored: V acts through `apply` (V*V is read from the
+    Gram), and `dense` materializes it only for the tests' oracle.
     """
 
     window: CircleWindow
@@ -191,10 +193,6 @@ class DiracBuild:
         """V x = x + A (B* x), for a vector or the columns of a matrix."""
         return x + self.a @ (self.b.T @ x.conj()).conj()
 
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """V* x = x + B (A* x)."""
-        return x + self.b @ (self.a.T @ x.conj()).conj()
-
     def dense(self) -> np.ndarray:
         return (np.eye(self.window.dim, dtype=complex)
                 + self.a @ self.b.conj().T)
@@ -210,7 +208,6 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     m_loc = window.m_loc
     first = m_loc + start_m
     frame = window.f_table[:, first:]  # F = [f_start ... f_m_loc]
-    lower, upper = frame[:, :-1], frame[:, 1:]
     gram = window.f_table.conj().T @ window.f_table
     # F = Q R spans both factors, so V = Q M Q* + (1 - Q Q*) with the small
     # core M = 1 + (R[:, 1:] - R[:, :-1]) R[:, :-1]*: V has the singular
@@ -222,24 +219,30 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     core = np.eye(r.shape[0]) + (r[:, 1:] - r[:, :-1]) @ r[:, :-1].conj().T
     svals = np.linalg.svd(core, compute_uv=False)
     ones = np.ones(window.dim - svals.size)
-    build = DiracBuild(window, upper - lower, lower, start_m, {},
-                       np.concatenate([svals, ones]))
+    build = DiracBuild(window, frame[:, 1:] - frame[:, :-1], frame[:, :-1],
+                       start_m, {}, np.concatenate([svals, ones]))
 
     rownorm_dev = float(np.max(np.abs(np.diag(gram).real - 1.0)))
     gram_offid = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
-    probes = np.column_stack(
-        [window.f_table[:, m_loc - m_loc // 2: m_loc + m_loc // 2 + 1]]
-        + [complement_probe(w, k) for k in range(-8, 9)])
-    defects = build.apply_adjoint(build.apply(probes)) - probes
-    probe_defect = float(np.max(np.linalg.norm(defects, axis=0)
-                                / np.linalg.norm(probes, axis=0)))
+    # V = 1 + Q (M - 1) Q*, so V*V x - x = Q (M*M - 1) q and
+    # <x', V x> = <x', x> + q'* (M - 1) q, with q = Q* x = R^{-*} F* x.  For
+    # the local modes f_m, |m| <= m_loc/2, F* f_m is a column block of the
+    # Gram; the complement probes take one rank x 17 product.
+    half = m_loc // 2
+    local = slice(m_loc - half, m_loc + half + 1)
+    q = np.linalg.solve(r.conj().T, np.hstack(
+        [gram[first:, local], frame.conj().T @ window.complement]))
+    defects = np.linalg.norm(core.conj().T @ (core @ q) - q, axis=0)
+    probe_defect = float(np.max(defects / np.concatenate(
+        [np.sqrt(np.diag(gram).real[local]),
+         np.linalg.norm(window.complement, axis=0)])))
     full_defect = float(np.max(np.abs(svals ** 2 - 1.0)))
 
-    # f_0 ... f_{m_loc/2}
-    local = window.f_table[:, m_loc: m_loc + m_loc // 2 + 1]
-    shift_overlaps = np.einsum("ij,ij->j", local[:, 1:].conj(),
-                               build.apply(local[:, :-1]))
+    # <f_{m+1}, V f_m> for 0 <= m < m_loc/2: f_m is column half + m of q
+    q_m, q_next = q[:, half: 2 * half], q[:, half + 1: 2 * half + 1]
+    shift_overlaps = (np.diag(gram, -1)[m_loc: m_loc + half]
+                      + np.einsum("ij,ij->j", q_next.conj(), core @ q_m - q_m))
     build.diagnostics.update({
         "w": w,
         "m_loc": m_loc,
@@ -339,39 +342,37 @@ def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
     Subtracting nearly equal norms would lose the increments to
     cancellation, so each increment is the growth of the square over the
     sum of the two norms.  The growth comes from the Grams dA, dB of the
-    rows the larger window adds: tr(B'A') - tr(BA) = tr(dB A') + tr(B dA)
-    with B' = B + dB and A' = A + dA.  Every term is the trace of a product
-    of two PSD matrices, so none cancels.
+    rows the larger window adds, which sum to its Grams: with B' = B + dB
+    and A' = A + dA, tr(B'A') - tr(BA) = tr(dB A) + tr(B dA) + tr(dB dA),
+    each the trace of a product of two PSD matrices, so none cancels.
     """
     cutoffs = tuple(sorted(cutoffs))
     w_max = cutoffs[-1]
     if build.window.w != w_max:
         raise WindowTooSmall("supplied build does not match the largest cutoff")
 
-    def grams(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(x[rows].conj().T @ x[rows] for x in (build.a, build.b))
+    def cross(b_side: np.ndarray, a_side: np.ndarray) -> float:
+        # tr(B_neg A_pos) + tr(B_pos A_neg) from [half][factor] Gram stacks
+        return float((np.vdot(b_side[1, 1], a_side[0, 0])
+                      + np.vdot(b_side[0, 1], a_side[1, 0])).real)
 
-    def cross(b_rows: tuple, a_rows: tuple) -> float:
-        # tr(B_neg A_pos) + tr(B_pos A_neg), B from b_rows' and A from
-        # a_rows' (pos, neg) pair of (A, B) Grams
-        (_, b_pos), (_, b_neg) = b_rows
-        (a_pos, _), (a_neg, _) = a_rows
-        return float((np.vdot(b_neg, a_pos) + np.vdot(b_pos, a_neg)).real)
-
-    sums, incs, last = [], [], None
+    rank = build.a.shape[1]
+    window = np.zeros((2, 2, rank, rank), build.a.dtype)
+    ring = np.empty_like(window)
+    sums, incs, pos, neg = [], [], w_max, w_max
     for w in cutoffs:
-        # rows of the modes 0 <= n <= w and -w <= n < 0
-        window = (grams(slice(w_max, w_max + w + 1)),
-                  grams(slice(w_max - w, w_max)))
+        # the rows each half gains, w_last < n <= w and -w <= n < -w_last
+        # (the whole window, 0 <= n <= w and -w <= n < 0, at first)
+        for half, rows in enumerate((slice(pos, w_max + w + 1),
+                                     slice(w_max - w, neg))):
+            for factor, x in enumerate((build.a, build.b)):
+                np.matmul(x[rows].conj().T, x[rows], out=ring[half, factor])
+        pos, neg = w_max + w + 1, w_max - w
+        growth = cross(ring, window) + cross(window, ring) + cross(ring, ring)
+        window += ring
         sums.append(math.sqrt(cross(window, window)))
-        if last:
-            w_last, last_window = last
-            # rows of the modes w_last < n <= w and -w <= n < -w_last
-            added = (grams(slice(w_max + w_last + 1, w_max + w + 1)),
-                     grams(slice(w_max - w, w_max - w_last)))
-            growth = cross(added, window) + cross(last_window, added)
+        if len(sums) > 1:
             incs.append(growth / (sums[-1] + sums[-2]))
-        last = w, window
     verdict, slope, incs = _trend_verdict(cutoffs, sums, incs)
     tags = ("plus", "minus")
     return HsStudy(cutoffs, dict.fromkeys(tags, sums),
@@ -412,15 +413,12 @@ def prop_loc_check(build: DiracBuild) -> dict:
     off A.  Returns the optimal unimodular phase tau and the largest
     relative residual |v g - tau g| / |g| it leaves; the caller gates it.
     """
-    probes = [complement_probe(build.window.w, k) for k in range(-8, 9)]
-    images = build.apply(np.column_stack(probes)).T
-    overlap_sum = 0.0j
-    for g, vg in zip(probes, images):
-        overlap_sum += np.vdot(g, vg)
+    probes = build.window.complement
+    images = build.apply(probes)
+    overlap_sum = np.vdot(probes, images)
     tau = overlap_sum / abs(overlap_sum) if abs(overlap_sum) else 1.0 + 0j
-    residual = max(
-        float(np.linalg.norm(vg - tau * g)) / float(np.linalg.norm(g))
-        for g, vg in zip(probes, images))
+    residual = float(np.max(np.linalg.norm(images - tau * probes, axis=0)
+                            / np.linalg.norm(probes, axis=0)))
     return {"complement": {"tau": complex(tau), "residual": residual}}
 
 

@@ -210,6 +210,16 @@ def _dense_partial_hs(comm, w_max, cutoffs):
     return sums
 
 
+def _dense_increments(comm, w_max, cutoffs, norms):
+    """Each window's added-ring sum of squares over its two partial norms."""
+    ns = np.abs(np.arange(-w_max, w_max + 1))
+    sq = np.abs(comm) ** 2
+    reach = np.maximum.outer(ns, ns)  # the smallest window holding (i, j)
+    return [math.fsum(sq[(reach > a) & (reach <= b)]) / (norm_a + norm_b)
+            for a, b, norm_a, norm_b in zip(cutoffs, cutoffs[1:],
+                                            norms, norms[1:])]
+
+
 def _rel(x, y):
     return abs(x - y) / max(abs(x), abs(y))
 
@@ -248,6 +258,10 @@ def test_factored_build_matches_dense_oracle(w, start_m):
         comm = diag_theta[:, None] * matrix - matrix * diag_theta[None, :]
         dense = _dense_partial_hs(comm, w, cutoffs)
         for got, want in zip(study.partial_norms[tag], dense):
+            assert _rel(got, want) < 1e-12
+        rings = _dense_increments(comm, w, cutoffs, dense)
+        assert len(study.increments[tag]) == len(rings) == 3
+        for got, want in zip(study.increments[tag], rings):
             assert _rel(got, want) < 1e-12
 
     ns = np.arange(-w, w + 1)

@@ -3,8 +3,9 @@
 ``import quasifree.cli`` loads numpy and the standard library only: the Fock
 oracle (and with it scipy.sparse) is imported by the ``oracle`` command,
 which loads no scipy.linalg for either algebra, and no other command loads
-SciPy.  Each check starts a new interpreter and reads its ``sys.modules``;
-none of them times anything.
+SciPy.  The circle model is imported by the ``dirac`` command alone.  Each
+check starts a new interpreter and reads its ``sys.modules``; none of them
+times anything.
 """
 
 import json
@@ -28,7 +29,8 @@ from quasifree.cli import main
 def watched():
     return sorted(m for m in sys.modules
                   if m == "scipy" or m.startswith("scipy.")
-                  or m in ("quasifree.fock", "quasifree.oracle"))
+                  or m in ("quasifree.dirac", "quasifree.fock",
+                           "quasifree.oracle"))
 
 print(json.dumps(watched()))
 for argv in json.loads(sys.argv[1]):
@@ -59,6 +61,15 @@ def shift_model(tmp_path, algebra: str, n_sites_in: int) -> str:
                      "params": {"n_sites_in": n_sites_in}}})
 
 
+def run_fresh(argvs: list, cwd) -> tuple:
+    """The watched modules at import, and (exit code, watched) per argv."""
+    proc = fresh_python(["-c", RUNNER, json.dumps(argvs)], cwd)
+    assert proc.returncode == 0, proc.stderr
+    at_import, *after = (json.loads(line)
+                         for line in proc.stdout.splitlines())
+    return at_import, after
+
+
 def test_each_command_loads_scipy_only_where_it_calls_it(tmp_path):
     identity = write_model(tmp_path, "identity.json", {
         "isometry": {"builder": "identity", "params": {"n_modes": 3}}})
@@ -70,8 +81,9 @@ def test_each_command_loads_scipy_only_where_it_calls_it(tmp_path):
     gauged = write_model(tmp_path, "gauged.json", {
         "isometry": {"builder": "shift", "params": {"n_sites_in": 2}},
         "gauge": {"group": "u1", "charges": [1, 1, 1], "samples": 4}})
+    dirac_argv = ["dirac", "--cutoffs", "16,32"]
+    # dirac runs last, so no earlier run can find the circle model loaded.
     runs = [
-        (["dirac", "--cutoffs", "16,32"], 0),
         (["analyze", "--input", identity], 0),
         (["analyze", "--input", half], 3),
         (["analyze", "--input", malformed], 2),
@@ -79,23 +91,25 @@ def test_each_command_loads_scipy_only_where_it_calls_it(tmp_path):
         (["oracle", "--input", shift_model(tmp_path, "car", 2)], 0),
         (["oracle", "--input", shift_model(tmp_path, "ccr", 1),
           "--bose-cutoff", "5"], 0),
+        (dirac_argv, 0),
     ]
-    proc = fresh_python(["-c", RUNNER, json.dumps([a for a, _ in runs])],
-                        tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    at_import, *after = (json.loads(line)
-                         for line in proc.stdout.splitlines())
+    at_import, after = run_fresh([a for a, _ in runs], tmp_path)
     assert at_import == []
     codes = [code for code, _ in after]
     assert codes == [code for _, code in runs]
-    # dirac and the four analyze runs, gauged or not: no SciPy at all.
-    for _, loaded in after[:5]:
+    # The four analyze runs, gauged or not: no SciPy, no circle model.
+    for _, loaded in after[:4]:
         assert loaded == []
-    # Both oracles load scipy.sparse and never scipy.linalg.
-    for _, loaded in after[5:]:
+    # Both oracles load scipy.sparse and never scipy.linalg or dirac.
+    for _, loaded in after[4:6]:
         assert {"quasifree.fock", "quasifree.oracle",
                 "scipy.sparse"} <= set(loaded)
         assert "scipy.linalg" not in loaded
+        assert "quasifree.dirac" not in loaded
+    assert set(after[6][1]) - set(after[5][1]) == {"quasifree.dirac"}
+    # dirac in a fresh interpreter: the circle model and no SciPy at all.
+    assert run_fresh([dirac_argv], tmp_path) == (
+        [], [[0, ["quasifree.dirac"]]])
 
 
 @pytest.mark.parametrize("algebra, n_sites_in", [("car", 3), ("ccr", 1)],
