@@ -4,12 +4,14 @@ Library layout:
 
 * :mod:`quasifree.selfdual` -- spaces, block operators, rank-revealing
   helpers, the membership and charge records (`ChargeData`) of both algebras
+  and the `Statistics` record a command picks its algebra by
 * :mod:`quasifree.car` / :mod:`quasifree.ccr` -- semigroup membership and
-  charge data (h, T, P, k, index, statistics dimension)
+  charge data (h, T, P, k, index, statistics dimension), and the records
+  `CAR` and `CCR`
 * :mod:`quasifree.fock` -- finite Fock-space oracle (fields, twist, vacua,
   implementers, charge blocks, exterior and symmetric powers)
-* :mod:`quasifree.oracle` -- the oracle command's Fock-space checks, imported
-  only when that command runs
+* :mod:`quasifree.oracle` -- the oracle command's Fock-space checks, one
+  driver for both statistics, imported only when that command runs
 * :mod:`quasifree.sectors` -- gauge actions, symmetric-function characters,
   sector tables, the blockwise charge-theorem comparison of both oracles
 * :mod:`quasifree.dirac` -- localized chiral endomorphism on the circle

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    FERMI_DIM_CAP,
     AntisymmetryViolation,
     DimensionMismatch,
     NonzeroIndex,
@@ -34,6 +35,7 @@ from .selfdual import (
     DEFAULT_TOL,
     Membership,
     SelfDualSpace,
+    Statistics,
     cokernel_basis,
     conjugate_matrix,
     hs_norm,
@@ -120,11 +122,6 @@ def compute_t(p: np.ndarray, space: SelfDualSpace
     return np.vstack([ker, np.zeros_like(ker)]), t
 
 
-def statistics_dimension(index: int) -> int:
-    """d = 2^{IND V / 2} for the fermionic sector."""
-    return 2 ** (index // 2)
-
-
 def car_charge_data(membership: Membership) -> ChargeData:
     """h, T, P, k of a tested member (NotInSemigroup for a non-member).
 
@@ -145,7 +142,7 @@ def car_charge_data(membership: Membership) -> ChargeData:
         raise DimensionMismatch(
             f"dim k = {k.shape[1]} != IND V / 2 = {membership.index // 2}")
     return ChargeData(membership, h, k, p, t, t_norm,
-                      statistics_dimension(membership.index))
+                      CAR.statistics_dimension(membership.index))
 
 
 def z2_index(data: ChargeData) -> int:
@@ -153,3 +150,10 @@ def z2_index(data: ChargeData) -> int:
     if data.index != 0:
         raise NonzeroIndex(f"Z2 index needs IND V = 0, got {data.index}")
     return -1 if data.h_frame.shape[1] % 2 else 1
+
+
+
+CAR = Statistics("car", sign=1, fock_cap=FERMI_DIM_CAP,
+                 statistics_dimension=lambda index: 2 ** (index // 2),
+                 membership=lambda v, tol: car_membership(v, tol),
+                 charge_data=lambda membership: car_charge_data(membership))

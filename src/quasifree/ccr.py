@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .errors import (
+    BOSE_DIM_CAP,
     AntisymmetryViolation,
     DegenerateForm,
     DimensionMismatch,
@@ -31,6 +32,7 @@ from .selfdual import (
     DEFAULT_TOL,
     Membership,
     SelfDualSpace,
+    Statistics,
     _canonical_phase,
     conjugate_matrix,
     hs_norm,
@@ -140,11 +142,6 @@ def compute_t(p: np.ndarray, space: SelfDualSpace
     return t, norm
 
 
-def statistics_dimension(index: int) -> float:
-    """1 for automorphism-type sectors, infinite otherwise."""
-    return 1.0 if index == 0 else math.inf
-
-
 def ccr_charge_data(membership: Membership) -> ChargeData:
     """Bosonic charge data of a tested member (NotInSemigroup otherwise)."""
     v = membership.require().v
@@ -153,4 +150,11 @@ def ccr_charge_data(membership: Membership) -> ChargeData:
     t, t_norm = compute_t(p, v.codomain)
     return ChargeData(membership, np.zeros((v.codomain.dim, 0), dtype=complex),
                       k_frame, p, t, t_norm,
-                      statistics_dimension(membership.index))
+                      CCR.statistics_dimension(membership.index))
+
+
+
+CCR = Statistics("ccr", sign=-1, fock_cap=BOSE_DIM_CAP,
+                 statistics_dimension=lambda index: math.inf if index else 1.0,
+                 membership=lambda v, tol: ccr_membership(v, tol),
+                 charge_data=lambda membership: ccr_charge_data(membership))

@@ -19,10 +19,9 @@ import math
 import sys
 
 from . import __version__
-from .car import RECOVERY_TOL, car_charge_data, car_membership, z2_index
-from .ccr import ccr_charge_data, ccr_membership
+from .car import CAR, RECOVERY_TOL, z2_index
+from .ccr import CCR
 from .errors import (
-    FERMI_DIM_CAP,
     CapExceeded,
     LevelOutOfRange,
     MalformedInput,
@@ -40,13 +39,15 @@ from .report import (
     load_model,
     relation,
 )
-from .sectors import CHAR_TOL, charge_spaces_preserved, sector_table
-from .selfdual import DEFAULT_TOL, Membership
+from .sectors import CHAR_TOL, sector_table
+from .selfdual import DEFAULT_TOL, Membership, Statistics
 
 # The report writes the statistics dimension 2^N of N species (the circle's
 # index is 1) as an exact integer; this cap keeps it far below Python's
 # 4300-digit limit on converting an int to text.
 MAX_GAUGE_N = 1024
+
+STATISTICS = {stats.name: stats for stats in (CAR, CCR)}
 
 INPUT_ERRORS = (MalformedInput, CapExceeded, WindowTooSmall, ShapeMismatch,
                 NotGaugeCompatible, LevelOutOfRange)
@@ -101,9 +102,9 @@ def _membership_payload(mem: Membership) -> dict:
     }
 
 
-def _sector_payload(table) -> dict:
+def _sector_payload(table, stats: Statistics) -> dict:
     return {
-        "algebra": table.algebra,
+        "algebra": stats.name,
         "levels": [{"level": row.level, "dimension": row.dimension,
                     "characters": row.characters} for row in table.rows],
         "element_labels": list(table.element_labels),
@@ -118,21 +119,20 @@ def _effective_seed(args, model) -> int:
     return model.gauge_seed if model.gauge is not None else 0
 
 
-def _membership(args, model, algebra: str) -> Membership:
-    """The one membership test of a command, at --tol."""
-    test = car_membership if algebra == "car" else ccr_membership
-    return test(model.operator,
-                args.tol if args.tol is not None else DEFAULT_TOL)
+def _membership(args, model) -> tuple[Statistics, Membership]:
+    """The command's statistics record and its one membership test."""
+    stats = STATISTICS[args.algebra or model.algebra]
+    return stats, stats.membership(
+        model.operator, args.tol if args.tol is not None else DEFAULT_TOL)
 
 
 def cmd_analyze(args) -> int:
     model = load_model(args.input)
-    algebra = args.algebra or model.algebra
     seed = _effective_seed(args, model)
     v = model.operator
-    mem = _membership(args, model, algebra)
+    stats, mem = _membership(args, model)
     payload = _base_payload("analyze", model)
-    payload["algebra"] = algebra
+    payload["algebra"] = stats.name
     payload["seed"] = seed
     payload["tolerances"] = {"membership": mem.tol, "recovery": RECOVERY_TOL,
                              "character": CHAR_TOL}
@@ -140,11 +140,11 @@ def cmd_analyze(args) -> int:
     if not mem.is_member:
         payload["status"] = "not-in-semigroup"
         _emit(payload, args, [
-            f"{model.label}: NOT in the {algebra} semigroup "
+            f"{model.label}: NOT in the {stats.name} semigroup "
             f"(failures: {', '.join(mem.failures)})"])
         return 3
 
-    data = (car_charge_data if algebra == "car" else ccr_charge_data)(mem)
+    data = stats.charge_data(mem)
     dim_h, dim_k = data.h_frame.shape[1], data.k_frame.shape[1]
     stat_dim = data.statistics_dimension
     t_norm = data.t_norm
@@ -156,21 +156,21 @@ def cmd_analyze(args) -> int:
         "t_norm": t_norm,
         "hs_defect": float(mem.hs_defect),
     }
-    if algebra == "car" and data.index == 0:
+    if stats.sign > 0 and data.index == 0:  # CAR only
         charge["z2_index"] = z2_index(data)
     payload["charge_data"] = charge
 
     if model.gauge is not None:
-        with charge_spaces_preserved():
-            table = sector_table(
-                algebra, v.codomain, data.h_frame, data.k_frame,
-                model.gauge.elements(samples=model.gauge_samples, seed=seed))
-        payload["sector_table"] = _sector_payload(table)
+        table = sector_table(
+            stats, v.codomain, data.h_frame, data.k_frame,
+            model.gauge.elements(samples=model.gauge_samples, seed=seed))
+        payload["sector_table"] = _sector_payload(table, stats)
 
     stat_text = ("infinite" if stat_dim == math.inf
                  else f"{stat_dim:g}")
     lines = [
-        f"{model.label}: member of the {algebra} semigroup, index {data.index}",
+        f"{model.label}: member of the {stats.name} semigroup, "
+        f"index {data.index}",
         f"dim h = {dim_h}, dim k = {dim_k}, "
         f"statistics dimension = {stat_text}, |T| = {t_norm:.6f}",
     ]
@@ -183,17 +183,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     model = load_model(args.input)
-    algebra = args.algebra or model.algebra
+    stats, mem = _membership(args, model)
     payload = _base_payload("oracle", model)
-    payload["algebra"] = algebra
+    payload["algebra"] = stats.name
     payload["seed"] = _effective_seed(args, model)
-    payload["caps"] = {"fock_cap": FERMI_DIM_CAP,
+    payload["caps"] = {"fock_cap": stats.fock_cap,
                        "bose_cutoff": args.bose_cutoff}
     lines = []
     # Imported here, not at the top: it loads the Fock code and scipy.sparse.
     from . import oracle
-    run = oracle.car_oracle if algebra == "car" else oracle.ccr_oracle
-    run(args, model, _membership(args, model, algebra), payload, lines)
+    oracle.run(args, model, stats, mem, payload, lines)
     return _emit_verdict(payload, args, lines)
 
 
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True,
                            help="model file (JSON)")
-            p.add_argument("--algebra", choices=("car", "ccr"), default=None,
+            p.add_argument("--algebra", choices=STATISTICS, default=None,
                            help="override the model's algebra tag")
         p.add_argument("--report", default=None, help="report output path")
         p.add_argument("--tol", type=float, default=None,

@@ -63,10 +63,6 @@ class ImplementationDefect(QuasifreeError):
     """Implementer equations violated beyond tolerance on the Fock oracle."""
 
 
-class NotInvariant(QuasifreeError):
-    """A subspace expected to be invariant under the gauge action is not."""
-
-
 class WindowTooSmall(QuasifreeError):
     """Fourier window too small for the requested local construction."""
 
@@ -93,8 +89,9 @@ class MalformedInput(QuasifreeError):
 
 # Fock-space dimension caps: a fermionic space of at most 12 modes, a
 # bosonic one of at most 6561 = 9^4 states, and a dense Gamma(U) of at most
-# 10 fermionic modes.  The oracle report's caps.fock_cap reads FERMI_DIM_CAP
-# from here, so the CLI loads no Fock code before the oracle runs.
+# 10 fermionic modes.  The statistics records (car.CAR, ccr.CCR) read the
+# first two from here for the oracle report's caps.fock_cap, so the CLI loads
+# no Fock code before the oracle runs.
 FERMI_DIM_CAP = 4096
 BOSE_DIM_CAP = 6561
 GAMMA_DIM_CAP = 1024

@@ -79,22 +79,19 @@ from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 EXP_MAX_TERMS = 200  # power-series terms of exp(B) Omega at most
 
 
-def car_multi_indices(k_dim: int) -> list[tuple[int, ...]]:
-    """Strictly increasing multi-indices over k, grouped by level, lex order."""
-    out: list[tuple[int, ...]] = []
-    for level in range(k_dim + 1):
-        out.extend(itertools.combinations(range(k_dim), level))
-    return out
+def multi_indices(k_dim: int, l_max: int,
+                  repeats: bool) -> list[tuple[int, ...]]:
+    """Multi-indices over k up to level l_max, grouped by level, lex order.
 
-
-def ccr_multi_indices(k_dim: int, l_max: int) -> list[tuple[int, ...]]:
-    """Non-decreasing multi-indices over k up to level l_max, lex order."""
+    Strictly increasing ones label the exterior powers (CAR), non-decreasing
+    ones, when ``repeats``, the symmetric powers (CCR).
+    """
     if l_max < 0:
         raise LevelOutOfRange(f"l_max = {l_max} < 0")
-    out: list[tuple[int, ...]] = []
-    for level in range(l_max + 1):
-        out.extend(itertools.combinations_with_replacement(range(k_dim), level))
-    return out
+    pick = (itertools.combinations_with_replacement if repeats
+            else itertools.combinations)
+    return [alpha for level in range(l_max + 1)
+            for alpha in pick(range(k_dim), level)]
 
 
 class _FockSpace:
@@ -353,7 +350,7 @@ def omega_alphas_fermi(fock: FermiFock, space: SelfDualSpace,
                        omega_p: np.ndarray, k_frame: np.ndarray
                        ) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
     """Charged vectors over strictly increasing multi-indices; orthonormal."""
-    alphas = car_multi_indices(k_frame.shape[1])
+    alphas = multi_indices(k_frame.shape[1], k_frame.shape[1], False)
     psis = [fock.psi(space, k_frame[:, j]) for j in range(k_frame.shape[1])]
     vectors = []
     for alpha in alphas:
@@ -380,7 +377,7 @@ def omega_alphas_bose(fock: BoseFock, space: SelfDualSpace,
     monomial of alpha is pi(g_alpha_0) applied to that of alpha[1:], a lower
     level, so each takes one sparse product.
     """
-    alphas = ccr_multi_indices(k_frame.shape[1], l_max)
+    alphas = multi_indices(k_frame.shape[1], l_max, True)
     pis = [fock.pi(space, col) for col in k_frame.T]
     monomials = {(): omega_p}
     for alpha in alphas[1:]:

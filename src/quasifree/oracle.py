@@ -1,18 +1,19 @@
 """The Fock-space half of the ``oracle`` command.
 
-For a member V with charge data (h, T, k), ``car_oracle`` and ``ccr_oracle``
-build the representing vacuum and the charged vectors Omega_alpha on a finite
-Fock space (:mod:`quasifree.fock`) and check the implementers of V.  Both
-check the charge theorem through ``_charge_theorem``: per level, the matrix
-G^-1 M of Gamma(U) on the span of the Omega_alpha against det_h Lambda^l(c)
-(CAR) or S^l(c) (CCR), c the compressed action on k, at one tolerance.  The
-report holds each comparison's value; the summary lines print its relation
-and tolerance.  The default gauge is the all-ones U(1) when it leaves the
-vacuum's basis projection invariant, else the identity alone.  A diagonal
-gauge element acts on either Fock space by a phase vector; one that is not
-diagonal takes a dense Gamma(U), which only the fermionic space builds, up
-to GAMMA_DIM_CAP.  The bosonic charged vectors are normalised pi-monomials,
-exact on the truncated space for diagonal elements (see quasifree.fock).
+For a member V with charge data (h, T, k), ``run`` builds the representing
+vacuum and the charged vectors Omega_alpha on a finite Fock space
+(:mod:`quasifree.fock`) and checks the implementers of V, for either
+statistics: only the Fock half differs.  The charge theorem is checked per
+level: the matrix G^-1 M of Gamma(U) on the span of the Omega_alpha against
+det_h Lambda^l(c) (CAR) or S^l(c) (CCR, where h is empty), c the compressed
+action on k, at one tolerance.  The report holds each comparison's value;
+the summary lines print its relation and tolerance.  The default gauge is
+the all-ones U(1) when it leaves the vacuum's basis projection invariant,
+else the identity alone.  A diagonal gauge element acts on either Fock space
+by a phase vector; one that is not diagonal takes a dense Gamma(U), which
+only the fermionic space builds, up to GAMMA_DIM_CAP.  The bosonic charged
+vectors are normalised pi-monomials, exact on the truncated space for
+diagonal elements (see quasifree.fock).
 
 Only ``cli.cmd_oracle`` imports this module, when it runs, so the other
 commands load neither the Fock code nor scipy.sparse.  It imports nothing
@@ -22,10 +23,10 @@ module is ``__main__``, and such an import would load a second copy of it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .car import car_charge_data
-from .ccr import ccr_charge_data
 from .errors import (
     GAMMA_DIM_CAP,
     CapExceeded,
@@ -52,7 +53,6 @@ from .sectors import (
     GaugeAction,
     GaugeSample,
     char_det_h,
-    charge_spaces_preserved,
     compressed_action,
     oracle_compare,
 )
@@ -117,36 +117,46 @@ def _oracle_gauge(model, seed: int, v, p_full: np.ndarray) -> GaugeSample:
 def _is_diagonal(u11: np.ndarray) -> bool:
     """Whether u11 is diagonal: every off-diagonal entry is exactly zero.
 
-    This is the exact-zero rule of the minors' block pattern.  car_oracle's
-    early Gamma(U) refusal and _gamma_action both decide by it.
+    This is the exact-zero rule of the minors' block pattern.  The fermionic
+    half's early Gamma(U) refusal and _gamma_action both decide by it.
     """
     return np.array_equal(u11, np.diag(np.diagonal(u11)))
 
 
 def _gamma_action(fock: FermiFock | BoseFock, u11: np.ndarray):
-    """Gamma(U) as a callable on vectors: a phase product when u11 is diagonal.
-
-    Other elements take fock.gamma.
-    """
+    """Gamma(U) on vectors: a phase product when u11 is diagonal, else gamma."""
     if _is_diagonal(u11):
         return fock.gamma_vector(u11).__mul__
     return fock.gamma(u11).__matmul__
 
 
-def _charge_theorem(elements: GaugeSample, alphas: list, omegas: list,
-                    fock, target, payload: dict, lines: list) -> None:
-    """Check the charge theorem blockwise; write its record and summary line.
-
-    Gamma(U) acts on fock's vectors by _gamma_action, and target(l) is the
-    theorem's (samples, d, d) stack of level-l matrices.  Each level's Gram
-    G_l = <Omega_a, Omega_b> is formed once; oracle_compare solves it
-    against every element's block M_l = <Omega_a, Gamma(U) Omega_b>.
+def run(args, model, stats, mem, payload, lines) -> None:
+    """The oracle of either statistics, refusing in one order: the bosonic
+    cutoff, the vacuum, then h or k (before any Fock space, as in analyze).
     """
+    data = stats.charge_data(mem)
+    v = data.v
+    if stats.sign > 0:
+        fock_half = _fermi_half
+    else:
+        l_max = CCR_L_MAX if data.k_frame.shape[1] else 0
+        if args.bose_cutoff < l_max:
+            raise MalformedInput(
+                f"--bose-cutoff must be at least {l_max}, the highest charge "
+                f"level checked, got {args.bose_cutoff}")
+        fock_half = functools.partial(_bose_half, args.bose_cutoff, l_max)
+    elements = _oracle_gauge(model, payload["seed"], v, data.p)
+    dets_h = char_det_h(elements.u11, data.h_frame, v.codomain, stats)
+    comps_k = compressed_action(elements.u11, data.k_frame, v.codomain, stats)
+    fock, alphas, omegas, power = fock_half(data, elements, comps_k,
+                                            payload, lines)
+    # The charge theorem: each level's Gram G_l = <Omega_a, Omega_b> is solved
+    # against every element's block M_l = <Omega_a, Gamma(U) Omega_b>.
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
     blocks = [charge_rep_blocks(omegas, alphas, _gamma_action(fock, u11))
               for u11 in elements.u11]
-    worst = oracle_compare(grams, blocks,
-                           {level: target(level) for level in grams})
+    worst = oracle_compare(grams, blocks, {
+        level: dets_h[:, None, None] * power(level) for level in grams})
     count = len(elements.labels)
     record = payload["charge_theorem"] = {
         "samples": count,
@@ -160,19 +170,16 @@ def _charge_theorem(elements: GaugeSample, alphas: list, omegas: list,
         f"over {count} gauge elements")
 
 
-def car_oracle(args, model, mem, payload, lines) -> None:
-    data = car_charge_data(mem)
+def _fermi_half(data, elements: GaugeSample, comps_k: np.ndarray,
+                payload: dict, lines: list):
+    """FermiFock, the implementers, and the Lambda^l(c) stacks of the theorem.
+
+    A dense Gamma(U), for elements that are not diagonal, is refused by size
+    before the implementers.
+    """
     v = data.v
-    elements = _oracle_gauge(model, payload["seed"], v, data.p)
-    # Before any Fock space: a gauge that moves h or k exits as in analyze.
-    with charge_spaces_preserved():
-        dets_h = char_det_h(elements.u11, data.h_frame, v.codomain)
-        comps_k = compressed_action(elements.u11, data.k_frame, v.codomain)
     fock_d = FermiFock(v.domain.n_modes)
     fock_c = FermiFock(v.codomain.n_modes)
-    # A gauge element that is not diagonal takes a dense Gamma(U) on the
-    # codomain; refuse its size before the implementers, with
-    # FermiFock.gamma's message.  Diagonal elements take phase vectors.
     if (fock_c.dim > GAMMA_DIM_CAP
             and not all(map(_is_diagonal, elements.u11))):
         raise CapExceeded(
@@ -194,27 +201,14 @@ def car_oracle(args, model, mem, payload, lines) -> None:
         f"(expected {data.statistics_dimension}), implementation residual "
         f"{relation(payload['implementers']['implementation'])} "
         f"{DEFAULT_TOL:.0e}")
-
-    _charge_theorem(
-        elements, alphas, omegas, fock_c,
-        lambda level: dets_h[:, None, None] * np.stack(
-            [compound_matrix(comp, level) for comp in comps_k]),
-        payload, lines)
+    return fock_c, alphas, omegas, lambda level: np.stack(
+        [compound_matrix(comp, level) for comp in comps_k])
 
 
-def ccr_oracle(args, model, mem, payload, lines) -> None:
-    data = ccr_charge_data(mem)
+def _bose_half(cutoff: int, l_max: int, data, elements: GaugeSample,
+               comps_k: np.ndarray, payload: dict, lines: list):
+    """BoseFock, the vacuum tail, the implementer probe, and S^l(c)."""
     v = data.v
-    l_max = CCR_L_MAX if data.k_frame.shape[1] else 0
-    cutoff = args.bose_cutoff
-    if cutoff < l_max:
-        raise MalformedInput(
-            f"--bose-cutoff must be at least {l_max}, the highest charge "
-            f"level checked, got {cutoff}")
-    elements = _oracle_gauge(model, payload["seed"], v, data.p)
-    with charge_spaces_preserved():
-        comps_k = compressed_action(elements.u11, data.k_frame, v.codomain,
-                                    "ccr")
     fock_c = BoseFock(v.codomain.n_modes, cutoff)
     omega_p, tail = omega_p_bose(fock_c, v.codomain, data.t)
     alphas, omegas = omega_alphas_bose(fock_c, v.codomain, omega_p,
@@ -232,8 +226,4 @@ def ccr_oracle(args, model, mem, payload, lines) -> None:
     lines.append(
         f"implementer probe: intertwining "
         f"{relation(payload['implementer_probe']['intertwining'])} 1e-6")
-
-    _charge_theorem(
-        elements, alphas, omegas, fock_c,
-        lambda level: symmetric_power(comps_k, level),
-        payload, lines)
+    return fock_c, alphas, omegas, functools.partial(symmetric_power, comps_k)

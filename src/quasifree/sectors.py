@@ -34,7 +34,6 @@ whatever stack it sits in.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -44,10 +43,9 @@ from .errors import (
     LevelOutOfRange,
     MalformedInput,
     NotGaugeCompatible,
-    NotInvariant,
     sample_chunks,
 )
-from .selfdual import SelfDualSpace, apply_gauge, kappa_sign
+from .selfdual import SelfDualSpace, Statistics, apply_gauge, kappa_sign
 
 CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
@@ -149,7 +147,7 @@ class GaugeAction:
 
 
 def compressed_action(u11: np.ndarray, frame: np.ndarray,
-                      space: SelfDualSpace, algebra: str = "car") -> np.ndarray:
+                      space: SelfDualSpace, stats: Statistics) -> np.ndarray:
     """Compress the extended gauge unitary u + conj(u) to a self-dual frame.
 
     The compression is F# U F with F# the frame's dual: F for a CAR frame,
@@ -158,7 +156,7 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
     u11 is one unitary or a (samples, n, n) stack, compressed in chunks of
     samples.  The frame columns must span a subspace every element leaves
     invariant; the first element whose leakage ||U F - F (F# U F)|| exceeds
-    COMPRESS_TOL raises NotInvariant.
+    COMPRESS_TOL raises NotGaugeCompatible, the refusal of both commands.
     """
     stack = np.asarray(u11)
     single = stack.ndim == 2
@@ -167,27 +165,18 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
     k = frame.shape[1]
     comps = np.zeros((len(stack), k, k), dtype=complex)
     chunks = sample_chunks(len(stack), 16 * frame.size) if k else []
-    dual = kappa_sign(frame, None, space) if algebra == "ccr" else frame
+    dual = frame if stats.sign > 0 else kappa_sign(frame, None, space)
     for chunk in chunks:
         moved = apply_gauge(stack[chunk], frame, space)
         comp = dual.conj().T @ moved
         leaks = np.linalg.norm(moved - frame @ comp, axis=(1, 2))
         bad = np.flatnonzero(leaks > COMPRESS_TOL)
         if bad.size:
-            raise NotInvariant(
-                f"gauge element moves the subspace: leakage {leaks[bad[0]]:.3e}")
+            raise NotGaugeCompatible(
+                "gauge does not preserve the charge spaces: gauge element "
+                f"moves the subspace: leakage {leaks[bad[0]]:.3e}")
         comps[chunk] = comp
     return comps[0] if single else comps
-
-
-@contextlib.contextmanager
-def charge_spaces_preserved():
-    """Turn NotInvariant into NotGaugeCompatible: both commands' refusal."""
-    try:
-        yield
-    except NotInvariant as exc:
-        raise NotGaugeCompatible(
-            f"gauge does not preserve the charge spaces: {exc}") from exc
 
 
 def eigenphases(compressed: np.ndarray) -> np.ndarray:
@@ -197,27 +186,28 @@ def eigenphases(compressed: np.ndarray) -> np.ndarray:
     np.linalg.eigvals call takes whole.  A compression that passed the
     leakage check is unitary up to the square of the leakage, so a
     unitarity defect ||c* c - 1||_F above COMPRESS_TOL in any matrix raises
-    NotInvariant with the largest defect.
+    NotGaugeCompatible with the largest defect.
     """
     stack = np.asarray(compressed, dtype=complex)
     gram = np.swapaxes(stack, -1, -2).conj() @ stack
     defect = np.max(np.linalg.norm(gram - np.eye(stack.shape[-1]),
                                    axis=(-2, -1)), initial=0.0)
     if defect > COMPRESS_TOL:
-        raise NotInvariant(
-            f"compressed action is not unitary (defect {defect:.3e}); "
-            "the subspace is not honestly invariant")
+        raise NotGaugeCompatible(
+            "gauge does not preserve the charge spaces: compressed action is "
+            f"not unitary (defect {defect:.3e}); the subspace is not "
+            "honestly invariant")
     return np.linalg.eigvals(stack)
 
 
-def char_det_h(u11: np.ndarray, h_frame: np.ndarray,
-               space: SelfDualSpace) -> complex | np.ndarray:
+def char_det_h(u11: np.ndarray, h_frame: np.ndarray, space: SelfDualSpace,
+               stats: Statistics) -> complex | np.ndarray:
     """Determinant character on the defect space h (1 when h is empty).
 
     u11 is one unitary (the character comes back as a complex) or a
     (samples, n, n) stack (one character per element).
     """
-    dets = np.linalg.det(compressed_action(u11, h_frame, space))
+    dets = np.linalg.det(compressed_action(u11, h_frame, space, stats))
     return complex(dets) if np.ndim(u11) == 2 else dets
 
 
@@ -280,7 +270,6 @@ class SectorRow:
 
 @dataclass(frozen=True)
 class SectorTable:
-    algebra: str
     rows: list
     element_labels: list
     equivalence_classes: list
@@ -300,22 +289,20 @@ def _equivalence_classes(rows: list[SectorRow]) -> list[list[int]]:
     return classes
 
 
-def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
+def sector_table(stats: Statistics, space: SelfDualSpace, h_frame: np.ndarray,
                  k_frame: np.ndarray, elements: GaugeSample) -> SectorTable:
     """Sampled character table over charge levels, with equivalence classes."""
-    if algebra not in ("car", "ccr"):
-        raise MalformedInput(f"unknown algebra {algebra!r}")
     k_dim = k_frame.shape[1]
-    top = k_dim if algebra == "car" else CCR_L_MAX
+    top = k_dim if stats.sign > 0 else CCR_L_MAX
 
-    dets = char_det_h(elements.u11, h_frame, space)
+    dets = char_det_h(elements.u11, h_frame, space, stats)
     eig_stack = eigenphases(compressed_action(elements.u11, k_frame, space,
-                                              algebra))
-    coefs = _coefficients(eig_stack, top, complete=algebra == "ccr")
+                                              stats))
+    coefs = _coefficients(eig_stack, top, complete=stats.sign < 0)
 
     rows = []
     for level in range(top + 1):
-        if algebra == "car":
+        if stats.sign > 0:
             dim = math.comb(k_dim, level)
             chars = dets * coefs[level]
         else:
@@ -325,7 +312,7 @@ def sector_table(algebra: str, space: SelfDualSpace, h_frame: np.ndarray,
 
     meta = {"samples": len(elements.labels), "seed": elements.seed,
             "kind": elements.kind, "tol_char": CHAR_TOL}
-    return SectorTable(algebra, rows, list(elements.labels),
+    return SectorTable(rows, list(elements.labels),
                        _equivalence_classes(rows), meta)
 
 

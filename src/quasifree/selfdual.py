@@ -26,6 +26,7 @@ because `fsum` is exactly rounded.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,6 +317,24 @@ class ChargeData:
     @property
     def index(self) -> int:
         return self.membership.index
+
+
+@dataclass(frozen=True)
+class Statistics:
+    """One algebra's statistics (`car.CAR`, `ccr.CCR`), chosen once per command.
+
+    ``sign`` is the s of det_h(u) det(1 + s t c_k(u)): +1 for CAR (levels
+    Lambda^l(k) up to dim k), -1 for CCR (levels S^l(k), a kappa-orthonormal
+    k frame F with dual C F).  ``membership`` and ``charge_data`` look the
+    pipeline up when called, so a replaced module attribute is the one run.
+    """
+
+    name: str
+    sign: int
+    statistics_dimension: Callable[[int], int | float]
+    fock_cap: int
+    membership: Callable[[BlockOperator, float], Membership]
+    charge_data: Callable[[Membership], ChargeData]
 
 
 def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,

@@ -15,8 +15,8 @@ import car_chart_reference as chart
 import dense_selfdual as dense
 from fock_invariance import span_invariance_residual
 from quasifree import builders, cli, dirac
-from quasifree.car import car_charge_data, car_membership, z2_index
-from quasifree.ccr import ccr_charge_data, ccr_membership
+from quasifree.car import CAR, car_charge_data, car_membership, z2_index
+from quasifree.ccr import CCR, ccr_charge_data, ccr_membership
 from quasifree.fock import (
     BoseFock,
     FermiFock,
@@ -143,8 +143,8 @@ def _charge_theorem_deviation(v, elements, data, fock_c, alphas, omegas):
     for u11 in elements.u11:
         gamma = fock_c.gamma(u11)
         blocks = charge_rep_blocks(omegas, alphas, gamma.__matmul__)
-        det_h = char_det_h(u11, data.h_frame, space)
-        comp = compressed_action(u11, data.k_frame, space)
+        det_h = char_det_h(u11, data.h_frame, space, CAR)
+        comp = compressed_action(u11, data.k_frame, space, CAR)
         for level, block in blocks.items():
             target = det_h * compound_matrix(comp, level)
             worst = max(worst, float(np.max(np.abs(block - target))))
@@ -177,7 +177,7 @@ def test_criterion_4_car_charge_theorem(capsys):
 
     flip_data = car_charge_data(car_membership(flip))
     minus = -np.eye(2, dtype=complex)
-    det_sign = char_det_h(minus, flip_data.h_frame, flip.codomain)
+    det_sign = char_det_h(minus, flip_data.h_frame, flip.codomain, CAR)
     v11 = flip.block(1, 1)
     dim_ker_v11 = v11.shape[1] - np.linalg.matrix_rank(v11)
     ok = ok and abs(det_sign - (-1.0) ** dim_ker_v11) < 1e-12
@@ -202,7 +202,7 @@ def test_criterion_5_ccr_charge_theorem(capsys):
     alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p,
                                        data.k_frame, 5)
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=20)
-    comps = compressed_action(elements.u11, data.k_frame, v.codomain, "ccr")
+    comps = compressed_action(elements.u11, data.k_frame, v.codomain, CCR)
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
     targets = {level: symmetric_power(comps, level) for level in grams}
     blocks = []

@@ -6,12 +6,12 @@ import dense_selfdual as dense
 from gauge_commutation import gauge_commutation_report
 from quasifree import builders
 from quasifree.car import (
+    CAR,
     car_charge_data,
     car_membership,
     compute_p,
     compute_t,
     k_projection,
-    statistics_dimension,
     z2_index,
 )
 from quasifree.errors import (
@@ -260,9 +260,9 @@ def test_one_svd_reads_h_t_and_the_z2_sign(monkeypatch):
 
 
 def test_statistics_dimension_values():
-    assert statistics_dimension(0) == 1
-    assert statistics_dimension(2) == 2
-    assert statistics_dimension(6) == 8
+    assert CAR.statistics_dimension(0) == 1
+    assert CAR.statistics_dimension(2) == 2
+    assert CAR.statistics_dimension(6) == 8
 
 
 # --- Z2 index ------------------------------------------------------------

@@ -5,11 +5,11 @@ import dense_selfdual as dense
 from ccr_split_reference import reference_split
 from quasifree import builders
 from quasifree.ccr import (
+    CCR,
     ccr_charge_data,
     ccr_membership,
     compute_t,
     kappa_split,
-    statistics_dimension,
 )
 from quasifree.errors import (
     DegenerateForm,
@@ -129,9 +129,9 @@ def test_compute_t_factorises_p11_once(monkeypatch):
 
 
 def test_statistics_dimension_rule():
-    assert statistics_dimension(0) == 1.0
-    assert statistics_dimension(2) == np.inf
-    assert statistics_dimension(8) == np.inf
+    assert CCR.statistics_dimension(0) == 1.0
+    assert CCR.statistics_dimension(2) == np.inf
+    assert CCR.statistics_dimension(8) == np.inf
 
 
 SPLIT_MEMBERS = {

@@ -858,13 +858,44 @@ class TestOracle:
         assert data["charge_theorem"]["gauge"] == "u1"
         assert data["implementers"]["count"] == 2
 
-    def test_fock_cap_default_is_the_fermionic_cap(self, tmp_path):
-        out = str(tmp_path / "r.json")
-        assert cli.main(["oracle", "--input",
-                         shift_car_model(tmp_path, gauge=False),
-                         "--report", out]) == 0
-        data = json.loads(open(out, encoding="utf-8").read())
-        assert data["caps"]["fock_cap"] == FERMI_DIM_CAP
+    def test_fock_cap_is_the_cap_of_each_statistics(self, tmp_path):
+        # The bosonic space is held to BOSE_DIM_CAP, not the fermionic cap.
+        ccr_shift = write_model(tmp_path, "ccr.json", {
+            "algebra": "ccr",
+            "isometry": {"builder": "shift", "params": {"n_sites_in": 1}}})
+        for path, cap in ((shift_car_model(tmp_path, gauge=False),
+                           FERMI_DIM_CAP), (ccr_shift, BOSE_DIM_CAP)):
+            out = str(tmp_path / "r.json")
+            assert cli.main(["oracle", "--input", path, "--report", out]) == 0
+            data = json.loads(open(out, encoding="utf-8").read())
+            assert data["caps"]["fock_cap"] == cap
+
+    @pytest.mark.parametrize("model, flags, refusal", [
+        # The cutoff is refused before the gauge, which is not diagonal; at
+        # cutoff 5 the gauge is refused (test_ccr_gauge_element_mixing_...).
+        ({"algebra": "ccr", "gauge": {"group": "sun", "species": 2},
+          "isometry": {"builder": "shift",
+                       "params": {"n_sites_in": 1, "species": 2}}},
+         ["--bose-cutoff", "4"], "--bose-cutoff must be at least 5"),
+        # The vacuum is refused before the dense Gamma(U) on 2^12 states.
+        ({"algebra": "car", "gauge": {"group": "sun", "species": 2},
+          "isometry": {"builder": "flip", "params": {"n_modes": 12}}},
+         [], "does not preserve the vacuum"),
+        ({"algebra": "car", "gauge": {"group": "sun", "species": 2},
+          "isometry": {"builder": "shift",
+                       "params": {"n_sites_in": 5, "species": 2}}},
+         [], "Gamma on dimension 4096 exceeds cap 1024"),
+    ], ids=["ccr-cutoff-4", "car-flip-12", "car-shift-5x2"])
+    def test_first_refusal_of_a_model_failing_two(self, tmp_path, capsys,
+                                                   model, flags, refusal):
+        path = write_model(tmp_path, "m.json", model)
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", path, "--report", str(out),
+                         *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): ") and err.count("\n") == 1
+        assert refusal in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("algebra", ["car", "ccr"])
     def test_zero_mode_model(self, tmp_path, algebra):

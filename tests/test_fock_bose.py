@@ -9,13 +9,13 @@ import pytest
 import scipy.sparse as sp
 
 from quasifree import builders
-from quasifree.ccr import ccr_charge_data, ccr_membership
+from quasifree.ccr import CCR, ccr_charge_data, ccr_membership
 from quasifree.errors import CapExceeded, NormBoundViolation
 from quasifree.fock import (
     BoseFock,
     bose_implementer,
-    ccr_multi_indices,
     charge_rep_blocks,
+    multi_indices,
     omega_alphas_bose,
     omega_p_bose,
     polar_isometry,
@@ -100,7 +100,7 @@ def _monomial_routes(fock, space, omega_p, k_frame, l_max):
     pis = [fock.pi(space, k_frame[:, j]) for j in range(k_frame.shape[1])]
     isoms = [polar_isometry(pi.toarray()) for pi in pis]
     raws, polars = [], []
-    for alpha in ccr_multi_indices(k_frame.shape[1], l_max):
+    for alpha in multi_indices(k_frame.shape[1], l_max, True):
         raw, polar = omega_p.copy(), omega_p.copy()
         for j in reversed(alpha):
             raw = pis[j] @ raw
@@ -181,7 +181,7 @@ def test_charge_theorem_in_a_rotated_k_frame():
     omega_p, _ = omega_p_bose(fock, v.codomain, data.t)
     alphas, omegas = omega_alphas_bose(fock, v.codomain, omega_p, frame, 5)
     elements = GaugeAction("u1", 3, charges=(1, 2, 0)).elements(samples=8)
-    comps = compressed_action(elements.u11, frame, v.codomain, "ccr")
+    comps = compressed_action(elements.u11, frame, v.codomain, CCR)
     assert np.max(np.abs(comps[1] - np.diag(np.diagonal(comps[1])))) > 0.1
     grams = charge_rep_blocks(omegas, alphas, lambda vec: vec)
     blocks = [charge_rep_blocks(omegas, alphas,
@@ -256,8 +256,9 @@ def test_gamma_vector_is_the_phase_of_the_occupations(n_modes, cutoff):
 
 
 def test_ccr_multi_indices():
-    assert ccr_multi_indices(2, 2) == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
-    assert len(ccr_multi_indices(1, 5)) == 6
+    assert multi_indices(2, 2, True) == [(), (0,), (1,), (0, 0), (0, 1),
+                                         (1, 1)]
+    assert len(multi_indices(1, 5, True)) == 6
 
 
 def permanent(matrix: np.ndarray) -> complex:

@@ -24,9 +24,9 @@ from quasifree.fock import (
     FermiFock,
     _same_block,
     car_implementers,
-    car_multi_indices,
     charge_rep_blocks,
     compound_matrix,
+    multi_indices,
     omega_alphas_fermi,
     omega_p_fermi,
 )
@@ -305,8 +305,8 @@ def test_implementer_invariance_residual():
 
 
 def test_multi_index_enumeration():
-    assert car_multi_indices(2) == [(), (0,), (1,), (0, 1)]
-    assert len(car_multi_indices(4)) == 16
+    assert multi_indices(2, 2, False) == [(), (0,), (1,), (0, 1)]
+    assert len(multi_indices(4, 4, False)) == 16
 
 
 def scalar_compound(matrix, level):

@@ -26,10 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_selfdual as dense
-from quasifree.car import car_charge_data, car_membership
-from quasifree.ccr import ccr_charge_data, ccr_membership
+from quasifree import builders
+from quasifree.car import CAR, car_charge_data, car_membership
+from quasifree.ccr import CCR, ccr_charge_data, ccr_membership
 from quasifree.sectors import GaugeAction, char_det_h, compressed_action
-from quasifree.selfdual import BlockOperator, SelfDualSpace
+from quasifree.selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace
 
 
 def random_member(algebra: str, n_out: int, steps: int, seed: int,
@@ -94,46 +95,71 @@ def test_random_ccr_members(case):
     assert data.k_frame.shape[1] == steps
 
 
-PIPELINES = {"car": (car_membership, car_charge_data, 1.0),
-             "ccr": (ccr_membership, ccr_charge_data, -1.0)}
-
-
-def graded_characters(algebra, v, u11, ts):
+def graded_characters(stats, v, u11, ts):
     """Charge data of V and det_h(u) det(1 + s t c_k(u)) per element and t.
 
-    u11 is a gauge stack on at least V's codomain modes; its leading blocks
-    act there.
+    s is the statistics record's sign.  u11 is a gauge stack on at least V's
+    codomain modes; its leading blocks act there.
     """
-    membership, charge_data, sign = PIPELINES[algebra]
-    data = charge_data(membership(v))
+    data = stats.charge_data(stats.membership(v, DEFAULT_TOL))
     n = v.codomain.n_modes
     u = u11[:, :n, :n]
-    det_h = char_det_h(u, data.h_frame, v.codomain)
-    comp = compressed_action(u, data.k_frame, v.codomain, algebra)
+    det_h = char_det_h(u, data.h_frame, v.codomain, stats)
+    comp = compressed_action(u, data.k_frame, v.codomain, stats)
     eye = np.eye(comp.shape[-1])
-    return data, np.stack([det_h * np.linalg.det(eye + sign * t * comp)
+    return data, np.stack([det_h * np.linalg.det(eye + stats.sign * t * comp)
                            for t in ts])
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("algebra, n1, scale", [
-    ("car", 9, 1.0), ("car", 40, 1.0), ("ccr", 7, 0.3), ("ccr", 30, 0.3)])
-def test_composition_laws(algebra, n1, scale, seed):
-    # Charges alternate, so V1's shift by 2 sites and V2's by 4 map each
-    # mode to one of equal charge, and V1's codomain gauge is V2's domain's.
-    q = [(-1) ** i for i in range(n1 + 4)]
-    v1 = random_member(algebra, n1, 2, seed, scale, charges=q[:n1])
-    v2 = random_member(algebra, n1 + 4, 4, seed + 100, scale, charges=q)
-    u11 = GaugeAction("u1", n1 + 4, charges=tuple(q)).elements(
-        samples=8, seed=seed).u11
+def assert_composition_laws(stats, v1, v2, u11):
+    """The laws for V = V2 V1; the charge data of V1, V2 and V."""
     ts = (0.37, -1.3)
-    d1, c1 = graded_characters(algebra, v1, u11, ts)
-    d2, c2 = graded_characters(algebra, v2, u11, ts)
-    d, c = graded_characters(algebra, v2 @ v1, u11, ts)
-    assert min(d1.t_norm, d2.t_norm) > 0.1
-    assert d.index == d1.index + d2.index == 12
+    d1, c1 = graded_characters(stats, v1, u11, ts)
+    d2, c2 = graded_characters(stats, v2, u11, ts)
+    d, c = graded_characters(stats, v2 @ v1, u11, ts)
+    assert d.index == d1.index + d2.index
     assert d.statistics_dimension == (d1.statistics_dimension
                                       * d2.statistics_dimension)
     product = c1 * c2
     assert np.all(np.abs(c - product)
                   <= 1e-10 * np.maximum(1.0, np.abs(product)))
+    return d1, d2, d
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stats, n1, scale", [
+    (CAR, 9, 1.0), (CAR, 40, 1.0), (CCR, 7, 0.3), (CCR, 30, 0.3)],
+    ids=["car-9-1.0", "car-40-1.0", "ccr-7-0.3", "ccr-30-0.3"])
+def test_composition_laws(stats, n1, scale, seed):
+    # Charges alternate, so V1's shift by 2 sites and V2's by 4 map each
+    # mode to one of equal charge, and V1's codomain gauge is V2's domain's.
+    q = [(-1) ** i for i in range(n1 + 4)]
+    v1 = random_member(stats.name, n1, 2, seed, scale, charges=q[:n1])
+    v2 = random_member(stats.name, n1 + 4, 4, seed + 100, scale, charges=q)
+    u11 = GaugeAction("u1", n1 + 4, charges=tuple(q)).elements(
+        samples=8, seed=seed).u11
+    d1, d2, d = assert_composition_laws(stats, v1, v2, u11)
+    assert min(d1.t_norm, d2.t_norm) > 0.1
+    assert d.index == 12
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("bogoliubov_first", [True, False],
+                         ids=["bogoliubov-first", "member-first"])
+def test_composition_laws_with_dim_h(bogoliubov_first, seed):
+    # bogoliubov(pi/2) pairs e1 with e2*, charge +1 with +1 under the
+    # alternating charges, so it commutes with the gauge; it has index 0 and
+    # dim h = 2.  h carries the charges +1 and -1, so det_h(u) = 1 there:
+    # these cases cover dim h > 0, not a nontrivial det_h.
+    q = [(-1) ** i for i in range(6)]
+    member = random_member("car", 6, 4, seed, 1.0, charges=q)
+    if bogoliubov_first:
+        v1, v2 = builders.bogoliubov(np.pi / 2, 2), member
+    else:
+        v1, v2 = member, builders.bogoliubov(np.pi / 2, 6)
+    u11 = GaugeAction("u1", 6, charges=tuple(q)).elements(
+        samples=8, seed=seed).u11
+    d1, d2, d = assert_composition_laws(CAR, v1, v2, u11)
+    pairing = d1 if bogoliubov_first else d2
+    assert pairing.index == 0 and pairing.h_frame.shape[1] == 2
+    assert d.index == 8

@@ -10,12 +10,12 @@ import pytest
 
 import dense_selfdual as dense
 from quasifree import builders, cli, errors, sectors
-from quasifree.car import car_charge_data, car_membership
-from quasifree.ccr import ccr_charge_data, ccr_membership
+from quasifree.car import CAR, car_charge_data, car_membership
+from quasifree.ccr import CCR, ccr_charge_data, ccr_membership
 from quasifree.errors import (
     LevelOutOfRange,
     MalformedInput,
-    NotInvariant,
+    NotGaugeCompatible,
 )
 from quasifree.fock import (
     FermiFock,
@@ -35,19 +35,19 @@ from quasifree.sectors import (
     oracle_compare,
     sector_table,
 )
-from quasifree.selfdual import SelfDualSpace
+from quasifree.selfdual import DEFAULT_TOL, SelfDualSpace
 
 
 def test_char_det_h_values():
     space = SelfDualSpace(2)
     empty = np.zeros((4, 0), dtype=complex)
-    assert char_det_h(np.eye(2), empty, space) == 1.0
+    assert char_det_h(np.eye(2), empty, space, CAR) == 1.0
     h = space.basis_vector(1).reshape(-1, 1)
     lam = 0.7
     u = np.diag([np.exp(1j * lam), 1.0])
-    assert char_det_h(u, h, space) == pytest.approx(np.exp(1j * lam))
+    assert char_det_h(u, h, space, CAR) == pytest.approx(np.exp(1j * lam))
     # the two-element group at -1 sees (-1)^{dim h}
-    assert char_det_h(-np.eye(2), h, space) == pytest.approx(-1.0)
+    assert char_det_h(-np.eye(2), h, space, CAR) == pytest.approx(-1.0)
 
 
 def test_char_lambda_values():
@@ -120,8 +120,8 @@ def test_compressed_action_detects_leakage():
     u = np.eye(4, dtype=complex)
     u[0, 0] = u[2, 2] = math.cos(mu)
     u[0, 2], u[2, 0] = -math.sin(mu), math.sin(mu)
-    with pytest.raises(NotInvariant):
-        compressed_action(u, data.k_frame, space)
+    with pytest.raises(NotGaugeCompatible):
+        compressed_action(u, data.k_frame, space, CAR)
 
 
 def test_eigenphases_schur():
@@ -130,7 +130,7 @@ def test_eigenphases_schur():
     eigs = eigenphases(u)
     assert np.max(np.abs(np.abs(eigs) - 1.0)) < 1e-12
     assert char_lambda(eigs, 3) == pytest.approx(np.linalg.det(u))
-    with pytest.raises(NotInvariant):
+    with pytest.raises(NotGaugeCompatible):
         eigenphases(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -138,7 +138,7 @@ def test_sector_table_car_shift_u1():
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
-    table = sector_table("car", v.codomain, data.h_frame, data.k_frame,
+    table = sector_table(CAR, v.codomain, data.h_frame, data.k_frame,
                          gauge.elements(samples=64))
     assert [row.level for row in table.rows] == [0, 1]
     assert [row.dimension for row in table.rows] == [1, 1]
@@ -152,7 +152,7 @@ def test_sector_table_ccr_u1_ladder():
     v = builders.shift(1)
     data = ccr_charge_data(ccr_membership(v))
     gauge = GaugeAction("u1", 2, charges=(1, 1))
-    table = sector_table("ccr", v.codomain, np.zeros((4, 0)), data.k_frame,
+    table = sector_table(CCR, v.codomain, np.zeros((4, 0)), data.k_frame,
                          gauge.elements(samples=64))
     assert [row.level for row in table.rows] == [0, 1, 2, 3, 4, 5]
     assert [row.dimension for row in table.rows] == [1] * 6
@@ -165,7 +165,7 @@ def test_sector_table_su2_period_two():
     v = builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("sun", 4, species=2)
-    table = sector_table("car", v.codomain, data.h_frame, data.k_frame,
+    table = sector_table(CAR, v.codomain, data.h_frame, data.k_frame,
                          gauge.elements(samples=50, seed=3))
     assert table.equivalence_classes == [[0, 2], [1]]
 
@@ -174,7 +174,7 @@ def test_sector_table_u2_all_distinct():
     v = builders.shift(1, species=2)
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
-    table = sector_table("car", v.codomain, data.h_frame, data.k_frame,
+    table = sector_table(CAR, v.codomain, data.h_frame, data.k_frame,
                          gauge.elements(samples=50, seed=3))
     assert table.equivalence_classes == [[0], [1], [2]]
 
@@ -184,10 +184,10 @@ def test_sector_table_basis_independent():
     data = car_charge_data(car_membership(v))
     gauge = GaugeAction("un", 4, species=2)
     elements = gauge.elements(samples=10, seed=3)
-    table1 = sector_table("car", v.codomain, data.h_frame, data.k_frame,
+    table1 = sector_table(CAR, v.codomain, data.h_frame, data.k_frame,
                           elements)
     rot = haar_unitary(2, np.random.default_rng(77))
-    table2 = sector_table("car", v.codomain, data.h_frame,
+    table2 = sector_table(CAR, v.codomain, data.h_frame,
                           data.k_frame @ rot, elements)
     for r1, r2 in zip(table1.rows, table2.rows):
         assert np.max(np.abs(r1.characters - r2.characters)) < 1e-10
@@ -198,8 +198,8 @@ def shift_targets(samples: int):
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=samples)
-    dets = char_det_h(elements.u11, data.h_frame, v.codomain)
-    comps = compressed_action(elements.u11, data.k_frame, v.codomain)
+    dets = char_det_h(elements.u11, data.h_frame, v.codomain, CAR)
+    comps = compressed_action(elements.u11, data.k_frame, v.codomain, CAR)
     targets = {level: np.stack([d * compound_matrix(c, level)
                                 for d, c in zip(dets, comps)])
                for level in (0, 1)}
@@ -403,8 +403,9 @@ def loop_sector_characters(algebra, space, h_frame, k_frame, elements,
     return [recurrence_characters(eigs, level, True) for level in levels]
 
 
-def reference_sector_table(algebra, space, h_frame, k_frame, elements):
+def reference_sector_table(stats, space, h_frame, k_frame, elements):
     """sector_table with its characters from loop_sector_characters."""
+    algebra = stats.name
     k_dim = k_frame.shape[1]
     if algebra == "car":
         dims = [math.comb(k_dim, level) for level in range(k_dim + 1)]
@@ -418,7 +419,7 @@ def reference_sector_table(algebra, space, h_frame, k_frame, elements):
             for level, (dim, c) in enumerate(zip(dims, chars))]
     meta = {"samples": len(elements.labels), "seed": elements.seed,
             "kind": elements.kind, "tol_char": sectors.CHAR_TOL}
-    return sectors.SectorTable(algebra, rows, list(elements.labels),
+    return sectors.SectorTable(rows, list(elements.labels),
                                sectors._equivalence_classes(rows), meta)
 
 
@@ -457,8 +458,8 @@ def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
     params, block = shift_gauge_case(steps, species, group)
     v = builders.shift(**params)
     n = v.codomain.n_modes
-    data = (car_charge_data(car_membership(v)) if algebra == "car"
-            else ccr_charge_data(ccr_membership(v)))
+    stats = {"car": CAR, "ccr": CCR}[algebra]
+    data = stats.charge_data(stats.membership(v, DEFAULT_TOL))
     h_frame, k_frame = data.h_frame, data.k_frame
     assert h_frame.shape == (v.codomain.dim, 0) or algebra == "car"
     assert k_frame.shape[1] == steps * species
@@ -472,7 +473,7 @@ def test_sector_table_equals_per_element_loop(monkeypatch, algebra, steps,
         calls.append((top, complete))
         return original(eigs, top, complete)
     monkeypatch.setattr(sectors, "_coefficients", counted)
-    table = sector_table(algebra, v.codomain, h_frame, k_frame, elements)
+    table = sector_table(stats, v.codomain, h_frame, k_frame, elements)
     levels = [row.level for row in table.rows]
     # One recurrence pass per table, up to its last level.
     assert calls == [(levels[-1], algebra == "ccr")]
@@ -568,11 +569,11 @@ def test_one_leaking_element_of_a_stack_raises(monkeypatch, chunk_bytes):
     leaky[0, 2], leaky[2, 0] = -math.sin(mu), math.sin(mu)
     elements = GaugeAction("custom", 4, unitaries=(
         np.eye(4, dtype=complex), leaky)).elements()
-    compressed_action(elements.u11[:1], data.k_frame, v.codomain)
-    with pytest.raises(NotInvariant):
-        compressed_action(elements.u11, data.k_frame, v.codomain)
-    with pytest.raises(NotInvariant):
-        sector_table("car", v.codomain, data.h_frame, data.k_frame, elements)
+    compressed_action(elements.u11[:1], data.k_frame, v.codomain, CAR)
+    with pytest.raises(NotGaugeCompatible):
+        compressed_action(elements.u11, data.k_frame, v.codomain, CAR)
+    with pytest.raises(NotGaugeCompatible):
+        sector_table(CAR, v.codomain, data.h_frame, data.k_frame, elements)
 
 
 def test_chunked_compression_keeps_the_bits(monkeypatch):
@@ -580,10 +581,11 @@ def test_chunked_compression_keeps_the_bits(monkeypatch):
     frame = car_charge_data(car_membership(v)).k_frame
     elements = GaugeAction("un", v.codomain.n_modes, species=2).elements(
         samples=40, seed=1)
-    whole = compressed_action(elements.u11, frame, v.codomain)
+    whole = compressed_action(elements.u11, frame, v.codomain, CAR)
     monkeypatch.setattr(errors, "STACK_CHUNK_BYTES", 3 * 16 * frame.size)
     assert len(errors.sample_chunks(40, 16 * frame.size)) == 14
-    assert_same_bits(compressed_action(elements.u11, frame, v.codomain), whole)
+    assert_same_bits(compressed_action(elements.u11, frame, v.codomain, CAR),
+                     whole)
 
 
 def test_stacked_eigenphases_equal_eigvals_per_matrix():
@@ -593,9 +595,9 @@ def test_stacked_eigenphases_equal_eigvals_per_matrix():
     for row, u in zip(eigs, stack):
         assert_same_bits(row, np.linalg.eigvals(u))
     assert_same_bits(eigenphases(stack[2]), eigs[2])
-    with pytest.raises(NotInvariant):
+    with pytest.raises(NotGaugeCompatible):
         eigenphases(np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]]))
     # normal but not unitary: the unitarity defect catches it
-    with pytest.raises(NotInvariant):
+    with pytest.raises(NotGaugeCompatible):
         eigenphases(np.stack([np.eye(2), 2.0 * np.eye(2)]))
     assert eigenphases(np.zeros((3, 0, 0))).shape == (3, 0)
