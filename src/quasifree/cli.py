@@ -58,8 +58,12 @@ def _emit(payload: dict, args, summary_lines: list) -> None:
         print(line)
     if args.report:
         text = canonical_json(payload)
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write report {args.report!r}: "
+                                 f"{exc.strerror}") from exc
         print(f"report written to {args.report}")
 
 

@@ -19,18 +19,17 @@ continuum objects enter only through the analytic overlap table; everything
 else is finite linear algebra on the mode window |n| <= W.
 
 On the window, v is the identity plus a low-rank update, v = 1 + A B* with
-A = U - L and B = L (columns f_{m+1} and f_m).  Every quantity reported here
-(index, seam and probe defects, nested Hilbert-Schmidt norms, localization)
-comes from these (2W+1) x m_loc factors in O(W m_loc^2) work; the dense
-(2W+1)^2 matrix is built only on request (`DiracBuild.dense`), as the tests'
-oracle.  The window fixes m_loc = W // 4.  The overlaps and the complement
-probes are real in closed form, so the table, both factors and every
-product of the model are float64.  One Gram of the table serves its
-orthonormality diagnostics and, through a Cholesky factor of its frame
-block, the singular values of V, the probe defects and the shift overlaps,
-so V* never acts on a window-sized array.  The products keep their
-conjugates, which cost nothing on real arrays, so a complex build gives the
-same quantities.
+A = F[:, 1:] - F[:, :-1] and B = F[:, :-1] for the frame F = [f_start ...
+f_m_loc], a view of the table.  Every quantity reported here (index, seam
+and probe defects, nested Hilbert-Schmidt norms, localization) comes from F
+in O(W m_loc^2) work; no factor is stored and no (2W+1)^2 matrix formed.
+The window fixes m_loc = W // 4.  The overlaps and the complement probes are
+real in closed form, so the table, the frame and every product of the model
+are float64.  One Gram of the table serves its orthonormality diagnostics
+and, through a Cholesky factor of its frame block, the singular values of V,
+the probe defects and the shift overlaps, so V* never acts on a window-sized
+array.  The products keep their conjugates, which cost nothing on real
+arrays, so a complex build gives the same quantities.
 
 Truncating the m-sum leaves an exact seam: the pair (f_{m_loc-1}, f_{m_loc})
 is mapped onto the single direction f_{m_loc}, so the full operator-norm
@@ -170,36 +169,26 @@ class CircleWindow:
 
 @dataclass(frozen=True)
 class DiracBuild:
-    """The window isometry V = 1 + A B*, held as its dim x rank factors.
+    """The window isometry V = 1 + A B*, held as its frame F (a table view).
 
-    build_v sets A = U - L and B = L, where the columns of L are f_m and
-    those of U are f_{m+1} for start_m <= m < m_loc, and records all 2W+1
-    singular values of V (None for factors assembled by hand).  Nothing of
-    size dim x dim is stored: V acts through `apply` (V*V is read from the
-    Gram), and `dense` materializes it only for the tests' oracle.
+    build_v also records all 2W+1 singular values of V.  V acts through
+    `apply`, and V*V is read from the Gram.
     """
 
     window: CircleWindow
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
+    frame: np.ndarray = field(repr=False)
     start_m: int
     diagnostics: dict
-    singular_values: np.ndarray | None = field(default=None, repr=False)
-
-    # B* x is computed as conj(B^T conj(x)): B^T is a view, so the dim x rank
-    # factor is never copied, only x and the rank-sized product.
+    singular_values: np.ndarray = field(repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """V x = x + A (B* x), for a vector or the columns of a matrix."""
-        return x + self.a @ (self.b.T @ x.conj()).conj()
-
-    def dense(self) -> np.ndarray:
-        return (np.eye(self.window.dim, dtype=complex)
-                + self.a @ self.b.conj().T)
+        """V x = x - F diff([0; c; 0]), c = B* x = conj(B^T conj(x))."""
+        c = (self.frame[:, :-1].T @ x.conj()).conj()
+        return x - self.frame @ np.diff(c, axis=0, prepend=0, append=0)
 
 
 def build_v(w: int, start_m: int = 0) -> DiracBuild:
-    """Window factors of the localized shift isometry, with diagnostics.
+    """Window frame of the localized shift isometry, with diagnostics.
 
     start_m = 1 gives the robustness variant whose sum omits the m = 0 term
     (f_0 is then fixed); the index is unchanged.
@@ -219,11 +208,15 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     core = np.eye(r.shape[0]) + (r[:, 1:] - r[:, :-1]) @ r[:, :-1].conj().T
     svals = np.linalg.svd(core, compute_uv=False)
     ones = np.ones(window.dim - svals.size)
-    build = DiracBuild(window, frame[:, 1:] - frame[:, :-1], frame[:, :-1],
-                       start_m, {}, np.concatenate([svals, ones]))
+    build = DiracBuild(window, frame, start_m, {},
+                       np.concatenate([svals, ones]))
 
-    rownorm_dev = float(np.max(np.abs(np.diag(gram).real - 1.0)))
-    gram_offid = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    diag = np.diag(gram)
+    rownorm_dev = float(np.max(np.abs(diag.real - 1.0)))
+    off_identity = np.abs(gram)  # |gram - 1| without a dense identity
+    np.fill_diagonal(off_identity, np.abs(diag - 1.0))
+    gram_offid = float(np.max(off_identity))
+    del off_identity  # a Gram-sized temporary, not kept to the end
 
     # V = 1 + Q (M - 1) Q*, so V*V x - x = Q (M*M - 1) q and
     # <x', V x> = <x', x> + q'* (M - 1) q, with q = Q* x = R^{-*} F* x.  For
@@ -235,7 +228,7 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
         [gram[first:, local], frame.conj().T @ window.complement]))
     defects = np.linalg.norm(core.conj().T @ (core @ q) - q, axis=0)
     probe_defect = float(np.max(defects / np.concatenate(
-        [np.sqrt(np.diag(gram).real[local]),
+        [np.sqrt(diag.real[local]),
          np.linalg.norm(window.complement, axis=0)])))
     full_defect = float(np.max(np.abs(svals ** 2 - 1.0)))
 
@@ -336,15 +329,17 @@ def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
     With theta the projection onto n >= 0 and V = 1 + A B*, the commutator
     [theta, V] = theta A B* (1 - theta) - (1 - theta) A B* theta has two
     blocks, and ||X Y*||_F^2 = tr(X*X . Y*Y) on the window's rows gives each
-    block's norm from rank x rank Gram matrices.  The minus commutator is
-    [1 - theta, V] = -[theta, V], so both signs share one computation.
+    block's norm from the frame's Gram G on those rows: B*B = G[:-1, :-1]
+    and A*A = D* G D, the second difference of G (A = F D).  The minus
+    commutator is [1 - theta, V] = -[theta, V], so both signs share one.
 
     Subtracting nearly equal norms would lose the increments to
     cancellation, so each increment is the growth of the square over the
-    sum of the two norms.  The growth comes from the Grams dA, dB of the
-    rows the larger window adds, which sum to its Grams: with B' = B + dB
-    and A' = A + dA, tr(B'A') - tr(BA) = tr(dB A) + tr(B dA) + tr(dB dA),
-    each the trace of a product of two PSD matrices, so none cancels.
+    sum of the two norms.  The growth comes from the Grams dG of the rows
+    the larger window adds, which sum to its Gram.  Both products are linear
+    in G, so with B'*B' = B*B + dB and A'*A' = A*A + dA the growth of the
+    trace is tr(dB A*A) + tr(B*B dA) + tr(dB dA), each the trace of a
+    product of two PSD matrices, so none cancels.
     """
     cutoffs = tuple(sorted(cutoffs))
     w_max = cutoffs[-1]
@@ -352,12 +347,14 @@ def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
         raise WindowTooSmall("supplied build does not match the largest cutoff")
 
     def cross(b_side: np.ndarray, a_side: np.ndarray) -> float:
-        # tr(B_neg A_pos) + tr(B_pos A_neg) from [half][factor] Gram stacks
-        return float((np.vdot(b_side[1, 1], a_side[0, 0])
-                      + np.vdot(b_side[0, 1], a_side[1, 0])).real)
+        # tr(B_neg A_pos) + tr(B_pos A_neg), one half's A*A at a time
+        return float(sum(
+            np.vdot(b_side[1 - half, :-1, :-1],
+                    np.diff(np.diff(a_side[half], axis=0), axis=1))
+            for half in (0, 1)).real)
 
-    rank = build.a.shape[1]
-    window = np.zeros((2, 2, rank, rank), build.a.dtype)
+    frame = build.frame
+    window = np.zeros((2,) + (frame.shape[1],) * 2, frame.dtype)
     ring = np.empty_like(window)
     sums, incs, pos, neg = [], [], w_max, w_max
     for w in cutoffs:
@@ -365,8 +362,7 @@ def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
         # (the whole window, 0 <= n <= w and -w <= n < 0, at first)
         for half, rows in enumerate((slice(pos, w_max + w + 1),
                                      slice(w_max - w, neg))):
-            for factor, x in enumerate((build.a, build.b)):
-                np.matmul(x[rows].conj().T, x[rows], out=ring[half, factor])
+            np.matmul(frame[rows].conj().T, frame[rows], out=ring[half])
         pos, neg = w_max + w + 1, w_max - w
         growth = cross(ring, window) + cross(window, ring) + cross(ring, ring)
         window += ring

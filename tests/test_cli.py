@@ -981,6 +981,23 @@ class TestMain:
             "error (input): --seed must be at least 0, got -1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, reason", [
+        ("absent/r.json", "No such file or directory"),
+        (".", "Is a directory")])
+    @pytest.mark.parametrize("command", ["analyze", "oracle", "dirac"])
+    def test_unwritable_report_exit_2(self, tmp_path, capsys, command, target,
+                                      reason):
+        # The command runs and prints its summary; the report it cannot
+        # write is then refused as input, naming the path, not a traceback.
+        argv = ([command, "--cutoffs", "16,32"] if command == "dirac"
+                else [command, "--input", shift_car_model(tmp_path, False)])
+        out = str(tmp_path / target)
+        assert cli.main(argv + ["--report", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error (input): cannot write report {out!r}: {reason}\n")
+        assert "report written" not in captured.out
+
     def test_replaced_command_is_the_one_called(self, tmp_path,
                                                 monkeypatch):
         model = shift_car_model(tmp_path, gauge=False)

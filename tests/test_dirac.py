@@ -1,6 +1,8 @@
 """Circle-model tests: overlaps vs quadrature, window build, index, trends."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,10 +53,25 @@ def test_build_runs_in_real_arithmetic(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", spy)
     build = dirac.build_v(64)
     assert build.window.f_table.dtype == np.float64
-    assert build.a.dtype == build.b.dtype == np.float64
+    assert build.frame.dtype == np.float64
     assert [gram.dtype for gram in grams] == [np.float64]
     probe = dirac.complement_probe(64, 1)
     assert probe.dtype == build.apply(probe).dtype == np.float64
+
+
+def test_build_holds_the_frame_as_a_view_of_the_table():
+    # Beyond the table, the build's peak is its Gram and one |gram|
+    # temporary: a dim x rank copy such as A = F[:, 1:] - F[:, :-1] adds
+    # two Gram-sizes at m_loc = W / 4.
+    tracemalloc.start()
+    try:
+        build = dirac.build_v(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = build.window.f_table
+    assert peak - table.nbytes < 3 * table.shape[1] ** 2 * table.itemsize
+    assert np.shares_memory(build.frame, table)
 
 
 def test_cayley_audit():
@@ -156,13 +173,11 @@ def test_prop_loc_phase_and_control():
     assert report["complement"]["tau"] == pytest.approx(1.0, abs=1e-3)
     assert report["complement"]["residual"] < 2e-3
 
-    # a global phase factors straight into tau:
-    # e^{i mu} (1 + A B*) = 1 + [(e^{i mu} - 1) 1, e^{i mu} A] [1, B]*
+    # a global phase factors straight into tau; prop_loc_check reads only
+    # the window and apply, so the composed operators are fakes of those
     phase = np.exp(1j * math.pi / 3)
-    eye = np.eye(build.window.dim)
-    phased = dirac.DiracBuild(build.window,
-                              np.hstack([(phase - 1) * eye, phase * build.a]),
-                              np.hstack([eye, build.b]), 0, build.diagnostics)
+    phased = SimpleNamespace(window=build.window,
+                             apply=lambda x: phase * build.apply(x))
     report = dirac.prop_loc_check(phased)
     assert report["complement"]["tau"] == pytest.approx(
         np.exp(1j * math.pi / 3), abs=1e-3)
@@ -174,13 +189,8 @@ def test_prop_loc_phase_and_control():
     mu = 0.7
     rot[i1, i1] = rot[i2, i2] = math.cos(mu)
     rot[i1, i2], rot[i2, i1] = -math.sin(mu), math.sin(mu)
-    # rot (1 + A B*) = 1 + [(rot - 1) on its two columns, rot A] [e_i, B]*
-    cols = [i1, i2]
-    broken = dirac.DiracBuild(
-        build.window, np.hstack([(rot - np.eye(build.window.dim))[:, cols],
-                                 rot @ build.a]),
-        np.hstack([np.eye(build.window.dim)[:, cols], build.b]), 0,
-        build.diagnostics)
+    broken = SimpleNamespace(window=build.window,
+                             apply=lambda x: rot @ build.apply(x))
     assert dirac.prop_loc_check(broken)["complement"]["residual"] > 5e-3
 
 
@@ -220,6 +230,15 @@ def _dense_increments(comm, w_max, cutoffs, norms):
                                             norms, norms[1:])]
 
 
+def _dense_from_definition(window, start_m):
+    """v = 1 + sum_{m=start_m}^{m_loc-1} (f_{m+1} - f_m) f_m*, term by term."""
+    v = np.eye(window.dim)
+    for m in range(start_m, window.m_loc):
+        f_m = window.f_column(m)
+        v += np.outer(window.f_column(m + 1) - f_m, f_m.conj())
+    return v
+
+
 def _rel(x, y):
     return abs(x - y) / max(abs(x), abs(y))
 
@@ -230,7 +249,7 @@ def test_factored_build_matches_dense_oracle(w, start_m):
     build = dirac.build_v(w, start_m=start_m)
     window, diag = build.window, build.diagnostics
     m_loc = window.m_loc
-    matrix = build.dense()
+    matrix = _dense_from_definition(window, start_m)
     eye = np.eye(window.dim)
 
     svals = np.sort(np.linalg.svd(matrix, compute_uv=False))
