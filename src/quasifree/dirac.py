@@ -177,7 +177,6 @@ class DiracBuild:
 
     window: CircleWindow
     frame: np.ndarray = field(repr=False)
-    start_m: int
     diagnostics: dict
     singular_values: np.ndarray = field(repr=False)
 
@@ -208,8 +207,7 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     core = np.eye(r.shape[0]) + (r[:, 1:] - r[:, :-1]) @ r[:, :-1].conj().T
     svals = np.linalg.svd(core, compute_uv=False)
     ones = np.ones(window.dim - svals.size)
-    build = DiracBuild(window, frame, start_m, {},
-                       np.concatenate([svals, ones]))
+    build = DiracBuild(window, frame, {}, np.concatenate([svals, ones]))
 
     diag = np.diag(gram)
     rownorm_dev = float(np.max(np.abs(diag.real - 1.0)))
