@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedInput, ShapeMismatch, require_dense_bytes
+from .errors import MalformedInput, ShapeMismatch, require_dense_bytes, require_int
 from .selfdual import BlockOperator, SelfDualSpace, conjugate_matrix
 
 
@@ -85,21 +85,22 @@ def squeeze(r: float, n_modes: int = 1, mode: int = 1) -> BlockOperator:
 
 def build(name: str, params: dict) -> BlockOperator:
     """CLI-facing registry; raises MalformedInput on unknown names/params."""
+    def count(key: str, default=None) -> int:  # KeyError when required
+        value = params[key] if default is None else params.get(key, default)
+        return require_int(value, f"builder {name!r} parameter {key!r}")
     try:
         if name == "identity":
-            return identity(int(params["n_modes"]))
+            return identity(count("n_modes"))
         if name == "shift":
-            return shift(int(params["n_sites_in"]),
-                         int(params.get("steps", 1)),
-                         int(params.get("species", 1)))
+            return shift(count("n_sites_in"), count("steps", 1),
+                         count("species", 1))
         if name == "flip":
-            return flip(int(params["n_modes"]), int(params.get("mode", 1)))
+            return flip(count("n_modes"), count("mode", 1))
         if name == "bogoliubov":
-            return bogoliubov(float(params["theta"]),
-                              int(params.get("n_modes", 2)))
+            return bogoliubov(float(params["theta"]), count("n_modes", 2))
         if name == "squeeze":
-            return squeeze(float(params["r"]), int(params.get("n_modes", 1)),
-                           int(params.get("mode", 1)))
+            return squeeze(float(params["r"]), count("n_modes", 1),
+                           count("mode", 1))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"builder {name!r}: bad parameters: {exc}") from exc
     raise MalformedInput(f"unknown builder {name!r}")

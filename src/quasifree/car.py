@@ -36,10 +36,10 @@ from .selfdual import (
     Membership,
     SelfDualSpace,
     Statistics,
-    cokernel_basis,
     conjugate_matrix,
     hs_norm,
     kernel_and_pinv,
+    kernel_basis,
     orthonormal_range,
     orthoprojection,
     pinv_on_range,
@@ -52,7 +52,7 @@ RECOVERY_TOL = 1e-8
 
 def car_membership(v: BlockOperator, tol: float = DEFAULT_TOL) -> Membership:
     """Classify V against the fermionic semigroup (V* V = 1)."""
-    return semigroup_membership(v, v.adjoint().matrix, "isometry", tol)
+    return semigroup_membership(v, v.matrix.conj().T, "isometry", tol)
 
 
 def k_projection(v: BlockOperator, ker: np.ndarray) -> np.ndarray:
@@ -66,7 +66,7 @@ def k_projection(v: BlockOperator, ker: np.ndarray) -> np.ndarray:
     space = v.codomain
     if ker.shape[1] == 0:
         return np.zeros((space.dim, space.dim), dtype=complex)
-    z = cokernel_basis(v.block(1, 1))
+    z = kernel_basis(v.block(1, 1).conj().T)
     lift = (pinv_on_range(v.block(2, 2)).conj().T @ v.block(1, 2).conj().T
             @ z)
     g = np.vstack([z, -lift])

@@ -14,8 +14,10 @@ model (:mod:`quasifree.dirac`) are imported by the commands that run them.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 
 from . import __version__
@@ -347,6 +349,13 @@ def main(argv=None) -> int:
                 f"--tol must be a finite number > 0, got {args.tol}")
         if args.seed is not None and args.seed < 0:
             raise MalformedInput(f"--seed must be at least 0, got {args.seed}")
+        # A report path that is a directory or lies in a missing one is
+        # refused before any work, with open()'s reason; _emit meets the rest.
+        if args.report and (os.path.isdir(args.report) or not os.path.exists(
+                os.path.dirname(args.report) or ".")):
+            code = errno.EISDIR if os.path.isdir(args.report) else errno.ENOENT
+            raise MalformedInput(f"cannot write report {args.report!r}: "
+                                 f"{os.strerror(code)}")
         return command(args)
     except INPUT_ERRORS as exc:
         print(f"error (input): {exc}", file=sys.stderr)

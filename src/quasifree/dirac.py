@@ -19,7 +19,7 @@ continuum objects enter only through the analytic overlap table; everything
 else is finite linear algebra on the mode window |n| <= W.
 
 On the window, v is the identity plus a low-rank update, v = 1 + A B* with
-A = F[:, 1:] - F[:, :-1] and B = F[:, :-1] for the frame F = [f_start ...
+A = F[:, 1:] - F[:, :-1] and B = F[:, :-1] for the frame F = [f_0 ...
 f_m_loc], a view of the table.  Every quantity reported here (index, seam
 and probe defects, nested Hilbert-Schmidt norms, localization) comes from F
 in O(W m_loc^2) work; no factor is stored and no (2W+1)^2 matrix formed.
@@ -186,16 +186,11 @@ class DiracBuild:
         return x - self.frame @ np.diff(c, axis=0, prepend=0, append=0)
 
 
-def build_v(w: int, start_m: int = 0) -> DiracBuild:
-    """Window frame of the localized shift isometry, with diagnostics.
-
-    start_m = 1 gives the robustness variant whose sum omits the m = 0 term
-    (f_0 is then fixed); the index is unchanged.
-    """
+def build_v(w: int) -> DiracBuild:
+    """Window frame of the localized shift isometry, with diagnostics."""
     window = CircleWindow.create(w)
     m_loc = window.m_loc
-    first = m_loc + start_m
-    frame = window.f_table[:, first:]  # F = [f_start ... f_m_loc]
+    frame = window.f_table[:, m_loc:]  # F = [f_0 ... f_m_loc]
     gram = window.f_table.conj().T @ window.f_table
     # F = Q R spans both factors, so V = Q M Q* + (1 - Q Q*) with the small
     # core M = 1 + (R[:, 1:] - R[:, :-1]) R[:, :-1]*: V has the singular
@@ -203,7 +198,7 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     # Any R with R*R = F*F gives a unitarily similar M, so R is the Cholesky
     # factor of the frame's block of the table's Gram; that block is within
     # gram_off_identity of the identity, so the factor is well conditioned.
-    r = np.linalg.cholesky(gram[first:, first:]).conj().T
+    r = np.linalg.cholesky(gram[m_loc:, m_loc:]).conj().T
     core = np.eye(r.shape[0]) + (r[:, 1:] - r[:, :-1]) @ r[:, :-1].conj().T
     svals = np.linalg.svd(core, compute_uv=False)
     ones = np.ones(window.dim - svals.size)
@@ -223,7 +218,7 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     half = m_loc // 2
     local = slice(m_loc - half, m_loc + half + 1)
     q = np.linalg.solve(r.conj().T, np.hstack(
-        [gram[first:, local], frame.conj().T @ window.complement]))
+        [gram[m_loc:, local], frame.conj().T @ window.complement]))
     defects = np.linalg.norm(core.conj().T @ (core @ q) - q, axis=0)
     probe_defect = float(np.max(defects / np.concatenate(
         [np.sqrt(diag.real[local]),
@@ -237,7 +232,6 @@ def build_v(w: int, start_m: int = 0) -> DiracBuild:
     build.diagnostics.update({
         "w": w,
         "m_loc": m_loc,
-        "start_m": start_m,
         "rownorm_deviation": rownorm_dev,
         "rownorm_bound": 4.0 / (math.pi ** 2 * (w / 2.0)),
         "gram_off_identity": gram_offid,
@@ -310,7 +304,6 @@ def _trend_verdict(cutoffs, partial_norms,
 
 @dataclass(frozen=True)
 class HsStudy:
-    cutoffs: tuple
     partial_norms: dict
     increments: dict
     slopes: dict
@@ -369,7 +362,7 @@ def hs_commutator_study(cutoffs, build: DiracBuild) -> HsStudy:
             incs.append(growth / (sums[-1] + sums[-2]))
     verdict, slope, incs = _trend_verdict(cutoffs, sums, incs)
     tags = ("plus", "minus")
-    return HsStudy(cutoffs, dict.fromkeys(tags, sums),
+    return HsStudy(dict.fromkeys(tags, sums),
                    dict.fromkeys(tags, incs), dict.fromkeys(tags, slope),
                    dict.fromkeys(tags, verdict))
 
@@ -396,7 +389,7 @@ def jump_symbol_control_study(cutoffs) -> HsStudy:
         pairs = np.minimum(d[:2 * w], 2 * w + 1 - d[:2 * w]).tolist()
         sums.append(math.sqrt(sum(c * n for c, n in zip(pairs, nums)) / den))
     verdict, slope, incs = _trend_verdict(cutoffs, sums)
-    return HsStudy(cutoffs, {"plus": sums}, {"plus": incs}, {"plus": slope},
+    return HsStudy({"plus": sums}, {"plus": incs}, {"plus": slope},
                    {"plus": verdict})
 
 

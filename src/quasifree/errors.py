@@ -87,6 +87,13 @@ class MalformedInput(QuasifreeError):
     """Model file failed validation."""
 
 
+def require_int(value, field: str) -> int:
+    """A JSON integer or integral float as an int, else MalformedInput."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise MalformedInput(f"{field} must be an integer, got {value!r}")
+
+
 # Fock-space dimension caps: a fermionic space of at most 12 modes, a
 # bosonic one of at most 6561 = 9^4 states, and a dense Gamma(U) of at most
 # 10 fermionic modes.  The statistics records (car.CAR, ccr.CCR) read the

@@ -401,7 +401,6 @@ class ImplementerSet:
     (derived in car_implementers).
     """
 
-    alphas: list
     psis: list
     intertwining_residual: float
     isometry_residual: float
@@ -433,8 +432,8 @@ def _implementer_columns(pi_v: list, omega: np.ndarray,
 
 
 def car_implementers(v: BlockOperator, fock_dom: FermiFock,
-                     fock_cod: FermiFock, omega_alphas: list[np.ndarray],
-                     alphas: list[tuple[int, ...]]) -> ImplementerSet:
+                     fock_cod: FermiFock, omega_alphas: list[np.ndarray]
+                     ) -> ImplementerSet:
     """Solve for the fermionic implementers and measure their relations.
 
     The four residuals are returned, not judged: the caller gates them.
@@ -500,7 +499,7 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
         impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)
                    + float(np.linalg.norm(v.matrix[:, idx])) * comp)
 
-    return ImplementerSet(alphas, psis, inter, iso, comp, impl)
+    return ImplementerSet(psis, inter, iso, comp, impl)
 
 
 def bose_implementer(v: BlockOperator, fock_cod: BoseFock,

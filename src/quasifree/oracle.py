@@ -52,7 +52,6 @@ from .sectors import (
     CCR_L_MAX,
     GaugeAction,
     GaugeSample,
-    char_det_h,
     compressed_action,
     oracle_compare,
 )
@@ -146,7 +145,8 @@ def run(args, model, stats, mem, payload, lines) -> None:
                 f"level checked, got {args.bose_cutoff}")
         fock_half = functools.partial(_bose_half, args.bose_cutoff, l_max)
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
-    dets_h = char_det_h(elements.u11, data.h_frame, v.codomain, stats)
+    dets_h = np.linalg.det(compressed_action(elements.u11, data.h_frame,
+                                             v.codomain, stats))
     comps_k = compressed_action(elements.u11, data.k_frame, v.codomain, stats)
     fock, alphas, omegas, power = fock_half(data, elements, comps_k,
                                             payload, lines)
@@ -187,7 +187,7 @@ def _fermi_half(data, elements: GaugeSample, comps_k: np.ndarray,
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k_frame)
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     payload["implementers"] = {
         "count": len(imp.psis),
         "expected": data.statistics_dimension,

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import builders
-from .errors import MalformedInput, require_dense_bytes
+from .errors import MalformedInput, require_dense_bytes, require_int
 from .sectors import GaugeAction
 from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 
@@ -205,20 +205,20 @@ class ModelFile:
 
 def _parse_gauge(block: dict, n_modes: int) -> tuple:
     group = block.get("group")
-    samples = int(block.get("samples", 50))
-    seed = int(block.get("seed", 0))
+    samples = require_int(block.get("samples", 50), "gauge samples")
+    seed = require_int(block.get("seed", 0), "gauge seed")
     if seed < 0:
         raise MalformedInput(f"gauge seed must be at least 0, got {seed}")
     if group == "u1":
         charges = block.get("charges")
         if charges is None:
             raise MalformedInput("u1 gauge block needs 'charges'")
-        action = GaugeAction("u1", n_modes,
-                             charges=tuple(int(c) for c in charges))
-        samples = int(block.get("samples", 64))
+        action = GaugeAction("u1", n_modes, charges=tuple(
+            require_int(c, "gauge charge") for c in charges))
+        samples = require_int(block.get("samples", 64), "gauge samples")
     elif group in ("un", "sun"):
-        action = GaugeAction(group, n_modes,
-                             species=int(block.get("species", 0)))
+        action = GaugeAction(group, n_modes, species=require_int(
+            block.get("species", 0), "gauge species"))
     elif group == "z2":
         action = GaugeAction("z2", n_modes)
     elif group == "custom":
@@ -276,7 +276,8 @@ def load_model(path: str) -> ModelFile:
             if dom is None:
                 raise MalformedInput("explicit matrices need "
                                      "space.domain_modes (and codomain_modes)")
-            dom, cod = int(dom), int(cod)
+            dom = require_int(dom, "space domain_modes")
+            cod = require_int(cod, "space codomain_modes")
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"bad explicit matrix: {exc}") from exc
         if matrix.shape != (2 * cod, 2 * dom):

@@ -153,21 +153,17 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
     The compression is F# U F with F# the frame's dual: F for a CAR frame,
     which is orthonormal, and C F (`kappa_sign`) for a CCR frame, which is
     kappa-orthonormal (F* C F = 1) but not orthonormal when T != 0.
-    u11 is one unitary or a (samples, n, n) stack, compressed in chunks of
-    samples.  The frame columns must span a subspace every element leaves
-    invariant; the first element whose leakage ||U F - F (F# U F)|| exceeds
-    COMPRESS_TOL raises NotGaugeCompatible, the refusal of both commands.
+    u11 is a (samples, n, n) stack, compressed in chunks of samples.  The
+    frame columns must span a subspace every element leaves invariant; the
+    first element whose leakage ||U F - F (F# U F)|| exceeds COMPRESS_TOL
+    raises NotGaugeCompatible, the refusal of both commands.
     """
-    stack = np.asarray(u11)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[np.newaxis]
     k = frame.shape[1]
-    comps = np.zeros((len(stack), k, k), dtype=complex)
-    chunks = sample_chunks(len(stack), 16 * frame.size) if k else []
+    comps = np.zeros((len(u11), k, k), dtype=complex)
+    chunks = sample_chunks(len(u11), 16 * frame.size) if k else []
     dual = frame if stats.sign > 0 else kappa_sign(frame, None, space)
     for chunk in chunks:
-        moved = apply_gauge(stack[chunk], frame, space)
+        moved = apply_gauge(u11[chunk], frame, space)
         comp = dual.conj().T @ moved
         leaks = np.linalg.norm(moved - frame @ comp, axis=(1, 2))
         bad = np.flatnonzero(leaks > COMPRESS_TOL)
@@ -176,7 +172,7 @@ def compressed_action(u11: np.ndarray, frame: np.ndarray,
                 "gauge does not preserve the charge spaces: gauge element "
                 f"moves the subspace: leakage {leaks[bad[0]]:.3e}")
         comps[chunk] = comp
-    return comps[0] if single else comps
+    return comps
 
 
 def eigenphases(compressed: np.ndarray) -> np.ndarray:
@@ -198,17 +194,6 @@ def eigenphases(compressed: np.ndarray) -> np.ndarray:
             f"not unitary (defect {defect:.3e}); the subspace is not "
             "honestly invariant")
     return np.linalg.eigvals(stack)
-
-
-def char_det_h(u11: np.ndarray, h_frame: np.ndarray, space: SelfDualSpace,
-               stats: Statistics) -> complex | np.ndarray:
-    """Determinant character on the defect space h (1 when h is empty).
-
-    u11 is one unitary (the character comes back as a complex) or a
-    (samples, n, n) stack (one character per element).
-    """
-    dets = np.linalg.det(compressed_action(u11, h_frame, space, stats))
-    return complex(dets) if np.ndim(u11) == 2 else dets
 
 
 def _coefficients(eigs: np.ndarray, top: int, complete: bool) -> np.ndarray:
@@ -295,7 +280,9 @@ def sector_table(stats: Statistics, space: SelfDualSpace, h_frame: np.ndarray,
     k_dim = k_frame.shape[1]
     top = k_dim if stats.sign > 0 else CCR_L_MAX
 
-    dets = char_det_h(elements.u11, h_frame, space, stats)
+    if stats.sign > 0:  # h before k, as in the oracle; CCR's h is empty
+        dets = np.linalg.det(compressed_action(elements.u11, h_frame, space,
+                                               stats))
     eig_stack = eigenphases(compressed_action(elements.u11, k_frame, space,
                                               stats))
     coefs = _coefficients(eig_stack, top, complete=stats.sign < 0)

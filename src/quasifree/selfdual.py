@@ -98,11 +98,6 @@ def kernel_basis(matrix: np.ndarray) -> np.ndarray:
     return _ordered_kernel(sigma, vh, _rank_threshold(sigma))
 
 
-def cokernel_basis(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(matrix*), same ordering rules."""
-    return kernel_basis(matrix.conj().T)
-
-
 def pinv_on_range(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse on the range the rank rule keeps."""
     if matrix.size == 0:
@@ -235,9 +230,6 @@ class BlockOperator:
         cols = slice(0, nd) if j == 1 else slice(nd, 2 * nd)
         return self.matrix[rows, cols]
 
-    def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.matrix.conj().T, self.codomain, self.domain)
-
     def kappa_adjoint(self) -> "BlockOperator":
         """A+ = C A* C, the adjoint for the kappa form."""
         return BlockOperator(
@@ -254,14 +246,6 @@ class BlockOperator:
         """HS distance between A and its J-conjugate (0 for semigroup members)."""
         return hs_norm(self.matrix - conjugate_matrix(
             self.matrix, self.domain, self.codomain))
-
-    def p1_commutator(self) -> np.ndarray:
-        """P1(codomain) V - V P1(domain) = [[0, V12], [-V21, 0]]."""
-        out = np.zeros_like(self.matrix)
-        nc, nd = self.codomain.n_modes, self.domain.n_modes
-        out[:nc, nd:] = self.block(1, 2)
-        out[nc:, :nd] = -self.block(2, 1)
-        return out
 
 
 @dataclass(frozen=True)
@@ -344,11 +328,12 @@ def semigroup_membership(v: BlockOperator, adjoint: np.ndarray, law: str,
     ``law`` names that law in the failure text: "isometry" for V* V = 1,
     "kappa isometry" for V+ V = 1.  For a member the index is dim ker of the
     adjoint, counted once from its kernel frame with the rank rule;
-    it must equal the structural value 2(n_out - n_in).
+    it must equal the structural value 2(n_out - n_in).  The HS defect is
+    ||[P1, V]||, whose only nonzero blocks are V12 and -V21.
     """
     iso = hs_norm(adjoint @ v.matrix - np.eye(v.domain.dim))
     sd = v.selfdual_defect()
-    hs = hs_norm(v.p1_commutator())
+    hs = hs_norm(np.concatenate([v.block(1, 2), v.block(2, 1)]))
     failures = []
     if iso > tol:
         failures.append(f"{law} defect {iso:.3e} > {tol:.1e}")

@@ -17,7 +17,6 @@ from quasifree.errors import (
     RecoveryMismatch,
 )
 from quasifree.selfdual import (
-    cokernel_basis,
     conjugate_matrix,
     hs_norm,
     kernel_basis,
@@ -45,7 +44,7 @@ def compute_t(v, h: np.ndarray | None = None) -> np.ndarray:
     v11, v12 = v.block(1, 1), v.block(1, 2)
     v21, v22 = v.block(2, 1), v.block(2, 2)
     term1 = v21 @ pinv_on_range(v11)
-    coker = cokernel_basis(v11)
+    coker = kernel_basis(v11.conj().T)
     term2 = (pinv_on_range(v22).conj().T @ v12.conj().T
              @ orthoprojection(coker))
     t = term1 - term2

@@ -17,7 +17,7 @@ from quasifree.fock import ImplementerSet
 from quasifree.selfdual import hs_norm
 
 
-def reference_car_implementers(v, fock_dom, fock_cod, omega_alphas, alphas):
+def reference_car_implementers(v, fock_dom, fock_cod, omega_alphas):
     nd = fock_dom.n_modes
     pi_v = [fock_cod.pi(v.codomain, v.matrix[:, i]) for i in range(nd)]
     psis = []
@@ -51,4 +51,4 @@ def reference_car_implementers(v, fock_dom, fock_cod, omega_alphas, alphas):
         impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)
                    + float(np.linalg.norm(v.matrix[:, idx])) * comp)
 
-    return ImplementerSet(alphas, psis, inter, iso, comp, impl)
+    return ImplementerSet(psis, inter, iso, comp, impl)

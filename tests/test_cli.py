@@ -987,8 +987,8 @@ class TestMain:
     @pytest.mark.parametrize("command", ["analyze", "oracle", "dirac"])
     def test_unwritable_report_exit_2(self, tmp_path, capsys, command, target,
                                       reason):
-        # The command runs and prints its summary; the report it cannot
-        # write is then refused as input, naming the path, not a traceback.
+        # The path is refused as input before the command runs, naming the
+        # path, not a traceback; nothing is printed and nothing is created.
         argv = ([command, "--cutoffs", "16,32"] if command == "dirac"
                 else [command, "--input", shift_car_model(tmp_path, False)])
         out = str(tmp_path / target)
@@ -996,7 +996,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error (input): cannot write report {out!r}: {reason}\n")
-        assert "report written" not in captured.out
+        assert captured.out == ""
+        assert not (tmp_path / "absent").exists()
+
+    def test_report_under_a_file_is_refused_after_the_run(self, tmp_path,
+                                                          capsys):
+        # Other write errors still surface when the report is written.
+        model = shift_car_model(tmp_path, False)
+        out = f"{model}/r.json"
+        assert cli.main(["analyze", "--input", model, "--report", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error (input): cannot write report {out!r}: Not a directory\n")
+        assert "member of the car semigroup" in captured.out
 
     def test_replaced_command_is_the_one_called(self, tmp_path,
                                                 monkeypatch):

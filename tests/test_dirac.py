@@ -135,9 +135,6 @@ def test_index_stable_and_robust():
     assert record.counts == {64: 1, 128: 1}
     assert all(s < 1e-4 for s in record.smallest_singular.values())
     assert all(g > 0.99 for g in record.spectral_gap.values())
-    shifted = dirac.index_estimate([dirac.build_v(64, start_m=1),
-                                    dirac.build_v(128, start_m=1)])
-    assert shifted.value == 1
 
 
 def test_index_instability_detected(monkeypatch):
@@ -230,10 +227,10 @@ def _dense_increments(comm, w_max, cutoffs, norms):
                                             norms, norms[1:])]
 
 
-def _dense_from_definition(window, start_m):
-    """v = 1 + sum_{m=start_m}^{m_loc-1} (f_{m+1} - f_m) f_m*, term by term."""
+def _dense_from_definition(window):
+    """v = 1 + sum_{m=0}^{m_loc-1} (f_{m+1} - f_m) f_m*, term by term."""
     v = np.eye(window.dim)
-    for m in range(start_m, window.m_loc):
+    for m in range(window.m_loc):
         f_m = window.f_column(m)
         v += np.outer(window.f_column(m + 1) - f_m, f_m.conj())
     return v
@@ -243,13 +240,12 @@ def _rel(x, y):
     return abs(x - y) / max(abs(x), abs(y))
 
 
-@pytest.mark.parametrize("start_m", [0, 1])
 @pytest.mark.parametrize("w", [64, 128, 256, 512])
-def test_factored_build_matches_dense_oracle(w, start_m):
-    build = dirac.build_v(w, start_m=start_m)
+def test_factored_build_matches_dense_oracle(w):
+    build = dirac.build_v(w)
     window, diag = build.window, build.diagnostics
     m_loc = window.m_loc
-    matrix = _dense_from_definition(window, start_m)
+    matrix = _dense_from_definition(window)
     eye = np.eye(window.dim)
 
     svals = np.sort(np.linalg.svd(matrix, compute_uv=False))
@@ -266,8 +262,7 @@ def test_factored_build_matches_dense_oracle(w, start_m):
     shift_min = min(
         np.vdot(window.f_column(m + 1), matrix @ window.f_column(m)).real
         for m in range(m_loc // 2))
-    # overlaps of unit vectors; with start_m = 1 the minimum is the
-    # near-zero <f_1, f_0>, so the error is measured against the unit scale
+    # overlaps of unit vectors: the error is measured against the unit scale
     assert abs(diag["shift_overlap_min"] - shift_min) < 1e-12
 
     cutoffs = (w // 8, w // 4, w // 2, w)

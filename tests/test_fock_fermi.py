@@ -170,7 +170,7 @@ def test_shift_implementers_explicit():
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k_frame)
     assert alphas == [(), (0,)]
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     assert imp.intertwining_residual < 1e-12
     assert imp.isometry_residual < 1e-12
     assert imp.completeness_residual < 1e-12
@@ -193,7 +193,7 @@ def test_bogoliubov_single_implementer_is_unitary():
     alphas, omegas = omega_alphas_fermi(fock, v.codomain, omega_p,
                                         data.k_frame)
     assert alphas == [()]
-    imp = car_implementers(v, fock, fock, omegas, alphas)
+    imp = car_implementers(v, fock, fock, omegas)
     u = imp.psis[0]
     assert hs_norm(u @ u.conj().T - np.eye(fock.dim)) < 1e-10
 
@@ -206,7 +206,7 @@ def test_composed_member_implementers():
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k_frame)
     assert len(alphas) == 4  # k_dim = 2 -> levels 0,1,1,2
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     assert imp.implementation_residual < 1e-10
 
 
@@ -216,7 +216,7 @@ def wrong_vacuum_inputs():
     fock_d, fock_c = FermiFock(1), FermiFock(2)
     bad = [fock_c.vacuum(),
            fock_c.psi(v.codomain, v.codomain.basis_vector(2)) @ fock_c.vacuum()]
-    return v, fock_d, fock_c, bad, [(), (0,)]
+    return v, fock_d, fock_c, bad
 
 
 def test_intertwining_detects_wrong_vacuum():
@@ -225,9 +225,9 @@ def test_intertwining_detects_wrong_vacuum():
 
 
 def test_car_implementers_reject_a_mismatched_domain():
-    v, _, fock_c, omegas, alphas = wrong_vacuum_inputs()
+    v, _, fock_c, omegas = wrong_vacuum_inputs()
     with pytest.raises(CapExceeded):
-        car_implementers(v, FermiFock(2), fock_c, omegas, alphas)
+        car_implementers(v, FermiFock(2), fock_c, omegas)
 
 
 def test_flip_charge_matrix_is_gauge_phase():
@@ -290,7 +290,7 @@ def test_implementer_invariance_residual():
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k_frame)
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     lam = 0.6
     g_cod = fock_c.gamma(np.exp(1j * lam) * np.eye(2))
     g_dom = fock_d.gamma(np.exp(1j * lam) * np.eye(1))
@@ -670,7 +670,7 @@ def oracle_inputs(v):
     omega_p = omega_p_fermi(fock_c, v.codomain, data.h_frame, data.t)
     alphas, omegas = omega_alphas_fermi(fock_c, v.codomain, omega_p,
                                         data.k_frame)
-    return v, fock_d, fock_c, omegas, alphas
+    return v, fock_d, fock_c, omegas
 
 
 @pytest.mark.parametrize("make_v", [
@@ -679,8 +679,8 @@ def oracle_inputs(v):
     random_car_member,
 ], ids=["shift-3-4", "bogoliubov-4", "random-member"])
 def test_car_implementers_equal_dense_products(make_v):
-    v, fock_d, fock_c, omegas, alphas = oracle_inputs(make_v())
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    v, fock_d, fock_c, omegas = oracle_inputs(make_v())
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     psis, residuals = dense_implementers(v, fock_d, fock_c, omegas)
     assert len(imp.psis) == len(psis)
     for got, want in zip(imp.psis, psis):
@@ -724,12 +724,12 @@ def test_car_implementers_equal_the_per_column_reference(name):
 def test_completeness_equals_the_explicit_w_w_star(make_v, eps, count):
     # Perturbed Omega_alpha move the residual far above rounding, and one
     # implementer short of the set leaves W non-square (dim_c > r dim_d).
-    v, fock_d, fock_c, omegas, alphas = oracle_inputs(make_v())
+    v, fock_d, fock_c, omegas = oracle_inputs(make_v())
     rng = np.random.default_rng(5)
     omegas = [w + eps * (rng.normal(size=w.shape)
                          + 1j * rng.normal(size=w.shape))
               for w in omegas[:count]]
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas[:count])
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     w = np.hstack(imp.psis)
     want = hs_norm(w @ w.conj().T - np.eye(fock_c.dim))
     assert abs(imp.completeness_residual - want) <= 1e-14
@@ -746,11 +746,11 @@ def test_implementation_bound_is_sound_and_tight(monkeypatch, make_v, eps):
     # Perturbed Omega_alpha give residuals far above rounding; the reported
     # bound must lie above the direct sum-formula residual, and not far.
     monkeypatch.setattr(fock, "DEFAULT_TOL", 1.0)
-    v, fock_d, fock_c, omegas, alphas = oracle_inputs(make_v())
+    v, fock_d, fock_c, omegas = oracle_inputs(make_v())
     rng = np.random.default_rng(11)
     omegas = [w + eps * (rng.normal(size=w.shape)
                          + 1j * rng.normal(size=w.shape)) for w in omegas]
-    imp = car_implementers(v, fock_d, fock_c, omegas, alphas)
+    imp = car_implementers(v, fock_d, fock_c, omegas)
     _, (_, _, _, direct) = dense_implementers(v, fock_d, fock_c, omegas)
     assert direct > 0.0
     assert direct <= imp.implementation_residual <= 3.0 * direct

@@ -64,6 +64,21 @@ MALFORMED = {
     "gauge-samples-infinite": car_model(
         SHIFT, gauge={"group": "u1", "charges": [1, 1, 1],
                       "samples": math.inf}),
+    # Integer fields take JSON integers and integral floats only; each of
+    # these was once truncated to an integer and analyzed.
+    "builder-size-fractional": car_model(
+        {"builder": "shift", "params": {"n_sites_in": 2.9}}),
+    "builder-steps-bool": car_model(
+        {"builder": "shift", "params": {"n_sites_in": 2, "steps": True}}),
+    "u1-charges-fractional": car_model(
+        SHIFT, gauge={"group": "u1", "charges": [0.5, 1.7, -0.2]}),
+    "gauge-samples-fractional": car_model(
+        SHIFT, gauge={"group": "u1", "charges": [1, 1, 1], "samples": 3.9}),
+    "gauge-seed-string": car_model(
+        SHIFT, gauge={"group": "un", "species": 1, "seed": "7"}),
+    "gauge-species-fractional": car_model(
+        SHIFT, gauge={"group": "un", "species": 1.5}),
+    "domain-modes-fractional": explicit_eye_2(space={"domain_modes": 1.5}),
 }
 
 
@@ -90,6 +105,14 @@ def test_malformed_model_exit_2_without_a_warning(tmp_path, capsys, name,
         warnings.simplefilter("error")
         assert cli.main([command, "--input", path]) == 2
     assert capsys.readouterr().err.startswith("error (input): ")
+
+
+def test_integral_float_fields_accepted(tmp_path):
+    path = write_model(tmp_path, car_model(
+        {"builder": "shift", "params": {"n_sites_in": 2.0, "steps": 1.0}},
+        gauge={"group": "u1", "charges": [1.0, -1, 0.0], "samples": 4.0,
+               "seed": 0.0}))
+    assert cli.main(["analyze", "--input", path]) == 0
 
 
 def test_unitary_custom_element_accepted(tmp_path):

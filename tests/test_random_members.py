@@ -29,7 +29,7 @@ import dense_selfdual as dense
 from quasifree import builders
 from quasifree.car import CAR, car_charge_data, car_membership
 from quasifree.ccr import CCR, ccr_charge_data, ccr_membership
-from quasifree.sectors import GaugeAction, char_det_h, compressed_action
+from quasifree.sectors import GaugeAction, compressed_action
 from quasifree.selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace
 
 
@@ -104,7 +104,8 @@ def graded_characters(stats, v, u11, ts):
     data = stats.charge_data(stats.membership(v, DEFAULT_TOL))
     n = v.codomain.n_modes
     u = u11[:, :n, :n]
-    det_h = char_det_h(u, data.h_frame, v.codomain, stats)
+    det_h = np.linalg.det(compressed_action(u, data.h_frame, v.codomain,
+                                            stats))
     comp = compressed_action(u, data.k_frame, v.codomain, stats)
     eye = np.eye(comp.shape[-1])
     return data, np.stack([det_h * np.linalg.det(eye + stats.sign * t * comp)

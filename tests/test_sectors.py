@@ -26,7 +26,6 @@ from quasifree.fock import (
 )
 from quasifree.sectors import (
     GaugeAction,
-    char_det_h,
     char_lambda,
     char_sym,
     compressed_action,
@@ -40,14 +39,19 @@ from quasifree.selfdual import DEFAULT_TOL, SelfDualSpace
 
 def test_char_det_h_values():
     space = SelfDualSpace(2)
+
+    def det_h(u, h):  # the det_h character of a stack of one element
+        return complex(np.linalg.det(compressed_action(
+            u[np.newaxis], h, space, CAR))[0])
+
     empty = np.zeros((4, 0), dtype=complex)
-    assert char_det_h(np.eye(2), empty, space, CAR) == 1.0
+    assert det_h(np.eye(2), empty) == 1.0
     h = space.basis_vector(1).reshape(-1, 1)
     lam = 0.7
     u = np.diag([np.exp(1j * lam), 1.0])
-    assert char_det_h(u, h, space, CAR) == pytest.approx(np.exp(1j * lam))
+    assert det_h(u, h) == pytest.approx(np.exp(1j * lam))
     # the two-element group at -1 sees (-1)^{dim h}
-    assert char_det_h(-np.eye(2), h, space, CAR) == pytest.approx(-1.0)
+    assert det_h(-np.eye(2), h) == pytest.approx(-1.0)
 
 
 def test_char_lambda_values():
@@ -121,7 +125,7 @@ def test_compressed_action_detects_leakage():
     u[0, 0] = u[2, 2] = math.cos(mu)
     u[0, 2], u[2, 0] = -math.sin(mu), math.sin(mu)
     with pytest.raises(NotGaugeCompatible):
-        compressed_action(u, data.k_frame, space, CAR)
+        compressed_action(u[np.newaxis], data.k_frame, space, CAR)
 
 
 def test_eigenphases_schur():
@@ -198,7 +202,8 @@ def shift_targets(samples: int):
     v = builders.shift(1)
     data = car_charge_data(car_membership(v))
     elements = GaugeAction("u1", 2, charges=(1, 1)).elements(samples=samples)
-    dets = char_det_h(elements.u11, data.h_frame, v.codomain, CAR)
+    dets = np.linalg.det(compressed_action(elements.u11, data.h_frame,
+                                           v.codomain, CAR))
     comps = compressed_action(elements.u11, data.k_frame, v.codomain, CAR)
     targets = {level: np.stack([d * compound_matrix(c, level)
                                 for d, c in zip(dets, comps)])
@@ -574,6 +579,30 @@ def test_one_leaking_element_of_a_stack_raises(monkeypatch, chunk_bytes):
         compressed_action(elements.u11, data.k_frame, v.codomain, CAR)
     with pytest.raises(NotGaugeCompatible):
         sector_table(CAR, v.codomain, data.h_frame, data.k_frame, elements)
+
+
+@pytest.mark.parametrize("stats, charge_data, membership, compressions", [
+    (CAR, car_charge_data, car_membership, 2),
+    (CCR, ccr_charge_data, ccr_membership, 1)], ids=["car", "ccr"])
+def test_sector_table_compresses_h_only_for_car(monkeypatch, stats,
+                                                charge_data, membership,
+                                                compressions):
+    # CCR's h is empty and its characters read no det_h, so only k is
+    # compressed; CAR compresses h, then k.
+    v = builders.shift(1)
+    data = charge_data(membership(v))
+    frames = []
+
+    def counted(u11, frame, space, stats):
+        frames.append(frame.shape)
+        return compress(u11, frame, space, stats)
+
+    compress = sectors.compressed_action
+    monkeypatch.setattr(sectors, "compressed_action", counted)
+    sector_table(stats, v.codomain, data.h_frame, data.k_frame,
+                 GaugeAction("u1", 2, charges=(1, 1)).elements(samples=4))
+    assert len(frames) == compressions
+    assert frames[-1] == data.k_frame.shape
 
 
 def test_chunked_compression_keeps_the_bits(monkeypatch):
