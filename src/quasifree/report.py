@@ -41,7 +41,7 @@ def parse_complex_matrix(obj) -> np.ndarray:
         raise MalformedInput("complex matrix needs parallel 're'/'im' arrays")
     re, im = obj["re"], obj["im"]
     if "shape" in obj:
-        shape = tuple(int(s) for s in obj["shape"])
+        shape = tuple(require_int(s, "matrix shape") for s in obj["shape"])
         size = math.prod(shape)
         if len(re) != size or len(im) != size:
             raise MalformedInput(

@@ -79,6 +79,7 @@ MALFORMED = {
     "gauge-species-fractional": car_model(
         SHIFT, gauge={"group": "un", "species": 1.5}),
     "domain-modes-fractional": explicit_eye_2(space={"domain_modes": 1.5}),
+    "shape-fractional": explicit_eye_2(matrix={"shape": [2.9, 2]}),
 }
 
 
