@@ -581,23 +581,20 @@ def test_one_leaking_element_of_a_stack_raises(monkeypatch, chunk_bytes):
         sector_table(CAR, v.codomain, data.h_frame, data.k_frame, elements)
 
 
-@pytest.mark.parametrize("stats, charge_data, membership, compressions", [
-    (CAR, car_charge_data, car_membership, 2),
-    (CCR, ccr_charge_data, ccr_membership, 1)], ids=["car", "ccr"])
+@pytest.mark.parametrize("stats, compressions", [(CAR, 2), (CCR, 1)],
+                         ids=["car", "ccr"])
 def test_sector_table_compresses_h_only_for_car(monkeypatch, stats,
-                                                charge_data, membership,
                                                 compressions):
     # CCR's h is empty and its characters read no det_h, so only k is
     # compressed; CAR compresses h, then k.
     v = builders.shift(1)
-    data = charge_data(membership(v))
-    frames = []
+    data = stats.charge_data(stats.membership(v, DEFAULT_TOL))
+    compress, frames = sectors.compressed_action, []
 
     def counted(u11, frame, space, stats):
         frames.append(frame.shape)
         return compress(u11, frame, space, stats)
 
-    compress = sectors.compressed_action
     monkeypatch.setattr(sectors, "compressed_action", counted)
     sector_table(stats, v.codomain, data.h_frame, data.k_frame,
                  GaugeAction("u1", 2, charges=(1, 1)).elements(samples=4))
