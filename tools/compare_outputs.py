@@ -98,12 +98,12 @@ def run_tree(tree: str, inputs: str, work_dir: str) -> dict:
 
 
 def compare(parent: str, change: str, workload: str, seed: int,
-            scratch: str) -> tuple[int, list[str]]:
+            temp_dir: str) -> tuple[int, list[str]]:
     """Run count and one line per differing run, for one workload and seed."""
-    inputs = os.path.join(scratch, "inputs")
+    inputs = os.path.join(temp_dir, "inputs")
     shutil.rmtree(inputs, ignore_errors=True)
     workloads.generate(workload, seed, inputs)
-    work_dir = os.path.join(scratch, "run")
+    work_dir = os.path.join(temp_dir, "run")
     before = run_tree(parent, inputs, work_dir)
     after = run_tree(change, inputs, work_dir)
     lines = []
@@ -148,11 +148,11 @@ def main(argv=None) -> int:
             parser.error(f"no src/quasifree/cli.py under {tree}")
 
     total, differing = 0, []
-    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as temp_dir:
         for workload in ([args.workload] if args.workload
                          else workloads.WORKLOADS):
             for seed in args.seeds:
-                count, lines = compare(*trees, workload, seed, scratch)
+                count, lines = compare(*trees, workload, seed, temp_dir)
                 total += count
                 differing += lines
                 print(f"{workload} seed {seed}: {count} runs, "
