@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedInput, ShapeMismatch, require_dense_bytes, require_int
+from .errors import (MalformedInput, ShapeMismatch, require_dense_bytes,
+                     require_float, require_int)
 from .selfdual import BlockOperator, SelfDualSpace, conjugate_matrix
 
 
@@ -76,10 +77,16 @@ def squeeze(r: float, n_modes: int = 1, mode: int = 1) -> BlockOperator:
         raise ShapeMismatch(f"mode {mode} outside 1..{n_modes}")
     space = SelfDualSpace(n_modes)
     require_dense_bytes(space.dim, space.dim, "squeeze")
+    with np.errstate(over="raise"):
+        try:
+            c, s = np.cosh(r), np.sinh(r)
+        except FloatingPointError as exc:
+            raise MalformedInput(
+                f"squeeze: cosh(r) overflows at r = {r}") from exc
     k1 = np.eye(space.dim, n_modes)
     i = mode - 1
-    k1[i, i] = np.cosh(r)
-    k1[n_modes + i, i] = np.sinh(r)
+    k1[i, i] = c
+    k1[n_modes + i, i] = s
     return _from_k1(k1, space, space)
 
 
@@ -88,6 +95,9 @@ def build(name: str, params: dict) -> BlockOperator:
     def count(key: str, default=None) -> int:  # KeyError when required
         value = params[key] if default is None else params.get(key, default)
         return require_int(value, f"builder {name!r} parameter {key!r}")
+
+    def number(key: str) -> float:  # KeyError when missing
+        return require_float(params[key], f"builder {name!r} parameter {key!r}")
     try:
         if name == "identity":
             return identity(count("n_modes"))
@@ -97,9 +107,9 @@ def build(name: str, params: dict) -> BlockOperator:
         if name == "flip":
             return flip(count("n_modes"), count("mode", 1))
         if name == "bogoliubov":
-            return bogoliubov(float(params["theta"]), count("n_modes", 2))
+            return bogoliubov(number("theta"), count("n_modes", 2))
         if name == "squeeze":
-            return squeeze(float(params["r"]), count("n_modes", 1),
+            return squeeze(number("r"), count("n_modes", 1),
                            count("mode", 1))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"builder {name!r}: bad parameters: {exc}") from exc

@@ -6,6 +6,9 @@ and the sample chunking live here too, so every layer can use them without
 importing another layer.
 """
 
+import math
+import sys
+
 
 class QuasifreeError(Exception):
     """Base class for all toolkit errors."""
@@ -92,6 +95,18 @@ def require_int(value, field: str) -> int:
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise MalformedInput(f"{field} must be an integer, got {value!r}")
+
+
+def require_float(value, field: str) -> float:
+    """A finite JSON number as a float, else MalformedInput.
+
+    Strings, bools and non-finite floats are refused, and so is an integer
+    beyond the float range.
+    """
+    if (type(value) is float and math.isfinite(value)
+            or type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise MalformedInput(f"{field} must be a finite number, got {value!r}")
 
 
 # Fock-space dimension caps: a fermionic space of at most 12 modes, a

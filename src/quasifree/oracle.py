@@ -136,6 +136,10 @@ def run(args, model, stats, mem, payload, lines) -> None:
     data = stats.charge_data(mem)
     v = data.v
     if stats.sign > 0:
+        # The fermionic half reads no cutoff, but the report records it.
+        if args.bose_cutoff < 0:
+            raise MalformedInput(f"--bose-cutoff must be at least 0, "
+                                 f"got {args.bose_cutoff}")
         fock_half = _fermi_half
     else:
         l_max = CCR_L_MAX if data.k_frame.shape[1] else 0

@@ -780,6 +780,16 @@ class TestOracle:
                          "--bose-cutoff", "-2"]) == 2
         assert "--bose-cutoff must be at least 0" in capsys.readouterr().err
 
+    def test_negative_bose_cutoff_on_car_exit_2(self, tmp_path, capsys):
+        # The fermionic half reads no cutoff, but a negative one is refused
+        # rather than written into the report's caps.
+        out = tmp_path / "r.json"
+        assert cli.main(["oracle", "--input", shift_car_model(tmp_path),
+                         "--report", str(out), "--bose-cutoff", "-5"]) == 2
+        assert ("--bose-cutoff must be at least 0, got -5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bose_cutoff_1_probes_below_the_cutoff(self, tmp_path):
         # The implementer probe window must stay below the truncation edge.
         path = write_model(tmp_path, "m.json", {

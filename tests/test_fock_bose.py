@@ -434,6 +434,15 @@ def test_bose_implementer_memory_stays_on_the_window():
     assert peak < 40e6
 
 
+def test_bose_field_tables_are_built_on_first_use():
+    fock = BoseFock(2, 3)
+    tables = {"_occupations", "_creation", "_annihilation"}
+    assert not tables & set(vars(fock))
+    fock.pi(SelfDualSpace(2), np.array([0.5, 0.0, 0.0, 1.0j]))
+    assert tables <= set(vars(fock))
+    assert fock.creation(1) is fock.creation(1)
+
+
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 6), (2, 3), (3, 5)])
 def test_bose_tables_match_loop_reference(n_modes, cutoff):
     fock = BoseFock(n_modes, cutoff)

@@ -224,6 +224,15 @@ def test_intertwining_detects_wrong_vacuum():
     assert imp.intertwining_residual > DEFAULT_TOL
 
 
+def test_car_domain_space_builds_no_field_tables():
+    # car_implementers reads only the domain's dim and mode count.
+    v, fock_d, fock_c, omegas = oracle_inputs(builders.shift(3))
+    car_implementers(v, fock_d, fock_c, omegas)
+    for table in ("_occupations", "_creation", "_annihilation"):
+        assert table not in vars(fock_d)
+    assert "_creation" in vars(fock_c)
+
+
 def test_car_implementers_reject_a_mismatched_domain():
     v, _, fock_c, omegas = wrong_vacuum_inputs()
     with pytest.raises(CapExceeded):
@@ -386,6 +395,23 @@ def test_gamma_of_block_unitaries_equals_scalar_determinants(name):
     u11 = BLOCK_UNITARIES[name](np.random.default_rng(300))
     gamma = FermiFock(len(u11)).gamma(u11)
     assert np.array_equal(gamma, scalar_gamma(u11))
+
+
+def test_gamma_follows_the_block_pattern_of_each_unitary():
+    # One Fock space, unitaries alternating between block patterns: a minor
+    # plan kept past a change of pattern misses minors the new one allows.
+    rng = np.random.default_rng(302)
+    fock = FermiFock(6)
+
+    def sites():
+        return np.kron(np.eye(3), haar_unitary(2, rng))
+
+    def species():
+        return np.kron(haar_unitary(3, rng), np.eye(2))
+
+    for make in (sites, lambda: haar_unitary(6, rng), sites, species, sites):
+        u11 = make()
+        assert np.array_equal(fock.gamma(u11), scalar_gamma(u11))
 
 
 @pytest.mark.parametrize("make_u11, labels", [
@@ -608,6 +634,27 @@ def test_pi_is_the_incremental_sum(make_fock):
         assert np.array_equal(got.data.view(np.uint64),
                               want.data.view(np.uint64))
     assert fock.pi(space, np.zeros(space.dim)).nnz == 0
+
+
+@pytest.mark.parametrize("n_modes", [3, 4])
+def test_psi_is_the_twisted_coo_build(n_modes):
+    fock = FermiFock(n_modes)
+    space = SelfDualSpace(n_modes)
+    theta = (1.0 - 1j * fock.parity()) / math.sqrt(2.0)
+    rng = np.random.default_rng(40 + n_modes)
+    for _ in range(6):
+        f = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        f[rng.random(space.dim) < 0.3] = 0.0
+        f[rng.random(space.dim) < 0.3] = -1.0  # negative zeros in products
+        op = incremental_pi(fock, space, f).tocoo()
+        want = sp.csr_matrix(
+            (theta[op.row] * op.data * np.conj(theta[op.col]),
+             (op.row, op.col)), shape=op.shape)
+        got = fock.psi(space, f)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.uint64),
+                              want.data.view(np.uint64))
 
 
 def dense_implementers(v, fock_dom, fock_cod, omega_alphas):

@@ -80,6 +80,17 @@ MALFORMED = {
         SHIFT, gauge={"group": "un", "species": 1.5}),
     "domain-modes-fractional": explicit_eye_2(space={"domain_modes": 1.5}),
     "shape-fractional": explicit_eye_2(matrix={"shape": [2.9, 2]}),
+    # Float fields take finite JSON numbers only; the string and the bool
+    # were once read with float() and analyzed.
+    "bogoliubov-theta-string": car_model(
+        {"builder": "bogoliubov", "params": {"theta": "0.3"}}),
+    "bogoliubov-theta-bool": car_model(
+        {"builder": "bogoliubov", "params": {"theta": True}}),
+    "squeeze-r-infinite": {"algebra": "ccr", "isometry": {
+        "builder": "squeeze", "params": {"r": float("1e999")}}},
+    # cosh(800) overflows: refused before numpy warns on stderr.
+    "squeeze-r-overflow": {"algebra": "ccr", "isometry": {
+        "builder": "squeeze", "params": {"r": 800}}},
 }
 
 
