@@ -11,9 +11,9 @@ pattern taken once per unitary, with the gather and scatter positions kept
 as a plan while the pattern repeats; the oracle needs it only for gauge
 elements that are not diagonal, since a diagonal one acts on either Fock
 space by one phase vector (gamma_vector).  One builder fills the implementer
-columns of both statistics, one sparse product per mode and occupation
-instead of one per column, and it and the fermionic intertwining gaps read
-and write strided views of the columns, with no index arrays.  Both
+columns of both statistics, all of W = [Psi_1 ... Psi_r] by one sparse
+product per mode and occupation, and the fermionic intertwining gaps take one
+sparse product per Psi_alpha, on its nonzeros (car_implementers).  Both
 statistics share one occupation encoding, state s holding
 (s // radix^i) % radix quanta in mode i (radix 2 for fermions, M + 1 for
 bosons), and one field-table builder, run on first use: the implementers'
@@ -441,24 +441,26 @@ class ImplementerSet:
     implementation_residual: float
 
 
-def _implementer_columns(pi_v: list, omega: np.ndarray,
+def _implementer_columns(pi_v: list, omegas: np.ndarray,
                          fock_dom: _FockSpace) -> np.ndarray:
-    """Columns of one implementer: column 0 is omega, pi_v[i] = pi(V e_i).
+    """W = [Psi_1 ... Psi_r] of the vacua omegas; pi_v[i] = pi(V e_i).
 
-    A state whose lowest occupied mode i holds m quanta takes pi_v[i]
-    applied to the column with m - 1 there, over sqrt(m).  From the highest
-    mode down, for m = 1 ... radix - 1, one sparse-dense product fills all
-    such columns, each as a matvec would: in the view reshape(dim_c, -1,
-    radix, radix^i) they are the slots [:, :, m, 0], filled from
-    [:, :, m - 1, 0], so no index array is formed.
+    Column 0 of Psi_alpha is omegas[:, alpha].  A state whose lowest
+    occupied mode i holds m quanta takes pi_v[i] applied to the column with
+    m - 1 there, over sqrt(m).  From the highest mode down, for m = 1 ...
+    radix - 1, one sparse-dense product fills all such columns of every
+    Psi_alpha, each as a matvec would: dim_d is a power of the radix, so in
+    the view reshape(dim_c, -1, radix, radix^i) of W they are the slots
+    [:, :, m, 0], filled from [:, :, m - 1, 0], and no index array is formed.
     """
     if len(pi_v) != 2 * fock_dom.n_modes:
         raise CapExceeded("space does not match this Fock space")
     radix = fock_dom._radix
-    cols = np.zeros((len(omega), fock_dom.dim), dtype=complex)
-    cols[:, 0] = omega
+    dim_c, count = omegas.shape
+    cols = np.zeros((dim_c, count * fock_dom.dim), dtype=complex)
+    cols[:, ::fock_dom.dim] = omegas
     for mode in reversed(range(fock_dom.n_modes)):
-        view = cols.reshape(len(omega), -1, radix, radix ** mode)
+        view = cols.reshape(dim_c, -1, radix, radix ** mode)
         for m in range(1, radix):
             view[:, :, m, 0] = pi_v[mode] @ view[:, :, m - 1, 0] / math.sqrt(m)
     return cols
@@ -470,20 +472,23 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     """Solve for the fermionic implementers and measure their relations.
 
     The four residuals are returned, not judged: the caller gates them.
-    The columns of each Psi_alpha come from _implementer_columns.
+    _implementer_columns gives W = [Psi_1 ... Psi_r], each Psi_alpha a view.
 
-    The fields stay sparse.  pi_c = pi(V f) of a domain basis vector f is
-    built once, for the columns and the gaps; pi_d = pi(f) is a*(e_b) or
-    a(e_b) on the domain, a signed partial permutation that pairs each
-    column without bit b with the one with it, signed by the parity of the
-    bits below b.  On the view reshape(dim_c, -1, 2, 2^b) psi @ pi_d moves
-    slot 1 to slot 0 (a*) or slot 0 to slot 1 (a) times the sign of the
-    last index, exact because each entry has one term, and is subtracted in
-    place from pi_c @ psi.  That gap has the opposite sign of
-    psi @ pi_d - pi_c @ psi, and IEEE subtraction is antisymmetric, so
-    hs_norm gives the same bits.
-    Isometry and completeness come from the one Gram W*W of the stacked
-    W = [Psi_1 ... Psi_r]: tr (W W*)^j = tr (W*W)^j gives
+    The intertwining gaps work on the nonzeros of each Psi_alpha alone; at
+    8 modes over 99 % of W is exactly zero.  The fields pi_c = pi(V f) of
+    the 2 n_d domain basis vectors f are stacked once, so one sparse
+    product per Psi_alpha gives every pi_c Psi_alpha.  For basis vector
+    idx, pi_d = pi(f) is a*(e_b) (idx < n_d) or a(e_b), b = idx mod n_d, and
+    Psi_alpha pi_d moves each entry in a column c with bit b set (a*) or
+    clear (a) to c - 2^b or c + 2^b, times the parity of c's bits below b;
+    those blocks are written from Psi_alpha's nonzeros by index arithmetic.
+    Gap idx is the difference's CSR rows [idx dim_c, (idx + 1) dim_c).  Its
+    bits are those of a dense product per f and alpha: scipy's csr_matmat
+    sums each entry over the same nonzeros, in the same order, as
+    csr_matvecs; every term it skips is an exact zero; and hs_norm, an
+    exactly rounded fsum that drops zeros, reads no storage order.
+    Isometry and completeness come from the one Gram W*W, as
+    tr (W W*)^j = tr (W*W)^j gives
 
         |W W* - 1|_HS^2 = |W*W - 1|_HS^2 + dim_c - r dim_d,
 
@@ -503,36 +508,40 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     comp = |C|_HS, and implementation_residual is the largest of these.
     """
     pi_v = [fock_cod.pi(v.codomain, col) for col in v.matrix.T]
-    psis = [_implementer_columns(pi_v, omega, fock_dom)
-            for omega in omega_alphas]
-
-    stacked = np.hstack(psis)
+    stacked = _implementer_columns(pi_v, np.column_stack(omega_alphas),
+                                   fock_dom)
+    psis = np.hsplit(stacked, len(omega_alphas))
     gram_gap = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
     iso = float(np.max(np.abs(gram_gap)))
     # The integer dim_c - r dim_d first: 0 for a square W, so nothing rounds.
     comp = math.sqrt(max(0.0, hs_norm(gram_gap) ** 2
                          + (fock_cod.dim - stacked.shape[1])))
 
-    inter = 0.0
+    n, dim_c = fock_dom.n_modes, fock_cod.dim
+    gaps = np.zeros((len(psis), 2 * n))  # gaps[alpha, idx]
+    if n:  # a zero-mode domain has no fields and no gaps
+        pi_c = sp.vstack(pi_v, format="csr")
+        f_idx = np.arange(2 * n)[:, None]
+        step = 1 << f_idx % n
+        for alpha, psi in enumerate(psis):
+            rows, cols = np.nonzero(psi)
+            vals = psi[rows, cols]
+            keep = ((cols & step) != 0) == (f_idx < n)
+            moved = sp.coo_matrix((
+                (vals * _sign_of_count(cols & (step - 1)))[keep],
+                ((rows + f_idx * dim_c)[keep],
+                 (cols + np.where(f_idx < n, -step, step))[keep])),
+                shape=(pi_c.shape[0], psi.shape[1]))
+            gap = pi_c @ sp.csr_matrix((vals, (rows, cols)), psi.shape) - moved
+            ends = gap.indptr[::dim_c]
+            gaps[alpha] = [hs_norm(gap.data[lo:hi])
+                           for lo, hi in zip(ends[:-1], ends[1:])]
     impl = 0.0
-    n = fock_dom.n_modes
-    for idx in range(2 * n):
-        bit = idx % n
-        sign = _sign_of_count(np.arange(1 << bit))
-        # psi @ a*(e_bit) holds at each column without the bit the column
-        # with it, psi @ a(e_bit) the reverse.
-        take, put = (1, 0) if idx < n else (0, 1)
-        gaps = []
-        for psi in psis:
-            gap = pi_v[idx] @ psi
-            g4 = gap.reshape(fock_cod.dim, -1, 2, 1 << bit)
-            g4[:, :, put, :] -= psi.reshape(g4.shape)[:, :, take, :] * sign
-            gaps.append(hs_norm(gap))
-        inter = max([inter, *gaps])
-        impl = max(impl, math.hypot(*gaps) * math.sqrt(1.0 + comp)
+    for idx, col in enumerate(gaps.T):
+        impl = max(impl, math.hypot(*col) * math.sqrt(1.0 + comp)
                    + float(np.linalg.norm(v.matrix[:, idx])) * comp)
 
-    return ImplementerSet(psis, inter, iso, comp, impl)
+    return ImplementerSet(psis, float(gaps.max(initial=0.0)), iso, comp, impl)
 
 
 def bose_implementer(v: BlockOperator, fock_cod: BoseFock,
@@ -554,7 +563,7 @@ def bose_implementer(v: BlockOperator, fock_cod: BoseFock,
     """
     fock_dom = BoseFock(v.domain.n_modes, min(occ_probe + 1, fock_cod.cutoff))
     pi_v = [fock_cod.pi(v.codomain, col) for col in v.matrix.T]
-    psi = _implementer_columns(pi_v, omega_alpha, fock_dom)
+    psi = _implementer_columns(pi_v, omega_alpha[:, None], fock_dom)
 
     rows = np.flatnonzero(fock_cod.occupation_projector_diag(occ_probe))
     cols = np.flatnonzero(fock_dom.occupation_projector_diag(occ_probe))
@@ -593,23 +602,28 @@ def charge_rep_blocks(omega_alphas: list[np.ndarray],
 def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     """Exterior-power (compound) matrix in lexicographic combination order.
 
-    Only the minors that can be nonzero are taken.  Split the indices into
-    the blocks of the matrix's exact-zero pattern; det matrix[S', S] is zero
-    unless S' and S hold the same number of indices in every block, and then
-    exactly 0, since LU never mixes rows of different blocks.  The pairs
-    with equal keys (_block_weights) go through one batched determinant,
-    which factors each minor exactly as a scalar det call would; the other
-    entries stay at zero.  A diagonal matrix takes the C(n, level) diagonal
-    minors, a matrix without exact zeros all C(n, level)^2.  FermiFock.gamma
-    shares this evaluation.
+    For one matrix or a stack (the last two axes), only the minors that can
+    be nonzero are taken.  Split the indices into the blocks of a matrix's
+    exact-zero pattern; det matrix[S', S] is zero unless S' and S hold the
+    same number of indices in every block, and then exactly 0, since LU
+    never mixes rows of different blocks.  The pairs with equal keys
+    (_block_weights) of all elements with one block pattern go through one
+    batched determinant, which factors each minor as a scalar det call
+    would.  A diagonal matrix takes the C(n, level) diagonal minors, a
+    matrix without exact zeros all C(n, level)^2.  FermiFock.gamma shares
+    this evaluation.
     """
-    if level == 0:
-        return np.ones((1, 1), dtype=complex)
-    combs = _combinations(matrix.shape[0], level)
-    rows, cols, gather = _minor_positions(combs, _block_weights(matrix))
-    out = np.zeros((len(combs), len(combs)), dtype=complex)
-    out[rows, cols] = _minors(matrix, gather)
-    return out
+    n = matrix.shape[-1]
+    combs = _combinations(n, level)
+    stack = matrix.reshape(math.prod(matrix.shape[:-2]), n, n)
+    out = np.zeros((len(stack), len(combs), len(combs)), dtype=complex)
+    weights = _block_weights(stack)
+    patterns, which = np.unique(weights, axis=0, return_inverse=True)
+    for key, pattern in enumerate(patterns):
+        rows, cols, gather = _minor_positions(combs, pattern)
+        members = np.flatnonzero(which == key)
+        out[members[:, None], rows, cols] = _minors(stack[members], gather)
+    return out.reshape(matrix.shape[:-2] + out.shape[1:])
 
 
 def symmetric_power(matrix: np.ndarray, level: int) -> np.ndarray:
@@ -664,24 +678,24 @@ def _minor_positions(combs: np.ndarray, weights: np.ndarray
 
 
 def _minors(matrix: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """det matrix[S', S] of each pair of a gather index, one batched call."""
-    return np.linalg.det(np.take(matrix, gather))
+    """det matrix[S', S] per pair of a gather index and stacked matrix."""
+    return np.linalg.det(matrix.reshape(*matrix.shape[:-2], -1)[..., gather])
 
 
 def _block_weights(matrix: np.ndarray) -> np.ndarray:
-    """Integer weight of each index; a subset's key is its sum of weights.
+    """Integer index weights of a matrix or stack; a subset's key sums them.
 
     The key holds the subset's count in each block of the exact-zero pattern
     as one mixed-radix digit of radix block size + 1, so two subsets share a
     key exactly when their counts agree in every block.  Keys stay below
     prod(size + 1) <= 2^n, exact in int64 up to 63 indices.
     """
-    n = len(matrix)
+    n = matrix.shape[-1]
     # first[i]: the smallest index in the block of i; it numbers the block.
     first = np.where(_same_block(matrix), np.arange(n)[:, None], n).min(
-        axis=0, initial=n)
-    radix = np.bincount(first, minlength=n) + 1
-    return (np.cumprod(radix) // radix)[first]
+        axis=-2, initial=n)
+    radix = (first[..., None] == np.arange(n)).sum(axis=-2) + 1
+    return np.take_along_axis(np.cumprod(radix, axis=-1) // radix, first, -1)
 
 
 def _same_block(matrix: np.ndarray) -> np.ndarray:
@@ -691,7 +705,7 @@ def _same_block(matrix: np.ndarray) -> np.ndarray:
     links them, in either direction.
     """
     nonzero = matrix != 0
-    linked = nonzero | nonzero.T | np.eye(len(matrix), dtype=bool)
+    linked = nonzero | nonzero.mT | np.eye(matrix.shape[-1], dtype=bool)
     while True:
         wider = linked @ linked
         if np.array_equal(wider, linked):

@@ -205,8 +205,7 @@ def _fermi_half(data, elements: GaugeSample, comps_k: np.ndarray,
         f"(expected {data.statistics_dimension}), implementation residual "
         f"{relation(payload['implementers']['implementation'])} "
         f"{DEFAULT_TOL:.0e}")
-    return fock_c, alphas, omegas, lambda level: np.stack(
-        [compound_matrix(comp, level) for comp in comps_k])
+    return fock_c, alphas, omegas, functools.partial(compound_matrix, comps_k)
 
 
 def _bose_half(cutoff: int, l_max: int, data, elements: GaugeSample,

@@ -213,8 +213,11 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
         charges = block.get("charges")
         if charges is None:
             raise MalformedInput("u1 gauge block needs 'charges'")
-        action = GaugeAction("u1", n_modes, charges=tuple(
-            require_int(c, "gauge charge") for c in charges))
+        values = tuple(require_int(c, "gauge charge") for c in charges)
+        big = [q for q in values if abs(q) > 2 ** 53]  # not exact as floats
+        if big:
+            raise MalformedInput(f"gauge charge {big[0]} not in [-2^53, 2^53]")
+        action = GaugeAction("u1", n_modes, charges=values)
         samples = require_int(block.get("samples", 64), "gauge samples")
     elif group in ("un", "sun"):
         action = GaugeAction(group, n_modes, species=require_int(

@@ -351,6 +351,15 @@ def test_compound_matrix_equals_scalar_minors(n):
             got = compound_matrix(matrix, level)
             assert got.dtype == complex
             assert np.array_equal(got, scalar_compound(matrix, level))
+    # A stack that mixes two block patterns: z and z with index 0 split off.
+    split = z.copy()
+    split[0, 1:] = split[1:, 0] = 0.0
+    stack = np.stack([z, split, z.real, split])
+    for level in range(n + 1):
+        got = compound_matrix(stack, level)
+        assert got.shape[0] == len(stack)
+        for element, matrix in zip(got, stack):
+            assert np.array_equal(element, scalar_compound(matrix, level))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -737,6 +746,15 @@ def test_car_implementers_equal_dense_products(make_v):
     assert np.allclose(got, residuals, rtol=0.0, atol=1e-14)
 
 
+def noisy_inputs(make_v, eps=1e-6):
+    """oracle_inputs with dense noise on every Omega_alpha, so W is dense."""
+    v, fock_d, fock_c, omegas = oracle_inputs(make_v())
+    rng = np.random.default_rng(3)
+    return v, fock_d, fock_c, [
+        w + eps * (rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape))
+        for w in omegas]
+
+
 IMPLEMENTER_INPUTS = {
     "shift-7-8": lambda: oracle_inputs(builders.shift(7)),
     "shift-3-4x2": lambda: oracle_inputs(builders.shift(3, species=2)),
@@ -746,6 +764,11 @@ IMPLEMENTER_INPUTS = {
     "random-member-7-2": lambda: oracle_inputs(
         random_member("car", 7, 2, 77, 0.6)),
     "wrong-vacuum": wrong_vacuum_inputs,
+    "flip-6-2": lambda: oracle_inputs(builders.flip(6, 2)),
+    "shift-2-3x3": lambda: oracle_inputs(builders.shift(2, species=3)),
+    "bogoliubov-quarter-turn-4": lambda: oracle_inputs(
+        builders.bogoliubov(math.pi / 2, 4)),
+    "shift-7-8-dense-noise": lambda: noisy_inputs(lambda: builders.shift(7)),
 }
 
 
@@ -760,6 +783,23 @@ def test_car_implementers_equal_the_per_column_reference(name):
     for field in ("intertwining_residual", "isometry_residual",
                   "completeness_residual", "implementation_residual"):
         assert getattr(got, field) == getattr(want, field)
+
+
+def test_an_entry_off_the_pattern_of_w_shows_in_the_gaps(monkeypatch):
+    # The gaps read W's nonzeros only; one planted 1e-7 where W is exactly
+    # zero must still move the intertwining residual above DEFAULT_TOL.
+    build = fock._implementer_columns
+
+    def planted(*args):
+        w = build(*args)
+        row, col = np.argwhere(w == 0)[len(w) // 2]
+        w[row, col] = 1e-7
+        return w
+
+    args = oracle_inputs(builders.shift(7))
+    assert car_implementers(*args).intertwining_residual <= DEFAULT_TOL
+    monkeypatch.setattr(fock, "_implementer_columns", planted)
+    assert car_implementers(*args).intertwining_residual > DEFAULT_TOL
 
 
 @pytest.mark.parametrize("eps, count", [(0.0, None), (1e-6, None),

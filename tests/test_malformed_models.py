@@ -91,6 +91,13 @@ MALFORMED = {
     # cosh(800) overflows: refused before numpy warns on stderr.
     "squeeze-r-overflow": {"algebra": "ccr", "isometry": {
         "builder": "squeeze", "params": {"r": 800}}},
+    # u1 charges beyond 2^53 are not exact floats; 1e20 and those beyond the
+    # int64 range once exited 1 with a TypeError traceback.
+    **{f"u1-charge-{label}": car_model(
+        SHIFT, gauge={"group": "u1", "charges": [1, charge, 1]})
+       for label, charge in [("1e20", 1e20), ("2^64", 2 ** 64),
+                             ("-2^63-1", -2 ** 63 - 1),
+                             ("2^53+1", 2 ** 53 + 1)]},
 }
 
 
@@ -117,6 +124,23 @@ def test_malformed_model_exit_2_without_a_warning(tmp_path, capsys, name,
         warnings.simplefilter("error")
         assert cli.main([command, "--input", path]) == 2
     assert capsys.readouterr().err.startswith("error (input): ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_model_writes_no_report(tmp_path, capsys, name, command):
+    path = write_model(tmp_path, MALFORMED[name])
+    report_path = tmp_path / "r.json"
+    assert cli.main([command, "--input", path, "--report",
+                     str(report_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_u1_charge_of_2_53_accepted(tmp_path):
+    path = write_model(tmp_path, car_model(
+        SHIFT, gauge={"group": "u1", "charges": [1, 2 ** 53, -2 ** 53]}))
+    assert cli.main(["analyze", "--input", path]) == 0
 
 
 def test_integral_float_fields_accepted(tmp_path):
