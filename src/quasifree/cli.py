@@ -32,6 +32,7 @@ from .errors import (
     QuasifreeError,
     ShapeMismatch,
     WindowTooSmall,
+    require_int,
 )
 from .report import (
     SCHEMA_VERSION,
@@ -216,10 +217,7 @@ def _parse_cutoffs(text: str) -> tuple:
 
 def cmd_dirac(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
-    if not 1 <= args.gauge_n <= MAX_GAUGE_N:
-        raise MalformedInput(
-            f"--gauge-n must be between 1 and {MAX_GAUGE_N}, "
-            f"got {args.gauge_n}")
+    require_int(args.gauge_n, "--gauge-n", least=1, most=MAX_GAUGE_N)
     # The localization residual decays like 1/W; the 1e-3 gate is calibrated
     # at W = 512, so the default tolerance scales with the largest cutoff.
     loc_tol = (args.tol if args.tol is not None
@@ -347,8 +345,8 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0.0 < args.tol < math.inf:  # NaN fails too
             raise MalformedInput(
                 f"--tol must be a finite number > 0, got {args.tol}")
-        if args.seed is not None and args.seed < 0:
-            raise MalformedInput(f"--seed must be at least 0, got {args.seed}")
+        if args.seed is not None:
+            require_int(args.seed, "--seed", least=0)
         # A report path that is a directory or lies in a missing one is
         # refused before any work, with open()'s reason; _emit meets the rest.
         if args.report and (os.path.isdir(args.report) or not os.path.exists(

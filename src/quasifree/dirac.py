@@ -246,8 +246,6 @@ def build_v(w: int) -> DiracBuild:
 class IndexRecord:
     counts: dict
     value: int
-    smallest_singular: dict
-    spectral_gap: dict
 
 
 def index_estimate(builds) -> IndexRecord:
@@ -255,19 +253,12 @@ def index_estimate(builds) -> IndexRecord:
 
     A singular value below INDEX_THRESHOLD counts toward the cokernel.
     """
-    counts, smallest, gaps = {}, {}, {}
-    for build in builds:
-        w = build.window.w
-        svals = build.singular_values
-        below = np.sort(svals[svals < INDEX_THRESHOLD])
-        counts[w] = int(below.size)
-        smallest[w] = float(svals.min())
-        above = svals[svals >= INDEX_THRESHOLD]
-        gaps[w] = float(above.min() - (below.max() if below.size else 0.0))
+    counts = {build.window.w: int(np.count_nonzero(
+        build.singular_values < INDEX_THRESHOLD)) for build in builds}
     values = sorted(set(counts.values()))
     if len(values) != 1:
         raise UnstableIndex(f"cokernel count varies with cutoff: {counts}")
-    return IndexRecord(counts, values[0], smallest, gaps)
+    return IndexRecord(counts, values[0])
 
 
 def _dyadic_numerators(values) -> tuple[list[int], int]:

@@ -90,11 +90,21 @@ class MalformedInput(QuasifreeError):
     """Model file failed validation."""
 
 
-def require_int(value, field: str) -> int:
-    """A JSON integer or integral float as an int, else MalformedInput."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise MalformedInput(f"{field} must be an integer, got {value!r}")
+def require_int(value, field: str, least: int | None = None,
+                most: int | None = None) -> int:
+    """A JSON integer or integral float as an int, else MalformedInput.
+
+    A bound is checked where its field is read: "<field> must be at least N,
+    got V" below least, "<field> must be at most N, got V" above most.
+    """
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise MalformedInput(f"{field} must be an integer, got {value!r}")
+    number = int(value)
+    if least is not None and number < least:
+        raise MalformedInput(f"{field} must be at least {least}, got {number}")
+    if most is not None and number > most:
+        raise MalformedInput(f"{field} must be at most {most}, got {number}")
+    return number
 
 
 def require_float(value, field: str) -> float:

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import (
     GAMMA_DIM_CAP,
     CapExceeded,
-    MalformedInput,
     NotGaugeCompatible,
+    require_int,
     sample_chunks,
 )
 from .fock import (
@@ -135,19 +135,12 @@ def run(args, model, stats, mem, payload, lines) -> None:
     """
     data = stats.charge_data(mem)
     v = data.v
-    if stats.sign > 0:
-        # The fermionic half reads no cutoff, but the report records it.
-        if args.bose_cutoff < 0:
-            raise MalformedInput(f"--bose-cutoff must be at least 0, "
-                                 f"got {args.bose_cutoff}")
-        fock_half = _fermi_half
-    else:
-        l_max = CCR_L_MAX if data.k_frame.shape[1] else 0
-        if args.bose_cutoff < l_max:
-            raise MalformedInput(
-                f"--bose-cutoff must be at least {l_max}, the highest charge "
-                f"level checked, got {args.bose_cutoff}")
-        fock_half = functools.partial(_bose_half, args.bose_cutoff, l_max)
+    # The highest CCR charge level checked; the fermionic half reads no
+    # cutoff, but the report records it, so a negative one is refused too.
+    l_max = CCR_L_MAX if stats.sign < 0 and data.k_frame.shape[1] else 0
+    cutoff = require_int(args.bose_cutoff, "--bose-cutoff", least=l_max)
+    fock_half = (_fermi_half if stats.sign > 0
+                 else functools.partial(_bose_half, cutoff, l_max))
     elements = _oracle_gauge(model, payload["seed"], v, data.p)
     dets_h = np.linalg.det(compressed_action(elements.u11, data.h_frame,
                                              v.codomain, stats))

@@ -45,7 +45,8 @@ from .errors import (
     NotGaugeCompatible,
     sample_chunks,
 )
-from .selfdual import SelfDualSpace, Statistics, apply_gauge, kappa_sign
+from .selfdual import (DEFAULT_TOL, SelfDualSpace, Statistics, apply_gauge,
+                       hs_norm, kappa_sign)
 
 CHAR_TOL = 1e-9
 COMPRESS_TOL = 1e-8
@@ -89,6 +90,9 @@ class GaugeAction:
     kind "u1" uses integer mode charges; "un"/"sun" act by the defining
     representation on a species index (modes ordered site-major, species
     fastest); "z2" is {1, -1}; "custom" takes an explicit unitary list.
+    Construction is the one check of a gauge: MalformedInput for an unknown
+    group, a wrong charge count or species, or a custom element that is not
+    an n x n unitary (||U*U - 1||_HS above DEFAULT_TOL, or NaN).
     """
 
     kind: str
@@ -98,21 +102,25 @@ class GaugeAction:
     unitaries: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("u1", "un", "sun", "z2", "custom"):
+            raise MalformedInput(f"unknown gauge group {self.kind!r}")
         if self.kind == "u1" and len(self.charges) != self.n_modes:
             raise MalformedInput("u1 action needs one integer charge per mode")
-        if self.kind in ("un", "sun"):
-            if self.species < 1 or self.n_modes % self.species:
-                raise MalformedInput(
-                    f"species {self.species} does not divide {self.n_modes} modes")
+        if self.kind in ("un", "sun") and (
+                self.species < 1 or self.n_modes % self.species):
+            raise MalformedInput(
+                f"species {self.species} does not divide {self.n_modes} modes")
         if self.kind == "custom" and not self.unitaries:
             raise MalformedInput("custom action needs at least one unitary")
-        for u in self.unitaries:
+        for i, u in enumerate(self.unitaries):
             if np.shape(u) != (self.n_modes, self.n_modes):
                 raise MalformedInput(
                     f"custom unitary shape {np.shape(u)} != "
                     f"({self.n_modes}, {self.n_modes})")
-        if self.kind not in ("u1", "un", "sun", "z2", "custom"):
-            raise MalformedInput(f"unknown gauge kind {self.kind!r}")
+            defect = hs_norm(np.conj(u).T @ u - np.eye(self.n_modes))
+            if not defect <= DEFAULT_TOL:  # NaN fails too
+                raise MalformedInput(f"custom element {i} is not unitary "
+                                     f"(||U*U - 1|| = {defect:.3e})")
 
     def elements(self, samples: int = 50, seed: int = 0) -> GaugeSample:
         n = self.n_modes

@@ -115,8 +115,6 @@ def kernel_and_pinv(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def orthonormal_range(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal frame for the column range, deterministically ordered."""
-    if matrix.size == 0:
-        return np.zeros((matrix.shape[0], 0), dtype=complex)
     u, sigma, _ = np.linalg.svd(matrix, full_matrices=False)
     cols = [_canonical_phase(u[:, i])
             for i in np.flatnonzero(sigma > _rank_threshold(sigma))]
@@ -127,8 +125,6 @@ def orthonormal_range(matrix: np.ndarray) -> np.ndarray:
 
 def orthoprojection(frame: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of orthonormal frame columns."""
-    if frame.shape[1] == 0:
-        return np.zeros((frame.shape[0], frame.shape[0]), dtype=complex)
     return frame @ frame.conj().T
 
 

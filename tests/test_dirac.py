@@ -130,11 +130,22 @@ def test_shift_action_on_local_modes():
 
 
 def test_index_stable_and_robust():
-    record = dirac.index_estimate([dirac.build_v(64), dirac.build_v(128)])
+    builds = [dirac.build_v(64), dirac.build_v(128)]
+    record = dirac.index_estimate(builds)
+    # The smallest singular value and the gap above the cokernel count, read
+    # off each build's singular values.
+    smallest, gaps = {}, {}
+    for build in builds:
+        svals = build.singular_values
+        below = svals[svals < dirac.INDEX_THRESHOLD]
+        smallest[build.window.w] = float(svals.min())
+        gaps[build.window.w] = float(
+            svals[svals >= dirac.INDEX_THRESHOLD].min()
+            - (below.max() if below.size else 0.0))
     assert record.value == 1
     assert record.counts == {64: 1, 128: 1}
-    assert all(s < 1e-4 for s in record.smallest_singular.values())
-    assert all(g > 0.99 for g in record.spectral_gap.values())
+    assert all(s < 1e-4 for s in smallest.values())
+    assert all(g > 0.99 for g in gaps.values())
 
 
 def test_index_instability_detected(monkeypatch):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from quasifree.errors import MalformedInput, require_int
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quasifree"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -51,3 +53,22 @@ def test_errors_module_has_classes():
 @pytest.mark.parametrize("name", CLASSES)
 def test_error_class_is_raised(name):
     assert name in RAISED
+
+
+# --- the bounded integer reader ------------------------------------------------
+
+def test_require_int_bounds():
+    assert require_int(1, "n", least=1, most=4) == 1
+    assert require_int(4, "n", least=1, most=4) == 4
+    with pytest.raises(MalformedInput, match="^n must be at least 1, got 0$"):
+        require_int(0, "n", least=1, most=4)
+    with pytest.raises(MalformedInput, match="^n must be at most 4, got 5$"):
+        require_int(5, "n", least=1, most=4)
+
+
+def test_require_int_types():
+    value = require_int(3.0, "n")
+    assert value == 3 and type(value) is int
+    for bad in (True, "3"):
+        with pytest.raises(MalformedInput, match="^n must be an integer"):
+            require_int(bad, "n", least=0)

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -237,3 +238,129 @@ def mutated_models(draw):
 def test_mutated_model_never_raises(tmp_path, model):
     path = write_model(tmp_path, model)
     assert cli.main(["analyze", "--input", path]) in (0, 2, 3, 4)
+
+
+# --- every scalar field at its bounds and beyond --------------------------------
+
+U1_SHIFT = car_model({"builder": "shift", "params": {"n_sites_in": 2}},
+                     gauge={"group": "u1", "charges": [1, 1, 1], "samples": 3,
+                            "seed": 1})
+UN_SHIFT = car_model({"builder": "shift", "params": {"n_sites_in": 2}},
+                     gauge={"group": "un", "species": 1, "samples": 2,
+                            "seed": 1})
+EXPLICIT = car_model({"matrix": matrix_payload(np.eye(4)[:, [1, 3]])},
+                     space={"domain_modes": 1, "codomain_modes": 2})
+BUILDERS = {
+    "identity": ("car", {"n_modes": 2}),
+    "shift": ("car", {"n_sites_in": 2, "steps": 1, "species": 1}),
+    "flip": ("car", {"n_modes": 2, "mode": 1}),
+    "bogoliubov": ("car", {"theta": 0.3, "n_modes": 2}),
+    "squeeze": ("ccr", {"r": 0.5, "n_modes": 2, "mode": 1}),
+}
+# The bounds each builder states, as (least, most); other fields have none.
+BUILDER_BOUNDS = {("shift", "n_sites_in"): (1, None),
+                  ("shift", "steps"): (1, None),
+                  ("shift", "species"): (1, None),
+                  ("flip", "mode"): (1, 2), ("squeeze", "mode"): (1, 2),
+                  ("bogoliubov", "n_modes"): (2, None)}
+EXTREMES = [2 ** 63, 2 ** 64, -2 ** 63 - 1, 1e300, -0.0, True, "3", None]
+
+
+def draws(least=None, most=None) -> list:
+    """least - 1, least, most, most + 1 where defined, then EXTREMES."""
+    near = ([least - 1, least] if least is not None else []) + (
+        [most, most + 1] if most is not None else [])
+    return near + EXTREMES
+
+
+def field_cases() -> list:
+    """(id, base model, key path of the field, its name, value) per draw."""
+    fields = [
+        ("gauge-samples", U1_SHIFT, ("gauge", "samples"), "samples",
+         draws(least=1)),
+        ("gauge-seed", UN_SHIFT, ("gauge", "seed"), "seed", draws(least=0)),
+        ("gauge-species", UN_SHIFT, ("gauge", "species"), "species",
+         draws(least=1)),
+        ("u1-charge", U1_SHIFT, ("gauge", "charges", 1), "charge",
+         draws(least=-2 ** 53, most=2 ** 53)),
+        ("domain_modes", EXPLICIT, ("space", "domain_modes"), "domain_modes",
+         EXTREMES),
+        ("codomain_modes", EXPLICIT, ("space", "codomain_modes"),
+         "codomain_modes", EXTREMES),
+        ("shape-entry", EXPLICIT, ("isometry", "matrix", "shape", 0), "shape",
+         EXTREMES),
+    ]
+    for name, (algebra, params) in BUILDERS.items():
+        base = {"algebra": algebra,
+                "isometry": {"builder": name, "params": params}}
+        for key in params:
+            fields.append((f"{name}-{key}", base, ("isometry", "params", key),
+                           key, draws(*BUILDER_BOUNDS.get((name, key),
+                                                          (None, None)))))
+    return [(f"{label}={value!r}", base, where, field, value)
+            for label, base, where, field, values in fields
+            for value in values]
+
+
+def with_value(base: dict, where: tuple, value) -> dict:
+    model = copy.deepcopy(base)
+    parent = model
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return model
+
+
+def check_run(argv: list, report_path, capsys) -> tuple:
+    """Run the CLI; an exit 2 is one input-error line and writes no report."""
+    code = cli.main(argv + ["--report", str(report_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 2:
+        assert err.startswith("error (input): ") and err.count("\n") == 1, err
+        assert not report_path.exists()
+    report_path.unlink(missing_ok=True)
+    return code, err
+
+
+def test_every_scalar_field_at_its_bounds(tmp_path, capsys):
+    start = time.perf_counter()
+    runs = 0
+    for label, base, where, field, value in field_cases():
+        path = write_model(tmp_path, with_value(base, where, value))
+        for command in ("analyze", "oracle"):
+            code, err = check_run([command, "--input", path],
+                                  tmp_path / "r.json", capsys)
+            runs += 1
+            if value is None or isinstance(value, (bool, str)):
+                assert code == 2 and field in err, (label, command, err)
+    flags = [(["analyze", "--input", write_model(tmp_path, UN_SHIFT)],
+              "--seed", draws(least=0)),
+             (["oracle", "--input", write_model(tmp_path, UN_SHIFT)],
+              "--seed", draws(least=0)),
+             (["dirac", "--cutoffs", "16,32"], "--gauge-n",
+              draws(least=1, most=1024))]
+    ccr_shift = tmp_path / "ccr.json"  # dim k = 1: levels 0..5 are checked
+    ccr_shift.write_text(json.dumps({"algebra": "ccr", "isometry": {
+        "builder": "shift", "params": {"n_sites_in": 1}}}), encoding="utf-8")
+    for path, least in ((write_model(tmp_path, U1_SHIFT), 0),
+                        (str(ccr_shift), 5)):
+        flags.append((["oracle", "--input", path], "--bose-cutoff",
+                      draws(least=least)))
+    for argv, flag, values in flags:
+        for value in values:
+            if value is None:
+                continue  # a flag has no null
+            text = str(value)
+            if isinstance(value, (bool, float)):
+                # Not integer text: argparse refuses it, naming the flag.
+                with pytest.raises(SystemExit) as stop:
+                    cli.main(argv + [f"{flag}={text}"])
+                assert stop.value.code == 2
+                assert flag in capsys.readouterr().err
+            else:
+                check_run(argv + [f"{flag}={text}"], tmp_path / "r.json",
+                          capsys)
+            runs += 1
+    assert runs >= 300
+    assert time.perf_counter() - start < 20.0

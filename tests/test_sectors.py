@@ -97,6 +97,26 @@ def test_gauge_action_validation():
         GaugeAction("other", 2)
 
 
+@pytest.mark.parametrize("element", [2.0 * np.eye(2),
+                                     np.full((2, 2), math.nan)],
+                         ids=["not-unitary", "nan"])
+def test_gauge_action_refuses_a_custom_element_that_is_not_unitary(element):
+    # Built directly, as a Python caller does, not through a model file.
+    with pytest.raises(MalformedInput, match="custom element 1 is not unitary"):
+        GaugeAction("custom", 2, unitaries=(np.eye(2), element))
+
+
+def test_u1_model_without_charges_exit_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "algebra": "car",
+        "isometry": {"builder": "shift", "params": {"n_sites_in": 2}},
+        "gauge": {"group": "u1"}}), encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and "'charges'" in err
+
+
 def test_gauge_action_z2_and_u1_grids():
     z2 = GaugeAction("z2", 2).elements()
     assert z2.labels == ["+1", "-1"]
