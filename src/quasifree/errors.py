@@ -107,6 +107,13 @@ def require_int(value, field: str, least: int | None = None,
     return number
 
 
+def require_list(value, field: str) -> list:
+    """A JSON array, else MalformedInput naming field."""
+    if type(value) is not list:
+        raise MalformedInput(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def require_float(value, field: str) -> float:
     """A finite JSON number as a float, else MalformedInput.
 
@@ -144,8 +151,8 @@ def require_dense_bytes(rows: int, cols: int, what: str) -> None:
                           f"needs {size} bytes > cap {DENSE_BYTES_CAP}")
 
 
-# Bytes of one (samples, 2n, columns) product per chunk of a stacked pass
-# over gauge samples; the chunk's other temporaries are of the same size.
+# Bytes of one chunk's products in a stacked pass over gauge samples or
+# implementer fields; the chunk's other temporaries are of the same size.
 STACK_CHUNK_BYTES = 2 ** 24
 
 

@@ -2,19 +2,16 @@
 
 Everything here is brute force on purpose: dense/sparse matrices on a finite
 Fock space provide an independent check of the single-particle charge data.
-The brute force does only the arithmetic the structure needs: the fields stay
-sparse in the implementer checks, the sum formula is certified from the
-intertwining gaps and the completeness Gram instead of being formed, and
-Gamma(U) takes only the minors that the exact-zero block pattern of u11
-allows to be nonzero, matched by one integer key per subset from a block
-pattern taken once per unitary, with the gather and scatter positions kept
-as a plan while the pattern repeats; the oracle needs it only for gauge
-elements that are not diagonal, since a diagonal one acts on either Fock
-space by one phase vector (gamma_vector).  One builder fills the implementer
-columns of both statistics, all of W = [Psi_1 ... Psi_r] by one sparse
-product per mode and occupation, and the fermionic intertwining gaps take one
-sparse product per Psi_alpha, on its nonzeros (car_implementers).  Both
-statistics share one occupation encoding, state s holding
+The brute force does only the arithmetic the structure needs:
+- one builder fills the implementer columns of both statistics, all of
+  W = [Psi_1 ... Psi_r] by one sparse product per mode and occupation;
+- the fermionic intertwining gaps take one sparse product per Psi_alpha and
+  group of fields, on its nonzeros, and the Gram W*W is taken per block of
+  W's particle-number grading; the sum formula is certified from both;
+- Gamma(U) takes only the minors that u11's exact-zero block pattern allows,
+  with a plan kept while the pattern repeats; a diagonal gauge element acts
+  on either Fock space by one phase vector instead (gamma_vector).
+Both statistics share one occupation encoding, state s holding
 (s // radix^i) % radix quanta in mode i (radix 2 for fermions, M + 1 for
 bosons), and one field-table builder, run on first use: the implementers'
 domain space, which lends only its size, builds no table.
@@ -77,6 +74,7 @@ from .errors import (
     NormBoundViolation,
     NotGaugeCompatible,
     OrthonormalityFailure,
+    sample_chunks,
 )
 from .selfdual import DEFAULT_TOL, BlockOperator, SelfDualSpace, hs_norm
 
@@ -369,11 +367,8 @@ def omega_p_bose(fock: BoseFock, space: SelfDualSpace, t_block: np.ndarray
 def polar_isometry(matrix: np.ndarray) -> np.ndarray:
     """Unitary polar factor U Vh of a dense square matrix via its SVD.
 
-    The factor is unique on (ker matrix)^perp; on the kernel it is the
-    completion LAPACK's singular vectors give, deterministic for a given
-    input.  No code in the package calls it: the bosonic charged vectors
-    are normalised pi-monomials (omega_alphas_bose), and the tests use it as
-    the dense polar reference.
+    Unique on (ker matrix)^perp, LAPACK's completion on the kernel.  Only
+    the tests call it, as the dense reference of omega_alphas_bose.
     """
     u, _, vh = np.linalg.svd(matrix)
     return u @ vh
@@ -474,21 +469,30 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     The four residuals are returned, not judged: the caller gates them.
     _implementer_columns gives W = [Psi_1 ... Psi_r], each Psi_alpha a view.
 
-    The intertwining gaps work on the nonzeros of each Psi_alpha alone; at
-    8 modes over 99 % of W is exactly zero.  The fields pi_c = pi(V f) of
-    the 2 n_d domain basis vectors f are stacked once, so one sparse
-    product per Psi_alpha gives every pi_c Psi_alpha.  For basis vector
-    idx, pi_d = pi(f) is a*(e_b) (idx < n_d) or a(e_b), b = idx mod n_d, and
-    Psi_alpha pi_d moves each entry in a column c with bit b set (a*) or
-    clear (a) to c - 2^b or c + 2^b, times the parity of c's bits below b;
-    those blocks are written from Psi_alpha's nonzeros by index arithmetic.
-    Gap idx is the difference's CSR rows [idx dim_c, (idx + 1) dim_c).  Its
-    bits are those of a dense product per f and alpha: scipy's csr_matmat
-    sums each entry over the same nonzeros, in the same order, as
-    csr_matvecs; every term it skips is an exact zero; and hs_norm, an
-    exactly rounded fsum that drops zeros, reads no storage order.
-    Isometry and completeness come from the one Gram W*W, as
-    tr (W W*)^j = tr (W*W)^j gives
+    The intertwining gaps work on W's nonzeros, taken once and shared out
+    to the Psi_alpha in row-major order; at 8 modes over 99 % of W is zero.
+    The fields pi_c = pi(V f) of the 2 n_d domain basis vectors f are
+    stacked in groups (sample_chunks; a column of pi_c has an entry per mode
+    at most, so a field's products have at most n_c nnz(W) entries), and
+    one sparse product per group and Psi_alpha gives every pi_c Psi_alpha.
+    For basis vector idx, pi_d = pi(f) is a*(e_b) (idx < n_d) or a(e_b),
+    b = idx mod n_d, and Psi_alpha pi_d moves each entry in a column c with
+    bit b set (a*) or clear (a) to c - 2^b or c + 2^b, times the parity of
+    c's bits below b: index arithmetic on Psi_alpha's nonzeros.  Gap idx is
+    the difference's rows of field idx.  Its bits are those of a dense
+    product per f and alpha: csr_matmat sums each entry, row by row, over
+    the same nonzeros in the same order as csr_matvecs; every term it skips
+    is an exact zero; and hs_norm, an exactly rounded fsum that drops
+    zeros, reads no storage order.
+
+    Isometry and completeness come from W*W, block diagonal over the
+    particle numbers W's columns link (row s holds popcount(s) particles;
+    _same_block closes the links): a block per particle number for a shift,
+    per parity for a pairing.  Entries of W*W - 1 between blocks are exact
+    zeros (disjoint rows), and each block's Gram takes its own rows only.
+    iso is the largest entry and comp one hs_norm over all block entries,
+    so the split adds no rounding; a dense block, summed over fewer rows,
+    may round otherwise than the dense Gram.  tr (W W*)^j = tr (W*W)^j gives
 
         |W W* - 1|_HS^2 = |W*W - 1|_HS^2 + dim_c - r dim_d,
 
@@ -511,31 +515,43 @@ def car_implementers(v: BlockOperator, fock_dom: FermiFock,
     stacked = _implementer_columns(pi_v, np.column_stack(omega_alphas),
                                    fock_dom)
     psis = np.hsplit(stacked, len(omega_alphas))
-    gram_gap = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+    rows, cols = np.nonzero(stacked)
+    number = np.bitwise_count(np.arange(fock_cod.dim))
+    links = np.zeros((fock_cod.n_modes + 1, stacked.shape[1]), dtype=bool)
+    links[number[rows], cols] = True
+    # label[p]: the smallest particle number in the block of p.
+    label = np.argmax(_same_block(links @ links.T), axis=0)
+    col_label = label[np.argmax(links, axis=0)]  # 0 for a zero column
+    gram_gap = []
+    for block in np.unique(col_label):
+        w = stacked[np.ix_(label[number] == block, col_label == block)]
+        gram_gap.append((w.conj().T @ w - np.eye(w.shape[1])).ravel())
+    gram_gap = np.concatenate(gram_gap)
     iso = float(np.max(np.abs(gram_gap)))
     # The integer dim_c - r dim_d first: 0 for a square W, so nothing rounds.
     comp = math.sqrt(max(0.0, hs_norm(gram_gap) ** 2
                          + (fock_cod.dim - stacked.shape[1])))
-
-    n, dim_c = fock_dom.n_modes, fock_cod.dim
+    n, dim_c, dim_d = fock_dom.n_modes, fock_cod.dim, fock_dom.dim
     gaps = np.zeros((len(psis), 2 * n))  # gaps[alpha, idx]
-    if n:  # a zero-mode domain has no fields and no gaps
-        pi_c = sp.vstack(pi_v, format="csr")
-        f_idx = np.arange(2 * n)[:, None]
-        step = 1 << f_idx % n
-        for alpha, psi in enumerate(psis):
-            rows, cols = np.nonzero(psi)
-            vals = psi[rows, cols]
-            keep = ((cols & step) != 0) == (f_idx < n)
+    groups = sample_chunks(2 * n, 16 * fock_cod.n_modes * len(rows))
+    pi_groups = [sp.vstack(pi_v[group], format="csr") for group in groups]
+    for alpha, psi in enumerate(psis):
+        share = cols // dim_d == alpha
+        rows_a, cols_a = rows[share], cols[share] - alpha * dim_d
+        vals = psi[rows_a, cols_a]
+        psi_csr = sp.csr_matrix((vals, (rows_a, cols_a)), psi.shape)
+        for group, pi_c in zip(groups, pi_groups):
+            f_idx = np.arange(2 * n)[group, None]
+            step = 1 << f_idx % n
+            keep = ((cols_a & step) != 0) == (f_idx < n)
             moved = sp.coo_matrix((
-                (vals * _sign_of_count(cols & (step - 1)))[keep],
-                ((rows + f_idx * dim_c)[keep],
-                 (cols + np.where(f_idx < n, -step, step))[keep])),
-                shape=(pi_c.shape[0], psi.shape[1]))
-            gap = pi_c @ sp.csr_matrix((vals, (rows, cols)), psi.shape) - moved
-            ends = gap.indptr[::dim_c]
-            gaps[alpha] = [hs_norm(gap.data[lo:hi])
-                           for lo, hi in zip(ends[:-1], ends[1:])]
+                (vals * _sign_of_count(cols_a & (step - 1)))[keep],
+                ((rows_a + (f_idx - group.start) * dim_c)[keep],
+                 (cols_a + np.where(f_idx < n, -step, step))[keep])),
+                shape=(pi_c.shape[0], dim_d))
+            ends = (gap := pi_c @ psi_csr - moved).indptr[::dim_c]
+            gaps[alpha, group] = [hs_norm(gap.data[lo:hi])
+                                  for lo, hi in zip(ends[:-1], ends[1:])]
     impl = 0.0
     for idx, col in enumerate(gaps.T):
         impl = max(impl, math.hypot(*col) * math.sqrt(1.0 + comp)

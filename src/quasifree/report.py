@@ -18,7 +18,8 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import builders
-from .errors import MalformedInput, require_dense_bytes, require_int
+from .errors import (MalformedInput, require_dense_bytes, require_int,
+                     require_list)
 from .sectors import GaugeAction
 from .selfdual import BlockOperator, SelfDualSpace
 
@@ -214,10 +215,12 @@ def _parse_gauge(block: dict, n_modes: int) -> tuple:
         # A charge beyond 2^53 is not exact as a float.
         charges=tuple(require_int(q, "gauge charge", least=-2 ** 53,
                                   most=2 ** 53)
-                      for q in block["charges"]) if group == "u1" else (),
+                      for q in require_list(block["charges"], "gauge charges"))
+        if group == "u1" else (),
         species=require_int(block.get("species", 0), "gauge species")
         if group in ("un", "sun") else 0,
-        unitaries=tuple(map(parse_complex_matrix, block.get("unitaries", [])))
+        unitaries=tuple(map(parse_complex_matrix, require_list(
+            block.get("unitaries", []), "gauge unitaries")))
         if group == "custom" else ())
     if group in ("u1", "un", "sun"):
         # elements() builds one dense n x n unitary per sample.

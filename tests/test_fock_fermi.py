@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_selfdual as dense
-from quasifree import builders, cli, fock, oracle
+from quasifree import builders, cli, errors, fock, oracle
 from quasifree.car import car_charge_data, car_membership
 from quasifree.errors import GAMMA_DIM_CAP, CapExceeded
 from quasifree.fock import (
@@ -800,6 +800,103 @@ def test_an_entry_off_the_pattern_of_w_shows_in_the_gaps(monkeypatch):
     assert car_implementers(*args).intertwining_residual <= DEFAULT_TOL
     monkeypatch.setattr(fock, "_implementer_columns", planted)
     assert car_implementers(*args).intertwining_residual > DEFAULT_TOL
+
+
+def dense_gram_residuals(imp, fock_c):
+    """isometry and completeness residuals from the one dense W*W - 1."""
+    w = np.hstack(imp.psis)
+    gram_gap = w.conj().T @ w - np.eye(w.shape[1])
+    return (float(np.max(np.abs(gram_gap))),
+            math.sqrt(max(0.0, hs_norm(gram_gap) ** 2
+                          + (fock_c.dim - w.shape[1]))))
+
+
+def particle_blocks(monkeypatch, args):
+    """car_implementers' result and its particle-number blocks, as labels."""
+    same_block, seen = fock._same_block, []
+
+    def spy(matrix):
+        seen.append(same_block(matrix))
+        return seen[-1]
+
+    monkeypatch.setattr(fock, "_same_block", spy)
+    imp = car_implementers(*args)
+    [linked] = seen
+    return imp, np.argmax(linked, axis=0)
+
+
+@pytest.mark.parametrize("name", ["shift-7-8", "shift-3-4x2", "flip-6-2",
+                                  "bogoliubov-8", "shift-7-8-dense-noise"])
+def test_block_gram_equals_the_dense_gram(name):
+    # Entries between blocks are exact zeros of W*W - 1, and comp is one
+    # exactly rounded fsum over the blocks' entries.
+    args = IMPLEMENTER_INPUTS[name]()
+    imp = car_implementers(*args)
+    assert (imp.isometry_residual, imp.completeness_residual) == (
+        dense_gram_residuals(imp, args[2]))
+
+
+@pytest.mark.parametrize("make_v", [
+    lambda: random_member("car", 8, 2, 5, 1.0),
+    lambda: random_member("car", 9, 1, 31, 0.8),
+    lambda: random_member("car", 10, 2, 77, 0.6),
+], ids=["random-member-8-2", "random-member-9-1", "random-member-10-2"])
+def test_block_gram_of_a_dense_member_within_rounding(make_v):
+    # A dense member splits into its two parities; each block's BLAS
+    # product sums fewer rows than the dense one and may round otherwise.
+    args = oracle_inputs(make_v())
+    imp = car_implementers(*args)
+    want = dense_gram_residuals(imp, args[2])
+    got = (imp.isometry_residual, imp.completeness_residual)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("shift-7-8", [[p] for p in range(9)]),
+    ("shift-3-4x2", [[p] for p in range(9)]),
+    ("bogoliubov-8", [[0, 2, 4, 6, 8], [1, 3, 5, 7]]),
+])
+def test_particle_number_blocks(monkeypatch, name, blocks):
+    # One block per particle number for a shift, two parities for a pairing.
+    _, label = particle_blocks(monkeypatch, IMPLEMENTER_INPUTS[name]())
+    assert [np.flatnonzero(label == b).tolist()
+            for b in np.unique(label)] == blocks
+
+
+def test_a_planted_entry_merges_blocks_as_the_dense_gram_sees_it(monkeypatch):
+    # W's column 0 is the Fock vacuum of the shift: its one nonzero holds 0
+    # particles.  A 1e-7 in row 1 (one particle) links the two blocks, and
+    # its cross terms with the column that owns row 1 show in the Gram.
+    build = fock._implementer_columns
+
+    def planted(*args):
+        w = build(*args)
+        assert np.flatnonzero(w[:, 0]).tolist() == [0]
+        w[1, 0] = 1e-7
+        return w
+
+    args = oracle_inputs(builders.shift(7))
+    clean, _ = particle_blocks(monkeypatch, args)
+    monkeypatch.setattr(fock, "_implementer_columns", planted)
+    imp, label = particle_blocks(monkeypatch, args)
+    assert label[0] == label[1] and len(np.unique(label)) == 8
+    assert imp.isometry_residual > 1e-8 > clean.isometry_residual
+    assert (imp.isometry_residual, imp.completeness_residual) == (
+        dense_gram_residuals(imp, args[2]))
+
+
+@pytest.mark.parametrize("name", ["shift-7-8", "bogoliubov-8",
+                                  "random-member-7-2", "wrong-vacuum"])
+def test_field_groups_keep_every_residual(monkeypatch, name):
+    # One field per group, as a dense W near the cap takes them, gives the
+    # bits of the one group the workload inputs take.
+    args = IMPLEMENTER_INPUTS[name]()
+    whole = car_implementers(*args)
+    monkeypatch.setattr(errors, "STACK_CHUNK_BYTES", 1)
+    single = car_implementers(*args)
+    for field in ("intertwining_residual", "isometry_residual",
+                  "completeness_residual", "implementation_residual"):
+        assert getattr(single, field) == getattr(whole, field)
 
 
 @pytest.mark.parametrize("eps, count", [(0.0, None), (1e-6, None),

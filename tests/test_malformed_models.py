@@ -99,6 +99,15 @@ MALFORMED = {
        for label, charge in [("1e20", 1e20), ("2^64", 2 ** 64),
                              ("-2^63-1", -2 ** 63 - 1),
                              ("2^53+1", 2 ** 53 + 1)]},
+    # A gauge list that is not a list: once "bad gauge block: 'NoneType'
+    # object is not iterable", naming no field.
+    "u1-charges-null": car_model(SHIFT, gauge={"group": "u1",
+                                               "charges": None}),
+    "u1-charges-number": car_model(SHIFT, gauge={"group": "u1",
+                                                 "charges": 5}),
+    "custom-unitaries-number": car_model(
+        {"builder": "identity", "params": {"n_modes": 1}},
+        gauge={"group": "custom", "unitaries": 5}),
 }
 
 
@@ -158,6 +167,18 @@ def test_unitary_custom_element_accepted(tmp_path):
         {"builder": "identity", "params": {"n_modes": 1}},
         gauge={"group": "custom", "unitaries": [matrix_payload(u)]}))
     assert cli.main(["analyze", "--input", path]) == 0
+
+
+@pytest.mark.parametrize("name, field", [
+    ("u1-charges-null", "gauge charges must be a list, got None"),
+    ("u1-charges-number", "gauge charges must be a list, got 5"),
+    ("custom-unitaries-number", "gauge unitaries must be a list, got 5"),
+])
+def test_a_gauge_list_that_is_not_a_list_names_its_field(tmp_path, capsys,
+                                                         name, field):
+    path = write_model(tmp_path, MALFORMED[name])
+    assert cli.main(["analyze", "--input", path]) == 2
+    assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "oracle"])
